@@ -34,10 +34,9 @@ from .exactmath import (
     is_zero_vector,
     vadd,
     vsub,
-    zero_vector,
 )
-from .liecore import LieAlgebra, derived_series
-from .matched import MatchedPair, canonical_pair_L, canonical_pair_m, _lnames
+from .liecore import LieAlgebra, basis_pairs, defects, derived_series
+from .matched import MatchedPair, canonical_pair_L, canonical_pair_m, _finish, _lnames
 from .iso import are_isomorphic, fingerprint
 
 
@@ -59,18 +58,17 @@ def is_deformation_map(mp: MatchedPair, r: Matrix) -> bool:
     g, h = mp.g, mp.h
     if r.nrows != g.dim or r.ncols != h.dim:
         raise DimensionMismatch("r must map h into g")
-    f = mp.field
-    hb = [basis_vector(f, h.dim, i) for i in range(h.dim)]
-    for i in range(h.dim):
-        ri = r.col(i)
-        for j in range(i + 1, h.dim):
-            rj = r.col(j)
-            lhs = vsub(r.mul_vector(h.bracket_basis(i, j)), g.bracket(ri, rj))
-            inner = vsub(mp.act_right(hb[j], ri), mp.act_right(hb[i], rj))
-            rhs = vadd(r.mul_vector(inner), vsub(mp.act_left(hb[i], rj), mp.act_left(hb[j], ri)))
-            if lhs != rhs:
-                return False
-    return True
+    hb = [basis_vector(mp.field, h.dim, i) for i in range(h.dim)]
+    rc = r.cols()
+
+    def lhs(i, j):
+        return vsub(r.mul_vector(h.bracket_basis(i, j)), g.bracket(rc[i], rc[j]))
+
+    def rhs(i, j):
+        inner = vsub(mp.act_right(hb[j], rc[i]), mp.act_right(hb[i], rc[j]))
+        return vadd(r.mul_vector(inner), vsub(mp.act_left(hb[i], rc[j]), mp.act_left(hb[j], rc[i])))
+
+    return not any(defects(basis_pairs(h.dim), lhs, rhs))
 
 
 def enumerate_deformation_maps(
@@ -112,13 +110,12 @@ def r_deformation(mp: MatchedPair, d: DeformationMap) -> LieAlgebra:
     f = mp.field
     hb = [basis_vector(f, h.dim, i) for i in range(h.dim)]
     brackets = {}
-    for i in range(h.dim):
-        for j in range(i + 1, h.dim):
-            vec = vadd(
-                h.bracket_basis(i, j),
-                vsub(mp.act_right(hb[i], r.col(j)), mp.act_right(hb[j], r.col(i))),
-            )
-            brackets[(i, j)] = vec
+    for i, j in basis_pairs(h.dim):
+        vec = vadd(
+            h.bracket_basis(i, j),
+            vsub(mp.act_right(hb[i], r.col(j)), mp.act_right(hb[j], r.col(i))),
+        )
+        brackets[(i, j)] = vec
     out = LieAlgebra(f, h.basis_names, brackets)
     bad = out.check_jacobi()
     if bad:
@@ -268,16 +265,20 @@ def classify_complements(
         return report
     maps = enumerate_deformation_maps(mp, budget, order=order)
     classes = []
-    for d in maps:
+    for pos, d in enumerate(maps):
         alg = r_deformation(mp, d)
         fp = fingerprint(alg)
         placed = False
-        for cls in classes:
+        for c, cls in enumerate(classes):
             if cls["fp"] != fp:
                 continue
             res = are_isomorphic(alg, cls["rep"], iso_budget)
             if res.verdict == "unknown":
-                raise BudgetExceeded(f"isomorphism search inconclusive: {res.certificate}")
+                raise BudgetExceeded(
+                    f"isomorphism search inconclusive: {res.certificate}; deformation map "
+                    f"at sweep index {pos} of {len(maps)}, class representative index {c}, "
+                    f"shared fingerprint {fp.as_tuple()}"
+                )
             if res.is_yes:
                 cls["size"] += 1
                 placed = True
@@ -353,10 +354,9 @@ def _classify_registered_infinite(mp: MatchedPair) -> Optional[ComplementReport]
             return None
         samples.append(alg)
         invariants.append(inv)
-    for i in range(len(invariants)):
-        for j in range(i + 1, len(invariants)):
-            if not _projectively_distinct(invariants[i], invariants[j]):
-                return None
+    for i, j in basis_pairs(len(invariants)):
+        if not _projectively_distinct(invariants[i], invariants[j]):
+            return None
     return ComplementReport(
         representatives=samples,
         class_sizes=[],
@@ -367,14 +367,6 @@ def _classify_registered_infinite(mp: MatchedPair) -> Optional[ComplementReport]
 
 
 # -- deformed families with closed-form brackets ----------------------------------
-
-
-def _build(field: Field, names, named_brackets) -> LieAlgebra:
-    out = LieAlgebra.from_named_brackets(field, names, named_brackets)
-    bad = out.check_jacobi()
-    if bad:
-        raise BadParameter(f"parameters break the Jacobi identity at {bad[0][:3]}")
-    return out
 
 
 def _vector_param(field: Field, a, allow_zero: bool) -> tuple:
@@ -400,7 +392,7 @@ def make_l_a(field: Field, a) -> LieAlgebra:
                 br.setdefault((names[i], names[n + j]), []).append((names[n + j], -a[i]))
         if a[i]:
             br[(names[i], "G")] = [("G", -a[i])]
-    return _build(field, names, br)
+    return _finish(field, names, br)
 
 
 def make_lp_b(field: Field, b) -> LieAlgebra:
@@ -417,7 +409,7 @@ def make_lp_b(field: Field, b) -> LieAlgebra:
         for j in range(i + 1, n):
             br[(names[n + i], names[n + j])] = [(names[n + i], b[j]), (names[n + j], -b[i])]
         br[(names[n + i], "G")] = [(names[n + i], 1), ("G", -b[i])]
-    return _build(field, names, br)
+    return _finish(field, names, br)
 
 
 def make_lpp_b(field: Field, b) -> LieAlgebra:
@@ -435,7 +427,7 @@ def make_lpp_b(field: Field, b) -> LieAlgebra:
             br[(names[n + i], names[n + j])] = [(names[n + i], b[j]), (names[n + j], -b[i])]
         if b[i]:
             br[(names[n + i], "G")] = [("G", -b[i])]
-    return _build(field, names, br)
+    return _finish(field, names, br)
 
 
 def make_lbar_a(field: Field, a) -> LieAlgebra:
@@ -454,7 +446,7 @@ def make_lbar_a(field: Field, a) -> LieAlgebra:
         terms = [(names[i], a[0]), (names[0], -a[i]), (names[2 * n - 1], -a[i])]
         br[(names[i], "G")] = terms
         br[("G", names[n + i])] = [(names[n + i], two - a[0])]
-    return _build(field, names, br)
+    return _finish(field, names, br)
 
 
 def make_lbarp_b(field: Field, b) -> LieAlgebra:
@@ -476,7 +468,7 @@ def make_lbarp_b(field: Field, b) -> LieAlgebra:
             (names[2 * n - 1], b[i]),
             (names[n + i], -b[n - 1]),
         ]
-    return _build(field, names, br)
+    return _finish(field, names, br)
 
 
 def make_lbarpp_c(field: Field, c, n: int = 1) -> LieAlgebra:
@@ -488,7 +480,7 @@ def make_lbarpp_c(field: Field, c, n: int = 1) -> LieAlgebra:
     for i in range(n):
         br[(names[i], "G")] = [(names[i], one + c)]
         br[("G", names[n + i])] = [(names[n + i], one - c)]
-    return _build(field, names, br)
+    return _finish(field, names, br)
 
 
 def make_h_a(field: Field, a) -> LieAlgebra:
@@ -509,4 +501,4 @@ def make_h_a(field: Field, a) -> LieAlgebra:
         ("e3", "e4"): [("e4", 3)],
         ("e3", "e5"): [("e5", 3)],
     }
-    return _build(field, names, br)
+    return _finish(field, names, br)

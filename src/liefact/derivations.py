@@ -31,6 +31,7 @@ from .exactmath import (
     Matrix,
     Scalar,
     basis_vector,
+    dot,
     enumerate_affine,
     span_rref,
     vadd,
@@ -38,7 +39,7 @@ from .exactmath import (
     vsub,
     zero_vector,
 )
-from .liecore import LieAlgebra, LinearMap
+from .liecore import LieAlgebra, LinearMap, basis_pairs, defects, right_bracket_matrix
 
 
 @dataclass(frozen=True)
@@ -46,40 +47,37 @@ class TwistedDerivation:
     lam: tuple  # covector, length dim
     delta: Matrix
 
+    def _defects(self, algebra: LieAlgebra):
+        """Both identities on each basis pair (i, j), as one pair of sides:
+        (lambda([e_i, e_j]), Delta([e_i, e_j])) against (0, the derivation
+        law's right-hand side)."""
+        f = algebra.field
+        e = [basis_vector(f, algebra.dim, i) for i in range(algebra.dim)]
+        lam, d = self.lam, self.delta
+
+        def lhs(i, j):
+            bij = algebra.bracket_basis(i, j)
+            return dot(lam, bij, f), d.mul_vector(bij)
+
+        def rhs(i, j):
+            di, dj = d.col(i), d.col(j)
+            law = vadd(algebra.bracket(di, e[j]), algebra.bracket(e[i], dj))
+            return f.zero, vadd(law, vsub(vscale(lam[j], di), vscale(lam[i], dj)))
+
+        return defects(basis_pairs(algebra.dim), lhs, rhs)
+
     def violations(self, algebra: LieAlgebra) -> list:
         """Defects of the two defining identities on all basis pairs."""
         bad = []
-        n = algebra.dim
-        f = algebra.field
-        for i in range(n):
-            ei = basis_vector(f, n, i)
-            di = self.delta.col(i)
-            for j in range(i + 1, n):
-                bij = algebra.bracket_basis(i, j)
-                lam_val = _covector_apply(self.lam, bij, f)
-                if lam_val:
-                    bad.append(("lambda", i, j, lam_val))
-                dj = self.delta.col(j)
-                lhs = self.delta.mul_vector(bij)
-                rhs = vadd(
-                    algebra.bracket(di, basis_vector(f, n, j)),
-                    algebra.bracket(ei, dj),
-                )
-                rhs = vadd(rhs, vsub(vscale(self.lam[j], di), vscale(self.lam[i], dj)))
-                if lhs != rhs:
-                    bad.append(("delta", i, j, vsub(lhs, rhs)))
+        for (i, j), (lam_val, dl), (_, dr) in self._defects(algebra):
+            if lam_val:
+                bad.append(("lambda", i, j, lam_val))
+            if dl != dr:
+                bad.append(("delta", i, j, vsub(dl, dr)))
         return bad
 
     def is_valid_for(self, algebra: LieAlgebra) -> bool:
-        return not self.violations(algebra)
-
-
-def _covector_apply(lam, v, field: Field) -> Scalar:
-    total = field.zero
-    for a, b in zip(lam, v):
-        if a and b:
-            total = total + a * b
-    return total
+        return not any(self._defects(algebra))
 
 
 def _twisted_system(algebra: LieAlgebra, lam) -> Matrix:
@@ -87,25 +85,24 @@ def _twisted_system(algebra: LieAlgebra, lam) -> Matrix:
     n = algebra.dim
     f = algebra.field
     rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            cij = algebra.bracket_basis(i, j)
-            for k in range(n):
-                row = [f.zero] * (n * n)
-                for m in range(n):
-                    if cij[m]:
-                        row[k * n + m] = row[k * n + m] + cij[m]
-                    cmj = algebra.bracket_basis(m, j)[k]
-                    if cmj:
-                        row[m * n + i] = row[m * n + i] - cmj
-                    cim = algebra.bracket_basis(i, m)[k]
-                    if cim:
-                        row[m * n + j] = row[m * n + j] - cim
-                if lam[j]:
-                    row[k * n + i] = row[k * n + i] - lam[j]
-                if lam[i]:
-                    row[k * n + j] = row[k * n + j] + lam[i]
-                rows.append(row)
+    for i, j in basis_pairs(n):
+        cij = algebra.bracket_basis(i, j)
+        for k in range(n):
+            row = [f.zero] * (n * n)
+            for m in range(n):
+                if cij[m]:
+                    row[k * n + m] = row[k * n + m] + cij[m]
+                cmj = algebra.bracket_basis(m, j)[k]
+                if cmj:
+                    row[m * n + i] = row[m * n + i] - cmj
+                cim = algebra.bracket_basis(i, m)[k]
+                if cim:
+                    row[m * n + j] = row[m * n + j] - cim
+            if lam[j]:
+                row[k * n + i] = row[k * n + i] - lam[j]
+            if lam[i]:
+                row[k * n + j] = row[k * n + j] + lam[i]
+            rows.append(row)
     if not rows:
         return Matrix.zeros(f, 1, n * n)
     return Matrix(f, rows)
@@ -127,19 +124,8 @@ def derivation_space(algebra: LieAlgebra) -> list:
 
 
 def is_derivation(algebra: LieAlgebra, d: LinearMap) -> bool:
-    n = algebra.dim
-    f = algebra.field
-    for i in range(n):
-        di = d.matrix.col(i)
-        for j in range(i + 1, n):
-            lhs = d.matrix.mul_vector(algebra.bracket_basis(i, j))
-            rhs = vadd(
-                algebra.bracket(di, basis_vector(f, n, j)),
-                algebra.bracket(basis_vector(f, n, i), d.matrix.col(j)),
-            )
-            if lhs != rhs:
-                return False
-    return True
+    lam = zero_vector(algebra.field, algebra.dim)
+    return TwistedDerivation(lam, d.matrix).is_valid_for(algebra)
 
 
 def inner_derivation(algebra: LieAlgebra, x) -> LinearMap:
@@ -154,14 +140,8 @@ def is_inner(algebra: LieAlgebra, d: LinearMap) -> Optional[tuple]:
     """
     if not is_derivation(algebra, d):
         raise NotADerivation("the map does not satisfy the derivation law")
-    n = algebra.dim
-    rows = []
-    rhs = []
-    for j in range(n):
-        for k in range(n):
-            rows.append(tuple(algebra.bracket_basis(i, j)[k] for i in range(n)))
-            rhs.append(d.matrix.rows[k][j])
-    sol = Matrix(algebra.field, rows).solve(tuple(rhs))
+    # row (j, k) of the stacked system asks [x, e_j]_k = d(e_j)_k
+    sol = right_bracket_matrix(algebra).solve(d.matrix.transpose().entries_flat())
     if sol is None:
         return None
     return sol[0]
@@ -169,7 +149,7 @@ def is_inner(algebra: LieAlgebra, d: LinearMap) -> Optional[tuple]:
 
 def lambda_is_admissible(algebra: LieAlgebra, lam) -> bool:
     for (_, _), vec in algebra.sc_pairs():
-        if _covector_apply(lam, vec, algebra.field):
+        if dot(lam, vec, algebra.field):
             return False
     return True
 

@@ -61,8 +61,8 @@ class CharTwo(LiefactError):
     """Operation undefined in characteristic two."""
 
 
-class BadParameter(LiefactError):
-    pass
+class BadParameter(LiefactError, ValueError):
+    """Out-of-range input parameter, such as a modulus that is not prime."""
 
 
 class InvalidTriple(LiefactError):

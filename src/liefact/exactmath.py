@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .errors import DimensionMismatch, FieldMismatch, FormatError, NotFinite
+from .errors import BadParameter, DimensionMismatch, FieldMismatch, FormatError, NotFinite
 
 KIND_Q = "Q"
 KIND_FP = "Fp"
@@ -40,12 +40,13 @@ class Field:
     def __init__(self, kind: str, p: Optional[int] = None):
         if kind == KIND_Q:
             if p is not None:
-                raise ValueError("rationals take no modulus")
+                raise BadParameter("rationals take no modulus")
         elif kind == KIND_FP:
-            if p is None or not _is_prime(p):
-                raise ValueError(f"modulus must be prime, got {p!r}")
+            # the bound keeps trial division to milliseconds
+            if p is None or p >= 2**32 or not _is_prime(p):
+                raise BadParameter(f"modulus must be a prime below 2**32, got {p!r}")
         else:
-            raise ValueError(f"unknown field kind {kind!r}")
+            raise BadParameter(f"unknown field kind {kind!r}")
         self.kind = kind
         self.p = p
 
@@ -312,10 +313,6 @@ class Matrix:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def from_rows(cls, field: Field, rows) -> "Matrix":
-        return cls(field, rows)
-
-    @classmethod
     def from_cols(cls, field: Field, cols) -> "Matrix":
         cols = [tuple(field.scalar(x) for x in c) for c in cols]
         if not cols:
@@ -536,6 +533,17 @@ def dot(u, v, field: Field) -> Scalar:
     return _dot(u, v, field)
 
 
+def lincomb(coeffs, vectors, start) -> tuple:
+    """start + sum of c * v over paired coefficients and vectors."""
+    out = list(start)
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for k, x in enumerate(v):
+                if x:
+                    out[k] = out[k] + c * x
+    return tuple(out)
+
+
 def rref(m: Matrix) -> tuple:
     return m.rref()
 
@@ -563,15 +571,8 @@ def intersect_spans(field: Field, basis_a, basis_b, ambient_dim: int) -> list:
         return []
     cols = [list(v) for v in basis_a] + [[-x for x in v] for v in basis_b]
     m = Matrix.from_cols(field, cols)
-    vecs = []
-    for sol in m.nullspace():
-        coeffs = sol[: len(basis_a)]
-        v = zero_vector(field, ambient_dim)
-        for c, bvec in zip(coeffs, basis_a):
-            if c:
-                v = vadd(v, vscale(c, bvec))
-        vecs.append(v)
-    return span_rref(field, vecs)
+    origin = zero_vector(field, ambient_dim)
+    return span_rref(field, [lincomb(sol, basis_a, origin) for sol in m.nullspace()])
 
 
 def enumerate_affine(field: Field, particular, basis) -> Iterator[tuple]:
@@ -580,8 +581,4 @@ def enumerate_affine(field: Field, particular, basis) -> Iterator[tuple]:
         yield tuple(particular)
         return
     for coeffs in enumerate_vectors(field, len(basis)):
-        v = tuple(particular)
-        for c, b in zip(coeffs, basis):
-            if c:
-                v = vadd(v, vscale(c, b))
-        yield v
+        yield lincomb(coeffs, basis, particular)

@@ -10,7 +10,8 @@ bracket table before it is reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import astuple, dataclass
 from typing import Callable, Optional
 
 from .errors import BudgetExceeded, InvalidTriple, NotFinite, NotPerfect
@@ -19,9 +20,11 @@ from .exactmath import (
     Matrix,
     Scalar,
     basis_vector,
+    dot,
     enumerate_affine,
     intersect_spans,
     is_zero_vector,
+    lincomb,
     vadd,
     vscale,
     vsub,
@@ -52,14 +55,7 @@ class Fingerprint:
     killing_rank: int
 
     def as_tuple(self) -> tuple:
-        return (
-            self.dim,
-            self.derived,
-            self.lower_central,
-            self.center_dim,
-            self.abelianization_dim,
-            self.killing_rank,
-        )
+        return astuple(self)
 
 
 def fingerprint(algebra: LieAlgebra) -> Fingerprint:
@@ -82,14 +78,7 @@ def verify_iso(a: LieAlgebra, b: LieAlgebra, m) -> bool:
         return False
     if matrix.nrows != b.dim or matrix.ncols != a.dim:
         return False
-    if not matrix.is_invertible():
-        return False
-    for i in range(a.dim):
-        vi = matrix.col(i)
-        for j in range(i + 1, a.dim):
-            if matrix.mul_vector(a.bracket_basis(i, j)) != b.bracket(vi, matrix.col(j)):
-                return False
-    return True
+    return matrix.is_invertible() and LinearMap(a, b, matrix).is_lie_morphism()
 
 
 @dataclass(frozen=True)
@@ -181,11 +170,8 @@ def _search_isomorphisms(
     nodes = 0
 
     def _known_part(c, done_set, k):
-        out = zero_vector(f, n)
-        for m in done_set:
-            if m != k and c[m]:
-                out = vadd(out, vscale(c[m], assigned[m]))
-        return out
+        known = [m for m in done_set if m != k]
+        return lincomb([c[m] for m in known], [assigned[m] for m in known], zero_vector(f, n))
 
     def constraints_for(k):
         """Stacked linear system A x = rhs for the image of e_k."""
@@ -206,36 +192,31 @@ def _search_isomorphisms(
                     row[r] = row[r] - ck
                 rows.append(tuple(row))
                 rhs.append(known[r])
-        for i in done:
-            for j in done:
-                if i >= j:
-                    continue
-                c = a.bracket_basis(i, j)
-                if not c[k]:
-                    continue
-                if any(c[m] and m != k and m not in done_set for m in range(n)):
-                    continue
-                target = vsub(b.bracket(assigned[i], assigned[j]), _known_part(c, done_set, k))
-                ck = c[k]
-                for r in range(n):
-                    row = [f.zero] * n
-                    row[r] = ck
-                    rows.append(tuple(row))
-                    rhs.append(target[r])
+        for i, j in itertools.combinations(done, 2):
+            c = a.bracket_basis(i, j)
+            if not c[k]:
+                continue
+            if any(c[m] and m != k and m not in done_set for m in range(n)):
+                continue
+            target = vsub(b.bracket(assigned[i], assigned[j]), _known_part(c, done_set, k))
+            ck = c[k]
+            for r in range(n):
+                row = [f.zero] * n
+                row[r] = ck
+                rows.append(tuple(row))
+                rhs.append(target[r])
         return rows, rhs
 
     def closed_pairs_ok() -> bool:
-        done_set = {m for m in range(n) if assigned[m] is not None}
-        for i in done_set:
-            for j in done_set:
-                if i >= j:
-                    continue
-                c = a.bracket_basis(i, j)
-                if any(c[m] and m not in done_set for m in range(n)):
-                    continue
-                img = _known_part(c, done_set, -1)
-                if b.bracket(assigned[i], assigned[j]) != img:
-                    return False
+        done = [m for m in range(n) if assigned[m] is not None]
+        done_set = set(done)
+        for i, j in itertools.combinations(done, 2):
+            c = a.bracket_basis(i, j)
+            if any(c[m] and m not in done_set for m in range(n)):
+                continue
+            img = _known_part(c, done_set, -1)
+            if b.bracket(assigned[i], assigned[j]) != img:
+                return False
         return True
 
     def candidates_for(k):
@@ -251,19 +232,12 @@ def _search_isomorphisms(
         # substitute x = sum t_a dom_a and solve for t
         m_rows = []
         for row in rows:
-            m_rows.append(tuple(_dot(row, d) for d in dom))
+            m_rows.append(tuple(dot(row, d, f) for d in dom))
         sol = Matrix(f, m_rows).solve(tuple(rhs))
         if sol is None:
             return None
         part, null = sol
         return part, null, dom
-
-    def _dot(u, v):
-        total = f.zero
-        for x, y in zip(u, v):
-            if x and y:
-                total = total + x * y
-        return total
 
     def expand(remaining):
         nonlocal nodes
@@ -286,10 +260,7 @@ def _search_isomorphisms(
         _, k, (part, null, dom) = best
         rest = [m for m in remaining if m != k]
         for t in enumerate_affine(f, part, null):
-            x = zero_vector(f, n)
-            for coeff, d in zip(t, dom):
-                if coeff:
-                    x = vadd(x, vscale(coeff, d))
+            x = lincomb(t, dom, zero_vector(f, n))
             nodes += 1
             if nodes > budget:
                 raise _BudgetHit()

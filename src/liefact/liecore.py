@@ -2,9 +2,19 @@
 
 A LieAlgebra stores the bracket only on ordered basis pairs (i < j), so
 antisymmetry holds by construction and the Jacobi identity is the single
-property left to validate.  Characteristic subspaces (center, derived and
-lower central series), invariant bilinear forms, self-duality search and
-product structures all reduce to exact linear algebra over the base field.
+property left to validate.  From these validated constants the constructor
+builds, once, the dense bracket table _table[i][j] = [e_i, e_j]: antisymmetric,
+with zero vectors on the diagonal and for pairs that bracket to zero.  Basis
+brackets, ad(e_i) and the linear systems of this module read that table.
+
+Every identity checked on all basis pairs or triples (Jacobi, Lie morphisms,
+derivation and twisted-derivation laws, matched-pair axioms, deformation
+compatibility, product structures, invariant forms) goes through defects(),
+a lazy generator of the indices where the two sides differ, so a yes/no
+caller stops at the first defect and a report keeps every record in index
+order.  Characteristic subspaces (center, derived and lower central series),
+invariant bilinear forms, self-duality search and product structures all
+reduce to exact linear algebra over the base field.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ from .exactmath import (
     Matrix,
     Scalar,
     basis_vector,
+    dot,
     enumerate_vectors,
     is_zero_vector,
     span_rref,
@@ -34,14 +45,32 @@ from .exactmath import (
 )
 
 
+def basis_pairs(n: int):
+    """Index pairs (i, j) with 0 <= i < j < n, row by row."""
+    return itertools.combinations(range(n), 2)
+
+
+def defects(indices, lhs, rhs):
+    """Yield (index, lhs, rhs) for each index tuple where the two sides differ.
+
+    lhs and rhs take the unpacked index.  The generator is lazy, so a yes/no
+    check written as ``not any(defects(...))`` stops at the first defect.
+    """
+    for index in indices:
+        left, right = lhs(*index), rhs(*index)
+        if left != right:
+            yield index, left, right
+
+
 class LieAlgebra:
     """Finite-dimensional Lie algebra over an exact field.
 
     sc maps an index pair (i, j) with i < j to the coordinate vector of
-    [e_i, e_j]; pairs that bracket to zero are not stored.
+    [e_i, e_j]; pairs that bracket to zero are not stored.  _table[i][j] is
+    [e_i, e_j] for every index pair, built once from sc.
     """
 
-    __slots__ = ("field", "dim", "basis_names", "_sc", "_index")
+    __slots__ = ("field", "dim", "basis_names", "_sc", "_index", "_table")
 
     def __init__(self, field: Field, basis_names, brackets):
         self.field = field
@@ -60,6 +89,12 @@ class LieAlgebra:
             if not is_zero_vector(v):
                 sc[(i, j)] = v
         self._sc = sc
+        zero = zero_vector(field, self.dim)
+        table = [[zero] * self.dim for _ in range(self.dim)]
+        for (i, j), v in sc.items():
+            table[i][j] = v
+            table[j][i] = tuple(-x for x in v)
+        self._table = table
 
     # -- constructors ----------------------------------------------------------
 
@@ -111,12 +146,7 @@ class LieAlgebra:
         return self._sc.items()
 
     def bracket_basis(self, i: int, j: int) -> tuple:
-        if i == j:
-            return zero_vector(self.field, self.dim)
-        if i < j:
-            return self._sc.get((i, j), zero_vector(self.field, self.dim))
-        v = self._sc.get((j, i))
-        return zero_vector(self.field, self.dim) if v is None else tuple(-x for x in v)
+        return self._table[i][j]
 
     def bracket(self, x, y) -> tuple:
         """Bilinear extension of the structure constants."""
@@ -137,26 +167,25 @@ class LieAlgebra:
         return Matrix.from_cols(self.field, cols)
 
     def ad_basis(self, i: int) -> Matrix:
-        return self.ad(basis_vector(self.field, self.dim, i))
+        return Matrix.from_cols(self.field, self._table[i])
 
     def check_jacobi(self) -> list:
         """All violating triples (i, j, l, defect); empty means valid."""
-        violations = []
-        n = self.dim
-        for i in range(n):
-            ei = basis_vector(self.field, n, i)
-            for j in range(i + 1, n):
-                ej = basis_vector(self.field, n, j)
-                bij = self.bracket_basis(i, j)
-                for l in range(j + 1, n):
-                    el = basis_vector(self.field, n, l)
-                    defect = vadd(
-                        vadd(self.bracket(bij, el), self.bracket(self.bracket_basis(j, l), ei)),
-                        self.bracket(self.bracket_basis(l, i), ej),
-                    )
-                    if not is_zero_vector(defect):
-                        violations.append((i, j, l, defect))
-        return violations
+        t = self._table
+        e = [basis_vector(self.field, self.dim, i) for i in range(self.dim)]
+        zero = zero_vector(self.field, self.dim)
+
+        def jacobiator(i, j, l):
+            return vadd(
+                vadd(self.bracket(t[i][j], e[l]), self.bracket(t[j][l], e[i])),
+                self.bracket(t[l][i], e[j]),
+            )
+
+        triples = itertools.combinations(range(self.dim), 3)
+        return [
+            (i, j, l, defect)
+            for (i, j, l), defect, _ in defects(triples, jacobiator, lambda i, j, l: zero)
+        ]
 
     # -- structure -------------------------------------------------------------
 
@@ -187,12 +216,10 @@ class LieAlgebra:
             raise DimensionMismatch("change of basis needs an invertible dim x dim matrix")
         pinv = p.inverse()
         names = tuple(names) if names else tuple(f"b{i + 1}" for i in range(self.dim))
+        cols = p.cols()
         brackets = {}
-        for i in range(self.dim):
-            vi = p.col(i)
-            for j in range(i + 1, self.dim):
-                w = self.bracket(vi, p.col(j))
-                brackets[(i, j)] = pinv.mul_vector(w)
+        for i, j in basis_pairs(self.dim):
+            brackets[(i, j)] = pinv.mul_vector(self.bracket(cols[i], cols[j]))
         return LieAlgebra(self.field, names, brackets)
 
     def permuted(self, order, names=None) -> "LieAlgebra":
@@ -278,13 +305,7 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v) -> bool:
-        r = list(v)
-        for row in self.basis:
-            pivot = next(k for k, x in enumerate(row) if x)
-            if r[pivot]:
-                c = r[pivot]
-                r = [a - c * b for a, b in zip(r, row)]
-        return is_zero_vector(r)
+        return self.coordinates(v) is not None
 
     def coordinates(self, v) -> Optional[tuple]:
         """Coefficients of v over the rref basis, or None if v is outside."""
@@ -325,10 +346,9 @@ class Subspace:
         return Subspace(self.algebra, vecs)
 
     def is_subalgebra(self) -> bool:
-        for a, u in enumerate(self.basis):
-            for v in self.basis[a + 1 :]:
-                if not self.contains(self.algebra.bracket(u, v)):
-                    return False
+        for u, v in itertools.combinations(self.basis, 2):
+            if not self.contains(self.algebra.bracket(u, v)):
+                return False
         return True
 
 
@@ -350,15 +370,12 @@ class LinearMap:
         return self.matrix.mul_vector(v)
 
     def is_lie_morphism(self) -> bool:
-        n = self.domain.dim
-        for i in range(n):
-            vi = self.matrix.col(i)
-            for j in range(i + 1, n):
-                lhs = self.matrix.mul_vector(self.domain.bracket_basis(i, j))
-                rhs = self.codomain.bracket(vi, self.matrix.col(j))
-                if lhs != rhs:
-                    return False
-        return True
+        m, dom, cod = self.matrix, self.domain, self.codomain
+        return not any(defects(
+            basis_pairs(dom.dim),
+            lambda i, j: m.mul_vector(dom.bracket_basis(i, j)),
+            lambda i, j: cod.bracket(m.col(i), m.col(j)),
+        ))
 
     def is_invertible(self) -> bool:
         return self.matrix.is_invertible()
@@ -383,28 +400,16 @@ class BilinearForm:
     gram: Matrix
 
     def evaluate(self, x, y) -> Scalar:
-        field = self.algebra.field
-        total = field.zero
-        gy = self.gram.mul_vector(y)
-        for a, b in zip(x, gy):
-            if a and b:
-                total = total + a * b
-        return total
+        return dot(x, self.gram.mul_vector(y), self.algebra.field)
 
     def is_invariant(self) -> bool:
-        n = self.algebra.dim
-        f = self.algebra.field
-        for i in range(n):
-            ei = basis_vector(f, n, i)
-            for j in range(n):
-                ej = basis_vector(f, n, j)
-                for k in range(n):
-                    ek = basis_vector(f, n, k)
-                    lhs = self.evaluate(self.algebra.bracket(ei, ej), ek)
-                    rhs = self.evaluate(ei, self.algebra.bracket(ej, ek))
-                    if lhs != rhs:
-                        return False
-        return True
+        alg = self.algebra
+        e = [basis_vector(alg.field, alg.dim, i) for i in range(alg.dim)]
+        return not any(defects(
+            itertools.product(range(alg.dim), repeat=3),
+            lambda i, j, k: self.evaluate(alg.bracket_basis(i, j), e[k]),
+            lambda i, j, k: self.evaluate(e[i], alg.bracket_basis(j, k)),
+        ))
 
     def is_nondegenerate(self) -> bool:
         return bool(self.gram.det())
@@ -417,16 +422,21 @@ class BilinearForm:
 # -- series and characteristic subspaces --------------------------------------
 
 
+def right_bracket_matrix(algebra: LieAlgebra) -> Matrix:
+    """The stacked maps x -> [x, e_j]: row (j, k) gives the e_k-coefficient
+    of [x, e_j] as a linear function of x."""
+    n = algebra.dim
+    rows = [
+        tuple(algebra.bracket_basis(i, j)[k] for i in range(n))
+        for j in range(n)
+        for k in range(n)
+    ]
+    return Matrix(algebra.field, rows)
+
+
 def center(algebra: LieAlgebra) -> Subspace:
     """Nullspace of the stacked right-bracket maps x -> [x, e_j]."""
-    n = algebra.dim
-    rows = []
-    for j in range(n):
-        # coefficient of e_k in [e_i, e_j], as a function of x_i
-        for k in range(n):
-            rows.append(tuple(algebra.bracket_basis(i, j)[k] for i in range(n)))
-    m = Matrix(algebra.field, rows) if rows else Matrix.zeros(algebra.field, 1, n)
-    return Subspace(algebra, m.nullspace())
+    return Subspace(algebra, right_bracket_matrix(algebra).nullspace())
 
 
 def _series(algebra: LieAlgebra, step) -> list:
@@ -520,12 +530,11 @@ def invariant_bilinear_forms(algebra: LieAlgebra, symmetric: bool = False) -> li
                 if not is_zero_vector(row):
                     rows.append(tuple(row))
     if symmetric:
-        for a in range(n):
-            for b in range(a + 1, n):
-                row = list(zero_vector(f, n * n))
-                row[a * n + b] = f.one
-                row[b * n + a] = -f.one
-                rows.append(tuple(row))
+        for a, b in basis_pairs(n):
+            row = list(zero_vector(f, n * n))
+            row[a * n + b] = f.one
+            row[b * n + a] = -f.one
+            rows.append(tuple(row))
     if not rows:
         sols = [basis_vector(f, n * n, t) for t in range(n * n)]
     else:
@@ -660,20 +669,18 @@ def is_product_structure(algebra: LieAlgebra, f: LinearMap) -> bool:
         return False
     if m == ident or m == -ident:
         return False
-    for i in range(n):
-        fi = m.col(i)
-        for j in range(i + 1, n):
-            fj = m.col(j)
-            ej = basis_vector(algebra.field, n, j)
-            ei = basis_vector(algebra.field, n, i)
-            lhs = m.mul_vector(algebra.bracket_basis(i, j))
-            rhs = vsub(
-                vadd(algebra.bracket(fi, ej), algebra.bracket(ei, fj)),
-                m.mul_vector(algebra.bracket(fi, fj)),
-            )
-            if lhs != rhs:
-                return False
-    return True
+    e = [basis_vector(algebra.field, n, i) for i in range(n)]
+
+    def rhs(i, j):
+        fi, fj = m.col(i), m.col(j)
+        return vsub(
+            vadd(algebra.bracket(fi, e[j]), algebra.bracket(e[i], fj)),
+            m.mul_vector(algebra.bracket(fi, fj)),
+        )
+
+    return not any(defects(
+        basis_pairs(n), lambda i, j: m.mul_vector(algebra.bracket_basis(i, j)), rhs
+    ))
 
 
 def split_product_structure(algebra: LieAlgebra, f: LinearMap) -> tuple:
@@ -723,11 +730,10 @@ def subalgebra_structure(algebra: LieAlgebra, space: Subspace, names=None) -> Li
                 names.append(f"s{len(names) + 1}")
         names = tuple(names)
     brackets = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            w = algebra.bracket(space.basis[i], space.basis[j])
-            coords = space.coordinates(w)
-            if coords is None:
-                raise FormatError("subspace is not closed under the bracket")
-            brackets[(i, j)] = coords
+    for i, j in basis_pairs(m):
+        w = algebra.bracket(space.basis[i], space.basis[j])
+        coords = space.coordinates(w)
+        if coords is None:
+            raise FormatError("subspace is not closed under the bracket")
+        brackets[(i, j)] = coords
     return LieAlgebra(algebra.field, names, brackets)

@@ -28,12 +28,21 @@ from .exactmath import (
     Matrix,
     basis_vector,
     is_zero_vector,
+    lincomb,
     vadd,
+    vneg,
     vscale,
     vsub,
     zero_vector,
 )
-from .liecore import LieAlgebra, Subspace, subalgebra_structure
+from .liecore import (
+    LieAlgebra,
+    Subspace,
+    basis_pairs,
+    defects,
+    direct_product,
+    subalgebra_structure,
+)
 
 
 class MatchedPair:
@@ -70,23 +79,17 @@ class MatchedPair:
     def field(self) -> Field:
         return self.g.field
 
+    def _act(self, table, dim: int, x, a) -> tuple:
+        coeffs = [x[i] * a[j] for i, j in table]
+        return lincomb(coeffs, table.values(), zero_vector(self.field, dim))
+
     def act_right(self, x, a) -> tuple:
         """Bilinear extension of (x, a) -> x <| a, valued in h."""
-        out = zero_vector(self.field, self.h.dim)
-        for (i, j), vec in self.right.items():
-            c = x[i] * a[j]
-            if c:
-                out = vadd(out, vscale(c, vec))
-        return out
+        return self._act(self.right, self.h.dim, x, a)
 
     def act_left(self, x, a) -> tuple:
         """Bilinear extension of (x, a) -> x |> a, valued in g."""
-        out = zero_vector(self.field, self.g.dim)
-        for (i, j), vec in self.left.items():
-            c = x[i] * a[j]
-            if c:
-                out = vadd(out, vscale(c, vec))
-        return out
+        return self._act(self.left, self.g.dim, x, a)
 
     def __eq__(self, other):
         return (
@@ -164,65 +167,46 @@ def check_matched_pair(mp: MatchedPair) -> list:
     """Violated axioms as (axiom, indices, defect) records; empty = valid."""
     g, h = mp.g, mp.h
     f = mp.field
-    report = []
+    left, right = mp.act_left, mp.act_right
     gb = [basis_vector(f, g.dim, j) for j in range(g.dim)]
     hb = [basis_vector(f, h.dim, i) for i in range(h.dim)]
+    hpairs, gpairs = list(basis_pairs(h.dim)), list(basis_pairs(g.dim))
 
     # (g, |>) is a left h-module
-    for i in range(h.dim):
-        for j in range(i + 1, h.dim):
-            bij = h.bracket_basis(i, j)
-            for k in range(g.dim):
-                lhs = mp.act_left(bij, gb[k])
-                rhs = vsub(
-                    mp.act_left(hb[i], mp.act_left(hb[j], gb[k])),
-                    mp.act_left(hb[j], mp.act_left(hb[i], gb[k])),
-                )
-                if lhs != rhs:
-                    report.append(("left-module", (i, j, k), vsub(lhs, rhs)))
+    def left_module(i, j, k):
+        return vsub(left(hb[i], left(hb[j], gb[k])), left(hb[j], left(hb[i], gb[k])))
 
     # (h, <|) is a right g-module
-    for a in range(g.dim):
-        for b in range(a + 1, g.dim):
-            bab = g.bracket_basis(a, b)
-            for i in range(h.dim):
-                lhs = mp.act_right(hb[i], bab)
-                rhs = vsub(
-                    mp.act_right(mp.act_right(hb[i], gb[a]), gb[b]),
-                    mp.act_right(mp.act_right(hb[i], gb[b]), gb[a]),
-                )
-                if lhs != rhs:
-                    report.append(("right-module", (i, a, b), vsub(lhs, rhs)))
+    def right_module(i, a, b):
+        return vsub(right(right(hb[i], gb[a]), gb[b]), right(right(hb[i], gb[b]), gb[a]))
 
     # x |> [a, b] = [x |> a, b] + [a, x |> b] + (x <| a) |> b - (x <| b) |> a
-    for i in range(h.dim):
-        for a in range(g.dim):
-            for b in range(a + 1, g.dim):
-                lhs = mp.act_left(hb[i], g.bracket_basis(a, b))
-                rhs = vadd(
-                    g.bracket(mp.act_left(hb[i], gb[a]), gb[b]),
-                    g.bracket(gb[a], mp.act_left(hb[i], gb[b])),
-                )
-                rhs = vadd(rhs, mp.act_left(mp.act_right(hb[i], gb[a]), gb[b]))
-                rhs = vsub(rhs, mp.act_left(mp.act_right(hb[i], gb[b]), gb[a]))
-                if lhs != rhs:
-                    report.append(("compat-left", (i, a, b), vsub(lhs, rhs)))
+    def compat_left(i, a, b):
+        rhs = vadd(g.bracket(left(hb[i], gb[a]), gb[b]), g.bracket(gb[a], left(hb[i], gb[b])))
+        rhs = vadd(rhs, left(right(hb[i], gb[a]), gb[b]))
+        return vsub(rhs, left(right(hb[i], gb[b]), gb[a]))
 
     # [x, y] <| a = [x, y <| a] + [x <| a, y] + x <| (y |> a) - y <| (x |> a)
-    for i in range(h.dim):
-        for j in range(i + 1, h.dim):
-            bij = h.bracket_basis(i, j)
-            for a in range(g.dim):
-                lhs = mp.act_right(bij, gb[a])
-                rhs = vadd(
-                    h.bracket(hb[i], mp.act_right(hb[j], gb[a])),
-                    h.bracket(mp.act_right(hb[i], gb[a]), hb[j]),
-                )
-                rhs = vadd(rhs, mp.act_right(hb[i], mp.act_left(hb[j], gb[a])))
-                rhs = vsub(rhs, mp.act_right(hb[j], mp.act_left(hb[i], gb[a])))
-                if lhs != rhs:
-                    report.append(("compat-right", (i, j, a), vsub(lhs, rhs)))
-    return report
+    def compat_right(i, j, a):
+        rhs = vadd(h.bracket(hb[i], right(hb[j], gb[a])), h.bracket(right(hb[i], gb[a]), hb[j]))
+        rhs = vadd(rhs, right(hb[i], left(hb[j], gb[a])))
+        return vsub(rhs, right(hb[j], left(hb[i], gb[a])))
+
+    axioms = [
+        ("left-module", [(i, j, k) for i, j in hpairs for k in range(g.dim)],
+         lambda i, j, k: left(h.bracket_basis(i, j), gb[k]), left_module),
+        ("right-module", [(i, a, b) for a, b in gpairs for i in range(h.dim)],
+         lambda i, a, b: right(hb[i], g.bracket_basis(a, b)), right_module),
+        ("compat-left", [(i, a, b) for i in range(h.dim) for a, b in gpairs],
+         lambda i, a, b: left(hb[i], g.bracket_basis(a, b)), compat_left),
+        ("compat-right", [(i, j, a) for i, j in hpairs for a in range(g.dim)],
+         lambda i, j, a: right(h.bracket_basis(i, j), gb[a]), compat_right),
+    ]
+    return [
+        (name, index, vsub(lhs, rhs))
+        for name, indices, lhs_of, rhs_of in axioms
+        for index, lhs, rhs in defects(indices, lhs_of, rhs_of)
+    ]
 
 
 def bicrossed_product(mp: MatchedPair, names=None) -> LieAlgebra:
@@ -234,25 +218,16 @@ def bicrossed_product(mp: MatchedPair, names=None) -> LieAlgebra:
         )
     g, h = mp.g, mp.h
     f = mp.field
-    dg, dim = g.dim, g.dim + h.dim
-    if names is None:
-        right = [n if n not in g.basis_names else f"{n}'" for n in h.basis_names]
-        names = tuple(g.basis_names) + tuple(right)
-    brackets = {}
-    for (i, j), vec in g.sc_pairs():
-        brackets[(i, j)] = tuple(vec) + zero_vector(f, h.dim)
-    for (i, j), vec in h.sc_pairs():
-        brackets[(dg + i, dg + j)] = zero_vector(f, dg) + tuple(vec)
+    dg = g.dim
+    base = direct_product(g, h, names)
+    brackets = dict(base.sc_pairs())
     gb = [basis_vector(f, dg, j) for j in range(dg)]
     hb = [basis_vector(f, h.dim, i) for i in range(h.dim)]
     for j in range(dg):
         for i in range(h.dim):
-            gpart = vscale(-f.one, mp.act_left(hb[i], gb[j]))
-            hpart = vscale(-f.one, mp.act_right(hb[i], gb[j]))
-            vec = tuple(gpart) + tuple(hpart)
-            if not is_zero_vector(vec):
-                brackets[(j, dg + i)] = vec
-    out = LieAlgebra(f, names, brackets)
+            # [a, x] = -(x |> a) - (x <| a)
+            brackets[(j, dg + i)] = vneg(mp.act_left(hb[i], gb[j]) + mp.act_right(hb[i], gb[j]))
+    out = LieAlgebra(f, base.basis_names, brackets)
     bad = out.check_jacobi()
     if bad:
         raise InvalidMatchedPair(f"bicrossed bracket violates Jacobi at {bad[0][:3]}", bad)
@@ -414,28 +389,30 @@ def _finish(field: Field, names, named_brackets) -> LieAlgebra:
     return out
 
 
-def make_l(n: int, field: Field) -> LieAlgebra:
-    """l(2n+1,k): [E_i, G] = E_i, [G, F_i] = F_i."""
-    if n < 1:
-        raise BadParameter("n must be >= 1")
-    names = _lnames(n)
+def _l_brackets(n: int, extra=()) -> tuple:
+    """Basis names and the brackets of l(2n+1,k), which every family extends."""
+    names = _lnames(n, extra)
     br = {}
     for i in range(n):
         br[(names[i], "G")] = [(names[i], 1)]
         br[("G", names[n + i])] = [(names[n + i], 1)]
-    return _finish(field, names, br)
+    return names, br
+
+
+def make_l(n: int, field: Field) -> LieAlgebra:
+    """l(2n+1,k): [E_i, G] = E_i, [G, F_i] = F_i."""
+    if n < 1:
+        raise BadParameter("n must be >= 1")
+    return _finish(field, *_l_brackets(n))
 
 
 def make_L(n: int, field: Field) -> LieAlgebra:
     """L(2n+2,k), the pinned extension with [G, H] = H + G."""
     if n < 1:
         raise BadParameter("n must be >= 1")
-    names = _lnames(n, ("H",))
-    br = {}
+    names, br = _l_brackets(n, ("H",))
     for i in range(n):
         e, f_ = names[i], names[n + i]
-        br[(e, "G")] = [(e, 1)]
-        br[("G", f_)] = [(f_, 1)]
         br[(e, "H")] = [(e, -1)]
         br[(f_, "H")] = [(f_, 1)]
     br[("G", "H")] = [("H", 1), ("G", 1)]
@@ -446,12 +423,9 @@ def make_m(n: int, field: Field) -> LieAlgebra:
     """m(2n+2,k), the pinned extension with [G, H] = E_1 + F_n."""
     if n < 1:
         raise BadParameter("n must be >= 1")
-    names = _lnames(n, ("H",))
-    br = {}
+    names, br = _l_brackets(n, ("H",))
     for i in range(n):
         e, f_ = names[i], names[n + i]
-        br[(e, "G")] = [(e, 1)]
-        br[("G", f_)] = [(f_, 1)]
         br[(e, "H")] = [(e, 1)]
         br[(f_, "H")] = [(f_, 1)]
     br[("G", "H")] = [(names[0], 1), (names[2 * n - 1], 1)]
@@ -482,6 +456,18 @@ def _block(field: Field, n: int, m) -> Matrix:
     return mat
 
 
+def _lambda_family(n: int, field: Field, lam0, d) -> LieAlgebra:
+    """Brackets shared by make_l1 and make_l2_char2 (lambda0 invertible)."""
+    names, br = _l_brackets(n, ("H",))
+    coef = lam0.inverse() * d[-1]
+    for i in range(n):
+        e, f_ = names[i], names[n + i]
+        br[(e, "H")] = [(e, -coef)]
+        br[(f_, "H")] = [(f_, coef)]
+    br[("G", "H")] = [("H", lam0), ("G", d[-1])] + [(names[j], d[j]) for j in range(2 * n)]
+    return _finish(field, names, br)
+
+
 def make_l1(n: int, field: Field, lambda0, delta) -> LieAlgebra:
     """First char-!=-2 family: lambda0 outside {0, 2, -2}, delta of length 2n+1."""
     _require_char_ne_2(field, "this family")
@@ -489,20 +475,7 @@ def make_l1(n: int, field: Field, lambda0, delta) -> LieAlgebra:
     two = field.scalar(2)
     if lam0 == field.zero or lam0 == two or lam0 == -two:
         raise BadParameter("lambda0 must avoid {0, 2, -2}")
-    d = _delta_scalars(field, delta, 2 * n + 1)
-    names = _lnames(n, ("H",))
-    coef = lam0.inverse() * d[-1]
-    br = {}
-    for i in range(n):
-        e, f_ = names[i], names[n + i]
-        br[(e, "G")] = [(e, 1)]
-        br[("G", f_)] = [(f_, 1)]
-        br[(e, "H")] = [(e, -coef)]
-        br[(f_, "H")] = [(f_, coef)]
-    gh = [("H", lam0), ("G", d[-1])]
-    gh += [(names[j], d[j]) for j in range(2 * n)]
-    br[("G", "H")] = gh
-    return _finish(field, names, br)
+    return _lambda_family(n, field, lam0, _delta_scalars(field, delta, 2 * n + 1))
 
 
 def make_l2(n: int, field: Field, A, D, delta) -> LieAlgebra:
@@ -511,12 +484,9 @@ def make_l2(n: int, field: Field, A, D, delta) -> LieAlgebra:
     a = _block(field, n, A)
     dmat = _block(field, n, D)
     d = _delta_scalars(field, delta, 2 * n)
-    names = _lnames(n, ("H",))
-    br = {}
+    names, br = _l_brackets(n, ("H",))
     for i in range(n):
         e, f_ = names[i], names[n + i]
-        br[(e, "G")] = [(e, 1)]
-        br[("G", f_)] = [(f_, 1)]
         br[(e, "H")] = [(names[j], a.rows[j][i]) for j in range(n)]
         br[(f_, "H")] = [(names[n + j], dmat.rows[j][i]) for j in range(n)]
     br[("G", "H")] = [(names[j], d[j]) for j in range(2 * n)]
@@ -529,12 +499,9 @@ def make_l3(n: int, field: Field, C, delta) -> LieAlgebra:
     c = _block(field, n, C)
     d = _delta_scalars(field, delta, 2 * n + 1)
     half = field.scalar(2).inverse() * d[-1]
-    names = _lnames(n, ("H",))
-    br = {}
+    names, br = _l_brackets(n, ("H",))
     for i in range(n):
         e, f_ = names[i], names[n + i]
-        br[(e, "G")] = [(e, 1)]
-        br[("G", f_)] = [(f_, 1)]
         br[(e, "H")] = [(e, -half)] + [(names[n + j], c.rows[j][i]) for j in range(n)]
         br[(f_, "H")] = [(f_, half)]
     br[("G", "H")] = [("H", 2), ("G", d[-1])] + [(names[j], d[j]) for j in range(2 * n)]
@@ -547,12 +514,9 @@ def make_l4(n: int, field: Field, B, delta) -> LieAlgebra:
     b = _block(field, n, B)
     d = _delta_scalars(field, delta, 2 * n + 1)
     half = field.scalar(2).inverse() * d[-1]
-    names = _lnames(n, ("H",))
-    br = {}
+    names, br = _l_brackets(n, ("H",))
     for i in range(n):
         e, f_ = names[i], names[n + i]
-        br[(e, "G")] = [(e, 1)]
-        br[("G", f_)] = [(f_, 1)]
         br[(e, "H")] = [(e, half)]
         br[(f_, "H")] = [(names[j], b.rows[j][i]) for j in range(n)] + [(f_, -half)]
     br[("G", "H")] = [("H", -2), ("G", d[-1])] + [(names[j], d[j]) for j in range(2 * n)]
@@ -565,12 +529,9 @@ def make_l1_char2(n: int, field: Field, A, B, C, D, delta) -> LieAlgebra:
     a, b = _block(field, n, A), _block(field, n, B)
     c, dmat = _block(field, n, C), _block(field, n, D)
     d = _delta_scalars(field, delta, 2 * n)
-    names = _lnames(n, ("H",))
-    br = {}
+    names, br = _l_brackets(n, ("H",))
     for i in range(n):
         e, f_ = names[i], names[n + i]
-        br[(e, "G")] = [(e, 1)]
-        br[("G", f_)] = [(f_, 1)]
         br[(e, "H")] = [(names[j], a.rows[j][i]) for j in range(n)] + [
             (names[n + j], c.rows[j][i]) for j in range(n)
         ]
@@ -587,18 +548,7 @@ def make_l2_char2(n: int, field: Field, lambda0, delta) -> LieAlgebra:
     lam0 = field.scalar(lambda0)
     if not lam0:
         raise BadParameter("lambda0 must be nonzero")
-    d = _delta_scalars(field, delta, 2 * n + 1)
-    coef = lam0.inverse() * d[-1]
-    names = _lnames(n, ("H",))
-    br = {}
-    for i in range(n):
-        e, f_ = names[i], names[n + i]
-        br[(e, "G")] = [(e, 1)]
-        br[("G", f_)] = [(f_, 1)]
-        br[(e, "H")] = [(e, -coef)]
-        br[(f_, "H")] = [(f_, coef)]
-    br[("G", "H")] = [("H", lam0), ("G", d[-1])] + [(names[j], d[j]) for j in range(2 * n)]
-    return _finish(field, names, br)
+    return _lambda_family(n, field, lam0, _delta_scalars(field, delta, 2 * n + 1))
 
 
 def make_h5(field: Field) -> LieAlgebra:

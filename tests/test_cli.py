@@ -195,3 +195,14 @@ def test_complements_cli_infinite_index(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["index"] == "infinite" and data["deformation_count"] is None
+
+
+def test_composite_modulus_is_an_input_error(capsys):
+    for argv in (
+        ("families", "--make", "l", "--field", "Fp", "--p", "4"),
+        ("paper-verify", "n1-index", "--p", "4"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["input error: modulus must be a prime below 2**32, got 4"]

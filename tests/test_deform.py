@@ -267,6 +267,16 @@ def test_classification_infinite_registered():
         classify_complements(canonical_pair_L(1, Q))
 
 
+def test_classification_budget_names_its_context():
+    with pytest.raises(BudgetExceeded) as err:
+        classify_complements(canonical_pair_L(1, F5), iso_budget=1)
+    msg = str(err.value)
+    assert msg.startswith("isomorphism search inconclusive: budget 1 exceeded after 2 nodes")
+    assert "deformation map at sweep index 2 of 29" in msg
+    assert "class representative index 0" in msg
+    assert "shared fingerprint (3, (3, 2, 0), (3, 2, 2), 0, 1, 1)" in msg
+
+
 def test_ad_ratio_invariant():
     # invariant under the alpha <-> 1/alpha symmetry, separates other ratios
     two, three = Q.scalar(2), Q.scalar(3)

@@ -7,6 +7,7 @@ from liefact.exactmath import Field, Matrix, basis_vector, vadd, vscale, vsub, z
 from liefact import liecore, matched
 from liefact.derivations import (
     TnElement,
+    TwistedDerivation,
     canonical_solution_span,
     derivation_space,
     enumerate_twisted_derivations,
@@ -155,6 +156,27 @@ def test_lambda_admissibility():
     l3 = matched.make_l(1, Q)
     with pytest.raises(LambdaNotAdmissible):
         twisted_derivations_for_lambda(l3, (Q.one, Q.zero, Q.zero))
+
+
+def test_violations_report_is_stable():
+    # a valid closed-form twisted derivation of l(3) over GF(5), then one
+    # entry of Delta perturbed; records as produced before the bracket
+    # table existed, in the same order
+    l3 = matched.make_l(1, F5)
+    t = tn_to_twisted(tn_element(F5, 1, [[1]], 0, 0, [[4]], 4, [1, 2, 1]))
+    assert t.violations(l3) == []
+    rows = [list(r) for r in t.delta.rows]
+    rows[1][0] = rows[1][0] + 1
+    perturbed = Matrix(F5, rows)
+    assert TwistedDerivation(t.lam, perturbed).violations(l3) == [("delta", 0, 2, (0, 3, 0))]
+    # an inadmissible lambda interleaves "lambda" and "delta" records per pair
+    lam = (F5.one, F5.zero, t.lam[2])
+    assert TwistedDerivation(lam, perturbed).violations(l3) == [
+        ("delta", 0, 1, (0, 4, 0)),
+        ("lambda", 0, 2, 1),
+        ("delta", 0, 2, (1, 0, 1)),
+    ]
+    assert not TwistedDerivation(lam, perturbed).is_valid_for(l3)
 
 
 def test_solver_outputs_satisfy_law():

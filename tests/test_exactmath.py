@@ -1,11 +1,13 @@
 import fractions
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liefact.errors import FieldMismatch, FormatError, NotFinite
+from liefact.errors import BadParameter, FieldMismatch, FormatError, NotFinite
 from liefact.exactmath import (
     Field,
+    _is_prime,
     Matrix,
     basis_vector,
     dot,
@@ -40,6 +42,24 @@ def test_field_descriptor_basics():
         Field.gf(4)
     with pytest.raises(ValueError):
         Field.gf(1)
+
+
+def test_modulus_bound_rejects_huge_primes_quickly():
+    start = time.perf_counter()
+    with pytest.raises(BadParameter):
+        Field.gf(2**61 - 1)
+    assert time.perf_counter() - start < 1.0
+    assert Field.gf(4294967291).p == 4294967291  # largest prime below 2**32
+
+
+def test_is_prime_matches_sieve():
+    limit = 10**4
+    sieve = [False, False] + [True] * (limit - 2)
+    for d in range(2, limit):
+        if sieve[d]:
+            for multiple in range(d * d, limit, d):
+                sieve[multiple] = False
+    assert [p for p in range(limit) if _is_prime(p)] == [p for p in range(limit) if sieve[p]]
 
 
 def test_field_serialization_roundtrip():

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -71,6 +72,26 @@ def test_bracket_antisymmetric_on_full_basis():
                 assert lhs == rhs
 
 
+@st.composite
+def gf5_structure_constants(draw):
+    """Random antisymmetric structure constants (Jacobi not imposed)."""
+    dim = draw(st.integers(1, 5))
+    vectors = st.lists(st.integers(0, 4), min_size=dim, max_size=dim)
+    return dim, {pair: draw(vectors) for pair in itertools.combinations(range(dim), 2)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(gf5_structure_constants())
+def test_bracket_table_matches_sparse_bracket(data):
+    dim, brackets = data
+    alg = LieAlgebra(F5, [f"e{k}" for k in range(dim)], brackets)
+    e = [basis_vector(F5, dim, k) for k in range(dim)]
+    for i in range(dim):
+        assert alg.ad_basis(i) == alg.ad(e[i])
+        for j in range(dim):
+            assert alg.bracket_basis(i, j) == alg.bracket(e[i], e[j])
+
+
 # -- Jacobi -------------------------------------------------------------------
 
 
@@ -91,6 +112,19 @@ def test_jacobi_broken_table():
     assert (i, j, l) == (0, 1, 2)
     assert defect == jacobi_defect_oracle(bad, 0, 1, 2)
     assert not is_zero_vector(defect)
+
+
+def test_check_jacobi_report_is_stable():
+    # L(4) over GF(5) with [G, H] = G + 2H instead of G + H; records as
+    # produced before the bracket table existed, in the same order
+    L4 = matched.make_L(1, F5)
+    brackets = dict(L4.sc_pairs())
+    brackets[(2, 3)] = (0, 0, 1, 2)
+    corrupted = LieAlgebra(F5, L4.basis_names, brackets)
+    assert corrupted.check_jacobi() == [
+        (0, 2, 3, (1, 0, 0, 0)),
+        (1, 2, 3, (0, 4, 0, 0)),
+    ]
 
 
 def test_check_jacobi_matches_oracle_on_zoo():

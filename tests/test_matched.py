@@ -76,6 +76,37 @@ def test_flipped_action_fails():
         bicrossed_product(flipped)
 
 
+def test_check_matched_pair_reports_are_stable():
+    # records as produced before the axioms shared one checker, in the same order
+    mp = canonical_pair_L(1, F5)
+    flipped = MatchedPair(mp.g, mp.h, right=dict(mp.right), left={(2, 0): (-F5.one,)})
+    assert check_matched_pair(flipped) == [
+        ("compat-right", (0, 2, 0), (3, 0, 0)),
+        ("compat-right", (1, 2, 0), (0, 2, 0)),
+    ]
+    # arbitrary actions of sl2 and l(3) break all four axioms
+    junk = MatchedPair(
+        make_sl2(F5),
+        make_l(1, F5),
+        right={(0, 1): (1, 2, 0), (2, 2): (0, 0, 3)},
+        left={(1, 0): (1, 1, 0), (2, 1): (0, 4, 1)},
+    )
+    assert check_matched_pair(junk) == [
+        ("left-module", (1, 2, 0), (4, 3, 1)),
+        ("right-module", (2, 0, 1), (0, 0, 3)),
+        ("right-module", (0, 1, 2), (2, 4, 0)),
+        ("compat-left", (0, 0, 1), (2, 2, 0)),
+        ("compat-left", (1, 0, 1), (0, 0, 4)),
+        ("compat-left", (1, 0, 2), (0, 1, 0)),
+        ("compat-left", (2, 0, 1), (2, 0, 1)),
+        ("compat-left", (2, 1, 2), (0, 2, 0)),
+        ("compat-right", (0, 1, 0), (4, 3, 0)),
+        ("compat-right", (0, 2, 1), (1, 1, 0)),
+        ("compat-right", (0, 2, 2), (2, 0, 0)),
+        ("compat-right", (1, 2, 2), (0, 3, 0)),
+    ]
+
+
 # -- bicrossed products ------------------------------------------------------------
 
 
