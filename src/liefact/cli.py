@@ -49,8 +49,7 @@ def _parse_vector(field: Field, text: str) -> tuple:
 
 
 def _parse_matrix(field: Field, text: str) -> Matrix:
-    rows = [[field.from_string(x) for x in row.split(",")] for row in text.split(";")]
-    return Matrix(field, rows)
+    return Matrix(field, [row.split(",") for row in text.split(";")])
 
 
 def _write_json(path: str, data: dict) -> None:

@@ -47,9 +47,6 @@ class DeformationMap:
     mp: MatchedPair
     matrix: Matrix
 
-    def apply(self, v) -> tuple:
-        return self.matrix.mul_vector(v)
-
 
 def is_deformation_map(mp: MatchedPair, r: Matrix) -> bool:
     """Check the deformation compatibility on all basis pairs of h."""

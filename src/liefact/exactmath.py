@@ -4,13 +4,17 @@ Everything here is exact: rationals are stdlib fractions (always in lowest
 terms, positive denominator), prime-field residues are ints in [0, p).  All
 values are immutable and all operations pure, so concurrent use is safe and
 every test downstream can assert strict equality.
+
+Each field has one instance, built and validated on first use with its zero
+and one, so comparing the fields of two operands is an identity check.
+Matrix coerces its entries once, in its constructor.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .errors import BadParameter, DimensionMismatch, FieldMismatch, FormatError, NotFinite
 
@@ -31,13 +35,22 @@ def _is_prime(p: int) -> bool:
 
 
 class Field:
-    """Descriptor for the rationals or a prime field GF(p)."""
+    """The rationals or a prime field GF(p), with its constants zero and one.
 
-    __slots__ = ("kind", "p")
+    Each field has one instance: Field(kind, p) validates (kind, p) on the
+    first call and returns the stored instance on every later one, as do
+    gf, rationals, from_json, copy and pickle.  Equality of fields is
+    identity.
+    """
 
-    _Q_SINGLETON = None
+    __slots__ = ("kind", "p", "zero", "one")
 
-    def __init__(self, kind: str, p: Optional[int] = None):
+    _instances: dict = {}
+
+    def __new__(cls, kind: str, p: Optional[int] = None):
+        field = cls._instances.get((kind, p))
+        if field is not None:
+            return field
         if kind == KIND_Q:
             if p is not None:
                 raise BadParameter("rationals take no modulus")
@@ -47,14 +60,20 @@ class Field:
                 raise BadParameter(f"modulus must be a prime below 2**32, got {p!r}")
         else:
             raise BadParameter(f"unknown field kind {kind!r}")
-        self.kind = kind
-        self.p = p
+        field = super().__new__(cls)
+        field.kind = kind
+        field.p = p
+        field.zero = field.scalar(0)
+        field.one = field.scalar(1)
+        # two threads may build the same field; setdefault keeps the first
+        return cls._instances.setdefault((kind, p), field)
+
+    def __reduce__(self):
+        return Field, (self.kind, self.p)
 
     @classmethod
     def rationals(cls) -> "Field":
-        if cls._Q_SINGLETON is None:
-            cls._Q_SINGLETON = cls(KIND_Q)
-        return cls._Q_SINGLETON
+        return cls(KIND_Q)
 
     @classmethod
     def gf(cls, p: int) -> "Field":
@@ -66,12 +85,6 @@ class Field:
     @property
     def is_finite(self) -> bool:
         return self.kind == KIND_FP
-
-    def __eq__(self, other):
-        return isinstance(other, Field) and self.kind == other.kind and self.p == other.p
-
-    def __hash__(self):
-        return hash((self.kind, self.p))
 
     def __repr__(self):
         return "Q" if self.kind == KIND_Q else f"GF({self.p})"
@@ -105,14 +118,6 @@ class Field:
             return self.scalar(int(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"bad field element {text!r} over {self}: {exc}") from exc
-
-    @property
-    def zero(self) -> "Scalar":
-        return self.scalar(0)
-
-    @property
-    def one(self) -> "Scalar":
-        return self.scalar(1)
 
     def elements(self) -> Iterator["Scalar"]:
         """All field elements in ascending residue order (finite fields only)."""
@@ -278,10 +283,6 @@ def is_zero_vector(u) -> bool:
     return not any(u)
 
 
-def vector_from_strings(field: Field, parts: Iterable) -> tuple:
-    return tuple(field.scalar(s) for s in parts)
-
-
 def enumerate_vectors(field: Field, length: int) -> Iterator[tuple]:
     """All vectors of a given length, lexicographic, first coordinate slowest.
 
@@ -314,7 +315,6 @@ class Matrix:
 
     @classmethod
     def from_cols(cls, field: Field, cols) -> "Matrix":
-        cols = [tuple(field.scalar(x) for x in c) for c in cols]
         if not cols:
             return cls(field, [])
         return cls(field, [[c[i] for c in cols] for i in range(len(cols[0]))])
@@ -516,7 +516,7 @@ class Matrix:
     def from_json(cls, field: Field, data) -> "Matrix":
         if not isinstance(data, dict) or "entries" not in data:
             raise FormatError(f"bad matrix record: {data!r}")
-        return cls(field, [[field.scalar(x) for x in row] for row in data["entries"]])
+        return cls(field, data["entries"])
 
 
 def _dot(u, v, field: Field) -> Scalar:

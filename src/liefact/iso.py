@@ -174,7 +174,8 @@ def _search_isomorphisms(
         return lincomb([c[m] for m in known], [assigned[m] for m in known], zero_vector(f, n))
 
     def constraints_for(k):
-        """Stacked linear system A x = rhs for the image of e_k."""
+        """Stacked linear system A x = rhs for the image of e_k: the equations of
+        every basis pair whose bracket relation assigning e_k closes."""
         rows = []
         rhs = []
         done = [m for m in range(n) if assigned[m] is not None]
@@ -206,18 +207,6 @@ def _search_isomorphisms(
                 rows.append(tuple(row))
                 rhs.append(target[r])
         return rows, rhs
-
-    def closed_pairs_ok() -> bool:
-        done = [m for m in range(n) if assigned[m] is not None]
-        done_set = set(done)
-        for i, j in itertools.combinations(done, 2):
-            c = a.bracket_basis(i, j)
-            if any(c[m] and m not in done_set for m in range(n)):
-                continue
-            img = _known_part(c, done_set, -1)
-            if b.bracket(assigned[i], assigned[j]) != img:
-                return False
-        return True
 
     def candidates_for(k):
         """Affine candidate set for e_k's image inside its domain, or None."""
@@ -268,8 +257,7 @@ def _search_isomorphisms(
                 continue
             assigned[k] = x
             ad_cache[k] = b.ad(x)
-            ok = closed_pairs_ok()
-            stop = expand(rest) if ok else False
+            stop = expand(rest)
             assigned[k] = None
             ad_cache[k] = None
             reducer.pop()

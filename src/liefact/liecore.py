@@ -414,10 +414,6 @@ class BilinearForm:
     def is_nondegenerate(self) -> bool:
         return bool(self.gram.det())
 
-    def left_radical(self) -> list:
-        """Vectors v with B(v, -) = 0."""
-        return self.gram.transpose().nullspace()
-
 
 # -- series and characteristic subspaces --------------------------------------
 
@@ -485,10 +481,6 @@ def is_perfect(algebra: LieAlgebra) -> bool:
 def is_metabelian(algebra: LieAlgebra) -> bool:
     length = solvable_length(algebra)
     return length is not None and length <= 2
-
-
-def abelianization_dim(algebra: LieAlgebra) -> int:
-    return algebra.dim - derived_series(algebra)[1].dim
 
 
 def killing_gram(algebra: LieAlgebra) -> Matrix:

@@ -374,6 +374,8 @@ def canonical_pair_m(n: int, field: Field) -> MatchedPair:
 
 
 def _lnames(n: int, extra=()) -> tuple:
+    if n < 1:
+        raise BadParameter("n must be >= 1")
     if n == 1:
         base = ("E", "F", "G")
     else:
@@ -401,15 +403,11 @@ def _l_brackets(n: int, extra=()) -> tuple:
 
 def make_l(n: int, field: Field) -> LieAlgebra:
     """l(2n+1,k): [E_i, G] = E_i, [G, F_i] = F_i."""
-    if n < 1:
-        raise BadParameter("n must be >= 1")
     return _finish(field, *_l_brackets(n))
 
 
 def make_L(n: int, field: Field) -> LieAlgebra:
     """L(2n+2,k), the pinned extension with [G, H] = H + G."""
-    if n < 1:
-        raise BadParameter("n must be >= 1")
     names, br = _l_brackets(n, ("H",))
     for i in range(n):
         e, f_ = names[i], names[n + i]
@@ -421,8 +419,6 @@ def make_L(n: int, field: Field) -> LieAlgebra:
 
 def make_m(n: int, field: Field) -> LieAlgebra:
     """m(2n+2,k), the pinned extension with [G, H] = E_1 + F_n."""
-    if n < 1:
-        raise BadParameter("n must be >= 1")
     names, br = _l_brackets(n, ("H",))
     for i in range(n):
         e, f_ = names[i], names[n + i]
@@ -456,9 +452,10 @@ def _block(field: Field, n: int, m) -> Matrix:
     return mat
 
 
-def _lambda_family(n: int, field: Field, lam0, d) -> LieAlgebra:
+def _lambda_family(n: int, field: Field, lam0, delta) -> LieAlgebra:
     """Brackets shared by make_l1 and make_l2_char2 (lambda0 invertible)."""
     names, br = _l_brackets(n, ("H",))
+    d = _delta_scalars(field, delta, 2 * n + 1)
     coef = lam0.inverse() * d[-1]
     for i in range(n):
         e, f_ = names[i], names[n + i]
@@ -475,16 +472,16 @@ def make_l1(n: int, field: Field, lambda0, delta) -> LieAlgebra:
     two = field.scalar(2)
     if lam0 == field.zero or lam0 == two or lam0 == -two:
         raise BadParameter("lambda0 must avoid {0, 2, -2}")
-    return _lambda_family(n, field, lam0, _delta_scalars(field, delta, 2 * n + 1))
+    return _lambda_family(n, field, lam0, delta)
 
 
 def make_l2(n: int, field: Field, A, D, delta) -> LieAlgebra:
     """Second char-!=-2 family (lambda0 = 0): free diagonal blocks A, D."""
     _require_char_ne_2(field, "this family")
+    names, br = _l_brackets(n, ("H",))
     a = _block(field, n, A)
     dmat = _block(field, n, D)
     d = _delta_scalars(field, delta, 2 * n)
-    names, br = _l_brackets(n, ("H",))
     for i in range(n):
         e, f_ = names[i], names[n + i]
         br[(e, "H")] = [(names[j], a.rows[j][i]) for j in range(n)]
@@ -496,10 +493,10 @@ def make_l2(n: int, field: Field, A, D, delta) -> LieAlgebra:
 def make_l3(n: int, field: Field, C, delta) -> LieAlgebra:
     """Third char-!=-2 family (lambda0 = 2): free block C."""
     _require_char_ne_2(field, "this family")
+    names, br = _l_brackets(n, ("H",))
     c = _block(field, n, C)
     d = _delta_scalars(field, delta, 2 * n + 1)
     half = field.scalar(2).inverse() * d[-1]
-    names, br = _l_brackets(n, ("H",))
     for i in range(n):
         e, f_ = names[i], names[n + i]
         br[(e, "H")] = [(e, -half)] + [(names[n + j], c.rows[j][i]) for j in range(n)]
@@ -511,10 +508,10 @@ def make_l3(n: int, field: Field, C, delta) -> LieAlgebra:
 def make_l4(n: int, field: Field, B, delta) -> LieAlgebra:
     """Fourth char-!=-2 family (lambda0 = -2): free block B."""
     _require_char_ne_2(field, "this family")
+    names, br = _l_brackets(n, ("H",))
     b = _block(field, n, B)
     d = _delta_scalars(field, delta, 2 * n + 1)
     half = field.scalar(2).inverse() * d[-1]
-    names, br = _l_brackets(n, ("H",))
     for i in range(n):
         e, f_ = names[i], names[n + i]
         br[(e, "H")] = [(e, half)]
@@ -526,10 +523,10 @@ def make_l4(n: int, field: Field, B, delta) -> LieAlgebra:
 def make_l1_char2(n: int, field: Field, A, B, C, D, delta) -> LieAlgebra:
     """Characteristic-2 family at lambda0 = 0: all four blocks free."""
     _require_char_2(field, "this family")
+    names, br = _l_brackets(n, ("H",))
     a, b = _block(field, n, A), _block(field, n, B)
     c, dmat = _block(field, n, C), _block(field, n, D)
     d = _delta_scalars(field, delta, 2 * n)
-    names, br = _l_brackets(n, ("H",))
     for i in range(n):
         e, f_ = names[i], names[n + i]
         br[(e, "H")] = [(names[j], a.rows[j][i]) for j in range(n)] + [
@@ -548,7 +545,7 @@ def make_l2_char2(n: int, field: Field, lambda0, delta) -> LieAlgebra:
     lam0 = field.scalar(lambda0)
     if not lam0:
         raise BadParameter("lambda0 must be nonzero")
-    return _lambda_family(n, field, lam0, _delta_scalars(field, delta, 2 * n + 1))
+    return _lambda_family(n, field, lam0, delta)
 
 
 def make_h5(field: Field) -> LieAlgebra:

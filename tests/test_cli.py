@@ -206,3 +206,17 @@ def test_composite_modulus_is_an_input_error(capsys):
         assert code == 2
         assert out == ""
         assert err.splitlines() == ["input error: modulus must be a prime below 2**32, got 4"]
+
+
+def test_family_size_below_one_is_an_input_error(capsys):
+    families = (
+        ("l1", "--lambda0", "1", "--delta", "0"),
+        ("l2c2", "--field", "Fp", "--p", "2", "--lambda0", "1", "--delta", "0"),
+        ("lbarpp_c", "--c", "2"),
+    )
+    for name, *params in families:
+        for n in ("0", "-1"):
+            code, out, err = run(capsys, "families", "--make", name, "--n", n, *params)
+            assert code == 2
+            assert out == ""
+            assert err.splitlines() == ["input error: n must be >= 1"]

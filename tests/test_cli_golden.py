@@ -1,0 +1,125 @@
+"""Golden CLI outputs: stdout and exit code of each command, byte for byte.
+
+The files under tests/golden_cli/ hold the stdout of each case and
+exit_codes.json its exit code.  Inputs are built here from the library and
+written to a temporary directory, so no path appears in the output.  To
+re-record after an intended change of output:
+
+    PYTHONPATH=src python tests/test_cli_golden.py --record
+"""
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from liefact import matched
+from liefact.cli import main
+from liefact.exactmath import Field, Matrix
+
+GOLDEN = Path(__file__).parent / "golden_cli"
+
+Q = Field.rationals()
+F3 = Field.gf(3)
+F5 = Field.gf(5)
+F7 = Field.gf(7)
+
+JACOBI_VIOLATING = {
+    "field": {"kind": "Q"},
+    "dim": 3,
+    "basis": ["e1", "e2", "e3"],
+    "brackets": [
+        {"lhs": "e1", "rhs": "e2", "out": [["e3", "1"]]},
+        {"lhs": "e1", "rhs": "e3", "out": [["e1", "1"]]},
+    ],
+}
+
+# a basis of L(4) over GF(3) for which the iso search expands 1,104 nodes
+L4_F3_BASIS = Matrix(F3, [[0, 1, 0, 2], [1, 1, 0, 0], [0, 0, 1, 2], [1, 0, 0, 2]])
+
+
+def _inputs():
+    """File name -> JSON record of every input file the cases read."""
+    sl2 = matched.make_sl2(F3)
+    l4_f3 = matched.make_L(1, F3)
+    return {
+        "L4_f5.json": matched.make_L(1, F5).to_json_dict(),
+        "jacobi_violating.json": JACOBI_VIOLATING,
+        "h5_q.json": matched.make_h5(Q).to_json_dict(),
+        "l3_f3.json": matched.make_l(1, F3).to_json_dict(),
+        "pairL_f5.json": matched.canonical_pair_L(1, F5).to_json_dict(),
+        "pairm_f7.json": matched.canonical_pair_m(1, F7).to_json_dict(),
+        "L4_f3.json": l4_f3.to_json_dict(),
+        "L4_f3_conj.json": l4_f3.change_basis(L4_F3_BASIS).to_json_dict(),
+        "sl2_f3.json": sl2.to_json_dict(),
+        "sl2_ad_e.json": sl2.ad((F3.one, F3.zero, F3.zero)).to_json(),
+    }
+
+
+# case name -> argv; {name} stands for the path of input file `name`
+CASES = {
+    "validate_ok": ["validate", "{L4_f5.json}", "--json"],
+    "validate_jacobi": ["validate", "{jacobi_violating.json}", "--json"],
+    "info": ["info", "{L4_f5.json}", "--json"],
+    "derivations": ["derivations", "{h5_q.json}", "--json"],
+    "twisted_all": ["twisted-derivations", "{l3_f3.json}", "--all", "--json"],
+    "matched_check": ["matched-check", "--pair", "{pairL_f5.json}", "--json"],
+    "bicrossed": ["bicrossed", "--pair", "{pairL_f5.json}", "--json"],
+    "deform_maps": ["deform-maps", "--pair", "{pairL_f5.json}", "--json"],
+    "complements_L_f5": ["complements", "--pair", "{pairL_f5.json}", "--json"],
+    "complements_m_f7": ["complements", "--pair", "{pairm_f7.json}", "--json"],
+    "iso": ["iso", "--a", "{L4_f3.json}", "--b", "{L4_f3_conj.json}", "--json"],
+    "aut": ["aut", "--algebra", "{sl2_f3.json}", "--json"],
+    "aut_delta": ["aut", "--algebra", "{sl2_f3.json}", "--delta", "{sl2_ad_e.json}", "--json"],
+    "paper_verify_n1": ["paper-verify", "n1-index", "--json"],
+    "paper_verify_m4_p7": ["paper-verify", "m4-index", "--p", "7", "--json"],
+}
+
+
+def _write_inputs(directory: Path) -> None:
+    for name, record in _inputs().items():
+        (directory / name).write_text(json.dumps(record, indent=2, sort_keys=True))
+
+
+def _argv(case: str, directory: Path) -> list:
+    return [str(directory / arg[1:-1]) if arg.startswith("{") else arg for arg in CASES[case]]
+
+
+@pytest.fixture(scope="module")
+def input_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden_inputs")
+    _write_inputs(directory)
+    return directory
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden(case, input_dir, capsys):
+    code = main(_argv(case, input_dir))
+    out = capsys.readouterr().out
+    expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    assert code == expected_codes[case]
+    assert out == (GOLDEN / f"{case}.stdout").read_text()
+
+
+def _record() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        _write_inputs(directory)
+        for case in sorted(CASES):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                codes[case] = main(_argv(case, directory))
+            (GOLDEN / f"{case}.stdout").write_text(buf.getvalue())
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        raise SystemExit("usage: python tests/test_cli_golden.py --record")
+    _record()

@@ -1,4 +1,8 @@
+import copy
 import fractions
+import pickle
+import sys
+import threading
 import time
 
 import pytest
@@ -67,6 +71,52 @@ def test_field_serialization_roundtrip():
         assert Field.from_json(f.to_json()) == f
     with pytest.raises(FormatError):
         Field.from_json({"kind": "R"})
+
+
+def test_each_field_has_one_instance():
+    for field, rebuilt in ((F5, Field("Fp", 5)), (Q, Field("Q"))):
+        assert rebuilt is field
+        assert Field.from_json(field.to_json()) is field
+        assert copy.copy(field) is field
+        assert copy.deepcopy(field) is field
+        assert pickle.loads(pickle.dumps(field)) is field
+    assert Field.gf(5) is F5 and Field.rationals() is Q
+    # the constants are built once, with the field
+    assert F5.zero is Field.gf(5).zero and Q.one is Field.rationals().one
+    with pytest.raises(FieldMismatch):
+        F5.one + Field.gf(7).one
+
+
+def test_rejected_modulus_is_not_cached():
+    for _ in range(3):
+        with pytest.raises(BadParameter):
+            Field.gf(4)
+    assert ("Fp", 4) not in Field._instances
+
+
+def test_concurrent_construction_gives_one_instance():
+    p = 4294967279  # a prime below 2**32 that no other test builds
+    assert ("Fp", p) not in Field._instances
+    barrier = threading.Barrier(8, timeout=30)
+    built = []
+
+    def build():
+        barrier.wait()
+        built.append(Field.gf(p))
+
+    threads = [threading.Thread(target=build) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside the trial division
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(built) == 8
+    assert all(f is Field.gf(p) for f in built)
 
 
 def test_scalar_normalization_and_strings():

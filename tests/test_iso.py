@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from liefact.errors import BudgetExceeded, InvalidTriple, NotPerfect
@@ -6,6 +8,7 @@ from liefact import liecore, matched, deform
 from liefact.derivations import TwistedDerivation
 from liefact.iso import (
     AutTriple,
+    _search_isomorphisms,
     are_isomorphic,
     aut_enumerate,
     aut_identity,
@@ -380,3 +383,41 @@ def test_gcheck_inner_predicate():
 
 def vadd_(u, v):
     return tuple(a + b for a, b in zip(u, v))
+
+
+def _random_conjugate(alg, seed):
+    """alg in the basis of the first invertible matrix drawn from the seed."""
+    rnd = random.Random(seed)
+    n = alg.dim
+    while True:
+        m = Matrix(alg.field, [[rnd.randrange(alg.field.p) for _ in range(n)] for _ in range(n)])
+        if m.is_invertible():
+            return alg.change_basis(m)
+
+
+def test_search_tree_is_unchanged():
+    # (verdict, searched) pairs and automorphism counts recorded from the
+    # search before its closed-pair recheck was removed: the linear
+    # constraints already enforce every pair that an assignment closes, so
+    # the same nodes are expanded in the same order
+    mp = matched.canonical_pair_L(1, F5)
+    reps = deform.classify_complements(mp).representatives
+    a_row = (("yes", 5), ("no", 0), ("no", 1225))
+    b_row = (("no", 0), ("yes", 34), ("no", 0))
+    c_row = (("no", 1225), ("no", 0), ("yes", 9))
+    rows = []
+    for d in deform.enumerate_deformation_maps(mp):
+        alg = deform.r_deformation(mp, d)
+        rows.append(tuple((r.verdict, r.searched) for r in (are_isomorphic(alg, rep) for rep in reps)))
+    assert rows == [a_row, b_row] + [a_row] * 23 + [c_row] * 4
+
+    for alg, searched in ((make_sl2(F5), 9), (matched.make_L(1, F5), 16286), (matched.make_h5(F5), 16)):
+        res = are_isomorphic(alg, _random_conjugate(alg, 2))
+        assert (res.verdict, res.searched) == ("yes", searched)
+
+    assert len(aut_enumerate(make_sl2(F3))) == 24
+    # aut_enumerate is this search plus a sort; L(4) over GF(5) has 240,000
+    # automorphisms, too many for a unit test, so L(4) runs over GF(3)
+    for alg, count, nodes in ((make_sl2(F3), 24, 75), (matched.make_L(1, F3), 2592, 6615)):
+        witnesses, searched, exhausted = _search_isomorphisms(alg, alg, 500000, find_all=True)
+        assert (len(witnesses), searched, exhausted) == (count, nodes, True)

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 
@@ -406,3 +407,15 @@ def test_change_basis_preserves_jacobi_and_series(flat):
     moved = l3.change_basis(m)
     assert moved.check_jacobi() == []
     assert derived_dims(moved) == derived_dims(l3)
+
+
+def test_deepcopied_algebra_keeps_its_field():
+    f5 = Field.gf(5)
+    alg = matched.make_L(1, f5)
+    dup = copy.deepcopy(alg)
+    assert dup.field is f5
+    assert dup.same_brackets(alg) and dup == alg
+    x, y = basis_vector(f5, 4, 0), basis_vector(f5, 4, 2)
+    # vectors of the copy and of the original mix without FieldMismatch
+    assert dup.bracket(x, y) == alg.bracket(x, y)
+    assert alg.bracket(dup.bracket_basis(0, 2), y) == dup.bracket(alg.bracket_basis(0, 2), y)

@@ -280,6 +280,9 @@ def test_family_equalities():
 
 
 def test_family_parameter_gates():
+    for n in (0, -1):
+        with pytest.raises(BadParameter):
+            make_l(n, Q)
     with pytest.raises(BadParameter):
         make_l1(1, Q, 2, (0, 0, 1))
     with pytest.raises(BadParameter):
