@@ -5,21 +5,31 @@ terms, positive denominator), prime-field residues are ints in [0, p).  All
 values are immutable and all operations pure, so concurrent use is safe and
 every test downstream can assert strict equality.
 
+Scalar is the boundary type: every value a caller passes in or gets back is
+a Scalar tagged by its field.  Elimination (rref, and so rank, nullspace,
+solve, inverse and span_rref, and det) unboxes the entries once, runs on
+plain ints, fraction-free over Q and on residues in [0, p) over GF(p), and
+boxes the result once.
+
 Each field has one instance, built and validated on first use with its zero
-and one, so comparing the fields of two operands is an identity check.
-Matrix coerces its entries once, in its constructor.
+and one (and, for p < 2**12, all p residues), so comparing the fields of two
+operands is an identity check.  Matrix coerces its entries once, in its
+constructor.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator, Optional
 
 from .errors import BadParameter, DimensionMismatch, FieldMismatch, FormatError, NotFinite
 
 KIND_Q = "Q"
 KIND_FP = "Fp"
+# fields with p below this keep a Scalar per residue to box results from
+RESIDUE_TABLE_LIMIT = 2**12
 
 
 def _is_prime(p: int) -> bool:
@@ -40,10 +50,11 @@ class Field:
     Each field has one instance: Field(kind, p) validates (kind, p) on the
     first call and returns the stored instance on every later one, as do
     gf, rationals, from_json, copy and pickle.  Equality of fields is
-    identity.
+    identity.  `residues` is the tuple of the p residues as Scalars when
+    p < RESIDUE_TABLE_LIMIT, else None.
     """
 
-    __slots__ = ("kind", "p", "zero", "one")
+    __slots__ = ("kind", "p", "zero", "one", "residues")
 
     _instances: dict = {}
 
@@ -63,6 +74,9 @@ class Field:
         field = super().__new__(cls)
         field.kind = kind
         field.p = p
+        field.residues = None
+        if kind == KIND_FP and p < RESIDUE_TABLE_LIMIT:
+            field.residues = tuple(Scalar(field, v) for v in range(p))
         field.zero = field.scalar(0)
         field.one = field.scalar(1)
         # two threads may build the same field; setdefault keeps the first
@@ -410,33 +424,43 @@ class Matrix:
 
     # -- elimination ---------------------------------------------------------
 
+    @classmethod
+    def _of_scalars(cls, field: Field, rows: tuple, ncols: int) -> "Matrix":
+        """A matrix from row tuples already holding Scalars of `field`."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.nrows = len(rows)
+        m.ncols = ncols
+        m._rref = None
+        return m
+
     def rref(self) -> tuple:
         """Reduced row echelon form and the strictly increasing pivot columns."""
         if self._rref is not None:
             return self._rref
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        pr = 0
-        for pc in range(self.ncols):
-            pivot_row = None
-            for r in range(pr, self.nrows):
-                if rows[r][pc]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                continue
-            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-            inv = rows[pr][pc].inverse()
-            rows[pr] = [inv * x for x in rows[pr]]
-            for r in range(self.nrows):
-                if r != pr and rows[r][pc]:
-                    f = rows[r][pc]
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
-            pivots.append(pc)
-            pr += 1
-            if pr == self.nrows:
-                break
-        result = (Matrix(self.field, rows), tuple(pivots))
+        field = self.field
+        if field.kind == KIND_Q:
+            rows, _ = _clear_denominators(self.rows)
+            rows, pivots = _integer_rref(rows, self.ncols)
+            zero, one = field.zero, field.one
+            boxed = []
+            for row, pc in zip(rows, pivots):
+                piv = row[pc]
+                boxed.append(tuple(
+                    zero if not x else one if x == piv else Scalar(field, Fraction(x, piv))
+                    for x in row
+                ))
+        else:
+            rows, pivots = _residue_rref([[x.value for x in row] for row in self.rows],
+                                         self.ncols, field.p)
+            table = field.residues
+            if table is not None:
+                boxed = [tuple(map(table.__getitem__, row)) for row in rows[:len(pivots)]]
+            else:
+                boxed = [tuple(Scalar(field, x) for x in row) for row in rows[:len(pivots)]]
+        boxed += [(field.zero,) * self.ncols] * (self.nrows - len(pivots))
+        result = (Matrix._of_scalars(field, tuple(boxed), self.ncols), tuple(pivots))
         self._rref = result
         return result
 
@@ -473,36 +497,21 @@ class Matrix:
     def det(self) -> Scalar:
         if self.nrows != self.ncols:
             raise DimensionMismatch("determinant of a non-square matrix")
-        n = self.nrows
-        rows = [list(r) for r in self.rows]
-        det = self.field.one
-        for c in range(n):
-            pivot_row = None
-            for r in range(c, n):
-                if rows[r][c]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                return self.field.zero
-            if pivot_row != c:
-                rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-                det = -det
-            det = det * rows[c][c]
-            inv = rows[c][c].inverse()
-            for r in range(c + 1, n):
-                if rows[r][c]:
-                    f = rows[r][c] * inv
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
-        return det
+        field = self.field
+        if field.kind == KIND_Q:
+            rows, scale = _clear_denominators(self.rows)
+            return Scalar(field, Fraction(_bareiss_det(rows), scale))
+        value = _residue_det([[x.value for x in row] for row in self.rows], field.p)
+        return field.residues[value] if field.residues is not None else Scalar(field, value)
 
     def inverse(self) -> Optional["Matrix"]:
         if self.nrows != self.ncols:
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.nrows
         red, pivots = self.augment(Matrix.identity(self.field, n)).rref()
-        if len(pivots) < n or pivots[n - 1] != n - 1:
+        if pivots[:n] != tuple(range(n)):
             return None
-        return Matrix(self.field, [row[n:] for row in red.rows])
+        return Matrix._of_scalars(self.field, tuple(row[n:] for row in red.rows), n)
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
@@ -517,6 +526,152 @@ class Matrix:
         if not isinstance(data, dict) or "entries" not in data:
             raise FormatError(f"bad matrix record: {data!r}")
         return cls(field, data["entries"])
+
+
+# -- elimination kernels: plain ints in, plain ints out -------------------------
+
+
+def _clear_denominators(rows) -> tuple:
+    """Integer rows from rows of rational Scalars, each row scaled by the lcm
+    of its denominators, and the product of those scales."""
+    out = []
+    scale = 1
+    for row in rows:
+        values = [x.value for x in row]
+        den = lcm(*(v.denominator for v in values))
+        out.append([v.numerator * (den // v.denominator) for v in values])
+        scale *= den
+    return out, scale
+
+
+def _integer_rref(rows: list, ncols: int) -> tuple:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Returns the rows and the pivot columns.  Pivot row i ends as a nonzero
+    multiple of row i of the RREF, so dividing it by its entry in pivot
+    column i gives that row; the rows past the rank end as zero.  Every
+    row is kept primitive (the gcd of its entries is 1).
+    """
+    for i, row in enumerate(rows):
+        g = gcd(*row)
+        if g > 1:
+            rows[i] = [x // g for x in row]
+    nrows = len(rows)
+    pivots = []
+    pr = 0
+    for pc in range(ncols):
+        # the smallest pivot keeps the multipliers small; the RREF is the same
+        best, best_abs = -1, 0
+        for r in range(pr, nrows):
+            a = rows[r][pc]
+            if a and (best < 0 or abs(a) < best_abs):
+                best, best_abs = r, abs(a)
+                if best_abs == 1:
+                    break
+        if best < 0:
+            continue
+        prow = rows[best]
+        rows[best] = rows[pr]
+        rows[pr] = prow
+        piv = prow[pc]
+        for r in range(nrows):
+            row = rows[r]
+            a = row[pc]
+            if a and r != pr:
+                g = gcd(piv, a)
+                pf, af = piv // g, a // g
+                row = [pf * x - af * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                rows[r] = [x // g for x in row] if g > 1 else row
+        pivots.append(pc)
+        pr += 1
+        if pr == nrows:
+            break
+    return rows, pivots
+
+
+def _residue_rref(rows: list, ncols: int, p: int) -> tuple:
+    """Gauss-Jordan elimination of rows of residues mod p, in place.
+
+    Returns the rows, now the RREF, and the pivot columns.
+    """
+    nrows = len(rows)
+    pivots = []
+    pr = 0
+    for pc in range(ncols):
+        for r in range(pr, nrows):
+            if rows[r][pc]:
+                break
+        else:
+            continue
+        prow = rows[r]
+        rows[r] = rows[pr]
+        a = prow[pc]
+        if a != 1:
+            inv = pow(a, -1, p)
+            prow = [x * inv % p for x in prow]
+        rows[pr] = prow
+        for r in range(nrows):
+            row = rows[r]
+            a = row[pc]
+            if a and r != pr:
+                rows[r] = [(x - a * y) % p for x, y in zip(row, prow)]
+        pivots.append(pc)
+        pr += 1
+        if pr == nrows:
+            break
+    return rows, pivots
+
+
+def _bareiss_det(rows: list) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination, in place.
+
+    Every division is exact (Sylvester's identity), so the entries stay
+    integers no larger than minors of the input.
+    """
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n):
+        for r in range(k, n):
+            if rows[r][k]:
+                break
+        else:
+            return 0
+        if r != k:
+            rows[r], rows[k] = rows[k], rows[r]
+            sign = -sign
+        prow = rows[k]
+        piv = prow[k]
+        for i in range(k + 1, n):
+            row = rows[i]
+            a = row[k]
+            rows[i] = [(piv * x - a * y) // prev for x, y in zip(row, prow)]
+        prev = piv
+    return sign * prev
+
+
+def _residue_det(rows: list, p: int) -> int:
+    """Determinant mod p of a square matrix of residues, in place."""
+    n = len(rows)
+    det = 1
+    for c in range(n):
+        for r in range(c, n):
+            if rows[r][c]:
+                break
+        else:
+            return 0
+        if r != c:
+            rows[r], rows[c] = rows[c], rows[r]
+            det = -det
+        prow = rows[c]
+        det = det * prow[c] % p
+        inv = pow(prow[c], -1, p)
+        for r in range(c + 1, n):
+            row = rows[r]
+            if row[c]:
+                f = row[c] * inv % p
+                rows[r] = [(x - f * y) % p for x, y in zip(row, prow)]
+    return det
 
 
 def _dot(u, v, field: Field) -> Scalar:

@@ -442,13 +442,15 @@ def enumerate_aut_triples(h: LieAlgebra, delta: Matrix, budget: int = 500000) ->
     """Full automorphism-triple group over a finite field.
 
     For each unit alpha and each automorphism v, the defining relation is
-    linear in h0, so the h0-fiber is solved exactly instead of enumerated.
+    linear in h0, so the h0-fiber is solved exactly; `budget` bounds the
+    automorphism search and, separately, the number of triples listed, and
+    each fiber is counted against it before it is enumerated.
     """
     f = h.field
     auts = aut_enumerate(h, budget)
     triples = []
     for alpha in f.nonzero_elements():
-        for v in auts:
+        for index, v in enumerate(auts):
             lhs = v.matrix * delta - alpha * (delta * v.matrix)
             rows = []
             rhs = []
@@ -462,6 +464,14 @@ def enumerate_aut_triples(h: LieAlgebra, delta: Matrix, budget: int = 500000) ->
             if sol is None:
                 continue
             part, null = sol
+            size = f.p ** len(null)
+            if len(triples) + size > budget:
+                raise BudgetExceeded(
+                    f"automorphism triples exceed budget {budget}: {len(triples)} listed, "
+                    f"then the h0 fiber of alpha={alpha} and automorphism {index} of "
+                    f"{len(auts)} has {size} points",
+                    required=len(triples) + size,
+                )
             for h0 in enumerate_affine(f, part, null):
                 triples.append(AutTriple(alpha, h0, v))
     return triples

@@ -10,13 +10,15 @@ new handler kind here.
 
 from __future__ import annotations
 
+import ast
 import json
+import operator
 import time
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from .errors import BadParameter, UnknownScenario
+from .errors import BadParameter, FormatError, UnknownScenario
 from .exactmath import Field, Matrix, basis_vector, span_rref, zero_vector
 from . import deform, derivations as dv, iso, liecore, matched
 
@@ -59,6 +61,10 @@ class ScenarioResult:
 
 def load_catalog() -> list:
     data = _catalog_data()
+    for rec in data["scenarios"]:
+        for record in rec["expected"].values():
+            for text in _formulas(record):
+                _formula(text)
     return [
         Scenario(
             id=rec["id"],
@@ -98,13 +104,55 @@ def _resolve_field(policy: dict, p: Optional[int]):
     return Field.gf(chosen), f"GF({chosen})", chosen
 
 
+_FORMULA_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.FloorDiv: operator.floordiv,
+}
+
+
+def _formulas(record: dict) -> list:
+    if "formula" in record:
+        return [record["formula"]]
+    return list(record.get("formula_list", []))
+
+
+def _formula(text: str):
+    """Compile an integer expression in p to a function of p.
+
+    Allowed: int constants, the name p, binary + - * //, unary minus and
+    parentheses; anything else raises FormatError.
+    """
+    try:
+        tree = ast.parse(text, mode="eval").body
+    except (SyntaxError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad formula {text!r}: {exc}") from exc
+
+    def build(node):
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            value = node.value
+            return lambda p: value
+        if isinstance(node, ast.Name) and node.id == "p":
+            return lambda p: p
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            inner = build(node.operand)
+            return lambda p: -inner(p)
+        if isinstance(node, ast.BinOp) and type(node.op) in _FORMULA_OPS:
+            op, left, right = _FORMULA_OPS[type(node.op)], build(node.left), build(node.right)
+            return lambda p: op(left(p), right(p))
+        raise FormatError(f"bad formula {text!r}: {ast.unparse(node)!r} is not allowed")
+
+    return build(tree)
+
+
 def _expected_value(record: dict, p: Optional[int]):
     if "value" in record:
         return record["value"]
     if "formula" in record:
-        return eval(record["formula"], {"__builtins__": {}}, {"p": p})  # catalog-trusted
+        return _formula(record["formula"])(p)
     if "formula_list" in record:
-        return [eval(f, {"__builtins__": {}}, {"p": p}) for f in record["formula_list"]]
+        return [_formula(f)(p) for f in record["formula_list"]]
     raise BadParameter(f"malformed expectation {record!r}")
 
 

@@ -1,7 +1,7 @@
 import json
 
 from liefact.cli import main
-from liefact.exactmath import Field
+from liefact.exactmath import Field, Matrix
 from liefact import liecore, matched
 
 Q = Field.rationals()
@@ -161,6 +161,20 @@ def test_aut_triples_cli(tmp_path, capsys):
     code, out, _ = run(capsys, "aut", "--algebra", str(sl2), "--delta", str(delta_file), "--json")
     assert code == 0
     assert json.loads(out)["count"] == 48
+
+
+def test_aut_triples_over_budget_is_an_input_error(tmp_path, capsys):
+    f5 = Field.gf(5)
+    ab2 = tmp_path / "ab2.json"
+    liecore.dump_algebra(liecore.LieAlgebra.abelian(f5, 2), ab2)
+    delta_file = tmp_path / "delta.json"
+    delta_file.write_text(json.dumps(Matrix.zeros(f5, 2, 2).to_json()))
+    code, out, err = run(capsys, "aut", "--algebra", str(ab2), "--delta", str(delta_file),
+                         "--budget", "1000")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("budget exceeded: ")
+    assert "h0 fiber" in lines[0]
 
 
 def test_paper_verify_cli(capsys):

@@ -1,5 +1,6 @@
 import copy
 import fractions
+import math
 import pickle
 import sys
 import threading
@@ -11,8 +12,11 @@ from hypothesis import given, settings, strategies as st
 from liefact.errors import BadParameter, FieldMismatch, FormatError, NotFinite
 from liefact.exactmath import (
     Field,
+    _clear_denominators,
+    _integer_rref,
     _is_prime,
     Matrix,
+    Scalar,
     basis_vector,
     dot,
     enumerate_vectors,
@@ -29,6 +33,8 @@ Q = Field.rationals()
 F2 = Field.gf(2)
 F3 = Field.gf(3)
 F5 = Field.gf(5)
+F7 = Field.gf(7)
+F_BIG = Field.gf(2**31 - 1)  # above the residue-table limit
 
 
 def qm(rows):
@@ -267,6 +273,167 @@ def test_det_and_inverse():
     assert inv is not None and m * inv == Matrix.identity(Q, 2)
     assert qm([[1, 2], [2, 4]]).inverse() is None
     assert qm([[1, 2], [2, 4]]).det() == Q.zero
+
+
+# -- elimination kernel against the boxed reference loops ------------------------
+
+
+def reference_rref(m: Matrix) -> tuple:
+    """Gauss-Jordan on boxed Scalars: first nonzero pivot, row scaled to 1."""
+    rows = [list(r) for r in m.rows]
+    pivots = []
+    pr = 0
+    for pc in range(m.ncols):
+        pivot_row = None
+        for r in range(pr, m.nrows):
+            if rows[r][pc]:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+        inv = rows[pr][pc].inverse()
+        rows[pr] = [inv * x for x in rows[pr]]
+        for r in range(m.nrows):
+            if r != pr and rows[r][pc]:
+                f = rows[r][pc]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == m.nrows:
+            break
+    return Matrix(m.field, rows), tuple(pivots)
+
+
+def reference_det(m: Matrix) -> Scalar:
+    """Gaussian elimination on boxed Scalars, the product of the pivots."""
+    n = m.nrows
+    rows = [list(r) for r in m.rows]
+    det = m.field.one
+    for c in range(n):
+        pivot_row = None
+        for r in range(c, n):
+            if rows[r][c]:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            return m.field.zero
+        if pivot_row != c:
+            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+            det = -det
+        det = det * rows[c][c]
+        inv = rows[c][c].inverse()
+        for r in range(c + 1, n):
+            if rows[r][c]:
+                f = rows[r][c] * inv
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return det
+
+
+def _entry(field):
+    # zeros are drawn often, so zero rows and columns and rank drops are common
+    if field is Q:
+        nonzero = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    elif field is F_BIG:
+        nonzero = st.one_of(st.integers(1, 3), st.integers(1, field.p - 1))
+    else:
+        nonzero = st.integers(1, field.p - 1)
+    return st.one_of(st.just(0), nonzero)
+
+
+def _grid(entry, nrows, ncols):
+    return st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows)
+
+
+@st.composite
+def oracle_matrix(draw, square=False, fields=(Q, F2, F3, F7, F_BIG)):
+    """Matrices up to 8x10 over Q and GF(p), wide, tall and square, of full or
+    (as a product through a thinner inner dimension) deficient rank."""
+    field = draw(st.sampled_from(fields))
+    nrows = draw(st.integers(0, 8))
+    ncols = nrows if square else draw(st.integers(0, 10))
+    entry = _entry(field)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(nrows, ncols)))
+        left, right = draw(_grid(entry, nrows, k)), draw(_grid(entry, k, ncols))
+        rows = [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(ncols)]
+                for i in range(nrows)]
+    else:
+        rows = draw(_grid(entry, nrows, ncols))
+    return Matrix(field, rows)
+
+
+def _assert_boxed_in(m: Matrix, field: Field):
+    assert m.field is field
+    for row in m.rows:
+        assert len(row) == m.ncols
+        for x in row:
+            assert type(x) is Scalar and x.field is field
+
+
+def _values(m: Matrix) -> list:
+    return [[x.value for x in row] for row in m.rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_matrix())
+def test_rref_matches_reference(m):
+    red, pivots = m.rref()
+    want, want_pivots = reference_rref(m)
+    assert pivots == want_pivots
+    assert (red.nrows, red.ncols) == (want.nrows, want.ncols)
+    assert _values(red) == _values(want)
+    _assert_boxed_in(red, m.field)
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_matrix(fields=(Q,)))
+def test_integer_kernel_keeps_rows_primitive(m):
+    rows, pivots = _integer_rref(_clear_denominators(m.rows)[0], m.ncols)
+    for row in rows:
+        assert math.gcd(*row) in (0, 1)
+    want = _values(reference_rref(Matrix(Q, rows))[0])
+    got = [[fractions.Fraction(x, row[pc]) for x in row] for row, pc in zip(rows, pivots)]
+    assert got == want[: len(pivots)]
+    assert all(not any(row) for row in rows[len(pivots):])
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_matrix(square=True))
+def test_det_matches_reference(m):
+    d = m.det()
+    want = reference_det(m)
+    assert type(d) is Scalar and d.field is m.field
+    assert d.value == want.value
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_matrix(square=True))
+def test_inverse_is_two_sided(m):
+    inv = m.inverse()
+    if not reference_det(m):
+        assert inv is None
+        return
+    assert inv is not None
+    _assert_boxed_in(inv, m.field)
+    ident = Matrix.identity(m.field, m.nrows)
+    if m.nrows:
+        assert m * inv == ident and inv * m == ident
+
+
+def test_elimination_examples_against_reference():
+    cases = [
+        qm([[0, 0, 3], [0, -2, 1], [0, 4, -2]]),
+        qm([[fractions.Fraction(1, 2), fractions.Fraction(-1, 3)], [3, -2]]),
+        qm([[6, 10, 15], [4, 6, 9], [2, 0, 1]]),
+        Matrix(F_BIG, [[2**31 - 2, 5], [3, 0]]),
+        Matrix(F7, [[0, 0], [0, 0], [0, 1]]),
+    ]
+    for m in cases:
+        assert _values(m.rref()[0]) == _values(reference_rref(m)[0])
+        if m.nrows == m.ncols:
+            assert m.det() == reference_det(m)
 
 
 # -- enumeration -----------------------------------------------------------------

@@ -190,6 +190,21 @@ def test_aut_counts():
         aut_enumerate(make_sl2(F3), budget=3)
 
 
+def test_aut_triples_budget_counts_each_h0_fiber():
+    # 4 units x 480 automorphisms x 25 points: 48,000 triples, but the
+    # automorphism search alone stays inside a budget of 1000
+    ab2 = LieAlgebra.abelian(F5, 2)
+    delta = Matrix.zeros(F5, 2, 2)
+    assert len(aut_enumerate(ab2, budget=1000)) == 480
+    with pytest.raises(BudgetExceeded) as err:
+        enumerate_aut_triples(ab2, delta, budget=1000)
+    assert err.value.required == 1025
+    message = str(err.value)
+    assert "alpha=1" in message and "automorphism 40 of 480" in message
+    assert "25 points" in message
+    assert len(enumerate_aut_triples(ab2, delta, budget=48000)) == 48000
+
+
 # -- morphism triples -----------------------------------------------------------------
 
 
