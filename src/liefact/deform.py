@@ -11,10 +11,18 @@ to isomorphism, so classifying the deformed algebras computes the
 factorization index.  Enumeration is exhaustive over finite fields: the
 compatibility is quadratic in r, and desk-scale p^(dim g * dim h) candidate
 sweeps are cheap and certain; closed forms act as cross-checks.
+
+The compatibility of a pair is built once, on first use, into fixed linear
+and quadratic terms on the entries of r with raw coefficients (residues over
+GF(p), Fractions over Q), and cached on the pair.  Each check unboxes r once
+and evaluates those terms on plain values, stopping at the first equation
+that fails; the sweep builds its candidates from one tuple of the field's
+elements without coercing them again.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -23,6 +31,7 @@ from .errors import (
     BudgetExceeded,
     CharTwo,
     DimensionMismatch,
+    FieldMismatch,
     InvalidDeformationMap,
     NotFinite,
 )
@@ -35,7 +44,7 @@ from .exactmath import (
     vadd,
     vsub,
 )
-from .liecore import LieAlgebra, basis_pairs, defects, derived_series
+from .liecore import LieAlgebra, basis_pairs, derived_series
 from .matched import MatchedPair, canonical_pair_L, canonical_pair_m, _finish, _lnames
 from .iso import are_isomorphic, fingerprint
 
@@ -48,24 +57,80 @@ class DeformationMap:
     matrix: Matrix
 
 
+def _compatibility(mp: MatchedPair) -> tuple:
+    """The compatibility of mp as equations on the entries of r, built once.
+
+    r is read row-major: cell a * h.dim + i holds r[a][i], the e_a coordinate
+    of r(h_i).  One equation per basis pair i < j of h and coordinate k of g
+    states that coordinate k of lhs(h_i, h_j) - rhs(h_i, h_j) vanishes; it is
+    a pair (linear, quadratic) of term tuples (cell, coeff) and
+    (cell, cell, coeff) with nonzero raw coefficients (residues over GF(p),
+    Fractions over Q).  Equations without terms hold for every r and are
+    left out.  The result is cached on the pair.
+    """
+    if mp._compat is not None:
+        return mp._compat
+    g, h, f = mp.g, mp.h, mp.field
+    m, n = g.dim, h.dim
+    gb = [basis_vector(f, m, a) for a in range(m)]
+    hb = [basis_vector(f, n, i) for i in range(n)]
+    right = [[mp.act_right(x, ga) for ga in gb] for x in hb]  # h_i <| g_a, in h
+    left = [[mp.act_left(x, ga) for ga in gb] for x in hb]  # h_i |> g_a, in g
+
+    def add(table, key, c):
+        if c:
+            table[key] = table.get(key, f.zero) + c
+
+    def add_product(table, c1, c2, c):
+        add(table, (c1, c2) if c1 <= c2 else (c2, c1), c)
+
+    equations = []
+    for i, j in basis_pairs(n):
+        hij = h.bracket_basis(i, j)
+        for k in range(m):
+            lin, quad = {}, {}
+            # r([h_i, h_j]) - [r(h_i), r(h_j)]
+            for l in range(n):
+                add(lin, k * n + l, hij[l])
+            for a in range(m):
+                for b in range(m):
+                    add_product(quad, a * n + i, b * n + j, -g.bracket_basis(a, b)[k])
+            # - r(h_j <| r(h_i) - h_i <| r(h_j))
+            for a in range(m):
+                for l in range(n):
+                    add_product(quad, k * n + l, a * n + i, -right[j][a][l])
+                    add_product(quad, k * n + l, a * n + j, right[i][a][l])
+            # - (h_i |> r(h_j) - h_j |> r(h_i))
+            for a in range(m):
+                add(lin, a * n + j, -left[i][a][k])
+                add(lin, a * n + i, left[j][a][k])
+            lin = tuple((c, x.value) for c, x in lin.items() if x)
+            quad = tuple((c1, c2, x.value) for (c1, c2), x in quad.items() if x)
+            if lin or quad:
+                equations.append((lin, quad))
+    mp._compat = tuple(equations)
+    return mp._compat
+
+
 def is_deformation_map(mp: MatchedPair, r: Matrix) -> bool:
     """Check the deformation compatibility on all basis pairs of h."""
     if isinstance(r, DeformationMap):
         r = r.matrix
-    g, h = mp.g, mp.h
-    if r.nrows != g.dim or r.ncols != h.dim:
+    if r.nrows != mp.g.dim or r.ncols != mp.h.dim:
         raise DimensionMismatch("r must map h into g")
-    hb = [basis_vector(mp.field, h.dim, i) for i in range(h.dim)]
-    rc = r.cols()
-
-    def lhs(i, j):
-        return vsub(r.mul_vector(h.bracket_basis(i, j)), g.bracket(rc[i], rc[j]))
-
-    def rhs(i, j):
-        inner = vsub(mp.act_right(hb[j], rc[i]), mp.act_right(hb[i], rc[j]))
-        return vadd(r.mul_vector(inner), vsub(mp.act_left(hb[i], rc[j]), mp.act_left(hb[j], rc[i])))
-
-    return not any(defects(basis_pairs(h.dim), lhs, rhs))
+    if r.field is not mp.field:
+        raise FieldMismatch(f"map over {r.field}, pair over {mp.field}")
+    v = [x.value for row in r.rows for x in row]
+    p = mp.field.p
+    for lin, quad in _compatibility(mp):
+        total = 0
+        for a, c in lin:
+            total += c * v[a]
+        for a, b, c in quad:
+            total += c * v[a] * v[b]
+        if total % p if p else total:
+            return False
+    return True
 
 
 def enumerate_deformation_maps(
@@ -74,27 +139,30 @@ def enumerate_deformation_maps(
     """Exhaustive, deterministic sweep of all linear maps h -> g.
 
     The sweep itself never prunes; each candidate is kept iff it passes the
-    per-map compatibility check.
+    per-map compatibility check.  Candidates come in lexicographic order of
+    their row-major entries (first entry slowest), or its exact reverse.
     """
-    if not mp.field.is_finite:
+    field = mp.field
+    if not field.is_finite:
         raise NotFinite("exhaustive enumeration needs a finite field")
-    g, h = mp.g, mp.h
-    cells = g.dim * h.dim
-    count = mp.field.p ** cells
+    m, n = mp.g.dim, mp.h.dim
+    cells = m * n
+    count = field.p ** cells
     if count > budget:
         raise BudgetExceeded(
             f"{count} candidate maps exceed budget {budget}", required=count
         )
-    flats = enumerate_vectors(mp.field, cells)
+    alphabet = tuple(field.elements())
     if order == "revlex":
-        flats = reversed(list(flats))
+        alphabet = alphabet[::-1]
     elif order != "lex":
         raise BadParameter(f"unknown enumeration order {order!r}")
+    starts = [a * n for a in range(m)]
     found = []
-    for flat in flats:
-        m = Matrix(mp.field, [flat[r * h.dim : (r + 1) * h.dim] for r in range(g.dim)])
-        if is_deformation_map(mp, m):
-            found.append(DeformationMap(mp, m))
+    for flat in itertools.product(alphabet, repeat=cells):
+        r = Matrix._of_scalars(field, tuple(flat[s : s + n] for s in starts), n)
+        if is_deformation_map(mp, r):
+            found.append(DeformationMap(mp, r))
     return found
 
 

@@ -14,7 +14,8 @@ boxes the result once.
 Each field has one instance, built and validated on first use with its zero
 and one (and, for p < 2**12, all p residues), so comparing the fields of two
 operands is an identity check.  Matrix coerces its entries once, in its
-constructor.
+public constructors; sums, products, stacks and other results built from
+matrices of one field skip that step.
 """
 
 from __future__ import annotations
@@ -351,14 +352,14 @@ class Matrix:
 
     def __add__(self, other):
         self._check_same_shape(other)
-        return Matrix(self.field, [vadd(r, s) for r, s in zip(self.rows, other.rows)])
+        return Matrix._of_scalars(self.field, tuple(map(vadd, self.rows, other.rows)))
 
     def __sub__(self, other):
         self._check_same_shape(other)
-        return Matrix(self.field, [vsub(r, s) for r, s in zip(self.rows, other.rows)])
+        return Matrix._of_scalars(self.field, tuple(map(vsub, self.rows, other.rows)))
 
     def __neg__(self):
-        return Matrix(self.field, [vneg(r) for r in self.rows])
+        return Matrix._of_scalars(self.field, tuple(map(vneg, self.rows)))
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -367,14 +368,12 @@ class Matrix:
             if self.ncols != other.nrows:
                 raise DimensionMismatch("inner dimensions differ")
             cols = list(zip(*other.rows)) if other.rows else []
-            return Matrix(
+            return Matrix._of_scalars(
                 self.field,
-                [
-                    [_dot(row, col, self.field) for col in cols]
-                    for row in self.rows
-                ],
+                tuple(tuple(_dot(row, col, self.field) for col in cols) for row in self.rows),
             )
-        return Matrix(self.field, [vscale(self.field.scalar(other), r) for r in self.rows])
+        c = self.field.scalar(other)
+        return Matrix._of_scalars(self.field, tuple(vscale(c, r) for r in self.rows))
 
     __rmul__ = __mul__
 
@@ -395,12 +394,12 @@ class Matrix:
     def stack(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.ncols or self.field != other.field:
             raise DimensionMismatch("cannot stack")
-        return Matrix(self.field, list(self.rows) + list(other.rows))
+        return Matrix._of_scalars(self.field, self.rows + other.rows)
 
     def augment(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows or self.field != other.field:
             raise DimensionMismatch("cannot augment")
-        return Matrix(self.field, [r + s for r, s in zip(self.rows, other.rows)])
+        return Matrix._of_scalars(self.field, tuple(r + s for r, s in zip(self.rows, other.rows)))
 
     def is_zero(self) -> bool:
         return all(is_zero_vector(r) for r in self.rows)
@@ -425,12 +424,18 @@ class Matrix:
     # -- elimination ---------------------------------------------------------
 
     @classmethod
-    def _of_scalars(cls, field: Field, rows: tuple, ncols: int) -> "Matrix":
-        """A matrix from row tuples already holding Scalars of `field`."""
+    def _of_scalars(cls, field: Field, rows: tuple, ncols: Optional[int] = None) -> "Matrix":
+        """A matrix from row tuples already holding Scalars of `field`.
+
+        Without ncols the shape is read off the rows as the constructor reads
+        it: the length of the first row, 0 when there are no rows.
+        """
         m = object.__new__(cls)
         m.field = field
         m.rows = rows
         m.nrows = len(rows)
+        if ncols is None:
+            ncols = len(rows[0]) if rows else 0
         m.ncols = ncols
         m._rref = None
         return m

@@ -8,8 +8,8 @@ with zero vectors on the diagonal and for pairs that bracket to zero.  Basis
 brackets, ad(e_i) and the linear systems of this module read that table.
 
 Every identity checked on all basis pairs or triples (Jacobi, Lie morphisms,
-derivation and twisted-derivation laws, matched-pair axioms, deformation
-compatibility, product structures, invariant forms) goes through defects(),
+derivation and twisted-derivation laws, matched-pair axioms, product
+structures, invariant forms) goes through defects(),
 a lazy generator of the indices where the two sides differ, so a yes/no
 caller stops at the first defect and a report keeps every record in index
 order.  Characteristic subspaces (center, derived and lower central series),

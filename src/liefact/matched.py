@@ -50,10 +50,12 @@ class MatchedPair:
 
     right[(i, j)] is the h-vector (h_i acted by g_j from the right);
     left[(i, j)] is the g-vector (h_i acting on g_j).  Zero entries are
-    not stored.
+    not stored.  The tables are never changed after construction, so the
+    deform module caches the pair's compiled deformation compatibility in
+    _compat on first use.
     """
 
-    __slots__ = ("g", "h", "right", "left")
+    __slots__ = ("g", "h", "right", "left", "_compat")
 
     def __init__(self, g: LieAlgebra, h: LieAlgebra, right=None, left=None):
         if g.field != h.field:
@@ -62,6 +64,7 @@ class MatchedPair:
         self.h = h
         self.right = {}
         self.left = {}
+        self._compat = None
         for (i, j), vec in (right or {}).items():
             v = tuple(g.field.scalar(x) for x in vec)
             if len(v) != h.dim:

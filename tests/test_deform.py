@@ -1,9 +1,13 @@
-import pytest
+from fractions import Fraction
 
-from liefact.errors import BadParameter, BudgetExceeded, CharTwo, NotFinite
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from liefact.errors import BadParameter, BudgetExceeded, CharTwo, FieldMismatch, NotFinite
 from liefact.exactmath import (
     Field,
     Matrix,
+    Scalar,
     basis_vector,
     enumerate_vectors,
     span_rref,
@@ -91,6 +95,108 @@ def test_enumeration_is_exhaustive_against_oracle():
     assert found == brute
 
 
+def _trivial_action_pair(field):
+    return matched.MatchedPair(liecore.LieAlgebra.abelian(field, 1, ("H",)), matched.make_l(1, field))
+
+
+def _line_pair(field):
+    """dim g = dim h = 1: h has no basis pair, so every map passes."""
+    return matched.MatchedPair(
+        liecore.LieAlgebra.abelian(field, 1, ("H",)), liecore.LieAlgebra.abelian(field, 1, ("X",))
+    )
+
+
+def _borel_pair(field):
+    """g = span{h + h', e} (non-abelian) and h = span{f, e', f', h'} inside
+    sl2 x sl2: both actions are nonzero and g has a bracket."""
+    sl2 = matched.make_sl2(field)
+    amb = liecore.direct_product(sl2, sl2)
+    e = [basis_vector(field, amb.dim, i) for i in range(amb.dim)]
+    gsub = liecore.Subspace(amb, [vadd(e[2], e[5]), e[0]])
+    hsub = liecore.Subspace(amb, [e[1], e[3], e[4], e[5]])
+    return matched.canonical_matched_pair(matched.Factorization(amb, gsub, hsub))
+
+
+@pytest.mark.parametrize(
+    "mp", [canonical_pair_L(2, F3), _borel_pair(F3)], ids=["L2-GF3", "borel-GF3"]
+)
+def test_enumeration_equals_oracle_sweep_in_order(mp):
+    found = [d.matrix for d in enumerate_deformation_maps(mp)]
+    assert found == [r for r in all_linear_maps(mp) if factlie_oracle(mp, r)]
+
+
+ORACLE_PAIRS = {
+    "L1": lambda f: canonical_pair_L(1, f),
+    "L2": lambda f: canonical_pair_L(2, f),
+    "m1": lambda f: canonical_pair_m(1, f),
+    "m2": lambda f: canonical_pair_m(2, f),
+    "trivial": _trivial_action_pair,
+    "borel": _borel_pair,
+}
+
+
+def _entries(field):
+    # zeros are frequent, so that a fair share of the maps pass the check
+    if field.is_finite:
+        return st.one_of(st.just(0), st.integers(0, field.p - 1))
+    return st.one_of(
+        st.just(0), st.integers(-3, 3), st.builds(Fraction, st.integers(-9, 9), st.integers(2, 9))
+    )
+
+
+@pytest.mark.parametrize("field", [F3, F7, Q], ids=["GF3", "GF7", "Q"])
+@pytest.mark.parametrize("pair", sorted(ORACLE_PAIRS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_is_deformation_map_agrees_with_oracle_on_random_maps(pair, field, data):
+    mp = ORACLE_PAIRS[pair](field)
+    entries = _entries(field)
+    rows = data.draw(
+        st.lists(
+            st.lists(entries, min_size=mp.h.dim, max_size=mp.h.dim),
+            min_size=mp.g.dim,
+            max_size=mp.g.dim,
+        )
+    )
+    r = Matrix(field, rows)
+    assert is_deformation_map(mp, r) == factlie_oracle(mp, r)
+
+
+def test_is_deformation_map_rejects_a_map_over_another_field():
+    # with dim h = 1 no equation is evaluated, so only the boundary check sees this
+    with pytest.raises(FieldMismatch):
+        is_deformation_map(_line_pair(F5), Matrix(F7, [[1]]))
+    with pytest.raises(FieldMismatch):
+        is_deformation_map(canonical_pair_L(1, F5), Matrix(F7, [[1, 0, 1]]))
+    with pytest.raises(FieldMismatch):
+        is_deformation_map(canonical_pair_L(1, F5), Matrix.zeros(F7, 1, 3))
+
+
+@pytest.mark.parametrize(
+    "mp", [canonical_pair_m(1, F5), canonical_pair_L(2, F3)], ids=["m1-GF5", "L2-GF3"]
+)
+def test_revlex_is_lex_reversed(mp):
+    lex = [d.matrix for d in enumerate_deformation_maps(mp)]
+    revlex = [d.matrix for d in enumerate_deformation_maps(mp, order="revlex")]
+    assert revlex == lex[::-1]
+
+
+def test_sweep_with_zero_dimensional_g():
+    # one map, the empty 0 x dim h matrix; it satisfies the (empty) compatibility
+    mp = matched.MatchedPair(liecore.LieAlgebra.abelian(F5, 0), matched.make_l(1, F5))
+    maps = enumerate_deformation_maps(mp)
+    assert [(d.matrix.nrows, d.matrix.ncols) for d in maps] == [(0, 3)]
+
+
+def test_sweep_over_a_large_prime_field():
+    big = Field.gf(4099)
+    maps = enumerate_deformation_maps(_line_pair(big))
+    assert len(maps) == 4099
+    entries = [d.matrix.rows[0][0] for d in maps]
+    assert all(isinstance(x, Scalar) and x.field is big for x in entries)
+    assert [x.value for x in entries] == list(range(4099))
+
+
 def test_counts_and_partitions():
     maps_L = enumerate_deformation_maps(canonical_pair_L(1, F5))
     assert len(maps_L) == 29
@@ -101,10 +207,7 @@ def test_counts_and_partitions():
 
 
 def test_trivial_action_pair_maps_kill_derived():
-    g = liecore.LieAlgebra.abelian(F5, 1, ("H",))
-    h = matched.make_l(1, F5)
-    mp = matched.MatchedPair(g, h)
-    maps = enumerate_deformation_maps(mp)
+    maps = enumerate_deformation_maps(_trivial_action_pair(F5))
     assert len(maps) == 5
     for d in maps:
         assert d.matrix.col(0) == (F5.zero,) and d.matrix.col(1) == (F5.zero,)
@@ -121,7 +224,7 @@ def test_budget_and_field_gates():
 # -- closed forms ---------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("p", [3, 5])
 def test_closed_forms_equal_enumeration(n, p):
     field = Field.gf(p)

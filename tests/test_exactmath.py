@@ -275,6 +275,27 @@ def test_det_and_inverse():
     assert qm([[1, 2], [2, 4]]).det() == Q.zero
 
 
+@pytest.mark.parametrize("field", [Q, F5, F_BIG], ids=["Q", "GF5", "GFbig"])
+def test_matrix_operations_match_the_coercing_constructor(field):
+    # sums, products, stacks and augments skip coercion; each result holds
+    # Scalars of the field and has the shape the constructor reads off its
+    # rows, the empty 0 x 0 and 2 x 0 cases included
+    a = Matrix(field, [[1, 2, "1/2"], [4, 0, -1]])
+    b = Matrix(field, [[0, 1, 1], [2, 2, 2]])
+    c = Matrix(field, [[1, 0], [0, 1], [3, 4]])
+    empty, thin = Matrix(field, []), Matrix(field, [[], []])
+    results = [
+        a + b, a - b, -a, a * c, c * a, 2 * a, a * field.scalar(3), a.stack(b), a.augment(b),
+        empty + empty, -empty, empty * empty, empty.stack(empty), empty.augment(empty),
+        thin + thin, -thin, thin * empty, thin.stack(thin), thin.augment(thin),
+    ]
+    for res in results:
+        ref = Matrix(field, res.rows)
+        assert res == ref and (res.nrows, res.ncols) == (ref.nrows, ref.ncols)
+        assert all(type(x) is Scalar and x.field is field for row in res.rows for x in row)
+    assert (thin * empty).nrows == 2 and (a + b).rows[0][2] == field.scalar("3/2")
+
+
 # -- elimination kernel against the boxed reference loops ------------------------
 
 
