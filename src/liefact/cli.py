@@ -52,12 +52,6 @@ def _parse_matrix(field: Field, text: str) -> Matrix:
     return Matrix(field, [row.split(",") for row in text.split(";")])
 
 
-def _write_json(path: str, data: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 # -- commands --------------------------------------------------------------------
 
 
@@ -113,7 +107,7 @@ def _cmd_derivations(args) -> int:
         lines.append(f"D{i + 1}: {m.matrix.to_json()['entries']}")
     _emit(data, args.json, lines)
     if args.out:
-        _write_json(args.out, data)
+        liecore.write_json(args.out, data)
     return 0
 
 
@@ -183,7 +177,7 @@ def _cmd_bicrossed(args) -> int:
     data = product.to_json_dict()
     _emit(data, args.json, [f"bicrossed product: dim {product.dim}, basis {', '.join(product.basis_names)}"])
     if args.out:
-        _write_json(args.out, data)
+        liecore.write_json(args.out, data)
     return 0
 
 
@@ -196,7 +190,7 @@ def _cmd_deform_maps(args) -> int:
         lines.append("  " + "; ".join(",".join(str(x) for x in row) for row in d.matrix.rows))
     _emit(data, args.json, lines)
     if args.out:
-        _write_json(args.out, data)
+        liecore.write_json(args.out, data)
     return 0
 
 
@@ -216,7 +210,7 @@ def _cmd_complements(args) -> int:
     ]
     _emit(data, args.json, lines)
     if args.out:
-        _write_json(args.out, data)
+        liecore.write_json(args.out, data)
     return 0
 
 
@@ -242,12 +236,7 @@ def _cmd_iso(args) -> int:
 def _cmd_aut(args) -> int:
     alg = liecore.load_algebra(args.algebra)
     if args.delta:
-        with open(args.delta, "r", encoding="utf-8") as fh:
-            try:
-                record = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{args.delta}: line {exc.lineno}: {exc.msg}") from exc
-        delta = Matrix.from_json(alg.field, record)
+        delta = Matrix.from_json(alg.field, liecore.read_json(args.delta))
         triples = iso.enumerate_aut_triples(alg, delta, args.budget)
         data = {
             "count": len(triples),
@@ -328,7 +317,7 @@ def _cmd_families(args) -> int:
         data = builders[name]().to_json_dict()
     _emit(data, args.json, [f"built {name}: dim {data['dim']}" if "dim" in data else f"built {name}"])
     if args.out:
-        _write_json(args.out, data)
+        liecore.write_json(args.out, data)
     return 0
 
 

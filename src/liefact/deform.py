@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Optional
 
 from .errors import (
@@ -214,8 +215,13 @@ class DeformationFamily:
             yield DeformationMap(self.mp, self.builder(*params))
 
 
-def _row_matrix(field: Field, row) -> Matrix:
-    return Matrix(field, [row])
+def _nonzero(v) -> bool:
+    return not is_zero_vector(v)
+
+
+def _nonzero_vectors(field: Field, n: int) -> Iterator[tuple]:
+    """Parameter tuples (a,) for the nonzero vectors a of length n, in order."""
+    return ((a,) for a in enumerate_vectors(field, n) if _nonzero(a))
 
 
 def closed_form_defmaps_L(n: int, field: Field) -> list:
@@ -228,24 +234,18 @@ def closed_form_defmaps_L(n: int, field: Field) -> list:
     z = field.zero
 
     def build_a(a):
-        return _row_matrix(field, list(a) + [z] * n + [field.one])
+        return Matrix(field, [list(a) + [z] * n + [field.one]])
 
     def build_bc(b, c):
-        return _row_matrix(field, [z] * n + list(b) + [c])
-
-    def iter_a():
-        for a in enumerate_vectors(field, n):
-            if not is_zero_vector(a):
-                yield (a,)
+        return Matrix(field, [[z] * n + list(b) + [c]])
 
     def iter_bc():
         for b in enumerate_vectors(field, n):
             for c in field.elements():
                 yield (b, c)
 
-    nonzero = lambda a: not is_zero_vector(a)
     return [
-        DeformationFamily("a", mp, build_a, iter_a, nonzero),
+        DeformationFamily("a", mp, build_a, partial(_nonzero_vectors, field, n), _nonzero),
         DeformationFamily("bc", mp, build_bc, iter_bc),
     ]
 
@@ -262,32 +262,22 @@ def closed_form_defmaps_m(n: int, field: Field) -> list:
     one = field.one
 
     def build_a(a):
-        return _row_matrix(field, list(a) + [z] * n + [a[0] - one])
+        return Matrix(field, [list(a) + [z] * n + [a[0] - one]])
 
     def build_b(b):
-        return _row_matrix(field, [z] * n + list(b) + [b[n - 1] + one])
+        return Matrix(field, [[z] * n + list(b) + [b[n - 1] + one]])
 
     def build_c(c):
-        return _row_matrix(field, [z] * (2 * n) + [c])
-
-    def iter_a():
-        for a in enumerate_vectors(field, n):
-            if not is_zero_vector(a):
-                yield (a,)
-
-    def iter_b():
-        for b in enumerate_vectors(field, n):
-            if not is_zero_vector(b):
-                yield (b,)
+        return Matrix(field, [[z] * (2 * n) + [c]])
 
     def iter_c():
         for c in field.elements():
             yield (c,)
 
-    nonzero = lambda v: not is_zero_vector(v)
+    nonzero_vectors = partial(_nonzero_vectors, field, n)
     return [
-        DeformationFamily("a", mp, build_a, iter_a, nonzero),
-        DeformationFamily("b", mp, build_b, iter_b, nonzero),
+        DeformationFamily("a", mp, build_a, nonzero_vectors, _nonzero),
+        DeformationFamily("b", mp, build_b, nonzero_vectors, _nonzero),
         DeformationFamily("c", mp, build_c, iter_c),
     ]
 

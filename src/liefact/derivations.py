@@ -102,10 +102,8 @@ def _twisted_system(algebra: LieAlgebra, lam) -> Matrix:
                 row[k * n + i] = row[k * n + i] - lam[j]
             if lam[i]:
                 row[k * n + j] = row[k * n + j] + lam[i]
-            rows.append(row)
-    if not rows:
-        return Matrix.zeros(f, 1, n * n)
-    return Matrix(f, rows)
+            rows.append(tuple(row))
+    return Matrix._of_scalars(f, tuple(rows), n * n)
 
 
 def _maps_from_flat(algebra: LieAlgebra, flats) -> list:
@@ -166,12 +164,8 @@ def twisted_derivations_for_lambda(algebra: LieAlgebra, lam) -> list:
 
 def admissible_lambdas(algebra: LieAlgebra) -> list:
     """rref basis of the covectors vanishing on the derived algebra."""
-    rows = [vec for _, vec in algebra.sc_pairs()]
-    if not rows:
-        m = Matrix.zeros(algebra.field, 1, algebra.dim)
-    else:
-        m = Matrix(algebra.field, rows)
-    return m.nullspace()
+    rows = tuple(vec for _, vec in algebra.sc_pairs())
+    return Matrix._of_scalars(algebra.field, rows, algebra.dim).nullspace()
 
 
 def enumerate_twisted_derivations(algebra: LieAlgebra, budget: int = 10**7) -> list:

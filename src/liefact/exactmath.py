@@ -12,10 +12,13 @@ plain ints, fraction-free over Q and on residues in [0, p) over GF(p), and
 boxes the result once.
 
 Each field has one instance, built and validated on first use with its zero
-and one (and, for p < 2**12, all p residues), so comparing the fields of two
-operands is an identity check.  Matrix coerces its entries once, in its
-public constructors; sums, products, stacks and other results built from
-matrices of one field skip that step.
+and one, so comparing the fields of two operands is an identity check.
+
+Every matrix has an exact shape: a 0 x n matrix still has n columns, so its
+null space is all of n-space and a (k x 0)(0 x n) product is the k x n zero
+matrix.  Matrix coerces its entries once, in its public constructors; sums,
+products, transposes, stacks and other results built from matrices of one
+field skip that step and are built with their true shape.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ from .errors import BadParameter, DimensionMismatch, FieldMismatch, FormatError,
 
 KIND_Q = "Q"
 KIND_FP = "Fp"
-# fields with p below this keep a Scalar per residue to box results from
-RESIDUE_TABLE_LIMIT = 2**12
 
 
 def _is_prime(p: int) -> bool:
@@ -51,11 +52,10 @@ class Field:
     Each field has one instance: Field(kind, p) validates (kind, p) on the
     first call and returns the stored instance on every later one, as do
     gf, rationals, from_json, copy and pickle.  Equality of fields is
-    identity.  `residues` is the tuple of the p residues as Scalars when
-    p < RESIDUE_TABLE_LIMIT, else None.
+    identity.
     """
 
-    __slots__ = ("kind", "p", "zero", "one", "residues")
+    __slots__ = ("kind", "p", "zero", "one")
 
     _instances: dict = {}
 
@@ -75,9 +75,6 @@ class Field:
         field = super().__new__(cls)
         field.kind = kind
         field.p = p
-        field.residues = None
-        if kind == KIND_FP and p < RESIDUE_TABLE_LIMIT:
-            field.residues = tuple(Scalar(field, v) for v in range(p))
         field.zero = field.scalar(0)
         field.one = field.scalar(1)
         # two threads may build the same field; setdefault keeps the first
@@ -312,7 +309,11 @@ def enumerate_vectors(field: Field, length: int) -> Iterator[tuple]:
 
 
 class Matrix:
-    """Dense exact matrix; rows is a tuple of row tuples of Scalars."""
+    """Dense exact matrix; rows is a tuple of row tuples of Scalars.
+
+    Matrix(field, rows) reads the shape off the rows (no rows: 0 x 0); zeros,
+    from_cols and every result carry their exact shape, 0 x n included.
+    """
 
     __slots__ = ("field", "nrows", "ncols", "rows", "_rref")
 
@@ -330,17 +331,19 @@ class Matrix:
 
     @classmethod
     def from_cols(cls, field: Field, cols) -> "Matrix":
-        if not cols:
-            return cls(field, [])
-        return cls(field, [[c[i] for c in cols] for i in range(len(cols[0]))])
+        nrows = len(cols[0]) if cols else 0
+        if any(len(c) != nrows for c in cols):
+            raise DimensionMismatch("ragged columns")
+        rows = tuple(tuple(field.scalar(c[i]) for c in cols) for i in range(nrows))
+        return cls._of_scalars(field, rows, len(cols))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, [basis_vector(field, n, i) for i in range(n)])
+        return cls._of_scalars(field, tuple(basis_vector(field, n, i) for i in range(n)), n)
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, [zero_vector(field, ncols)] * nrows)
+        return cls._of_scalars(field, (zero_vector(field, ncols),) * nrows, ncols)
 
     # -- basic algebra -------------------------------------------------------
 
@@ -352,14 +355,14 @@ class Matrix:
 
     def __add__(self, other):
         self._check_same_shape(other)
-        return Matrix._of_scalars(self.field, tuple(map(vadd, self.rows, other.rows)))
+        return Matrix._of_scalars(self.field, tuple(map(vadd, self.rows, other.rows)), self.ncols)
 
     def __sub__(self, other):
         self._check_same_shape(other)
-        return Matrix._of_scalars(self.field, tuple(map(vsub, self.rows, other.rows)))
+        return Matrix._of_scalars(self.field, tuple(map(vsub, self.rows, other.rows)), self.ncols)
 
     def __neg__(self):
-        return Matrix._of_scalars(self.field, tuple(map(vneg, self.rows)))
+        return Matrix._of_scalars(self.field, tuple(map(vneg, self.rows)), self.ncols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -367,13 +370,14 @@ class Matrix:
                 raise FieldMismatch(f"{self.field} vs {other.field}")
             if self.ncols != other.nrows:
                 raise DimensionMismatch("inner dimensions differ")
-            cols = list(zip(*other.rows)) if other.rows else []
+            cols = list(zip(*other.rows)) if other.rows else [()] * other.ncols
             return Matrix._of_scalars(
                 self.field,
                 tuple(tuple(_dot(row, col, self.field) for col in cols) for row in self.rows),
+                other.ncols,
             )
         c = self.field.scalar(other)
-        return Matrix._of_scalars(self.field, tuple(vscale(c, r) for r in self.rows))
+        return Matrix._of_scalars(self.field, tuple(vscale(c, r) for r in self.rows), self.ncols)
 
     __rmul__ = __mul__
 
@@ -383,7 +387,8 @@ class Matrix:
         return tuple(_dot(row, v, self.field) for row in self.rows)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.rows)) if self.rows else [])
+        rows = tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
+        return Matrix._of_scalars(self.field, rows, self.nrows)
 
     def col(self, j: int) -> tuple:
         return tuple(row[j] for row in self.rows)
@@ -394,12 +399,13 @@ class Matrix:
     def stack(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.ncols or self.field != other.field:
             raise DimensionMismatch("cannot stack")
-        return Matrix._of_scalars(self.field, self.rows + other.rows)
+        return Matrix._of_scalars(self.field, self.rows + other.rows, self.ncols)
 
     def augment(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows or self.field != other.field:
             raise DimensionMismatch("cannot augment")
-        return Matrix._of_scalars(self.field, tuple(r + s for r, s in zip(self.rows, other.rows)))
+        rows = tuple(r + s for r, s in zip(self.rows, other.rows))
+        return Matrix._of_scalars(self.field, rows, self.ncols + other.ncols)
 
     def is_zero(self) -> bool:
         return all(is_zero_vector(r) for r in self.rows)
@@ -411,6 +417,7 @@ class Matrix:
         return (
             isinstance(other, Matrix)
             and self.field == other.field
+            and self.ncols == other.ncols
             and self.rows == other.rows
         )
 
@@ -424,18 +431,17 @@ class Matrix:
     # -- elimination ---------------------------------------------------------
 
     @classmethod
-    def _of_scalars(cls, field: Field, rows: tuple, ncols: Optional[int] = None) -> "Matrix":
-        """A matrix from row tuples already holding Scalars of `field`.
+    def _of_scalars(cls, field: Field, rows: tuple, ncols: int) -> "Matrix":
+        """An ncols-wide matrix from row tuples already holding Scalars of `field`.
 
-        Without ncols the shape is read off the rows as the constructor reads
-        it: the length of the first row, 0 when there are no rows.
+        Nothing is coerced or checked; every result built inside the library
+        comes through here with its exact shape, so a matrix with no rows
+        keeps its column count.
         """
         m = object.__new__(cls)
         m.field = field
         m.rows = rows
         m.nrows = len(rows)
-        if ncols is None:
-            ncols = len(rows[0]) if rows else 0
         m.ncols = ncols
         m._rref = None
         return m
@@ -459,11 +465,7 @@ class Matrix:
         else:
             rows, pivots = _residue_rref([[x.value for x in row] for row in self.rows],
                                          self.ncols, field.p)
-            table = field.residues
-            if table is not None:
-                boxed = [tuple(map(table.__getitem__, row)) for row in rows[:len(pivots)]]
-            else:
-                boxed = [tuple(Scalar(field, x) for x in row) for row in rows[:len(pivots)]]
+            boxed = [tuple(Scalar(field, x) for x in row) for row in rows[:len(pivots)]]
         boxed += [(field.zero,) * self.ncols] * (self.nrows - len(pivots))
         result = (Matrix._of_scalars(field, tuple(boxed), self.ncols), tuple(pivots))
         self._rref = result
@@ -507,7 +509,7 @@ class Matrix:
             rows, scale = _clear_denominators(self.rows)
             return Scalar(field, Fraction(_bareiss_det(rows), scale))
         value = _residue_det([[x.value for x in row] for row in self.rows], field.p)
-        return field.residues[value] if field.residues is not None else Scalar(field, value)
+        return Scalar(field, value)
 
     def inverse(self) -> Optional["Matrix"]:
         if self.nrows != self.ncols:

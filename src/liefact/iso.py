@@ -214,15 +214,9 @@ def _search_isomorphisms(
         if not dom:
             return None
         rows, rhs = constraints_for(k)
-        if not rows:
-            return zero_vector(f, len(dom)), list(
-                basis_vector(f, len(dom), t) for t in range(len(dom))
-            ), dom
         # substitute x = sum t_a dom_a and solve for t
-        m_rows = []
-        for row in rows:
-            m_rows.append(tuple(dot(row, d, f) for d in dom))
-        sol = Matrix(f, m_rows).solve(tuple(rhs))
+        m_rows = tuple(tuple(dot(row, d, f) for d in dom) for row in rows)
+        sol = Matrix._of_scalars(f, m_rows, len(dom)).solve(tuple(rhs))
         if sol is None:
             return None
         part, null = sol

@@ -265,19 +265,29 @@ class LieAlgebra:
         return cls.from_named_brackets(field, names, named)
 
 
-def load_algebra(path) -> LieAlgebra:
+def read_json(path):
+    """The JSON value in a file; a parse error is a FormatError naming the
+    line and column."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return LieAlgebra.from_json_dict(data)
+
+
+def write_json(path, data) -> None:
+    """Write data as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def load_algebra(path) -> LieAlgebra:
+    return LieAlgebra.from_json_dict(read_json(path))
 
 
 def dump_algebra(algebra: LieAlgebra, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(algebra.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, algebra.to_json_dict())
 
 
 class Subspace:
@@ -527,12 +537,8 @@ def invariant_bilinear_forms(algebra: LieAlgebra, symmetric: bool = False) -> li
             row[a * n + b] = f.one
             row[b * n + a] = -f.one
             rows.append(tuple(row))
-    if not rows:
-        sols = [basis_vector(f, n * n, t) for t in range(n * n)]
-    else:
-        sols = Matrix(f, rows).nullspace()
     forms = []
-    for flat in sols:
+    for flat in Matrix._of_scalars(f, tuple(rows), n * n).nullspace():
         gram = Matrix(f, [flat[r * n : (r + 1) * n] for r in range(n)])
         forms.append(BilinearForm(algebra, gram))
     return forms

@@ -9,7 +9,6 @@ every codimension-1 extension in this toolkit is produced.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,7 +40,9 @@ from .liecore import (
     basis_pairs,
     defects,
     direct_product,
+    read_json,
     subalgebra_structure,
+    write_json,
 )
 
 
@@ -152,18 +153,11 @@ class MatchedPair:
 
 
 def load_pair(path) -> MatchedPair:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return MatchedPair.from_json_dict(data)
+    return MatchedPair.from_json_dict(read_json(path))
 
 
 def dump_pair(pair: MatchedPair, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(pair.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, pair.to_json_dict())
 
 
 def check_matched_pair(mp: MatchedPair) -> list:

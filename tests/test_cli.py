@@ -177,6 +177,18 @@ def test_aut_triples_over_budget_is_an_input_error(tmp_path, capsys):
     assert "h0 fiber" in lines[0]
 
 
+def test_aut_reports_where_the_delta_file_is_broken(tmp_path, capsys):
+    sl2 = tmp_path / "sl2.json"
+    liecore.dump_algebra(matched.make_sl2(Field.gf(3)), sl2)
+    delta_file = tmp_path / "broken.json"
+    delta_file.write_text('{"entries":\n  [[1, 0], }')
+    code, out, err = run(capsys, "aut", "--algebra", str(sl2), "--delta", str(delta_file))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error: ")
+    assert "line 2 column 12" in lines[0]
+
+
 def test_paper_verify_cli(capsys):
     code, out, _ = run(capsys, "paper-verify", "h5-der-dim")
     assert code == 0 and "PASS h5-der-dim" in out

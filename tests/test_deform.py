@@ -188,6 +188,11 @@ def test_sweep_with_zero_dimensional_g():
     assert [(d.matrix.nrows, d.matrix.ncols) for d in maps] == [(0, 3)]
 
 
+def test_zero_map_from_a_zero_dimensional_g_is_a_deformation_map():
+    mp = matched.MatchedPair(liecore.LieAlgebra.abelian(F5, 0), matched.make_l(1, F5))
+    assert is_deformation_map(mp, Matrix.zeros(F5, 0, 3))
+
+
 def test_sweep_over_a_large_prime_field():
     big = Field.gf(4099)
     maps = enumerate_deformation_maps(_line_pair(big))

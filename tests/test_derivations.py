@@ -8,6 +8,7 @@ from liefact import liecore, matched
 from liefact.derivations import (
     TnElement,
     TwistedDerivation,
+    admissible_lambdas,
     canonical_solution_span,
     derivation_space,
     enumerate_twisted_derivations,
@@ -80,6 +81,16 @@ def test_h5_derivation_space_dimension_and_pattern():
 
 def test_abelian_derivations_are_all_maps():
     assert len(derivation_space(liecore.LieAlgebra.abelian(Q, 2))) == 4
+
+
+@pytest.mark.parametrize("field", [Q, F5], ids=["Q", "GF5"])
+@pytest.mark.parametrize("dim, counts", [(1, (1, 1, 1)), (2, (4, 2, 4))])
+def test_systems_without_equations_give_the_whole_space(field, dim, counts):
+    # abelian algebras make the derivation, covector and form systems empty
+    ab = liecore.LieAlgebra.abelian(field, dim)
+    got = (len(derivation_space(ab)), len(admissible_lambdas(ab)),
+           len(liecore.invariant_bilinear_forms(ab)))
+    assert got == counts
 
 
 def test_sl2_derivations_all_inner():

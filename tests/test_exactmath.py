@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liefact.errors import BadParameter, FieldMismatch, FormatError, NotFinite
+from liefact.errors import BadParameter, DimensionMismatch, FieldMismatch, FormatError, NotFinite
 from liefact.exactmath import (
     Field,
     _clear_denominators,
@@ -34,7 +34,7 @@ F2 = Field.gf(2)
 F3 = Field.gf(3)
 F5 = Field.gf(5)
 F7 = Field.gf(7)
-F_BIG = Field.gf(2**31 - 1)  # above the residue-table limit
+F_BIG = Field.gf(2**31 - 1)
 
 
 def qm(rows):
@@ -294,6 +294,67 @@ def test_matrix_operations_match_the_coercing_constructor(field):
         assert res == ref and (res.nrows, res.ncols) == (ref.nrows, ref.ncols)
         assert all(type(x) is Scalar and x.field is field for row in res.rows for x in row)
     assert (thin * empty).nrows == 2 and (a + b).rows[0][2] == field.scalar("3/2")
+
+
+# -- exact shapes: matrices with no rows or no columns keep their width ----------
+
+
+def test_zero_row_matrix_keeps_its_width():
+    m = Matrix.zeros(F5, 0, 3)
+    assert (m.nrows, m.ncols) == (0, 3) and m != Matrix.zeros(F5, 0, 2)
+    assert m.nullspace() == [basis_vector(F5, 3, i) for i in range(3)]
+
+
+def test_product_through_an_empty_inner_dimension_is_zero():
+    assert Matrix.zeros(F5, 2, 0) * Matrix.zeros(F5, 0, 3) == Matrix.zeros(F5, 2, 3)
+
+
+def test_transpose_swaps_empty_shapes():
+    t = Matrix.zeros(Q, 0, 3).transpose()
+    assert (t.nrows, t.ncols) == (3, 0)
+    back = t.transpose()
+    assert (back.nrows, back.ncols) == (0, 3)
+
+
+def test_from_cols_of_empty_columns():
+    m = Matrix.from_cols(Q, [(), ()])
+    assert (m.nrows, m.ncols) == (0, 2)
+    for ragged in ([(1,), (3, 4)], [(1, 2), (3,)]):
+        with pytest.raises(DimensionMismatch):
+            Matrix.from_cols(Q, ragged)
+
+
+@st.composite
+def _product_operands(draw):
+    field = draw(st.sampled_from((Q, F2, F7)))
+    k, m, n = (draw(st.integers(0, 4)) for _ in range(3))
+    entry = _entry(field)
+    a = draw(_grid(entry, k, m))
+    b = draw(_grid(entry, m, n))
+    return field, (k, m, n), a, b
+
+
+def _from_grid(field, grid, ncols):
+    # the public constructor reads a row-less grid as 0 x 0, so widen it
+    return Matrix.zeros(field, 0, ncols) if not grid else Matrix(field, grid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_product_operands())
+def test_shapes_are_exact_in_products_and_solves(operands):
+    field, (k, m, n), a_grid, b_grid = operands
+    a, b = _from_grid(field, a_grid, m), _from_grid(field, b_grid, n)
+    prod = a * b
+    assert (prod.nrows, prod.ncols) == (k, n)
+    oracle = [[field.scalar(sum((a_grid[i][t] * b_grid[t][j] for t in range(m)), 0))
+               for j in range(n)] for i in range(k)]
+    assert [list(row) for row in prod.rows] == oracle
+    for mat in (a, b, prod):
+        null = mat.nullspace()
+        assert mat.rank() + len(null) == mat.ncols
+        assert all(len(v) == mat.ncols and is_zero_vector(mat.mul_vector(v)) for v in null)
+        x, basis = mat.solve(zero_vector(field, mat.nrows))
+        assert x == zero_vector(field, mat.ncols) and basis == null
 
 
 # -- elimination kernel against the boxed reference loops ------------------------
