@@ -1,13 +1,15 @@
 """Command-line surface: algebra I/O, solver commands, scenario runner.
 
 Exit codes: 0 success, 1 mathematical failure (e.g. a Jacobi violation or a
-failed verification scenario), 2 input error (parse errors, bad arguments).
+failed verification scenario) or a closed output pipe, 2 input error (parse
+errors, bad arguments, unreadable or unwritable files).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import (
@@ -483,8 +485,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (FormatError, BadParameter, UnknownScenario, FileNotFoundError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (e.g. `| head`); send the rest of the
+        # output, including the flush at exit, to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (FormatError, BadParameter, UnknownScenario, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_FAIL
     except BudgetExceeded as exc:

@@ -10,7 +10,10 @@ Complements of g in the bicrossed product are exactly the r-deformations up
 to isomorphism, so classifying the deformed algebras computes the
 factorization index.  Enumeration is exhaustive over finite fields: the
 compatibility is quadratic in r, and desk-scale p^(dim g * dim h) candidate
-sweeps are cheap and certain; closed forms act as cross-checks.
+sweeps are cheap and certain; closed forms act as cross-checks.  Each named
+deformed family is built from its datum: r_deformation of a canonical pair
+by a closed-form map, whose row is written once and shared with the
+closed-form families.
 
 The compatibility of a pair is built once, on first use, into fixed linear
 and quadratic terms on the entries of r with raw coefficients (residues over
@@ -46,7 +49,7 @@ from .exactmath import (
     vsub,
 )
 from .liecore import LieAlgebra, basis_pairs, derived_series
-from .matched import MatchedPair, canonical_pair_L, canonical_pair_m, _finish, _lnames
+from .matched import MatchedPair, canonical_pair_L, canonical_pair_m, _finish
 from .iso import are_isomorphic, fingerprint
 
 
@@ -224,6 +227,36 @@ def _nonzero_vectors(field: Field, n: int) -> Iterator[tuple]:
     return ((a,) for a in enumerate_vectors(field, n) if _nonzero(a))
 
 
+# The closed-form deformation maps of the two canonical pairs, one row of
+# H-coordinates of r(E_1), ..., r(E_n), r(F_1), ..., r(F_n), r(G) each.  The
+# families below and the deformed algebras at the end of this module share them.
+
+
+def _L_a(field: Field, n: int, a) -> Matrix:
+    """r(E_i) = a_i H, r(G) = H."""
+    return Matrix(field, [list(a) + [field.zero] * n + [field.one]])
+
+
+def _L_bc(field: Field, n: int, b, c) -> Matrix:
+    """r(F_i) = b_i H, r(G) = c H."""
+    return Matrix(field, [[field.zero] * n + list(b) + [c]])
+
+
+def _m_a(field: Field, n: int, a) -> Matrix:
+    """r(E_i) = a_i H, r(G) = (a_1 - 1) H."""
+    return Matrix(field, [list(a) + [field.zero] * n + [a[0] - field.one]])
+
+
+def _m_b(field: Field, n: int, b) -> Matrix:
+    """r(F_i) = b_i H, r(G) = (b_n + 1) H."""
+    return Matrix(field, [[field.zero] * n + list(b) + [b[n - 1] + field.one]])
+
+
+def _m_c(field: Field, n: int, c) -> Matrix:
+    """r(G) = c H."""
+    return Matrix(field, [[field.zero] * (2 * n) + [c]])
+
+
 def closed_form_defmaps_L(n: int, field: Field) -> list:
     """The two families for the canonical pair of kH inside L(2n+2):
     a-family (a != 0): r(E_i) = a_i H, r(G) = H;
@@ -231,13 +264,6 @@ def closed_form_defmaps_L(n: int, field: Field) -> list:
     if field.characteristic() == 2:
         raise CharTwo("the closed form assumes characteristic != 2")
     mp = canonical_pair_L(n, field)
-    z = field.zero
-
-    def build_a(a):
-        return Matrix(field, [list(a) + [z] * n + [field.one]])
-
-    def build_bc(b, c):
-        return Matrix(field, [[z] * n + list(b) + [c]])
 
     def iter_bc():
         for b in enumerate_vectors(field, n):
@@ -245,8 +271,8 @@ def closed_form_defmaps_L(n: int, field: Field) -> list:
                 yield (b, c)
 
     return [
-        DeformationFamily("a", mp, build_a, partial(_nonzero_vectors, field, n), _nonzero),
-        DeformationFamily("bc", mp, build_bc, iter_bc),
+        DeformationFamily("a", mp, partial(_L_a, field, n), partial(_nonzero_vectors, field, n), _nonzero),
+        DeformationFamily("bc", mp, partial(_L_bc, field, n), iter_bc),
     ]
 
 
@@ -258,17 +284,6 @@ def closed_form_defmaps_m(n: int, field: Field) -> list:
     if field.characteristic() == 2:
         raise CharTwo("the closed form assumes characteristic != 2")
     mp = canonical_pair_m(n, field)
-    z = field.zero
-    one = field.one
-
-    def build_a(a):
-        return Matrix(field, [list(a) + [z] * n + [a[0] - one]])
-
-    def build_b(b):
-        return Matrix(field, [[z] * n + list(b) + [b[n - 1] + one]])
-
-    def build_c(c):
-        return Matrix(field, [[z] * (2 * n) + [c]])
 
     def iter_c():
         for c in field.elements():
@@ -276,9 +291,9 @@ def closed_form_defmaps_m(n: int, field: Field) -> list:
 
     nonzero_vectors = partial(_nonzero_vectors, field, n)
     return [
-        DeformationFamily("a", mp, build_a, nonzero_vectors, _nonzero),
-        DeformationFamily("b", mp, build_b, nonzero_vectors, _nonzero),
-        DeformationFamily("c", mp, build_c, iter_c),
+        DeformationFamily("a", mp, partial(_m_a, field, n), nonzero_vectors, _nonzero),
+        DeformationFamily("b", mp, partial(_m_b, field, n), nonzero_vectors, _nonzero),
+        DeformationFamily("c", mp, partial(_m_c, field, n), iter_c),
     ]
 
 
@@ -421,7 +436,11 @@ def _classify_registered_infinite(mp: MatchedPair) -> Optional[ComplementReport]
     )
 
 
-# -- deformed families with closed-form brackets ----------------------------------
+# -- deformed families: r-deformations of the canonical pairs ---------------------
+#
+# Each is a gate on its parameters, then its closed-form map, then
+# r_deformation.  They build in every characteristic, so they take the maps
+# directly rather than through the families' characteristic check.
 
 
 def _vector_param(field: Field, a, allow_zero: bool) -> tuple:
@@ -437,105 +456,43 @@ def make_l_a(field: Field, a) -> LieAlgebra:
     """a-family deformation of l(2n+1,k) for the L-extension pair (a != 0)."""
     a = _vector_param(field, a, allow_zero=False)
     n = len(a)
-    names = _lnames(n)
-    br = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            br[(names[i], names[j])] = [(names[j], a[i]), (names[i], -a[j])]
-        for j in range(n):
-            if a[i]:
-                br.setdefault((names[i], names[n + j]), []).append((names[n + j], -a[i]))
-        if a[i]:
-            br[(names[i], "G")] = [("G", -a[i])]
-    return _finish(field, names, br)
+    return r_deformation(canonical_pair_L(n, field), _L_a(field, n, a))
 
 
 def make_lp_b(field: Field, b) -> LieAlgebra:
-    """b-family deformation (primed) of l(2n+1,k) for the L-extension pair."""
+    """b-family deformation (primed) of l(2n+1,k) for the L-extension pair:
+    the (b, c = 2) map."""
     b = _vector_param(field, b, allow_zero=True)
     n = len(b)
-    names = _lnames(n)
-    br = {}
-    for i in range(n):
-        for j in range(n):
-            if b[j]:
-                br.setdefault((names[i], names[n + j]), []).append((names[i], -b[j]))
-        br[(names[i], "G")] = [(names[i], -1)]
-        for j in range(i + 1, n):
-            br[(names[n + i], names[n + j])] = [(names[n + i], b[j]), (names[n + j], -b[i])]
-        br[(names[n + i], "G")] = [(names[n + i], 1), ("G", -b[i])]
-    return _finish(field, names, br)
+    return r_deformation(canonical_pair_L(n, field), _L_bc(field, n, b, 2))
 
 
 def make_lpp_b(field: Field, b) -> LieAlgebra:
-    """b-family deformation (double primed) of l(2n+1,k); b = 0 gives the
-    abelian algebra."""
+    """b-family deformation (double primed) of l(2n+1,k): the (b, c = 1) map;
+    b = 0 gives the abelian algebra."""
     b = _vector_param(field, b, allow_zero=True)
     n = len(b)
-    names = _lnames(n)
-    br = {}
-    for i in range(n):
-        for j in range(n):
-            if b[j]:
-                br.setdefault((names[i], names[n + j]), []).append((names[i], -b[j]))
-        for j in range(i + 1, n):
-            br[(names[n + i], names[n + j])] = [(names[n + i], b[j]), (names[n + j], -b[i])]
-        if b[i]:
-            br[(names[n + i], "G")] = [("G", -b[i])]
-    return _finish(field, names, br)
+    return r_deformation(canonical_pair_L(n, field), _L_bc(field, n, b, 1))
 
 
 def make_lbar_a(field: Field, a) -> LieAlgebra:
     """a-family deformation of l(2n+1,k) for the m-extension pair (a != 0)."""
     a = _vector_param(field, a, allow_zero=False)
     n = len(a)
-    names = _lnames(n)
-    two = field.scalar(2)
-    br = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            br[(names[i], names[j])] = [(names[i], a[j]), (names[j], -a[i])]
-        for j in range(n):
-            if a[i]:
-                br.setdefault((names[i], names[n + j]), []).append((names[n + j], -a[i]))
-        terms = [(names[i], a[0]), (names[0], -a[i]), (names[2 * n - 1], -a[i])]
-        br[(names[i], "G")] = terms
-        br[("G", names[n + i])] = [(names[n + i], two - a[0])]
-    return _finish(field, names, br)
+    return r_deformation(canonical_pair_m(n, field), _m_a(field, n, a))
 
 
 def make_lbarp_b(field: Field, b) -> LieAlgebra:
     """b-family deformation of l(2n+1,k) for the m-extension pair (b != 0)."""
     b = _vector_param(field, b, allow_zero=False)
     n = len(b)
-    names = _lnames(n)
-    two = field.scalar(2)
-    br = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            br[(names[n + i], names[n + j])] = [(names[n + i], b[j]), (names[n + j], -b[i])]
-        for j in range(n):
-            if b[j]:
-                br.setdefault((names[i], names[n + j]), []).append((names[i], b[j]))
-        br[(names[i], "G")] = [(names[i], two + b[n - 1])]
-        br[("G", names[n + i])] = [
-            (names[0], b[i]),
-            (names[2 * n - 1], b[i]),
-            (names[n + i], -b[n - 1]),
-        ]
-    return _finish(field, names, br)
+    return r_deformation(canonical_pair_m(n, field), _m_b(field, n, b))
 
 
 def make_lbarpp_c(field: Field, c, n: int = 1) -> LieAlgebra:
     """c-family deformation of l(2n+1,k) for the m-extension pair."""
     c = field.scalar(c)
-    one = field.one
-    names = _lnames(n)
-    br = {}
-    for i in range(n):
-        br[(names[i], "G")] = [(names[i], one + c)]
-        br[("G", names[n + i])] = [(names[n + i], one - c)]
-    return _finish(field, names, br)
+    return r_deformation(canonical_pair_m(n, field), _m_c(field, n, c))
 
 
 def make_h_a(field: Field, a) -> LieAlgebra:

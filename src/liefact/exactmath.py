@@ -161,7 +161,7 @@ class Field:
         if kind == "Fp":
             try:
                 return cls.gf(int(data["p"]))
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise FormatError(f"bad field record: {data!r}") from exc
         raise FormatError(f"unknown field kind {kind!r}")
 
@@ -263,6 +263,12 @@ class Scalar:
 
 
 # -- vectors: plain tuples of Scalars ---------------------------------------
+
+
+def _is_json_scalar(x) -> bool:
+    """Whether a value read from a JSON file can be a field element: an
+    integer or a string (booleans and floats are not)."""
+    return isinstance(x, (int, str)) and not isinstance(x, bool)
 
 
 def zero_vector(field: Field, n: int) -> tuple:
@@ -530,9 +536,12 @@ class Matrix:
 
     @classmethod
     def from_json(cls, field: Field, data) -> "Matrix":
-        if not isinstance(data, dict) or "entries" not in data:
+        entries = data.get("entries") if isinstance(data, dict) else None
+        if not isinstance(entries, list) or not all(
+            isinstance(row, list) and all(map(_is_json_scalar, row)) for row in entries
+        ):
             raise FormatError(f"bad matrix record: {data!r}")
-        return cls(field, data["entries"])
+        return cls(field, entries)
 
 
 # -- elimination kernels: plain ints in, plain ints out -------------------------

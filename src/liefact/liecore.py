@@ -42,6 +42,7 @@ from .exactmath import (
     vadd,
     vsub,
     zero_vector,
+    _is_json_scalar,
 )
 
 
@@ -251,28 +252,47 @@ class LieAlgebra:
                 raise FormatError(f"algebra record missing {key!r}")
         field = Field.from_json(data["field"])
         names = data["basis"]
-        if not isinstance(names, list) or len(names) != data["dim"]:
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise FormatError("basis must be a list of names")
+        if len(names) != data["dim"]:
             raise FormatError("dim does not match the basis list")
+        if not isinstance(data["brackets"], list):
+            raise FormatError("brackets must be a list of records")
         named = {}
         for rec in data["brackets"]:
             try:
                 lhs, rhs, out = rec["lhs"], rec["rhs"], rec["out"]
             except (TypeError, KeyError) as exc:
                 raise FormatError(f"bad bracket record {rec!r}") from exc
+            if not isinstance(lhs, str) or not isinstance(rhs, str):
+                raise FormatError(f"bad bracket record {rec!r}")
             if (lhs, rhs) in named:
                 raise FormatError(f"pair ({lhs}, {rhs}) listed twice")
-            named[(lhs, rhs)] = [(n, c) for n, c in out]
+            named[(lhs, rhs)] = _json_terms(out, rec)
         return cls.from_named_brackets(field, names, named)
 
 
+def _json_terms(out, rec) -> list:
+    """The (name, coefficient) pairs of the "out" list of a file record;
+    names are strings, coefficients integers or strings."""
+    if not isinstance(out, list) or not all(
+        isinstance(t, list) and len(t) == 2 and isinstance(t[0], str) and _is_json_scalar(t[1])
+        for t in out
+    ):
+        raise FormatError(f"bad output terms in record {rec!r}")
+    return [tuple(t) for t in out]
+
+
 def read_json(path):
-    """The JSON value in a file; a parse error is a FormatError naming the
-    line and column."""
+    """The JSON value in a file; text that is not UTF-8 or not JSON is a
+    FormatError naming where it breaks."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
 
 
 def write_json(path, data) -> None:

@@ -5,6 +5,12 @@ A matched pair carries two Lie algebras g, h and mutual actions
 mixed compatibilities; the bicrossed product glues g and h along them.  The
 dimension-1 case is equivalent to a twisted derivation of h, which is how
 every codimension-1 extension in this toolkit is produced.
+
+Each named extension of l(2n+1,k) is built from its datum: a gate on the
+parameters, then a Tn block datum (TnElement), then one construction that
+appends H with [X, H] = Delta(X) + lambda(X) H.  The canonical pairs of L and
+m are pair_from_twisted of the same data, so an algebra and its pair share
+one definition.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from .errors import (
     InvalidTwistedDerivation,
     NotAFactorization,
 )
-from .derivations import TwistedDerivation
+from .derivations import TnElement, TwistedDerivation, tn_to_twisted
 from .exactmath import (
     Field,
     Matrix,
@@ -30,7 +36,6 @@ from .exactmath import (
     lincomb,
     vadd,
     vneg,
-    vscale,
     vsub,
     zero_vector,
 )
@@ -43,6 +48,7 @@ from .liecore import (
     read_json,
     subalgebra_structure,
     write_json,
+    _json_terms,
 )
 
 
@@ -132,12 +138,14 @@ class MatchedPair:
         h = LieAlgebra.from_json_dict(data["h"])
 
         def read(entries, target: LieAlgebra):
+            if not isinstance(entries, (list, type(None))):
+                raise FormatError("an action table must be a list of records")
             table = {}
             for rec in entries or []:
                 try:
                     xi = h.name_index(rec["x"])
                     gj = g.name_index(rec["g"])
-                    out = rec["out"]
+                    out = _json_terms(rec["out"], rec)
                 except (TypeError, KeyError) as exc:
                     raise FormatError(f"bad action record {rec!r}") from exc
                 if (xi, gj) in table:
@@ -338,33 +346,16 @@ def h_lambda_delta(h: LieAlgebra, t: TwistedDerivation, name: Optional[str] = No
 
 
 def canonical_pair_L(n: int, field: Field) -> MatchedPair:
-    """Canonical actions of the extension kH inside L(2n+2): E_i <| H = -E_i,
-    F_i <| H = F_i, G <| H = G, G |> H = H."""
-    h = make_l(n, field)
-    g = LieAlgebra.abelian(field, 1, ("H",))
-    right = {}
-    left = {}
-    for i in range(n):
-        right[(i, 0)] = vscale(-field.one, basis_vector(field, h.dim, i))
-        right[(n + i, 0)] = basis_vector(field, h.dim, n + i)
-    right[(2 * n, 0)] = basis_vector(field, h.dim, 2 * n)
-    left[(2 * n, 0)] = (field.one,)
-    return MatchedPair(g, h, right=right, left=left)
+    """Canonical actions of the extension kH inside L(2n+2), from the datum of
+    make_L: E_i <| H = -E_i, F_i <| H = F_i, G <| H = G, G |> H = H."""
+    return pair_from_twisted(make_l(n, field), tn_to_twisted(_L_datum(n, field)), "H")
 
 
 def canonical_pair_m(n: int, field: Field) -> MatchedPair:
-    """Canonical actions of kH inside m(2n+2): E_i <| H = E_i, F_i <| H = F_i,
-    G <| H = E_1 + F_n; the left action is trivial."""
-    h = make_l(n, field)
-    g = LieAlgebra.abelian(field, 1, ("H",))
-    right = {}
-    for i in range(n):
-        right[(i, 0)] = basis_vector(field, h.dim, i)
-        right[(n + i, 0)] = basis_vector(field, h.dim, n + i)
-    right[(2 * n, 0)] = vadd(
-        basis_vector(field, h.dim, 0), basis_vector(field, h.dim, 2 * n - 1)
-    )
-    return MatchedPair(g, h, right=right)
+    """Canonical actions of kH inside m(2n+2), from the datum of make_m:
+    E_i <| H = E_i, F_i <| H = F_i, G <| H = E_1 + F_n; the left action is
+    trivial."""
+    return pair_from_twisted(make_l(n, field), tn_to_twisted(_m_datum(n, field)), "H")
 
 
 # -- named families -------------------------------------------------------------
@@ -403,26 +394,55 @@ def make_l(n: int, field: Field) -> LieAlgebra:
     return _finish(field, *_l_brackets(n))
 
 
+def _extension(t: TnElement) -> LieAlgebra:
+    """l(2n+1,k) extended by H, appended last, along the twisted derivation
+    of the datum t: [X, H] = Delta(X) + lambda(X) H."""
+    tw = tn_to_twisted(t)
+    names, br = _l_brackets(t.n, ("H",))
+    for x, name in enumerate(names[:-1]):
+        terms = zip(names, tw.delta.col(x) + (tw.lam[x],))
+        br[(name, "H")] = [(y, c) for y, c in terms if c]
+    return _finish(t.field, names, br)
+
+
+def _datum(n: int, field: Field, lam0, delta, A=None, B=None, C=None, D=None) -> TnElement:
+    """The gated block datum of a family at lambda0 = lam0.
+
+    Given blocks must be n x n and missing ones are zero.  With lam0 != 0 the
+    block constraints force A = -(delta_last/lam0) I = -D, and delta has all
+    2n+1 entries; with lam0 = 0 they force delta_last = 0, and delta lists
+    the first 2n.
+    """
+    _lnames(n)
+    A, B, C, D = (Matrix.zeros(field, n, n) if m is None else _block(field, n, m) for m in (A, B, C, D))
+    if not lam0:
+        delta = _delta_scalars(field, delta, 2 * n) + (field.zero,)
+    else:
+        delta = _delta_scalars(field, delta, 2 * n + 1)
+        s = delta[-1] * lam0.inverse()
+        A, D = -s * Matrix.identity(field, n), s * Matrix.identity(field, n)
+    return TnElement(n, A, B, C, D, lam0, delta)
+
+
+def _L_datum(n: int, field: Field) -> TnElement:
+    """lambda(G) = 1, Delta = diag(-1 on E, 1 on F, 1 on G)."""
+    return _datum(n, field, field.one, [0] * (2 * n) + [1])
+
+
+def _m_datum(n: int, field: Field) -> TnElement:
+    """lambda = 0, A = D = I, Delta(G) = E_1 + F_n."""
+    ident = Matrix.identity(field, n)
+    return _datum(n, field, field.zero, [int(k in (0, 2 * n - 1)) for k in range(2 * n)], A=ident, D=ident)
+
+
 def make_L(n: int, field: Field) -> LieAlgebra:
     """L(2n+2,k), the pinned extension with [G, H] = H + G."""
-    names, br = _l_brackets(n, ("H",))
-    for i in range(n):
-        e, f_ = names[i], names[n + i]
-        br[(e, "H")] = [(e, -1)]
-        br[(f_, "H")] = [(f_, 1)]
-    br[("G", "H")] = [("H", 1), ("G", 1)]
-    return _finish(field, names, br)
+    return _extension(_L_datum(n, field))
 
 
 def make_m(n: int, field: Field) -> LieAlgebra:
     """m(2n+2,k), the pinned extension with [G, H] = E_1 + F_n."""
-    names, br = _l_brackets(n, ("H",))
-    for i in range(n):
-        e, f_ = names[i], names[n + i]
-        br[(e, "H")] = [(e, 1)]
-        br[(f_, "H")] = [(f_, 1)]
-    br[("G", "H")] = [(names[0], 1), (names[2 * n - 1], 1)]
-    return _finish(field, names, br)
+    return _extension(_m_datum(n, field))
 
 
 def _require_char_ne_2(field: Field, what: str):
@@ -449,19 +469,6 @@ def _block(field: Field, n: int, m) -> Matrix:
     return mat
 
 
-def _lambda_family(n: int, field: Field, lam0, delta) -> LieAlgebra:
-    """Brackets shared by make_l1 and make_l2_char2 (lambda0 invertible)."""
-    names, br = _l_brackets(n, ("H",))
-    d = _delta_scalars(field, delta, 2 * n + 1)
-    coef = lam0.inverse() * d[-1]
-    for i in range(n):
-        e, f_ = names[i], names[n + i]
-        br[(e, "H")] = [(e, -coef)]
-        br[(f_, "H")] = [(f_, coef)]
-    br[("G", "H")] = [("H", lam0), ("G", d[-1])] + [(names[j], d[j]) for j in range(2 * n)]
-    return _finish(field, names, br)
-
-
 def make_l1(n: int, field: Field, lambda0, delta) -> LieAlgebra:
     """First char-!=-2 family: lambda0 outside {0, 2, -2}, delta of length 2n+1."""
     _require_char_ne_2(field, "this family")
@@ -469,71 +476,31 @@ def make_l1(n: int, field: Field, lambda0, delta) -> LieAlgebra:
     two = field.scalar(2)
     if lam0 == field.zero or lam0 == two or lam0 == -two:
         raise BadParameter("lambda0 must avoid {0, 2, -2}")
-    return _lambda_family(n, field, lam0, delta)
+    return _extension(_datum(n, field, lam0, delta))
 
 
 def make_l2(n: int, field: Field, A, D, delta) -> LieAlgebra:
     """Second char-!=-2 family (lambda0 = 0): free diagonal blocks A, D."""
     _require_char_ne_2(field, "this family")
-    names, br = _l_brackets(n, ("H",))
-    a = _block(field, n, A)
-    dmat = _block(field, n, D)
-    d = _delta_scalars(field, delta, 2 * n)
-    for i in range(n):
-        e, f_ = names[i], names[n + i]
-        br[(e, "H")] = [(names[j], a.rows[j][i]) for j in range(n)]
-        br[(f_, "H")] = [(names[n + j], dmat.rows[j][i]) for j in range(n)]
-    br[("G", "H")] = [(names[j], d[j]) for j in range(2 * n)]
-    return _finish(field, names, br)
+    return _extension(_datum(n, field, field.zero, delta, A=A, D=D))
 
 
 def make_l3(n: int, field: Field, C, delta) -> LieAlgebra:
     """Third char-!=-2 family (lambda0 = 2): free block C."""
     _require_char_ne_2(field, "this family")
-    names, br = _l_brackets(n, ("H",))
-    c = _block(field, n, C)
-    d = _delta_scalars(field, delta, 2 * n + 1)
-    half = field.scalar(2).inverse() * d[-1]
-    for i in range(n):
-        e, f_ = names[i], names[n + i]
-        br[(e, "H")] = [(e, -half)] + [(names[n + j], c.rows[j][i]) for j in range(n)]
-        br[(f_, "H")] = [(f_, half)]
-    br[("G", "H")] = [("H", 2), ("G", d[-1])] + [(names[j], d[j]) for j in range(2 * n)]
-    return _finish(field, names, br)
+    return _extension(_datum(n, field, field.scalar(2), delta, C=C))
 
 
 def make_l4(n: int, field: Field, B, delta) -> LieAlgebra:
     """Fourth char-!=-2 family (lambda0 = -2): free block B."""
     _require_char_ne_2(field, "this family")
-    names, br = _l_brackets(n, ("H",))
-    b = _block(field, n, B)
-    d = _delta_scalars(field, delta, 2 * n + 1)
-    half = field.scalar(2).inverse() * d[-1]
-    for i in range(n):
-        e, f_ = names[i], names[n + i]
-        br[(e, "H")] = [(e, half)]
-        br[(f_, "H")] = [(names[j], b.rows[j][i]) for j in range(n)] + [(f_, -half)]
-    br[("G", "H")] = [("H", -2), ("G", d[-1])] + [(names[j], d[j]) for j in range(2 * n)]
-    return _finish(field, names, br)
+    return _extension(_datum(n, field, field.scalar(-2), delta, B=B))
 
 
 def make_l1_char2(n: int, field: Field, A, B, C, D, delta) -> LieAlgebra:
     """Characteristic-2 family at lambda0 = 0: all four blocks free."""
     _require_char_2(field, "this family")
-    names, br = _l_brackets(n, ("H",))
-    a, b = _block(field, n, A), _block(field, n, B)
-    c, dmat = _block(field, n, C), _block(field, n, D)
-    d = _delta_scalars(field, delta, 2 * n)
-    for i in range(n):
-        e, f_ = names[i], names[n + i]
-        br[(e, "H")] = [(names[j], a.rows[j][i]) for j in range(n)] + [
-            (names[n + j], c.rows[j][i]) for j in range(n)
-        ]
-        br[(f_, "H")] = [(names[j], b.rows[j][i]) for j in range(n)] + [
-            (names[n + j], dmat.rows[j][i]) for j in range(n)
-        ]
-    br[("G", "H")] = [(names[j], d[j]) for j in range(2 * n)]
-    return _finish(field, names, br)
+    return _extension(_datum(n, field, field.zero, delta, A, B, C, D))
 
 
 def make_l2_char2(n: int, field: Field, lambda0, delta) -> LieAlgebra:
@@ -542,7 +509,7 @@ def make_l2_char2(n: int, field: Field, lambda0, delta) -> LieAlgebra:
     lam0 = field.scalar(lambda0)
     if not lam0:
         raise BadParameter("lambda0 must be nonzero")
-    return _lambda_family(n, field, lam0, delta)
+    return _extension(_datum(n, field, lam0, delta))
 
 
 def make_h5(field: Field) -> LieAlgebra:

@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from liefact.cli import main
 from liefact.exactmath import Field, Matrix
@@ -246,3 +252,80 @@ def test_family_size_below_one_is_an_input_error(capsys):
             assert code == 2
             assert out == ""
             assert err.splitlines() == ["input error: n must be >= 1"]
+
+
+def _l3_with(**changes):
+    record = matched.make_l(1, Q).to_json_dict()
+    record.update(changes)
+    return record
+
+
+def _l3_term(term):
+    return _l3_with(brackets=[{"lhs": "E", "rhs": "G", "out": [term]}])
+
+
+def _write(tmp_path, name, record):
+    path = tmp_path / name
+    path.write_text(json.dumps(record))
+    return str(path)
+
+
+def _validate(record):
+    return lambda tmp_path: ["validate", _write(tmp_path, "alg.json", record)]
+
+
+def _pair_with_right_term(tmp_path):
+    record = matched.canonical_pair_L(1, Q).to_json_dict()
+    record["right_action"][0]["out"] = [["E"]]
+    return ["matched-check", "--pair", _write(tmp_path, "pair.json", record)]
+
+
+def _delta_with_null(tmp_path):
+    sl2 = _write(tmp_path, "sl2.json", matched.make_sl2(Field.gf(3)).to_json_dict())
+    delta = _write(tmp_path, "delta.json", {"entries": [[None, 0, 0], [0, 0, 0], [0, 0, 0]]})
+    return ["aut", "--algebra", sl2, "--delta", delta]
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"basis": ["\xe9"]}'.encode("latin-1"))
+    return ["validate", str(path)]
+
+
+# case -> argv builder; each input used to end in a traceback
+MALFORMED = {
+    "validate-a-directory": lambda tmp_path: ["validate", str(tmp_path)],
+    "out-is-a-directory": lambda tmp_path: ["families", "--make", "l", "--out", str(tmp_path)],
+    "not-utf8": _not_utf8,
+    "brackets-not-a-list": _validate(_l3_with(brackets=5)),
+    "term-without-coefficient": _validate(_l3_term(["E"])),
+    "coefficient-is-a-list": _validate(_l3_term(["E", [1]])),
+    "coefficient-is-null": _validate(_l3_term(["E", None])),
+    "basis-name-is-a-list": _validate(_l3_with(basis=[["E"], "F", "G"], brackets=[])),
+    "action-term-without-coefficient": _pair_with_right_term,
+    "delta-entry-is-null": _delta_with_null,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_an_input_error(case, tmp_path, capsys):
+    code, _, err = run(capsys, *MALFORMED[case](tmp_path))
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error: ")
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "liefact.cli", "families", "--make", "L", "--n", "3", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr

@@ -79,6 +79,37 @@ CASES = {
     "paper_verify_m4_p7": ["paper-verify", "m4-index", "--p", "7", "--json"],
 }
 
+# the named families, one case each, with generic parameters; the recorded
+# outputs pin their structure constants and action tables
+GF5 = ["--field", "Fp", "--p", "5"]
+GF2 = ["--field", "Fp", "--p", "2"]
+FAMILY_CASES = {
+    "families_L_n2": ["--make", "L", "--n", "2"],
+    "families_L_n3": ["--make", "L", "--n", "3"],
+    "families_m_n2": ["--make", "m", "--n", "2"],
+    "families_m_n3": ["--make", "m", "--n", "3"],
+    "families_l1_f5": ["--make", "l1", "--n", "2", *GF5, "--lambda0", "4", "--delta", "1,2,3,4,2"],
+    "families_l2_f5": ["--make", "l2", "--n", "2", *GF5, "--A", "1,2;3,4", "--D", "0,1;2,3", "--delta", "1,2,3,4"],
+    "families_l3_f5": ["--make", "l3", "--n", "2", *GF5, "--C", "1,2;3,4", "--delta", "1,0,2,3,4"],
+    "families_l4_f5": ["--make", "l4", "--n", "2", *GF5, "--B", "2,1;4,3", "--delta", "0,1,2,3,1"],
+    "families_l1c2_f2": [
+        "--make", "l1c2", "--n", "2", *GF2,
+        "--A", "1,1;0,1", "--B", "0,1;1,0", "--C", "1,0;1,1", "--D", "1,1;1,0", "--delta", "1,0,1,1",
+    ],
+    "families_l2c2_f2": ["--make", "l2c2", "--n", "2", *GF2, "--lambda0", "1", "--delta", "1,1,0,1,1"],
+    "families_l_a_f5": ["--make", "l_a", *GF5, "--a", "1,2"],
+    "families_lp_b_f5": ["--make", "lp_b", *GF5, "--b", "3,1"],
+    "families_lp_b_zero_f5": ["--make", "lp_b", *GF5, "--b", "0,0"],
+    "families_lpp_b_f5": ["--make", "lpp_b", *GF5, "--b", "2,4"],
+    "families_lpp_b_zero_f5": ["--make", "lpp_b", *GF5, "--b", "0,0"],
+    "families_lbar_a_f5": ["--make", "lbar_a", *GF5, "--a", "3,4"],
+    "families_lbarp_b_f5": ["--make", "lbarp_b", *GF5, "--b", "1,3"],
+    "families_lbarpp_c_f5": ["--make", "lbarpp_c", "--n", "2", *GF5, "--c", "3"],
+    "families_pair_L_n2": ["--make", "pair-L", "--n", "2"],
+    "families_pair_m_n2": ["--make", "pair-m", "--n", "2"],
+}
+CASES.update({name: ["families", *args, "--json"] for name, args in FAMILY_CASES.items()})
+
 
 def _write_inputs(directory: Path) -> None:
     for name, record in _inputs().items():
