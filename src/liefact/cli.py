@@ -1,5 +1,9 @@
 """Command-line surface: algebra I/O, solver commands, scenario runner.
 
+Every command returns its JSON payload, its text lines and its exit code;
+`main` alone writes and prints them.  `--out` is written before anything is
+printed and only on success, so an unwritable `--out` leaves stdout empty.
+
 Exit codes: 0 success, 1 mathematical failure (e.g. a Jacobi violation or a
 failed verification scenario) or a closed output pipe, 2 input error (parse
 errors, bad arguments, unreadable or unwritable files).
@@ -35,17 +39,6 @@ def _emit(data, as_json: bool, lines) -> None:
             print(line)
 
 
-def _parse_field(args) -> Field:
-    kind = getattr(args, "field", None) or "Q"
-    if kind == "Q":
-        return Field.rationals()
-    if kind == "Fp":
-        if getattr(args, "p", None) is None:
-            raise BadParameter("--field Fp needs --p")
-        return Field.gf(args.p)
-    raise BadParameter(f"unknown field {kind!r}")
-
-
 def _parse_vector(field: Field, text: str) -> tuple:
     return tuple(field.from_string(part) for part in text.split(","))
 
@@ -55,9 +48,12 @@ def _parse_matrix(field: Field, text: str) -> Matrix:
 
 
 # -- commands --------------------------------------------------------------------
+#
+# Each command returns (data, lines, code): the JSON payload, the text-mode
+# lines and the exit code.  `main` writes `--out` and prints.
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args):
     alg = liecore.load_algebra(args.algebra)
     bad = alg.check_jacobi()
     dims = list(liecore.derived_dims(alg))
@@ -67,22 +63,17 @@ def _cmd_validate(args) -> int:
         "dim": alg.dim,
         "derived_dims": dims,
     }
-    _emit(
-        data,
-        args.json,
-        [
-            f"Jacobi: {'OK' if not bad else 'FAIL ' + str(data['violations'])}, "
-            f"dim {alg.dim}, derived dims {dims}"
-        ],
-    )
-    return 0 if not bad else MATH_FAIL
+    lines = [
+        f"Jacobi: {'OK' if not bad else 'FAIL ' + str(data['violations'])}, "
+        f"dim {alg.dim}, derived dims {dims}"
+    ]
+    return data, lines, 0 if not bad else MATH_FAIL
 
 
-def _cmd_info(args) -> int:
+def _cmd_info(args):
     alg = liecore.load_algebra(args.algebra)
     bad = alg.check_jacobi()
     fp = iso.fingerprint(alg)
-    length = liecore.solvable_length(alg)
     data = {
         "dim": alg.dim,
         "field": alg.field.to_json(),
@@ -93,45 +84,37 @@ def _cmd_info(args) -> int:
         "center_dim": fp.center_dim,
         "killing_rank": fp.killing_rank,
         "perfect": liecore.is_perfect(alg),
-        "solvable_length": length,
+        "solvable_length": liecore.solvable_length(alg),
     }
-    lines = [f"{k}: {v}" for k, v in data.items()]
-    _emit(data, args.json, lines)
-    return 0 if not bad else MATH_FAIL
+    return data, [f"{k}: {v}" for k, v in data.items()], 0 if not bad else MATH_FAIL
 
 
-def _cmd_derivations(args) -> int:
-    alg = liecore.load_algebra(args.algebra)
-    basis = dv.derivation_space(alg)
+def _cmd_derivations(args):
+    basis = dv.derivation_space(liecore.load_algebra(args.algebra))
     data = {"dim": len(basis), "basis": [m.matrix.to_json() for m in basis]}
     lines = [f"derivation space dimension: {len(basis)}"]
     for i, m in enumerate(basis):
         lines.append(f"D{i + 1}: {m.matrix.to_json()['entries']}")
-    _emit(data, args.json, lines)
-    if args.out:
-        liecore.write_json(args.out, data)
-    return 0
+    return data, lines, 0
 
 
-def _cmd_twisted(args) -> int:
+def _twisted_record(lam, basis) -> dict:
+    return {
+        "lambda": [str(x) for x in lam],
+        "dim": len(basis),
+        "basis": [m.matrix.to_json() for m in basis],
+    }
+
+
+def _cmd_twisted(args):
     alg = liecore.load_algebra(args.algebra)
     if args.all:
         entries = dv.enumerate_twisted_derivations(alg, args.budget)
-        data = {
-            "branches": [
-                {
-                    "lambda": [str(x) for x in lam],
-                    "dim": len(basis),
-                    "basis": [m.matrix.to_json() for m in basis],
-                }
-                for lam, basis in entries
-            ]
-        }
+        data = {"branches": [_twisted_record(lam, basis) for lam, basis in entries]}
         lines = [f"admissible covectors: {len(entries)}"]
         for rec in data["branches"]:
             lines.append(f"lambda {rec['lambda']}: solution dim {rec['dim']}")
-        _emit(data, args.json, lines)
-        return 0
+        return data, lines, 0
     lam = [alg.field.zero] * alg.dim
     for spec in args.lam or []:
         try:
@@ -139,19 +122,12 @@ def _cmd_twisted(args) -> int:
         except ValueError:
             raise BadParameter(f"bad --lambda entry {spec!r}; expected NAME=VALUE")
         lam[alg.name_index(name)] = alg.field.from_string(value)
-    basis = dv.twisted_derivations_for_lambda(alg, tuple(lam))
-    data = {
-        "lambda": [str(x) for x in lam],
-        "dim": len(basis),
-        "basis": [m.matrix.to_json() for m in basis],
-    }
-    _emit(data, args.json, [f"solution dim {len(basis)} for lambda {data['lambda']}"])
-    return 0
+    data = _twisted_record(lam, dv.twisted_derivations_for_lambda(alg, tuple(lam)))
+    return data, [f"solution dim {data['dim']} for lambda {data['lambda']}"], 0
 
 
-def _cmd_matched_check(args) -> int:
-    mp = matched.load_pair(args.pair)
-    report = matched.check_matched_pair(mp)
+def _cmd_matched_check(args):
+    report = matched.check_matched_pair(matched.load_pair(args.pair))
     data = {
         "valid": not report,
         "violations": [
@@ -161,44 +137,31 @@ def _cmd_matched_check(args) -> int:
     lines = ["matched pair: OK"] if not report else [
         f"violated: {axiom} at {idx}" for axiom, idx, _ in report
     ]
-    _emit(data, args.json, lines)
-    return 0 if not report else MATH_FAIL
+    return data, lines, 0 if not report else MATH_FAIL
 
 
-def _cmd_bicrossed(args) -> int:
+def _cmd_bicrossed(args):
     mp = matched.load_pair(args.pair)
     try:
         product = matched.bicrossed_product(mp)
     except InvalidMatchedPair as exc:
-        _emit(
-            {"error": str(exc), "violations": [[a, list(i)] for a, i, _ in exc.report]},
-            args.json,
-            [f"invalid matched pair: {exc}"],
-        )
-        return MATH_FAIL
-    data = product.to_json_dict()
-    _emit(data, args.json, [f"bicrossed product: dim {product.dim}, basis {', '.join(product.basis_names)}"])
-    if args.out:
-        liecore.write_json(args.out, data)
-    return 0
+        data = {"error": str(exc), "violations": [[a, list(i)] for a, i, _ in exc.report]}
+        return data, [f"invalid matched pair: {exc}"], MATH_FAIL
+    lines = [f"bicrossed product: dim {product.dim}, basis {', '.join(product.basis_names)}"]
+    return product.to_json_dict(), lines, 0
 
 
-def _cmd_deform_maps(args) -> int:
-    mp = matched.load_pair(args.pair)
-    maps = deform.enumerate_deformation_maps(mp, args.budget)
+def _cmd_deform_maps(args):
+    maps = deform.enumerate_deformation_maps(matched.load_pair(args.pair), args.budget)
     data = {"count": len(maps), "maps": [d.matrix.to_json() for d in maps]}
     lines = [f"deformation maps: {len(maps)}"]
     for d in maps:
         lines.append("  " + "; ".join(",".join(str(x) for x in row) for row in d.matrix.rows))
-    _emit(data, args.json, lines)
-    if args.out:
-        liecore.write_json(args.out, data)
-    return 0
+    return data, lines, 0
 
 
-def _cmd_complements(args) -> int:
-    mp = matched.load_pair(args.pair)
-    report = deform.classify_complements(mp, args.budget)
+def _cmd_complements(args):
+    report = deform.classify_complements(matched.load_pair(args.pair), args.budget)
     data = {
         "index": report.index_str(),
         "class_sizes": report.class_sizes,
@@ -210,13 +173,10 @@ def _cmd_complements(args) -> int:
         f"class sizes: {report.class_sizes}",
         f"deformation maps: {report.deformation_count}",
     ]
-    _emit(data, args.json, lines)
-    if args.out:
-        liecore.write_json(args.out, data)
-    return 0
+    return data, lines, 0
 
 
-def _cmd_iso(args) -> int:
+def _cmd_iso(args):
     a = liecore.load_algebra(args.a)
     b = liecore.load_algebra(args.b)
     res = iso.are_isomorphic(a, b, args.budget)
@@ -231,11 +191,10 @@ def _cmd_iso(args) -> int:
         lines.append(f"witness columns: {data['witness']['entries']}")
     if res.certificate:
         lines.append(res.certificate)
-    _emit(data, args.json, lines)
-    return 0
+    return data, lines, 0
 
 
-def _cmd_aut(args) -> int:
+def _cmd_aut(args):
     alg = liecore.load_algebra(args.algebra)
     if args.delta:
         delta = Matrix.from_json(alg.field, liecore.read_json(args.delta))
@@ -251,12 +210,10 @@ def _cmd_aut(args) -> int:
                 for t in triples
             ],
         }
-        _emit(data, args.json, [f"automorphism triples: {len(triples)}"])
-        return 0
+        return data, [f"automorphism triples: {len(triples)}"], 0
     auts = iso.aut_enumerate(alg, args.budget)
     data = {"count": len(auts), "automorphisms": [m.matrix.to_json() for m in auts]}
-    _emit(data, args.json, [f"automorphisms: {len(auts)}"])
-    return 0
+    return data, [f"automorphisms: {len(auts)}"], 0
 
 
 _FAMILY_HELP = (
@@ -266,70 +223,55 @@ _FAMILY_HELP = (
 )
 
 
-def _cmd_families(args) -> int:
-    field = _parse_field(args)
-    name = args.make
-    n = args.n
+def _cmd_families(args):
+    name, n = args.make, args.n
+    if args.field == "Fp" and args.p is None:
+        raise BadParameter("--field Fp needs --p")
+    field = Field.gf(args.p) if args.field == "Fp" else Field.rationals()
 
-    def vec(text, what):
+    def need(what, parse=Field.from_string):
+        text = getattr(args, what)
         if text is None:
             raise BadParameter(f"--{what} is required for {name}")
-        return _parse_vector(field, text)
+        return parse(field, text)
 
-    def mat(text, what):
-        if text is None:
-            raise BadParameter(f"--{what} is required for {name}")
-        return _parse_matrix(field, text)
-
-    if name == "pair-L":
-        data = matched.canonical_pair_L(n, field).to_json_dict()
-    elif name == "pair-m":
-        data = matched.canonical_pair_m(n, field).to_json_dict()
-    elif name == "pair-h5delta":
-        h5 = matched.make_h5(field)
-        delta = matched.h5_noninner_derivation(field)
-        tw = dv.TwistedDerivation(tuple([field.zero] * 5), delta)
-        data = matched.pair_from_twisted(h5, tw).to_json_dict()
-    else:
-        builders = {
-            "l": lambda: matched.make_l(n, field),
-            "L": lambda: matched.make_L(n, field),
-            "m": lambda: matched.make_m(n, field),
-            "l1": lambda: matched.make_l1(n, field, _req(args.lambda0, "lambda0", field), vec(args.delta, "delta")),
-            "l2": lambda: matched.make_l2(n, field, mat(args.A, "A"), mat(args.D, "D"), vec(args.delta, "delta")),
-            "l3": lambda: matched.make_l3(n, field, mat(args.C, "C"), vec(args.delta, "delta")),
-            "l4": lambda: matched.make_l4(n, field, mat(args.B, "B"), vec(args.delta, "delta")),
-            "l1c2": lambda: matched.make_l1_char2(
-                n, field, mat(args.A, "A"), mat(args.B, "B"), mat(args.C, "C"), mat(args.D, "D"), vec(args.delta, "delta")
-            ),
-            "l2c2": lambda: matched.make_l2_char2(n, field, _req(args.lambda0, "lambda0", field), vec(args.delta, "delta")),
-            "h5": lambda: matched.make_h5(field),
-            "sl2": lambda: matched.make_sl2(field),
-            "Lalpha": lambda: matched.make_Lalpha(field, _req(args.alpha, "alpha", field)),
-            "l_a": lambda: deform.make_l_a(field, vec(args.a, "a")),
-            "lp_b": lambda: deform.make_lp_b(field, vec(args.b, "b")),
-            "lpp_b": lambda: deform.make_lpp_b(field, vec(args.b, "b")),
-            "lbar_a": lambda: deform.make_lbar_a(field, vec(args.a, "a")),
-            "lbarp_b": lambda: deform.make_lbarp_b(field, vec(args.b, "b")),
-            "lbarpp_c": lambda: deform.make_lbarpp_c(field, _req(args.c, "c", field), n),
-            "h_a": lambda: deform.make_h_a(field, _req(args.a, "a", field)),
-        }
-        if name not in builders:
-            raise BadParameter(f"unknown family {name!r}; {_FAMILY_HELP}")
-        data = builders[name]().to_json_dict()
-    _emit(data, args.json, [f"built {name}: dim {data['dim']}" if "dim" in data else f"built {name}"])
-    if args.out:
-        liecore.write_json(args.out, data)
-    return 0
+    vec, mat = _parse_vector, _parse_matrix
+    builders = {
+        "pair-L": lambda: matched.canonical_pair_L(n, field),
+        "pair-m": lambda: matched.canonical_pair_m(n, field),
+        "pair-h5delta": lambda: matched.pair_from_twisted(
+            matched.make_h5(field),
+            dv.TwistedDerivation(tuple([field.zero] * 5), matched.h5_noninner_derivation(field)),
+        ),
+        "l": lambda: matched.make_l(n, field),
+        "L": lambda: matched.make_L(n, field),
+        "m": lambda: matched.make_m(n, field),
+        "l1": lambda: matched.make_l1(n, field, need("lambda0"), need("delta", vec)),
+        "l2": lambda: matched.make_l2(n, field, need("A", mat), need("D", mat), need("delta", vec)),
+        "l3": lambda: matched.make_l3(n, field, need("C", mat), need("delta", vec)),
+        "l4": lambda: matched.make_l4(n, field, need("B", mat), need("delta", vec)),
+        "l1c2": lambda: matched.make_l1_char2(
+            n, field, need("A", mat), need("B", mat), need("C", mat), need("D", mat), need("delta", vec)
+        ),
+        "l2c2": lambda: matched.make_l2_char2(n, field, need("lambda0"), need("delta", vec)),
+        "h5": lambda: matched.make_h5(field),
+        "sl2": lambda: matched.make_sl2(field),
+        "Lalpha": lambda: matched.make_Lalpha(field, need("alpha")),
+        "l_a": lambda: deform.make_l_a(field, need("a", vec)),
+        "lp_b": lambda: deform.make_lp_b(field, need("b", vec)),
+        "lpp_b": lambda: deform.make_lpp_b(field, need("b", vec)),
+        "lbar_a": lambda: deform.make_lbar_a(field, need("a", vec)),
+        "lbarp_b": lambda: deform.make_lbarp_b(field, need("b", vec)),
+        "lbarpp_c": lambda: deform.make_lbarpp_c(field, need("c"), n),
+        "h_a": lambda: deform.make_h_a(field, need("a")),
+    }
+    if name not in builders:
+        raise BadParameter(f"unknown family {name!r}; {_FAMILY_HELP}")
+    data = builders[name]().to_json_dict()
+    return data, [f"built {name}: dim {data['dim']}" if "dim" in data else f"built {name}"], 0
 
 
-def _req(value, what, field: Field):
-    if value is None:
-        raise BadParameter(f"--{what} is required for this family")
-    return field.from_string(value)
-
-
-def _cmd_paper_verify(args) -> int:
+def _cmd_paper_verify(args):
     if args.all:
         results = scenarios.run_all(p=args.p, budget=args.budget)
     else:
@@ -366,8 +308,7 @@ def _cmd_paper_verify(args) -> int:
         )
     failed = [r for r in results if not r.passed]
     lines.append(f"{len(results) - len(failed)}/{len(results)} scenarios passed")
-    _emit(data, args.json, lines)
-    return 0 if not failed else MATH_FAIL
+    return data, lines, 0 if not failed else MATH_FAIL
 
 
 def _jsonable(value):
@@ -390,94 +331,69 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, budget_default=10**7):
-        p.add_argument("--json", action="store_true", help="structured JSON output")
-        p.add_argument("--budget", type=int, default=budget_default, help="search budget")
+    shared = {}  # subparser -> (takes --out, --budget default); added after its own options
 
-    p = sub.add_parser("validate", help="check an algebra file (Jacobi, dims)")
+    def command(name, func, help, out=False, budget=None):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        shared[p] = (out, budget)
+        return p
+
+    p = command("validate", _cmd_validate, "check an algebra file (Jacobi, dims)")
     p.add_argument("algebra")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("info", help="structural summary of an algebra file")
+    p = command("info", _cmd_info, "structural summary of an algebra file")
     p.add_argument("algebra")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_info)
 
-    p = sub.add_parser("derivations", help="basis of the derivation space")
+    p = command("derivations", _cmd_derivations, "basis of the derivation space", out=True)
     p.add_argument("algebra")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_derivations)
 
-    p = sub.add_parser("twisted-derivations", help="twisted derivations for a covector")
+    p = command("twisted-derivations", _cmd_twisted, "twisted derivations for a covector", budget=10**7)
     p.add_argument("algebra")
     p.add_argument("--lambda", dest="lam", action="append", metavar="NAME=VALUE")
     p.add_argument("--all", action="store_true", help="enumerate all admissible covectors (finite field)")
-    add_common(p)
-    p.set_defaults(func=_cmd_twisted)
 
-    p = sub.add_parser("matched-check", help="verify the matched pair axioms")
+    p = command("matched-check", _cmd_matched_check, "verify the matched pair axioms")
     p.add_argument("--pair", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_matched_check)
 
-    p = sub.add_parser("bicrossed", help="bicrossed product of a matched pair")
+    p = command("bicrossed", _cmd_bicrossed, "bicrossed product of a matched pair", out=True)
     p.add_argument("--pair", required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_bicrossed)
 
-    p = sub.add_parser("deform-maps", help="enumerate deformation maps of a pair")
+    p = command("deform-maps", _cmd_deform_maps, "enumerate deformation maps of a pair", out=True, budget=10**7)
     p.add_argument("--pair", required=True)
-    p.add_argument("--out")
-    add_common(p)
-    p.set_defaults(func=_cmd_deform_maps)
 
-    p = sub.add_parser("complements", help="classify complements / factorization index")
+    p = command(
+        "complements", _cmd_complements, "classify complements / factorization index", out=True, budget=10**7
+    )
     p.add_argument("--pair", required=True)
-    p.add_argument("--out")
-    add_common(p)
-    p.set_defaults(func=_cmd_complements)
 
-    p = sub.add_parser("iso", help="isomorphism test between two algebra files")
+    p = command("iso", _cmd_iso, "isomorphism test between two algebra files", budget=500000)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    add_common(p, budget_default=500000)
-    p.set_defaults(func=_cmd_iso)
 
-    p = sub.add_parser("aut", help="automorphisms, or automorphism triples with --delta")
+    p = command("aut", _cmd_aut, "automorphisms, or automorphism triples with --delta", budget=500000)
     p.add_argument("--algebra", required=True)
     p.add_argument("--delta")
-    add_common(p, budget_default=500000)
-    p.set_defaults(func=_cmd_aut)
 
-    p = sub.add_parser("families", help=f"build a named algebra or pair ({_FAMILY_HELP})")
+    p = command("families", _cmd_families, f"build a named algebra or pair ({_FAMILY_HELP})", out=True)
     p.add_argument("--make", required=True)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--field", choices=["Q", "Fp"], default="Q")
     p.add_argument("--p", type=int)
-    p.add_argument("--lambda0")
-    p.add_argument("--alpha")
-    p.add_argument("--a")
-    p.add_argument("--b")
-    p.add_argument("--c")
-    p.add_argument("--delta")
-    p.add_argument("--A")
-    p.add_argument("--B")
-    p.add_argument("--C")
-    p.add_argument("--D")
-    p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_families)
+    for param in ("lambda0", "alpha", "a", "b", "c", "delta", "A", "B", "C", "D"):
+        p.add_argument(f"--{param}")
 
-    p = sub.add_parser("paper-verify", help="run bundled verification scenarios")
+    p = command("paper-verify", _cmd_paper_verify, "run bundled verification scenarios", budget=10**7)
     p.add_argument("scenario", nargs="?")
     p.add_argument("--all", action="store_true")
     p.add_argument("--p", type=int, help="prime override for scenarios that allow it")
-    add_common(p)
-    p.set_defaults(func=_cmd_paper_verify)
 
+    for p, (out, budget) in shared.items():
+        p.add_argument("--json", action="store_true", help="structured JSON output")
+        if out:
+            p.add_argument("--out", help="also write the JSON result here, on success")
+        if budget:
+            p.add_argument("--budget", type=int, default=budget, help="search budget")
     return parser
 
 
@@ -485,7 +401,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        data, lines, code = args.func(args)
+        if code == 0 and getattr(args, "out", None):
+            liecore.write_json(args.out, data)
+        _emit(data, args.json, lines)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -104,13 +104,19 @@ class Field:
     # -- element construction ------------------------------------------------
 
     def scalar(self, value) -> "Scalar":
-        """Coerce an int, Fraction, digit string or same-field Scalar."""
+        """Coerce an int, Fraction, digit string or same-field Scalar.
+
+        Anything else raises BadParameter, floats included: over GF(p) a
+        float would truncate and over Q keep its binary expansion.
+        """
         if isinstance(value, Scalar):
             if value.field != self:
                 raise FieldMismatch(f"scalar over {value.field}, expected {self}")
             return value
         if isinstance(value, str):
             return self.from_string(value)
+        if not isinstance(value, (int, Fraction)):
+            raise BadParameter(f"{value!r} is not an exact field element over {self}")
         if self.kind == KIND_Q:
             return Scalar(self, Fraction(value))
         if isinstance(value, Fraction):
@@ -119,7 +125,7 @@ class Field:
             num = value.numerator % self.p
             den = pow(value.denominator % self.p, self.p - 2, self.p)
             return Scalar(self, (num * den) % self.p)
-        return Scalar(self, int(value) % self.p)
+        return Scalar(self, value % self.p)
 
     def from_string(self, text: str) -> "Scalar":
         text = text.strip()

@@ -304,7 +304,11 @@ def aut_enumerate(algebra: LieAlgebra, budget: int = 500000) -> list:
         raise NotFinite("automorphism enumeration needs a finite field")
     witnesses, nodes, exhausted = _search_isomorphisms(algebra, algebra, budget, find_all=True)
     if not exhausted:
-        raise BudgetExceeded(f"automorphism search hit budget {budget} after {nodes} nodes")
+        raise BudgetExceeded(
+            f"automorphism search hit budget {budget} after {nodes} nodes, on the "
+            f"{algebra.dim}-dimensional algebra with basis {', '.join(algebra.basis_names)} "
+            f"and fingerprint {fingerprint(algebra).as_tuple()}"
+        )
     witnesses.sort(key=lambda m: tuple(x.value for x in m.entries_flat()))
     return [LinearMap(algebra, algebra, m) for m in witnesses]
 

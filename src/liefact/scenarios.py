@@ -59,12 +59,34 @@ class ScenarioResult:
         return all(c.ok for c in self.checks)
 
 
+_FIELD_KINDS = ("Q", "Fp", "fixed")
+_TAGS = ("paper", "derived", "trivial")
+_EXPECTATION_KEYS = ("value", "formula", "formula_list")
+
+
+def _check_record(rec: dict) -> None:
+    """Raise FormatError, naming the scenario, if `rec` breaks the catalog schema."""
+    where = f"scenario {rec.get('id')!r}"
+    if rec.get("kind") not in _HANDLERS:
+        raise FormatError(f"{where}: no handler for kind {rec.get('kind')!r}")
+    field_kind = rec.get("field", {}).get("kind", "Q")
+    if field_kind not in _FIELD_KINDS:
+        raise FormatError(f"{where}: field kind {field_kind!r} is not one of {_FIELD_KINDS}")
+    for name, record in rec["expected"].items():
+        if sum(key in record for key in _EXPECTATION_KEYS) != 1:
+            raise FormatError(f"{where}: expectation {name!r} needs exactly one of {_EXPECTATION_KEYS}")
+        tag = record.get("tag")
+        if tag not in _TAGS:
+            raise FormatError(f"{where}: expectation {name!r} has tag {tag!r}, not one of {_TAGS}")
+        for text in _formulas(record):
+            _formula(text)
+
+
 def load_catalog() -> list:
+    """The bundled scenarios, each checked against the catalog schema."""
     data = _catalog_data()
     for rec in data["scenarios"]:
-        for record in rec["expected"].values():
-            for text in _formulas(record):
-                _formula(text)
+        _check_record(rec)
     return [
         Scenario(
             id=rec["id"],
@@ -151,17 +173,13 @@ def _expected_value(record: dict, p: Optional[int]):
         return record["value"]
     if "formula" in record:
         return _formula(record["formula"])(p)
-    if "formula_list" in record:
-        return [_formula(f)(p) for f in record["formula_list"]]
-    raise BadParameter(f"malformed expectation {record!r}")
+    return [_formula(f)(p) for f in record["formula_list"]]
 
 
 def run_scenario(scenario, p: Optional[int] = None, budget: int = 10**7) -> ScenarioResult:
     if isinstance(scenario, str):
         scenario = find_scenario(scenario)
-    handler = _HANDLERS.get(scenario.kind)
-    if handler is None:
-        raise UnknownScenario(f"no handler for scenario kind {scenario.kind!r}")
+    handler = _HANDLERS[scenario.kind]  # load_catalog checked the kind
     field, label, chosen_p = _resolve_field(scenario.field_policy, p)
     start = time.monotonic()
     actual = handler(scenario.params, field, chosen_p, budget)
@@ -170,7 +188,7 @@ def run_scenario(scenario, p: Optional[int] = None, budget: int = 10**7) -> Scen
     for name, record in scenario.expected.items():
         expected = _expected_value(record, chosen_p)
         got = actual.get(name, "<missing>")
-        checks.append(CheckResult(name, expected, got, got == expected, record.get("tag", "")))
+        checks.append(CheckResult(name, expected, got, got == expected, record["tag"]))
     return ScenarioResult(scenario, label, checks, elapsed)
 
 

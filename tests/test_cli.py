@@ -183,6 +183,16 @@ def test_aut_triples_over_budget_is_an_input_error(tmp_path, capsys):
     assert "h0 fiber" in lines[0]
 
 
+def test_aut_over_budget_names_the_algebra(tmp_path, capsys):
+    l4 = tmp_path / "L4.json"
+    liecore.dump_algebra(matched.make_L(1, Field.gf(3)), l4)
+    code, out, err = run(capsys, "aut", "--algebra", str(l4), "--budget", "10")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("budget exceeded: automorphism search hit budget 10")
+    assert "basis E, F, G, H" in lines[0] and "fingerprint (4," in lines[0]
+
+
 def test_aut_reports_where_the_delta_file_is_broken(tmp_path, capsys):
     sl2 = tmp_path / "sl2.json"
     liecore.dump_algebra(matched.make_sl2(Field.gf(3)), sl2)
@@ -309,8 +319,9 @@ MALFORMED = {
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_is_an_input_error(case, tmp_path, capsys):
-    code, _, err = run(capsys, *MALFORMED[case](tmp_path))
+    code, out, err = run(capsys, *MALFORMED[case](tmp_path))
     assert code == 2
+    assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("input error: ")
 

@@ -1,13 +1,15 @@
 """Golden CLI outputs: stdout and exit code of each command, byte for byte.
 
-The files under tests/golden_cli/ hold the stdout of each case and
-exit_codes.json its exit code.  Inputs are built here from the library and
+The files under tests/golden_cli/ hold the stdout of each case,
+exit_codes.json its exit code and options.json the option strings and
+defaults of every subcommand.  Inputs are built here from the library and
 written to a temporary directory, so no path appears in the output.  To
 re-record after an intended change of output:
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -18,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from liefact import matched
-from liefact.cli import main
+from liefact.cli import build_parser, main
 from liefact.exactmath import Field, Matrix
 
 GOLDEN = Path(__file__).parent / "golden_cli"
@@ -110,6 +112,14 @@ FAMILY_CASES = {
 }
 CASES.update({name: ["families", *args, "--json"] for name, args in FAMILY_CASES.items()})
 
+# the same commands in text mode; the paper-verify lines carry wall-clock
+# timings, so those two stay JSON-only
+CASES.update({
+    f"{name}_text": argv[:-1]
+    for name, argv in list(CASES.items())
+    if not name.startswith("paper_verify")
+})
+
 
 def _write_inputs(directory: Path) -> None:
     for name, record in _inputs().items():
@@ -136,6 +146,24 @@ def test_cli_output_matches_golden(case, input_dir, capsys):
     assert out == (GOLDEN / f"{case}.stdout").read_text()
 
 
+def _options() -> dict:
+    """Subcommand -> its sorted (option string, default) pairs."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: sorted(
+            [opt, action.default]
+            for action in parser._actions
+            for opt in action.option_strings or [action.dest]
+            if not isinstance(action, argparse._HelpAction)
+        )
+        for name, parser in sub.choices.items()
+    }
+
+
+def test_subcommand_options_match_golden():
+    assert _options() == json.loads((GOLDEN / "options.json").read_text())
+
+
 def _record() -> None:
     GOLDEN.mkdir(exist_ok=True)
     codes = {}
@@ -148,6 +176,7 @@ def _record() -> None:
                 codes[case] = main(_argv(case, directory))
             (GOLDEN / f"{case}.stdout").write_text(buf.getvalue())
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+    (GOLDEN / "options.json").write_text(json.dumps(_options(), indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

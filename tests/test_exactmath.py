@@ -541,3 +541,20 @@ def test_vector_helpers():
     w = vadd(v, vscale(F3.scalar(2), v))
     assert is_zero_vector(w)
     assert dot(v, v, F3) == F3.one
+
+
+def test_scalar_rejects_floats():
+    from liefact import matched
+
+    f5 = Field.gf(5)
+    # each float used to be truncated over GF(p) or kept as its binary
+    # expansion over Q, giving a silently wrong value
+    calls = {
+        "2.7": lambda: f5.scalar(2.7),
+        "0.1": lambda: Field.rationals().scalar(0.1),
+        "1.9": lambda: matched.make_l1(1, f5, 1.9, [0, 0, 2.5]),
+        "0.5": lambda: Matrix(f5, [[0.5]]),
+    }
+    for value, call in calls.items():
+        with pytest.raises(BadParameter, match=value):
+            call()

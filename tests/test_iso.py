@@ -436,3 +436,13 @@ def test_search_tree_is_unchanged():
     for alg, count, nodes in ((make_sl2(F3), 24, 75), (matched.make_L(1, F3), 2592, 6615)):
         witnesses, searched, exhausted = _search_isomorphisms(alg, alg, 500000, find_all=True)
         assert (len(witnesses), searched, exhausted) == (count, nodes, True)
+
+
+def test_aut_enumerate_budget_error_names_the_algebra():
+    alg = matched.make_L(1, F3)
+    with pytest.raises(BudgetExceeded) as err:
+        aut_enumerate(alg, budget=10)
+    message = str(err.value)
+    assert "budget 10 after" in message
+    assert "4-dimensional" in message and "E, F, G, H" in message
+    assert str(fingerprint(alg).as_tuple()) in message

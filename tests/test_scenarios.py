@@ -44,3 +44,38 @@ def test_expectations_evaluate_through_the_grammar():
     assert scenarios._expected_value({"formula": "p * p + p - 1"}, 5) == 29
     assert scenarios._expected_value({"formula_list": ["p - 1", "p * p"]}, 7) == [6, 49]
     assert scenarios._expected_value({"value": 3}, None) == 3
+
+
+def _scenario_with(**changes):
+    def edit(data):
+        data["scenarios"][0].update(changes)
+    return edit
+
+
+def _expectation(record):
+    return _scenario_with(expected={"count": record})
+
+
+# case -> (edit of the catalog data, text the error must name)
+BAD_SCHEMA = {
+    "unknown-handler-kind": (_scenario_with(kind="no_such_kind"), "no_such_kind"),
+    "unknown-field-kind": (_scenario_with(field={"kind": "GF"}), "'GF'"),
+    "expectation-without-a-value": (_expectation({"tag": "paper"}), "exactly one of"),
+    "expectation-with-two-values": (
+        _expectation({"value": 3, "formula": "p", "tag": "paper"}), "exactly one of"
+    ),
+    "unknown-tag": (_expectation({"value": 3, "tag": "guessed"}), "'guessed'"),
+    "missing-tag": (_expectation({"value": 3}), "None"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCHEMA))
+def test_catalog_rejects_a_schema_violation(case, monkeypatch):
+    data = scenarios._catalog_data()
+    edit, named = BAD_SCHEMA[case]
+    edit(data)
+    monkeypatch.setattr(scenarios, "_catalog_data", lambda: data)
+    with pytest.raises(FormatError) as info:
+        scenarios.load_catalog()
+    message = str(info.value)
+    assert f"scenario {data['scenarios'][0]['id']!r}" in message and named in message
