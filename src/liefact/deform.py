@@ -154,7 +154,9 @@ def enumerate_deformation_maps(
     count = field.p ** cells
     if count > budget:
         raise BudgetExceeded(
-            f"{count} candidate maps exceed budget {budget}", required=count
+            f"deformation sweep of dim g = {m}, dim h = {n} over {field}: "
+            f"{field.p}^({m}*{n}) = {count} candidate maps exceed budget {budget}",
+            required=count,
         )
     alphabet = tuple(field.elements())
     if order == "revlex":

@@ -488,7 +488,11 @@ class Matrix:
 
     def nullspace(self) -> list:
         """Basis vectors annihilated by the matrix, one per free column."""
-        red, pivots = self.rref()
+        return self._null_basis(*self.rref())
+
+    def _null_basis(self, red: "Matrix", pivots: tuple) -> list:
+        """The null basis read off an RREF whose first ncols columns are the
+        RREF of this matrix (red may carry more columns to the right)."""
         pivot_set = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivot_set]
         basis = []
@@ -501,7 +505,11 @@ class Matrix:
         return basis
 
     def solve(self, b) -> Optional[tuple]:
-        """Particular solution of A x = b plus a nullspace basis, or None."""
+        """Particular solution of A x = b plus a nullspace basis, or None.
+
+        One elimination of the augmented matrix gives both: when the system
+        is consistent, its left block is the RREF of A (the RREF is unique).
+        """
         if len(b) != self.nrows:
             raise DimensionMismatch("rhs length != nrows")
         aug = self.augment(Matrix.from_cols(self.field, [b]))
@@ -511,7 +519,7 @@ class Matrix:
         x = list(zero_vector(self.field, self.ncols))
         for r, p in enumerate(pivots):
             x[p] = red.rows[r][self.ncols]
-        return tuple(x), self.nullspace()
+        return tuple(x), self._null_basis(red, pivots)
 
     def det(self) -> Scalar:
         if self.nrows != self.ncols:

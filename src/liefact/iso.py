@@ -4,27 +4,31 @@ Negative answers come cheap from fingerprints (isomorphism-invariant
 dimension data); definitive answers over finite fields come from a complete
 backtracking search that assigns basis images one at a time, propagating the
 linear constraints each bracket relation imposes and always expanding the
-most constrained variable first.  Every Yes is re-verified against the full
-bracket table before it is reported.
+most constrained variable first.
+
+The search runs on residues in [0, p): both bracket tables and the image
+domains are unboxed once, each candidate set takes one elimination, and a
+witness is boxed only when it is reported.  Every Yes is re-verified at its
+leaf against the full bracket tables (rank n, and [e_i, e_j] mapped to
+[x_i, x_j] on every basis pair) before it is reported.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import astuple, dataclass
+from operator import mul
 from typing import Callable, Optional
 
 from .errors import BudgetExceeded, InvalidTriple, NotFinite, NotPerfect
 from .exactmath import (
-    Field,
     Matrix,
     Scalar,
+    _residue_det,
+    _residue_rref,
     basis_vector,
-    dot,
     enumerate_affine,
     intersect_spans,
-    is_zero_vector,
-    lincomb,
     vadd,
     vscale,
     vsub,
@@ -59,16 +63,26 @@ class Fingerprint:
 
 
 def fingerprint(algebra: LieAlgebra) -> Fingerprint:
-    derived = tuple(s.dim for s in derived_series(algebra))
-    lower = tuple(s.dim for s in lower_central_series(algebra))
+    return _fingerprint(algebra, _characteristic(algebra))
+
+
+def _fingerprint(algebra: LieAlgebra, char: tuple) -> Fingerprint:
+    """The fingerprint, given the algebra's _characteristic."""
+    derived_terms, lower_terms, center_space = char
+    derived = tuple(s.dim for s in derived_terms)
     return Fingerprint(
         dim=algebra.dim,
         derived=derived,
-        lower_central=lower,
-        center_dim=center(algebra).dim,
+        lower_central=tuple(s.dim for s in lower_terms),
+        center_dim=center_space.dim,
         abelianization_dim=algebra.dim - derived[1],
         killing_rank=killing_gram(algebra).rank(),
     )
+
+
+def _characteristic(algebra: LieAlgebra) -> tuple:
+    """The derived series, the lower central series and the center."""
+    return derived_series(algebra), lower_central_series(algebra), center(algebra)
 
 
 def verify_iso(a: LieAlgebra, b: LieAlgebra, m) -> bool:
@@ -97,14 +111,16 @@ class _BudgetHit(Exception):
     pass
 
 
-def _image_domains(a: LieAlgebra, b: LieAlgebra) -> list:
+def _image_domains(a: LieAlgebra, b: LieAlgebra, char_a: tuple, char_b: tuple) -> list:
     """For each source basis index, an rref basis of the target subspace its
-    image must lie in (intersection of matching characteristic subspaces)."""
+    image must lie in (intersection of matching characteristic subspaces).
+
+    char_a and char_b are the _characteristic of a and b."""
     f = a.field
     n = a.dim
-    pairs = list(zip(derived_series(a), derived_series(b)))
-    pairs += list(zip(lower_central_series(a), lower_central_series(b)))
-    pairs.append((center(a), center(b)))
+    (derived_a, lower_a, center_a), (derived_b, lower_b, center_b) = char_a, char_b
+    pairs = list(zip(derived_a, derived_b)) + list(zip(lower_a, lower_b))
+    pairs.append((center_a, center_b))
     full = [basis_vector(f, b.dim, i) for i in range(b.dim)]
     domains = []
     for i in range(n):
@@ -118,29 +134,26 @@ def _image_domains(a: LieAlgebra, b: LieAlgebra) -> list:
 
 
 class _Reducer:
-    """Incremental independence tracking for the assigned image vectors."""
+    """Incremental independence tracking for the assigned image vectors,
+    on residues mod p."""
 
-    def __init__(self, field: Field, dim: int):
-        self.field = field
-        self.dim = dim
-        self.rows = []  # (pivot, reduced row)
-
-    def reduce(self, v) -> tuple:
-        r = list(v)
-        for pivot, row in self.rows:
-            if r[pivot]:
-                c = r[pivot]
-                r = [x - c * y for x, y in zip(r, row)]
-        return tuple(r)
+    def __init__(self, p: int):
+        self.p = p
+        self.rows = []  # (pivot, reduced row scaled to 1 at the pivot)
 
     def push(self, v) -> bool:
-        r = self.reduce(v)
-        if is_zero_vector(r):
-            return False
-        pivot = next(k for k, x in enumerate(r) if x)
-        inv = r[pivot].inverse()
-        self.rows.append((pivot, tuple(inv * x for x in r)))
-        return True
+        p = self.p
+        r = v
+        for pivot, row in self.rows:
+            c = r[pivot]
+            if c:
+                r = [(x - c * y) % p for x, y in zip(r, row)]
+        for pivot, c in enumerate(r):
+            if c:
+                inv = pow(c, -1, p)
+                self.rows.append((pivot, [x * inv % p for x in r]))
+                return True
+        return False
 
     def pop(self):
         self.rows.pop()
@@ -159,112 +172,185 @@ def _search_isomorphisms(
     and characteristic-subspace membership, so an exhausted search is a
     definitive negative.
     """
+    char_a = _characteristic(a)
+    char_b = char_a if b is a else _characteristic(b)
+    return _search(a, b, _image_domains(a, b, char_a, char_b), budget, find_all)
+
+
+def _search(a: LieAlgebra, b: LieAlgebra, domains: list, budget: int, find_all: bool) -> tuple:
+    """The search of _search_isomorphisms inside the given image domains.
+
+    Everything runs on residues in [0, p): the two bracket tables and the
+    domains are unboxed once, and a witness is boxed only when reported.
+    """
     f = a.field
+    p = f.p
     n = a.dim
-    domains = _image_domains(a, b)
-    ad_rank = [a.ad_basis(i).rank() for i in range(n)]
+    span = range(n)
+    # c_a[i][j]: the coordinates of [e_i, e_j] in a; support[i][j]: their nonzero indices
+    c_a = [[tuple(x.value for x in a.bracket_basis(i, j)) for j in span] for i in span]
+    support = [[frozenset(m for m in span if c[m]) for c in row] for row in c_a]
+    # ad_lines[r][j][i] = [e_i, e_j]_r in b, so row r of ad(x) is
+    # (dot(x, ad_lines[r][j]) for j): ad of an image comes straight from b's table
+    table_b = [[tuple(x.value for x in b.bracket_basis(i, j)) for j in span] for i in span]
+    ad_lines = [[tuple(table_b[i][j][r] for i in span) for j in span] for r in span]
+    ad_rank = [len(_residue_rref([list(c) for c in c_a[i]], n, p)[1]) for i in span]
+    doms = [[tuple(x.value for x in v) for v in dom] for dom in domains]
+    # dom_rows[k][r]: row r of the matrix whose columns are the domain basis of e_k
+    dom_rows = [[tuple(v[r] for v in dom) for r in span] for dom in doms]
     assigned: list = [None] * n
-    ad_cache: list = [None] * n
-    reducer = _Reducer(f, n)
+    ad_cache: list = [None] * n  # rows of ad(x_i) on b for each assigned x_i
+    ad_dom: list = [None] * n  # ad(x_i) times the domain matrix of k, by k
+    reducer = _Reducer(p)
     results = []
     nodes = 0
 
-    def _known_part(c, done_set, k):
-        known = [m for m in done_set if m != k]
-        return lincomb([c[m] for m in known], [assigned[m] for m in known], zero_vector(f, n))
+    def ad_of(x):
+        return [tuple(sum(map(mul, x, line)) % p for line in lines) for lines in ad_lines]
 
-    def constraints_for(k):
-        """Stacked linear system A x = rhs for the image of e_k: the equations of
-        every basis pair whose bracket relation assigning e_k closes."""
-        rows = []
-        rhs = []
-        done = [m for m in range(n) if assigned[m] is not None]
-        done_set = set(done)
+    def known_part(c, k):
+        """sum of c[m] x_m over the m != k (every such m with c[m] != 0 is assigned)."""
+        out = [0] * n
+        for m, cm in enumerate(c):
+            if cm and m != k:
+                for r, y in enumerate(assigned[m]):
+                    out[r] += cm * y
+        return out
+
+    def candidates_for(k, done, done_set):
+        """Affine candidate set for e_k's image inside its domain, or None.
+
+        Each bracket relation that assigning e_k closes gives linear rows
+        in the domain coordinates of x_k, with the right-hand side as the
+        last column; one elimination gives the particular solution and the
+        null basis."""
+        dom = doms[k]
+        d = len(dom)
+        if not d:
+            return None
+        drows = dom_rows[k]
+        rows = set()
         for i in done:
-            c = a.bracket_basis(i, k)
-            if any(c[m] and m != k and m not in done_set for m in range(n)):
+            c = c_a[i][k]
+            if not support[i][k] - {k} <= done_set:
                 continue
-            known = _known_part(c, done_set, k)
-            adv = ad_cache[i]
+            known = known_part(c, k)
+            adk = ad_dom[i].get(k)
+            if adk is None:
+                adi = ad_cache[i]
+                adk = ad_dom[i][k] = [
+                    tuple(sum(map(mul, row, v)) % p for v in dom) for row in adi
+                ]
             ck = c[k]
-            for r in range(n):
-                row = list(adv.rows[r])
+            for r in span:
                 if ck:
-                    row[r] = row[r] - ck
-                rows.append(tuple(row))
-                rhs.append(known[r])
+                    row = tuple((x - ck * y) % p for x, y in zip(adk[r], drows[r]))
+                else:
+                    row = adk[r]
+                rows.add(row + (known[r] % p,))
         for i, j in itertools.combinations(done, 2):
-            c = a.bracket_basis(i, j)
-            if not c[k]:
-                continue
-            if any(c[m] and m != k and m not in done_set for m in range(n)):
-                continue
-            target = vsub(b.bracket(assigned[i], assigned[j]), _known_part(c, done_set, k))
+            c = c_a[i][j]
             ck = c[k]
-            for r in range(n):
-                row = [f.zero] * n
-                row[r] = ck
-                rows.append(tuple(row))
-                rhs.append(target[r])
-        return rows, rhs
+            if not ck or not support[i][j] - {k} <= done_set:
+                continue
+            known = known_part(c, k)
+            bracket = [sum(map(mul, row, assigned[j])) for row in ad_cache[i]]
+            for r in span:
+                rows.add(tuple(ck * y % p for y in drows[r]) + ((bracket[r] - known[r]) % p,))
+        red, pivots = _residue_rref([list(row) for row in rows], d + 1, p)
+        if pivots and pivots[-1] == d:
+            return None
+        # x = D t with t = part + span(null), mapped through the domain matrix D
+        part = [0] * n
+        for row, pc in zip(red, pivots):
+            if row[d]:
+                for r, y in enumerate(dom[pc]):
+                    part[r] += row[d] * y
+        pivot_set = set(pivots)
+        null = []
+        for free in range(d):
+            if free in pivot_set:
+                continue
+            v = list(dom[free])
+            for row, pc in zip(red, pivots):
+                if row[free]:
+                    v = [(x - row[free] * y) % p for x, y in zip(v, dom[pc])]
+            null.append(v)
+        return tuple(x % p for x in part), null
 
-    def candidates_for(k):
-        """Affine candidate set for e_k's image inside its domain, or None."""
-        dom = domains[k]
-        if not dom:
-            return None
-        rows, rhs = constraints_for(k)
-        # substitute x = sum t_a dom_a and solve for t
-        m_rows = tuple(tuple(dot(row, d, f) for d in dom) for row in rows)
-        sol = Matrix._of_scalars(f, m_rows, len(dom)).solve(tuple(rhs))
-        if sol is None:
-            return None
-        part, null = sol
-        return part, null, dom
+    def points(x, null):
+        """x + span(null), lexicographic in the coefficients (first slowest)
+        like enumerate_affine; lazy, so a large p costs only what is used."""
+        if not null:
+            yield x
+            return
+        v, rest = null[0], null[1:]
+        for _ in range(p):
+            yield from points(x, rest)
+            x = tuple((y + z) % p for y, z in zip(x, v))
+
+    def is_isomorphism():
+        """The leaf check on residues: the assigned columns have rank n and
+        map [e_i, e_j] to [x_i, x_j] for every basis pair."""
+        if _residue_det([list(row) for row in zip(*assigned)], p) == 0:
+            return False
+        for i, j in itertools.combinations(span, 2):
+            image = known_part(c_a[i][j], None)
+            xj = assigned[j]
+            for row, y in zip(ad_cache[i], image):
+                if sum(map(mul, row, xj)) % p != y % p:
+                    return False
+        return True
 
     def expand(remaining):
         nonlocal nodes
         if not remaining:
-            cols = [assigned[i] for i in range(n)]
-            matrix = Matrix.from_cols(f, cols)
-            if verify_iso(a, b, matrix):
-                results.append(matrix)
+            if is_isomorphism():
+                results.append(assigned[:])
                 return not find_all
             return False
+        done = [m for m in span if assigned[m] is not None]
+        done_set = frozenset(done)
         best = None
         for k in remaining:
-            cand = candidates_for(k)
+            cand = candidates_for(k, done, done_set)
             if cand is None:
                 return False
-            _, null, _ = cand
-            key = (len(null), -ad_rank[k], k)
+            key = (len(cand[1]), -ad_rank[k], k)
             if best is None or key < best[0]:
                 best = (key, k, cand)
-        _, k, (part, null, dom) = best
+        _, k, (part, null) = best
         rest = [m for m in remaining if m != k]
-        for t in enumerate_affine(f, part, null):
-            x = lincomb(t, dom, zero_vector(f, n))
+        for x in points(part, null):
             nodes += 1
             if nodes > budget:
                 raise _BudgetHit()
             if not reducer.push(x):
                 continue
             assigned[k] = x
-            ad_cache[k] = b.ad(x)
+            ad_cache[k] = ad_of(x)
+            ad_dom[k] = {}
             stop = expand(rest)
             assigned[k] = None
             ad_cache[k] = None
+            ad_dom[k] = None
             reducer.pop()
             if stop:
                 return True
         return False
 
     try:
-        expand(list(range(n)))
+        expand(list(span))
         exhausted = True
     except _BudgetHit:
         exhausted = False
-    return results, nodes, exhausted
+    # one Scalar per residue, shared by every witness
+    scalars = {v: Scalar(f, v) for v in {v for cols in results for x in cols for v in x}}
+    witnesses = [
+        Matrix._of_scalars(f, tuple(tuple(scalars[v] for v in row) for row in zip(*cols)), n)
+        for cols in results
+    ]
+    return witnesses, nodes, exhausted
 
 
 def are_isomorphic(a: LieAlgebra, b: LieAlgebra, budget: int = 500000) -> IsoResult:
@@ -274,7 +360,8 @@ def are_isomorphic(a: LieAlgebra, b: LieAlgebra, budget: int = 500000) -> IsoRes
         return IsoResult("no", certificate="different base fields")
     if a.dim != b.dim:
         return IsoResult("no", certificate=f"dim {a.dim} != dim {b.dim}")
-    fa, fb = fingerprint(a), fingerprint(b)
+    char_a, char_b = _characteristic(a), _characteristic(b)
+    fa, fb = _fingerprint(a, char_a), _fingerprint(b, char_b)
     if fa != fb:
         return IsoResult(
             "no", certificate=f"fingerprints differ: {fa.as_tuple()} vs {fb.as_tuple()}"
@@ -284,7 +371,8 @@ def are_isomorphic(a: LieAlgebra, b: LieAlgebra, budget: int = 500000) -> IsoRes
             "unknown",
             certificate="fingerprints agree; no complete search over an infinite field",
         )
-    witnesses, nodes, exhausted = _search_isomorphisms(a, b, budget, find_all=False)
+    domains = _image_domains(a, b, char_a, char_b)
+    witnesses, nodes, exhausted = _search(a, b, domains, budget, find_all=False)
     if witnesses:
         return IsoResult(
             "yes", witness=LinearMap(a, b, witnesses[0]), searched=nodes

@@ -193,6 +193,16 @@ def test_aut_over_budget_names_the_algebra(tmp_path, capsys):
     assert "basis E, F, G, H" in lines[0] and "fingerprint (4," in lines[0]
 
 
+def test_deform_maps_over_budget_names_the_pair(tmp_path, capsys):
+    pair = tmp_path / "pair.json"
+    matched.dump_pair(matched.canonical_pair_L(1, Field.gf(5)), pair)
+    code, out, err = run(capsys, "deform-maps", "--pair", str(pair), "--budget", "10")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("budget exceeded: ")
+    assert "dim g = 1, dim h = 3 over GF(5): 5^(1*3) = 125 candidate maps" in lines[0]
+
+
 def test_aut_reports_where_the_delta_file_is_broken(tmp_path, capsys):
     sl2 = tmp_path / "sl2.json"
     liecore.dump_algebra(matched.make_sl2(Field.gf(3)), sl2)

@@ -222,6 +222,16 @@ def test_budget_and_field_gates():
     with pytest.raises(BudgetExceeded) as err:
         enumerate_deformation_maps(canonical_pair_L(1, F5), budget=10)
     assert err.value.required == 125
+
+
+def test_sweep_budget_error_names_the_pair():
+    with pytest.raises(BudgetExceeded) as err:
+        enumerate_deformation_maps(canonical_pair_L(2, F5), budget=10)
+    assert str(err.value) == (
+        "deformation sweep of dim g = 1, dim h = 5 over GF(5): "
+        "5^(1*5) = 3125 candidate maps exceed budget 10"
+    )
+    assert err.value.required == 5**5
     with pytest.raises(NotFinite):
         enumerate_deformation_maps(canonical_pair_L(1, Q))
 

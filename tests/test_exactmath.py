@@ -504,6 +504,57 @@ def test_inverse_is_two_sided(m):
         assert m * inv == ident and inv * m == ident
 
 
+def reference_solve(m: Matrix, b):
+    """Two eliminations: the augmented reference RREF for the particular
+    solution, the RREF of m alone for the null basis."""
+    n = m.ncols
+    red, pivots = reference_rref(Matrix(m.field, [row + (x,) for row, x in zip(m.rows, b)]))
+    if pivots and pivots[-1] == n:
+        return None
+    x = [m.field.zero] * n
+    for r, pc in enumerate(pivots):
+        x[pc] = red.rows[r][n]
+    red, pivots = reference_rref(m)
+    null = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [m.field.zero] * n
+        v[free] = m.field.one
+        for r, pc in enumerate(pivots):
+            v[pc] = -red.rows[r][free]
+        null.append(tuple(v))
+    return tuple(x), null
+
+
+@st.composite
+def _system(draw):
+    """A matrix over Q, GF(2), GF(7) or GF(2^31 - 1) and a right-hand side,
+    either drawn freely (often inconsistent) or as the image of a vector."""
+    m = draw(oracle_matrix(fields=(Q, F2, F7, F_BIG)))
+    entry = _entry(m.field)
+    if draw(st.booleans()):
+        b = m.mul_vector(tuple(m.field.scalar(x) for x in draw(_grid(entry, 1, m.ncols))[0]))
+    else:
+        b = tuple(m.field.scalar(x) for x in draw(_grid(entry, 1, m.nrows))[0])
+    return m, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_system())
+def test_solve_eliminates_once_with_the_same_answer(system):
+    m, b = system
+    got = m.solve(b)
+    want = reference_solve(m, b)
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    x, null = got
+    assert [v.value for v in x] == [v.value for v in want[0]]
+    assert [[v.value for v in vec] for vec in null] == [[v.value for v in vec] for vec in want[1]]
+    assert null == m.nullspace()
+    assert m.mul_vector(x) == tuple(b)
+
+
 def test_elimination_examples_against_reference():
     cases = [
         qm([[0, 0, 3], [0, -2, 1], [0, 4, -2]]),

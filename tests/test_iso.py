@@ -1,9 +1,23 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liefact.errors import BudgetExceeded, InvalidTriple, NotPerfect
-from liefact.exactmath import Field, Matrix, basis_vector, enumerate_vectors, vscale, zero_vector
+from liefact.exactmath import (
+    Field,
+    Matrix,
+    basis_vector,
+    dot,
+    enumerate_vectors,
+    intersect_spans,
+    is_zero_vector,
+    lincomb,
+    vscale,
+    vsub,
+    zero_vector,
+)
 from liefact import liecore, matched, deform
 from liefact.derivations import TwistedDerivation
 from liefact.iso import (
@@ -446,3 +460,231 @@ def test_aut_enumerate_budget_error_names_the_algebra():
     assert "budget 10 after" in message
     assert "4-dimensional" in message and "E, F, G, H" in message
     assert str(fingerprint(alg).as_tuple()) in message
+
+
+# -- the raw search against the boxed reference search ---------------------------
+
+
+def _reference_image_domains(a, b):
+    f = a.field
+    n = a.dim
+    pairs = list(zip(liecore.derived_series(a), liecore.derived_series(b)))
+    pairs += list(zip(liecore.lower_central_series(a), liecore.lower_central_series(b)))
+    pairs.append((liecore.center(a), liecore.center(b)))
+    full = [basis_vector(f, b.dim, i) for i in range(b.dim)]
+    domains = []
+    for i in range(n):
+        ei = basis_vector(f, n, i)
+        dom = full
+        for s1, s2 in pairs:
+            if s1.dim < a.dim and s1.contains(ei):
+                dom = intersect_spans(f, dom, list(s2.basis), b.dim)
+        domains.append(dom)
+    return domains
+
+
+class _ReferenceReducer:
+    """Incremental independence tracking for the assigned image vectors."""
+
+    def __init__(self):
+        self.rows = []  # (pivot, reduced row)
+
+    def reduce(self, v) -> tuple:
+        r = list(v)
+        for pivot, row in self.rows:
+            if r[pivot]:
+                c = r[pivot]
+                r = [x - c * y for x, y in zip(r, row)]
+        return tuple(r)
+
+    def push(self, v) -> bool:
+        r = self.reduce(v)
+        if is_zero_vector(r):
+            return False
+        pivot = next(k for k, x in enumerate(r) if x)
+        inv = r[pivot].inverse()
+        self.rows.append((pivot, tuple(inv * x for x in r)))
+        return True
+
+    def pop(self):
+        self.rows.pop()
+
+
+def _lex_vectors(field, length):
+    """enumerate_vectors' vectors in its order, lazily: enumerate_vectors
+    lists every field element first, which GF(2^31 - 1) cannot afford."""
+    if not length:
+        yield ()
+        return
+    for x in field.elements():
+        for rest in _lex_vectors(field, length - 1):
+            yield (x,) + rest
+
+
+def _reference_affine(field, particular, basis):
+    """enumerate_affine's points in its order, lazily."""
+    for coeffs in _lex_vectors(field, len(basis)):
+        yield lincomb(coeffs, basis, particular)
+
+
+class _ReferenceBudgetHit(Exception):
+    pass
+
+
+def reference_search_isomorphisms(a, b, budget, find_all):
+    """The iso search on boxed Scalars: the same (witnesses, nodes, exhausted)
+    as iso._search_isomorphisms, from vector arithmetic on Scalars, Matrix.solve
+    and verify_iso at every leaf."""
+    f = a.field
+    n = a.dim
+    domains = _reference_image_domains(a, b)
+    ad_rank = [a.ad_basis(i).rank() for i in range(n)]
+    assigned = [None] * n
+    ad_cache = [None] * n
+    reducer = _ReferenceReducer()
+    results = []
+    nodes = 0
+
+    def known_part(c, done_set, k):
+        known = [m for m in done_set if m != k]
+        return lincomb([c[m] for m in known], [assigned[m] for m in known], zero_vector(f, n))
+
+    def constraints_for(k):
+        rows = []
+        rhs = []
+        done = [m for m in range(n) if assigned[m] is not None]
+        done_set = set(done)
+        for i in done:
+            c = a.bracket_basis(i, k)
+            if any(c[m] and m != k and m not in done_set for m in range(n)):
+                continue
+            known = known_part(c, done_set, k)
+            adv = ad_cache[i]
+            ck = c[k]
+            for r in range(n):
+                row = list(adv.rows[r])
+                if ck:
+                    row[r] = row[r] - ck
+                rows.append(tuple(row))
+                rhs.append(known[r])
+        for i, j in itertools.combinations(done, 2):
+            c = a.bracket_basis(i, j)
+            if not c[k]:
+                continue
+            if any(c[m] and m != k and m not in done_set for m in range(n)):
+                continue
+            target = vsub(b.bracket(assigned[i], assigned[j]), known_part(c, done_set, k))
+            ck = c[k]
+            for r in range(n):
+                row = [f.zero] * n
+                row[r] = ck
+                rows.append(tuple(row))
+                rhs.append(target[r])
+        return rows, rhs
+
+    def candidates_for(k):
+        dom = domains[k]
+        if not dom:
+            return None
+        rows, rhs = constraints_for(k)
+        m_rows = tuple(tuple(dot(row, d, f) for d in dom) for row in rows)
+        sol = Matrix._of_scalars(f, m_rows, len(dom)).solve(tuple(rhs))
+        if sol is None:
+            return None
+        part, null = sol
+        return part, null, dom
+
+    def expand(remaining):
+        nonlocal nodes
+        if not remaining:
+            matrix = Matrix.from_cols(f, [assigned[i] for i in range(n)])
+            if verify_iso(a, b, matrix):
+                results.append(matrix)
+                return not find_all
+            return False
+        best = None
+        for k in remaining:
+            cand = candidates_for(k)
+            if cand is None:
+                return False
+            key = (len(cand[1]), -ad_rank[k], k)
+            if best is None or key < best[0]:
+                best = (key, k, cand)
+        _, k, (part, null, dom) = best
+        rest = [m for m in remaining if m != k]
+        for t in _reference_affine(f, part, null):
+            x = lincomb(t, dom, zero_vector(f, n))
+            nodes += 1
+            if nodes > budget:
+                raise _ReferenceBudgetHit()
+            if not reducer.push(x):
+                continue
+            assigned[k] = x
+            ad_cache[k] = b.ad(x)
+            stop = expand(rest)
+            assigned[k] = None
+            ad_cache[k] = None
+            reducer.pop()
+            if stop:
+                return True
+        return False
+
+    try:
+        expand(list(range(n)))
+        exhausted = True
+    except _ReferenceBudgetHit:
+        exhausted = False
+    return results, nodes, exhausted
+
+
+_CORPUS = {
+    "sl2": make_sl2,
+    "L4": lambda f: matched.make_L(1, f),
+    "h5": matched.make_h5,
+    "l3": lambda f: make_l(1, f),
+}
+
+
+def _assert_same_search(a, b, budget, find_all):
+    got = _search_isomorphisms(a, b, budget, find_all)
+    assert got == reference_search_isomorphisms(a, b, budget, find_all)
+    for m in got[0]:
+        assert all(x.field is a.field for row in m.rows for x in row)
+        assert (m.nrows, m.ncols) == (a.dim, a.dim)
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(_CORPUS)),
+    st.sampled_from((F2, F3, F5, F7)),
+    st.integers(0, 10**6),
+    st.booleans(),
+    st.integers(1, 1500),
+)
+def test_raw_search_matches_reference_on_conjugates(name, field, seed, find_all, budget):
+    if name == "h5" and field is F2:
+        return  # h5 needs characteristic != 2
+    alg = _CORPUS[name](field)
+    _assert_same_search(alg, _random_conjugate(alg, seed), budget, find_all)
+
+
+def test_raw_search_matches_reference_on_deformations():
+    # the exhausted searches between classes are complete "no" answers
+    mp = matched.canonical_pair_L(1, F5)
+    reps = deform.classify_complements(mp).representatives
+    for d in deform.enumerate_deformation_maps(mp):
+        alg = deform.r_deformation(mp, d)
+        for rep in reps:
+            _assert_same_search(alg, rep, 500000, False)
+    for rep in reps:
+        _assert_same_search(rep, rep, 2000, True)
+
+
+def test_raw_search_matches_reference_on_large_residues():
+    big = Field.gf(2**31 - 1)
+    sl2 = make_sl2(big)
+    conjugate = _random_conjugate(sl2, 1)
+    for find_all in (False, True):
+        # the node that crosses the budget is counted
+        assert _assert_same_search(sl2, conjugate, 200, find_all)[1:] == (201, False)
