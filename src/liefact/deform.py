@@ -336,32 +336,28 @@ def classify_complements(
             )
         return report
     maps = enumerate_deformation_maps(mp, budget, order=order)
-    classes = []
+    reps, sizes = [], []
     for pos, d in enumerate(maps):
         alg = r_deformation(mp, d)
-        fp = fingerprint(alg)
-        placed = False
-        for c, cls in enumerate(classes):
-            if cls["fp"] != fp:
-                continue
-            res = are_isomorphic(alg, cls["rep"], iso_budget)
+        for c, rep in enumerate(reps):
+            res = are_isomorphic(alg, rep, iso_budget)
             if res.verdict == "unknown":
                 raise BudgetExceeded(
                     f"isomorphism search inconclusive: {res.certificate}; deformation map "
                     f"at sweep index {pos} of {len(maps)}, class representative index {c}, "
-                    f"shared fingerprint {fp.as_tuple()}"
+                    f"shared fingerprint {fingerprint(alg).as_tuple()}"
                 )
             if res.is_yes:
-                cls["size"] += 1
-                placed = True
+                sizes[c] += 1
                 break
-        if not placed:
-            classes.append({"rep": alg, "fp": fp, "size": 1})
+        else:
+            reps.append(alg)
+            sizes.append(1)
     return ComplementReport(
-        representatives=[c["rep"] for c in classes],
-        class_sizes=[c["size"] for c in classes],
+        representatives=reps,
+        class_sizes=sizes,
         deformation_count=len(maps),
-        index=len(classes),
+        index=len(reps),
         infinite=False,
     )
 

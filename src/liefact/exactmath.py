@@ -23,7 +23,6 @@ field skip that step and are built with their true shape.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Optional
@@ -311,13 +310,16 @@ def enumerate_vectors(field: Field, length: int) -> Iterator[tuple]:
     """All vectors of a given length, lexicographic, first coordinate slowest.
 
     Exactly p**length vectors; order is deterministic so brute-force results
-    are reproducible bit for bit.
+    are reproducible bit for bit.  Lazy, so a large p costs only what is used.
     """
     if not field.is_finite:
         raise NotFinite("vector enumeration needs a finite field")
-    elems = list(field.elements())
-    for combo in itertools.product(elems, repeat=length):
-        yield combo
+    if not length:
+        yield ()
+        return
+    for x in field.elements():
+        for rest in enumerate_vectors(field, length - 1):
+            yield (x,) + rest
 
 
 class Matrix:

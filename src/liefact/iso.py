@@ -1,7 +1,10 @@
 """Isomorphism testing and automorphism groups.
 
 Negative answers come cheap from fingerprints (isomorphism-invariant
-dimension data); definitive answers over finite fields come from a complete
+dimension data).  Fingerprints and the search's image domains read the
+series, center and Killing Gram that each LieAlgebra keeps once computed,
+so comparing one algebra with many computes its invariants once.
+Definitive answers over finite fields come from a complete
 backtracking search that assigns basis images one at a time, propagating the
 linear constraints each bracket relation imposes and always expanding the
 most constrained variable first.
@@ -63,26 +66,16 @@ class Fingerprint:
 
 
 def fingerprint(algebra: LieAlgebra) -> Fingerprint:
-    return _fingerprint(algebra, _characteristic(algebra))
-
-
-def _fingerprint(algebra: LieAlgebra, char: tuple) -> Fingerprint:
-    """The fingerprint, given the algebra's _characteristic."""
-    derived_terms, lower_terms, center_space = char
-    derived = tuple(s.dim for s in derived_terms)
+    """The fingerprint, read off the invariants kept on the algebra."""
+    derived = tuple(s.dim for s in derived_series(algebra))
     return Fingerprint(
         dim=algebra.dim,
         derived=derived,
-        lower_central=tuple(s.dim for s in lower_terms),
-        center_dim=center_space.dim,
+        lower_central=tuple(s.dim for s in lower_central_series(algebra)),
+        center_dim=center(algebra).dim,
         abelianization_dim=algebra.dim - derived[1],
         killing_rank=killing_gram(algebra).rank(),
     )
-
-
-def _characteristic(algebra: LieAlgebra) -> tuple:
-    """The derived series, the lower central series and the center."""
-    return derived_series(algebra), lower_central_series(algebra), center(algebra)
 
 
 def verify_iso(a: LieAlgebra, b: LieAlgebra, m) -> bool:
@@ -111,16 +104,14 @@ class _BudgetHit(Exception):
     pass
 
 
-def _image_domains(a: LieAlgebra, b: LieAlgebra, char_a: tuple, char_b: tuple) -> list:
+def _image_domains(a: LieAlgebra, b: LieAlgebra) -> list:
     """For each source basis index, an rref basis of the target subspace its
-    image must lie in (intersection of matching characteristic subspaces).
-
-    char_a and char_b are the _characteristic of a and b."""
+    image must lie in (intersection of matching characteristic subspaces)."""
     f = a.field
     n = a.dim
-    (derived_a, lower_a, center_a), (derived_b, lower_b, center_b) = char_a, char_b
-    pairs = list(zip(derived_a, derived_b)) + list(zip(lower_a, lower_b))
-    pairs.append((center_a, center_b))
+    pairs = list(zip(derived_series(a), derived_series(b)))
+    pairs += zip(lower_central_series(a), lower_central_series(b))
+    pairs.append((center(a), center(b)))
     full = [basis_vector(f, b.dim, i) for i in range(b.dim)]
     domains = []
     for i in range(n):
@@ -171,18 +162,11 @@ def _search_isomorphisms(
     pruning only: linear independence, bracket-derived linear constraints,
     and characteristic-subspace membership, so an exhausted search is a
     definitive negative.
-    """
-    char_a = _characteristic(a)
-    char_b = char_a if b is a else _characteristic(b)
-    return _search(a, b, _image_domains(a, b, char_a, char_b), budget, find_all)
-
-
-def _search(a: LieAlgebra, b: LieAlgebra, domains: list, budget: int, find_all: bool) -> tuple:
-    """The search of _search_isomorphisms inside the given image domains.
 
     Everything runs on residues in [0, p): the two bracket tables and the
-    domains are unboxed once, and a witness is boxed only when reported.
+    image domains are unboxed once, and a witness is boxed only when reported.
     """
+    domains = _image_domains(a, b)
     f = a.field
     p = f.p
     n = a.dim
@@ -360,8 +344,7 @@ def are_isomorphic(a: LieAlgebra, b: LieAlgebra, budget: int = 500000) -> IsoRes
         return IsoResult("no", certificate="different base fields")
     if a.dim != b.dim:
         return IsoResult("no", certificate=f"dim {a.dim} != dim {b.dim}")
-    char_a, char_b = _characteristic(a), _characteristic(b)
-    fa, fb = _fingerprint(a, char_a), _fingerprint(b, char_b)
+    fa, fb = fingerprint(a), fingerprint(b)
     if fa != fb:
         return IsoResult(
             "no", certificate=f"fingerprints differ: {fa.as_tuple()} vs {fb.as_tuple()}"
@@ -371,8 +354,7 @@ def are_isomorphic(a: LieAlgebra, b: LieAlgebra, budget: int = 500000) -> IsoRes
             "unknown",
             certificate="fingerprints agree; no complete search over an infinite field",
         )
-    domains = _image_domains(a, b, char_a, char_b)
-    witnesses, nodes, exhausted = _search(a, b, domains, budget, find_all=False)
+    witnesses, nodes, exhausted = _search_isomorphisms(a, b, budget, find_all=False)
     if witnesses:
         return IsoResult(
             "yes", witness=LinearMap(a, b, witnesses[0]), searched=nodes

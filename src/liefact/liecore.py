@@ -14,11 +14,14 @@ a lazy generator of the indices where the two sides differ, so a yes/no
 caller stops at the first defect and a report keeps every record in index
 order.  Characteristic subspaces (center, derived and lower central series),
 invariant bilinear forms, self-duality search and product structures all
-reduce to exact linear algebra over the base field.
+reduce to exact linear algebra over the base field.  Structure constants
+never change after construction, so the series (as tuples), the center and
+the Killing Gram are computed once per LieAlgebra, on first use, and kept on it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -68,10 +71,11 @@ class LieAlgebra:
 
     sc maps an index pair (i, j) with i < j to the coordinate vector of
     [e_i, e_j]; pairs that bracket to zero are not stored.  _table[i][j] is
-    [e_i, e_j] for every index pair, built once from sc.
+    [e_i, e_j] for every index pair, built once from sc.  _invariants keeps
+    the results of the functions marked @_kept, by name.
     """
 
-    __slots__ = ("field", "dim", "basis_names", "_sc", "_index", "_table")
+    __slots__ = ("field", "dim", "basis_names", "_sc", "_index", "_table", "_invariants")
 
     def __init__(self, field: Field, basis_names, brackets):
         self.field = field
@@ -96,6 +100,7 @@ class LieAlgebra:
             table[i][j] = v
             table[j][i] = tuple(-x for x in v)
         self._table = table
+        self._invariants = {}
 
     # -- constructors ----------------------------------------------------------
 
@@ -460,34 +465,47 @@ def right_bracket_matrix(algebra: LieAlgebra) -> Matrix:
     return Matrix(algebra.field, rows)
 
 
+def _kept(compute):
+    """compute(algebra), run on first use and kept in algebra._invariants."""
+    name = compute.__name__
+
+    @functools.wraps(compute)
+    def get(algebra: LieAlgebra):
+        kept = algebra._invariants
+        if name not in kept:
+            kept[name] = compute(algebra)
+        return kept[name]
+
+    return get
+
+
+@_kept
 def center(algebra: LieAlgebra) -> Subspace:
     """Nullspace of the stacked right-bracket maps x -> [x, e_j]."""
     return Subspace(algebra, right_bracket_matrix(algebra).nullspace())
 
 
-def _series(algebra: LieAlgebra, step) -> list:
+def _series(algebra: LieAlgebra, step) -> tuple:
     """Shared driver: append terms until the series stabilizes.
 
     Terminates with the first repeated subspace (kept once) or with 0.
     """
-    current = Subspace.full(algebra)
-    series = [current]
+    series = [Subspace.full(algebra)]
     while True:
-        nxt = step(current)
-        if nxt == current:
-            series.append(nxt)
-            return series
+        nxt = step(series[-1])
+        stop = nxt == series[-1] or nxt.dim == 0
         series.append(nxt)
-        if nxt.dim == 0:
-            return series
-        current = nxt
+        if stop:
+            return tuple(series)
 
 
-def derived_series(algebra: LieAlgebra) -> list:
+@_kept
+def derived_series(algebra: LieAlgebra) -> tuple:
     return _series(algebra, lambda s: s.bracket_with(s))
 
 
-def lower_central_series(algebra: LieAlgebra) -> list:
+@_kept
+def lower_central_series(algebra: LieAlgebra) -> tuple:
     full = Subspace.full(algebra)
     return _series(algebra, lambda s: full.bracket_with(s))
 
@@ -513,6 +531,7 @@ def is_metabelian(algebra: LieAlgebra) -> bool:
     return length is not None and length <= 2
 
 
+@_kept
 def killing_gram(algebra: LieAlgebra) -> Matrix:
     ads = [algebra.ad_basis(i) for i in range(algebra.dim)]
     n = algebra.dim

@@ -223,10 +223,7 @@ def _match_reps_to_catalog(reps, references, iso_budget) -> bool:
         for idx, ref in enumerate(references):
             if idx in used:
                 continue
-            res = iso.are_isomorphic(rep, ref, iso_budget)
-            if res.is_yes:
-                if iso.fingerprint(rep) != iso.fingerprint(ref):
-                    return False
+            if iso.are_isomorphic(rep, ref, iso_budget).is_yes:
                 hit = idx
                 break
         if hit is None:

@@ -396,6 +396,25 @@ def test_classification_budget_names_its_context():
     assert "shared fingerprint (3, (3, 2, 0), (3, 2, 2), 0, 1, 1)" in msg
 
 
+def test_classification_computes_each_series_once_per_deformation(monkeypatch):
+    # the representatives are deformations too, so comparing each deformation
+    # with every representative adds no series computation; ids are not
+    # counted because a freed deformation's id can be reused
+    mp = canonical_pair_L(1, F5)
+    calls = []
+    series = liecore._series
+
+    def counted(algebra, step):
+        calls.append(1)
+        return series(algebra, step)
+
+    monkeypatch.setattr(liecore, "_series", counted)
+    report = classify_complements(mp)
+    assert report.deformation_count == 29 and report.class_sizes == [24, 1, 4]
+    # one derived and one lower central series per r-deformation
+    assert len(calls) == 2 * 29
+
+
 def test_ad_ratio_invariant():
     # invariant under the alpha <-> 1/alpha symmetry, separates other ratios
     two, three = Q.scalar(2), Q.scalar(3)

@@ -582,6 +582,24 @@ def test_enumerate_vectors_order_and_counts():
     assert len(set(enumerate_vectors(F5, 3))) == 125
 
 
+def test_enumerate_vectors_draws_only_the_elements_it_yields(monkeypatch):
+    draws = []
+    elements = Field.elements
+
+    def counted(field):
+        for x in elements(field):
+            draws.append(x)
+            yield x
+
+    monkeypatch.setattr(Field, "elements", counted)
+    vectors = enumerate_vectors(F7, 3)
+    first = [next(vectors) for _ in range(2)]
+    assert [[x.value for x in v] for v in first] == [[0, 0, 0], [0, 0, 1]]
+    # one element per coordinate for the first vector, one more for the
+    # second; listing the field first would draw all 7
+    assert len(draws) == 4
+
+
 def test_enumerate_vectors_rejects_rationals():
     with pytest.raises(NotFinite):
         list(enumerate_vectors(Q, 2))

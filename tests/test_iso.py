@@ -19,7 +19,7 @@ from liefact.exactmath import (
     zero_vector,
 )
 from liefact import liecore, matched, deform
-from liefact.derivations import TwistedDerivation
+from liefact.derivations import TwistedDerivation, derivation_space
 from liefact.iso import (
     AutTriple,
     _search_isomorphisms,
@@ -511,8 +511,9 @@ class _ReferenceReducer:
 
 
 def _lex_vectors(field, length):
-    """enumerate_vectors' vectors in its order, lazily: enumerate_vectors
-    lists every field element first, which GF(2^31 - 1) cannot afford."""
+    """enumerate_vectors' vectors in its order, lazily, written out here so
+    that the reference search shares no enumeration code with the search
+    it checks."""
     if not length:
         yield ()
         return
@@ -688,3 +689,46 @@ def test_raw_search_matches_reference_on_large_residues():
     for find_all in (False, True):
         # the node that crosses the budget is counted
         assert _assert_same_search(sl2, conjugate, 200, find_all)[1:] == (201, False)
+
+
+# -- invariants kept on the algebra ---------------------------------------------
+
+
+_KEPT_CORPUS = {
+    "sl2": make_sl2,
+    "L4": lambda f: matched.make_L(1, f),
+    "m4": lambda f: matched.make_m(1, f),
+    "h5": matched.make_h5,
+    "l5": lambda f: make_l(2, f),
+}
+
+
+def _kept_invariants(alg):
+    return (
+        liecore.derived_series(alg),
+        liecore.lower_central_series(alg),
+        liecore.center(alg),
+        liecore.killing_gram(alg),
+        fingerprint(alg),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(sorted(_KEPT_CORPUS)),
+    st.sampled_from((F3, F5, F7)),
+    st.integers(0, 10**6),
+)
+def test_kept_invariants_agree_with_a_recomputation(name, field, seed):
+    alg = _KEPT_CORPUS[name](field)
+    conjugate = _random_conjugate(alg, seed)
+    for x in (alg, conjugate):
+        kept = _kept_invariants(x)
+        again = _kept_invariants(x)
+        assert all(k is a for k, a in zip(kept[:4], again[:4]))
+        fresh = LieAlgebra(x.field, x.basis_names, dict(x.sc_pairs()))
+        assert kept == _kept_invariants(fresh)
+    assert fingerprint(alg) == fingerprint(conjugate)
+    assert len(derivation_space(alg)) == len(derivation_space(conjugate))
+    res = are_isomorphic(alg, conjugate)
+    assert res.is_yes and verify_iso(alg, conjugate, res.witness)
