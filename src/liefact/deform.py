@@ -20,7 +20,8 @@ and quadratic terms on the entries of r with raw coefficients (residues over
 GF(p), Fractions over Q), and cached on the pair.  Each check unboxes r once
 and evaluates those terms on plain values, stopping at the first equation
 that fails; the sweep builds its candidates from one tuple of the field's
-elements without coercing them again.
+elements without coercing them again, in the lexicographic order of
+enumerate_vectors, and has no other order.
 """
 
 from __future__ import annotations
@@ -137,14 +138,13 @@ def is_deformation_map(mp: MatchedPair, r: Matrix) -> bool:
     return True
 
 
-def enumerate_deformation_maps(
-    mp: MatchedPair, budget: int = 10**7, order: str = "lex"
-) -> list:
+def enumerate_deformation_maps(mp: MatchedPair, budget: int = 10**7) -> list:
     """Exhaustive, deterministic sweep of all linear maps h -> g.
 
     The sweep itself never prunes; each candidate is kept iff it passes the
     per-map compatibility check.  Candidates come in lexicographic order of
-    their row-major entries (first entry slowest), or its exact reverse.
+    their row-major entries (first entry slowest), the order of
+    enumerate_vectors.
     """
     field = mp.field
     if not field.is_finite:
@@ -159,10 +159,6 @@ def enumerate_deformation_maps(
             required=count,
         )
     alphabet = tuple(field.elements())
-    if order == "revlex":
-        alphabet = alphabet[::-1]
-    elif order != "lex":
-        raise BadParameter(f"unknown enumeration order {order!r}")
     starts = [a * n for a in range(m)]
     found = []
     for flat in itertools.product(alphabet, repeat=cells):
@@ -229,6 +225,11 @@ def _nonzero_vectors(field: Field, n: int) -> Iterator[tuple]:
     return ((a,) for a in enumerate_vectors(field, n) if _nonzero(a))
 
 
+def _split_vectors(field: Field, n: int) -> Iterator[tuple]:
+    """Parameter tuples (b, c): the vectors of length n + 1, split after n."""
+    return ((v[:n], v[n]) for v in enumerate_vectors(field, n + 1))
+
+
 # The closed-form deformation maps of the two canonical pairs, one row of
 # H-coordinates of r(E_1), ..., r(E_n), r(F_1), ..., r(F_n), r(G) each.  The
 # families below and the deformed algebras at the end of this module share them.
@@ -266,15 +267,9 @@ def closed_form_defmaps_L(n: int, field: Field) -> list:
     if field.characteristic() == 2:
         raise CharTwo("the closed form assumes characteristic != 2")
     mp = canonical_pair_L(n, field)
-
-    def iter_bc():
-        for b in enumerate_vectors(field, n):
-            for c in field.elements():
-                yield (b, c)
-
     return [
         DeformationFamily("a", mp, partial(_L_a, field, n), partial(_nonzero_vectors, field, n), _nonzero),
-        DeformationFamily("bc", mp, partial(_L_bc, field, n), iter_bc),
+        DeformationFamily("bc", mp, partial(_L_bc, field, n), partial(_split_vectors, field, n)),
     ]
 
 
@@ -286,16 +281,11 @@ def closed_form_defmaps_m(n: int, field: Field) -> list:
     if field.characteristic() == 2:
         raise CharTwo("the closed form assumes characteristic != 2")
     mp = canonical_pair_m(n, field)
-
-    def iter_c():
-        for c in field.elements():
-            yield (c,)
-
     nonzero_vectors = partial(_nonzero_vectors, field, n)
     return [
         DeformationFamily("a", mp, partial(_m_a, field, n), nonzero_vectors, _nonzero),
         DeformationFamily("b", mp, partial(_m_b, field, n), nonzero_vectors, _nonzero),
-        DeformationFamily("c", mp, partial(_m_c, field, n), iter_c),
+        DeformationFamily("c", mp, partial(_m_c, field, n), partial(enumerate_vectors, field, 1)),
     ]
 
 
@@ -319,7 +309,6 @@ class ComplementReport:
 def classify_complements(
     mp: MatchedPair,
     budget: int = 10**7,
-    order: str = "lex",
     iso_budget: int = 500000,
 ) -> ComplementReport:
     """Group all r-deformations into isomorphism classes.
@@ -335,7 +324,7 @@ def classify_complements(
                 "no registered closed-form family covers this matched pair over an infinite field"
             )
         return report
-    maps = enumerate_deformation_maps(mp, budget, order=order)
+    maps = enumerate_deformation_maps(mp, budget)
     reps, sizes = [], []
     for pos, d in enumerate(maps):
         alg = r_deformation(mp, d)

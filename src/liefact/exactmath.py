@@ -19,6 +19,12 @@ null space is all of n-space and a (k x 0)(0 x n) product is the k x n zero
 matrix.  Matrix coerces its entries once, in its public constructors; sums,
 products, transposes, stacks and other results built from matrices of one
 field skip that step and are built with their true shape.
+
+The points of an affine subspace x + span(null) of GF(p)^n come from one
+generator, affine_points: residues mod p, lexicographic in the coefficients
+(first slowest), and lazy, so a large p costs only the points used.  The
+isomorphism search takes its raw points; enumerate_affine boxes them, and
+enumerate_vectors is enumerate_affine over the unit basis.
 """
 
 from __future__ import annotations
@@ -141,12 +147,6 @@ class Field:
         if not self.is_finite:
             raise NotFinite("cannot enumerate the rationals")
         for v in range(self.p):
-            yield Scalar(self, v)
-
-    def nonzero_elements(self) -> Iterator["Scalar"]:
-        if not self.is_finite:
-            raise NotFinite("cannot enumerate the rationals")
-        for v in range(1, self.p):
             yield Scalar(self, v)
 
     # -- serialization -------------------------------------------------------
@@ -307,19 +307,10 @@ def is_zero_vector(u) -> bool:
 
 
 def enumerate_vectors(field: Field, length: int) -> Iterator[tuple]:
-    """All vectors of a given length, lexicographic, first coordinate slowest.
-
-    Exactly p**length vectors; order is deterministic so brute-force results
-    are reproducible bit for bit.  Lazy, so a large p costs only what is used.
-    """
-    if not field.is_finite:
-        raise NotFinite("vector enumeration needs a finite field")
-    if not length:
-        yield ()
-        return
-    for x in field.elements():
-        for rest in enumerate_vectors(field, length - 1):
-            yield (x,) + rest
+    """All vectors of a given length, lexicographic, first coordinate slowest:
+    enumerate_affine from the origin over the unit basis."""
+    unit = [basis_vector(field, length, i) for i in range(length)]
+    return enumerate_affine(field, zero_vector(field, length), unit)
 
 
 class Matrix:
@@ -762,10 +753,24 @@ def intersect_spans(field: Field, basis_a, basis_b, ambient_dim: int) -> list:
     return span_rref(field, [lincomb(sol, basis_a, origin) for sol in m.nullspace()])
 
 
-def enumerate_affine(field: Field, particular, basis) -> Iterator[tuple]:
-    """All points particular + span(basis) over a finite field, deterministic."""
-    if not basis:
-        yield tuple(particular)
+def affine_points(p: int, x: tuple, null) -> Iterator[tuple]:
+    """x + span(null) on residues mod p, every coefficient over 0..p-1, first
+    slowest; each point is the last one plus a null vector."""
+    if not null:
+        yield x
         return
-    for coeffs in enumerate_vectors(field, len(basis)):
-        yield lincomb(coeffs, basis, particular)
+    v, rest = null[0], null[1:]
+    for _ in range(p):
+        yield from affine_points(p, x, rest)
+        x = tuple((y + z) % p for y, z in zip(x, v))
+
+
+def enumerate_affine(field: Field, particular, basis) -> Iterator[tuple]:
+    """All points particular + span(basis) over a finite field, boxed, in
+    affine_points' order; exactly p**len(basis) of them."""
+    if not field.is_finite:
+        raise NotFinite("point enumeration needs a finite field")
+    x = tuple(c.value for c in particular)
+    null = [tuple(c.value for c in v) for v in basis]
+    for point in affine_points(field.p, x, null):
+        yield tuple(Scalar(field, v) for v in point)

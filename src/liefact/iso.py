@@ -29,6 +29,7 @@ from .exactmath import (
     Scalar,
     _residue_det,
     _residue_rref,
+    affine_points,
     basis_vector,
     enumerate_affine,
     intersect_spans,
@@ -262,17 +263,6 @@ def _search_isomorphisms(
             null.append(v)
         return tuple(x % p for x in part), null
 
-    def points(x, null):
-        """x + span(null), lexicographic in the coefficients (first slowest)
-        like enumerate_affine; lazy, so a large p costs only what is used."""
-        if not null:
-            yield x
-            return
-        v, rest = null[0], null[1:]
-        for _ in range(p):
-            yield from points(x, rest)
-            x = tuple((y + z) % p for y, z in zip(x, v))
-
     def is_isomorphism():
         """The leaf check on residues: the assigned columns have rank n and
         map [e_i, e_j] to [x_i, x_j] for every basis pair."""
@@ -305,7 +295,7 @@ def _search_isomorphisms(
                 best = (key, k, cand)
         _, k, (part, null) = best
         rest = [m for m in remaining if m != k]
-        for x in points(part, null):
+        for x in affine_points(p, part, null):
             nodes += 1
             if nodes > budget:
                 raise _BudgetHit()
@@ -517,7 +507,7 @@ def enumerate_aut_triples(h: LieAlgebra, delta: Matrix, budget: int = 500000) ->
     f = h.field
     auts = aut_enumerate(h, budget)
     triples = []
-    for alpha in f.nonzero_elements():
+    for alpha in itertools.islice(f.elements(), 1, None):  # the units, after 0
         for index, v in enumerate(auts):
             lhs = v.matrix * delta - alpha * (delta * v.matrix)
             rows = []

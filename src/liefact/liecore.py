@@ -13,8 +13,9 @@ structures, invariant forms) goes through defects(),
 a lazy generator of the indices where the two sides differ, so a yes/no
 caller stops at the first defect and a report keeps every record in index
 order.  Characteristic subspaces (center, derived and lower central series),
-invariant bilinear forms, self-duality search and product structures all
-reduce to exact linear algebra over the base field.  Structure constants
+invariant bilinear forms, self-duality (decided on a finite grid of form
+combinations, over Q as over GF(p)) and product structures all reduce to
+exact linear algebra over the base field.  Structure constants
 never change after construction, so the series (as tuples), the center and
 the Killing Gram are computed once per LieAlgebra, on first use, and kept on it.
 """
@@ -39,7 +40,6 @@ from .exactmath import (
     Scalar,
     basis_vector,
     dot,
-    enumerate_vectors,
     is_zero_vector,
     span_rref,
     vadd,
@@ -594,10 +594,22 @@ class SelfDualResult:
 def self_dual(algebra: LieAlgebra, budget: int = 2000) -> SelfDualResult:
     """Search for a non-degenerate invariant bilinear form.
 
+    With G_1, ..., G_d a basis of the invariant forms and n = dim, the search
+    tries the Killing form, the identity when it is invariant, and then the
+    forms sum c_i G_i for c on the grid {0..s}^d, where s = n over Q and
+    s = min(n, p - 1) over GF(p), in shells of growing largest coefficient
+    (shell 1 holds every G_i and their sum).  The grid decides: det(sum c_i
+    G_i) has degree at most n in each c_i, so if it vanishes on n + 1 values
+    of every coordinate it is the zero polynomial, and when p <= n the grid
+    is the whole coefficient space.
+
     yes  -> the returned form is invariant with nonzero determinant;
-    no   -> the witness vector kills every invariant form from the left,
-            so every linear combination stays degenerate;
-    unknown -> the candidate budget ran out with neither certificate.
+    no   -> every linear combination of the invariant forms is degenerate:
+            the witness vector kills every invariant form from the left, or
+            the witness is None and the detail names the grid on which
+            every combination was tried;
+    unknown -> the budget (grid points tried) ran out inside the grid; the
+            detail names the budget and the grid.
     """
     f = algebra.field
     n = algebra.dim
@@ -638,52 +650,27 @@ def self_dual(algebra: LieAlgebra, budget: int = 2000) -> SelfDualResult:
         hit = attempt(Matrix.identity(f, n))
         if hit:
             return hit
-    tried = 0
-    for form in basis:
-        tried += 1
-        hit = attempt(form.gram)
-        if hit:
-            return hit
-    total = basis[0].gram
-    for form in basis[1:]:
-        total = total + form.gram
-    hit = attempt(total)
-    if hit:
-        return hit
     d = len(basis)
-    if f.is_finite:
-        for coeffs in enumerate_vectors(f, d):
+    s = min(n, f.p - 1) if f.is_finite else n
+    grid = f"{{0..{s}}}^{d}"
+    tried = 0
+    for top in range(1, s + 1):
+        for coeffs in itertools.product(range(top + 1), repeat=d):
+            if top not in coeffs:
+                continue  # in an earlier shell
             tried += 1
             if tried > budget:
-                return SelfDualResult("unknown", detail=f"budget {budget} exhausted")
+                return SelfDualResult(
+                    "unknown", detail=f"budget {budget} exhausted inside the grid {grid}"
+                )
             gram = Matrix.zeros(f, n, n)
             for c, form in zip(coeffs, basis):
-                if c:
-                    gram = gram + c * form.gram
-            hit = attempt(gram)
-            if hit:
-                return hit
-        # every combination over this field is degenerate, yet no single
-        # vector kills them all; the no-contract demands a radical witness
-        return SelfDualResult("unknown", detail="all combinations degenerate, no common radical")
-    # integer boxes of growing side over the rationals
-    box = 1
-    while tried <= budget:
-        for raw in itertools.product(range(-box, box + 1), repeat=d):
-            if all(abs(x) < box for x in raw):
-                continue  # interior already tried with a smaller box
-            tried += 1
-            if tried > budget:
-                return SelfDualResult("unknown", detail=f"budget {budget} exhausted")
-            gram = Matrix.zeros(f, n, n)
-            for c, form in zip(raw, basis):
                 if c:
                     gram = gram + f.scalar(c) * form.gram
             hit = attempt(gram)
             if hit:
                 return hit
-        box += 1
-    return SelfDualResult("unknown", detail=f"budget {budget} exhausted")
+    return SelfDualResult("no", detail=f"every combination on the grid {grid} is degenerate")
 
 
 # -- product structures ---------------------------------------------------------

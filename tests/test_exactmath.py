@@ -1,10 +1,12 @@
 import copy
 import fractions
+import itertools
 import math
 import pickle
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,8 +21,10 @@ from liefact.exactmath import (
     Scalar,
     basis_vector,
     dot,
+    enumerate_affine,
     enumerate_vectors,
     is_zero_vector,
+    lincomb,
     nullspace,
     rref,
     solve_linear,
@@ -198,8 +202,6 @@ def _matrices(field, nrows, ncols):
 
 
 def _check_solve_against_scan(field, m, b):
-    from liefact.exactmath import enumerate_affine
-
     brute = {v for v in enumerate_vectors(field, m.ncols) if m.mul_vector(v) == tuple(b)}
     sol = m.solve(tuple(b))
     if sol is None:
@@ -582,22 +584,38 @@ def test_enumerate_vectors_order_and_counts():
     assert len(set(enumerate_vectors(F5, 3))) == 125
 
 
-def test_enumerate_vectors_draws_only_the_elements_it_yields(monkeypatch):
-    draws = []
-    elements = Field.elements
+def _peak_bytes_of_first(points, count):
+    """The first `count` points of a lazy enumeration and the peak memory,
+    in bytes, that drawing them allocated."""
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(points, count))
+        return first, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-    def counted(field):
-        for x in elements(field):
-            draws.append(x)
-            yield x
 
-    monkeypatch.setattr(Field, "elements", counted)
-    vectors = enumerate_vectors(F7, 3)
-    first = [next(vectors) for _ in range(2)]
-    assert [[x.value for x in v] for v in first] == [[0, 0, 0], [0, 0, 1]]
-    # one element per coordinate for the first vector, one more for the
-    # second; listing the field first would draw all 7
-    assert len(draws) == 4
+def test_enumeration_is_lazy_over_a_large_field():
+    # listing GF(2^31 - 1) would take 2^31 Scalars; the first points cost a
+    # few tuples
+    first, peak = _peak_bytes_of_first(enumerate_vectors(F_BIG, 3), 3)
+    assert [[x.value for x in v] for v in first] == [[0, 0, 0], [0, 0, 1], [0, 0, 2]]
+    assert peak < 2**20
+    start = (F_BIG.scalar(5), F_BIG.scalar(-1))
+    first, peak = _peak_bytes_of_first(enumerate_affine(F_BIG, start, [(F_BIG.one,) * 2]), 3)
+    assert [[x.value for x in v] for v in first] == [[5, 2**31 - 2], [6, 0], [7, 1]]
+    assert peak < 2**20
+
+
+def test_enumerate_affine_order_is_lex_in_the_coefficients():
+    part = (F3.scalar(1), F3.zero, F3.scalar(2))
+    basis = [(F3.one, F3.scalar(2), F3.zero), (F3.zero, F3.one, F3.one)]
+    want = [lincomb(c, basis, part) for c in enumerate_vectors(F3, 2)]
+    assert list(enumerate_affine(F3, part, basis)) == want
+    assert len(set(want)) == 9
+    assert list(enumerate_affine(F3, part, [])) == [part]
+    with pytest.raises(NotFinite):
+        next(enumerate_affine(Q, (Q.one,), []))
 
 
 def test_enumerate_vectors_rejects_rationals():

@@ -667,7 +667,21 @@ def test_raw_search_matches_reference_on_conjugates(name, field, seed, find_all,
     if name == "h5" and field is F2:
         return  # h5 needs characteristic != 2
     alg = _CORPUS[name](field)
-    _assert_same_search(alg, _random_conjugate(alg, seed), budget, find_all)
+    conjugate = _random_conjugate(alg, seed)
+    _assert_same_search(alg, conjugate, budget, find_all)
+    _assert_same_search(conjugate, alg, budget, find_all)
+
+
+def test_pair_constraints_prune_from_a_conjugate_basis():
+    # searching from a conjugate basis, the rows from [x_i, x_j] of two
+    # assigned images that close on x_k cut candidate sets: without them the
+    # sl2 search expands 364 nodes and the L(4) search finds no answer
+    # within 5,000
+    for alg, seed, nodes in ((make_sl2(F3), 0, 346), (matched.make_L(1, F3), 1, 4256)):
+        witnesses, searched, exhausted = _assert_same_search(
+            _random_conjugate(alg, seed), alg, 5000, False
+        )
+        assert (len(witnesses), searched, exhausted) == (1, nodes, True)
 
 
 def test_raw_search_matches_reference_on_deformations():

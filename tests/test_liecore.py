@@ -294,6 +294,53 @@ def test_self_dual_contract_reverified_on_zoo():
                     assert not form.evaluate(res.witness, basis_vector(F5, alg.dim, k))
 
 
+def test_self_dual_reaches_a_form_early_in_the_grid():
+    # a lex sweep of the coefficients over GF(5)^5 (first slowest) meets
+    # no non-degenerate combination in its first 500 tries; the first shells
+    # of the grid hold one
+    brackets = {(1, 2): (1, 0, 0, 4, 0), (1, 4): (0, 0, 4, 0, 0), (2, 4): (0, 2, 0, 0, 0)}
+    alg = LieAlgebra(
+        F5, ("a", "b", "c", "d", "e"), {k: tuple(map(F5.scalar, v)) for k, v in brackets.items()}
+    )
+    res = self_dual(alg, budget=200)
+    assert res.verdict == "yes"
+    assert res.form.is_invariant() and res.form.is_nondegenerate()
+
+
+def _abelian3_with_skew_forms(monkeypatch, field):
+    """abelian(3) with its invariant forms replaced by the three skew forms:
+    no vector kills all three from the left, yet every combination is a
+    skew 3 x 3 matrix and so singular."""
+    alg = LieAlgebra.abelian(field, 3)
+
+    def skew(i, j):
+        rows = [[0] * 3 for _ in range(3)]
+        rows[i][j], rows[j][i] = 1, -1
+        return BilinearForm(alg, Matrix(field, rows))
+
+    forms = [skew(0, 1), skew(0, 2), skew(1, 2)]
+    monkeypatch.setattr(liecore, "invariant_bilinear_forms", lambda a, symmetric=False: forms)
+    return alg
+
+
+@pytest.mark.parametrize(
+    "field, grid", [(Q, "{0..3}^3"), (F2, "{0..1}^3"), (F5, "{0..3}^3")], ids=["Q", "GF2", "GF5"]
+)
+def test_self_dual_exhausted_grid_is_a_no(monkeypatch, field, grid):
+    # over GF(2) the grid {0, 1}^3 is the whole coefficient space; otherwise
+    # det of the combination has degree <= 3 in each coefficient and vanishes
+    # on 4 values of each, so it is the zero polynomial
+    res = self_dual(_abelian3_with_skew_forms(monkeypatch, field))
+    assert (res.verdict, res.witness) == ("no", None)
+    assert grid in res.detail
+
+
+def test_self_dual_unknown_names_the_budget_and_the_grid(monkeypatch):
+    res = self_dual(_abelian3_with_skew_forms(monkeypatch, Q), budget=10)
+    assert res.verdict == "unknown"
+    assert "budget 10" in res.detail and "{0..3}^3" in res.detail
+
+
 # -- product structures --------------------------------------------------------------
 
 
