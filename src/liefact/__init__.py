@@ -7,7 +7,7 @@ exact arithmetic throughout.
 """
 
 from . import errors
-from .exactmath import Field, Matrix, Scalar, enumerate_vectors, nullspace, rref, solve_linear
+from .exactmath import Field, Matrix, Scalar, enumerate_vectors
 from .liecore import (
     BilinearForm,
     LieAlgebra,

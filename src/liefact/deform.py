@@ -17,11 +17,10 @@ closed-form families.
 
 The compatibility of a pair is built once, on first use, into fixed linear
 and quadratic terms on the entries of r with raw coefficients (residues over
-GF(p), Fractions over Q), and cached on the pair.  Each check unboxes r once
-and evaluates those terms on plain values, stopping at the first equation
-that fails; the sweep builds its candidates from one tuple of the field's
-elements without coercing them again, in the lexicographic order of
-enumerate_vectors, and has no other order.
+GF(p), Fractions over Q), and cached on the pair.  Each check evaluates
+those terms on the raw entries of r, stopping at the first equation that
+fails; the sweep builds its candidates from residues without coercing them,
+in the lexicographic order of enumerate_vectors, and has no other order.
 """
 
 from __future__ import annotations
@@ -125,7 +124,7 @@ def is_deformation_map(mp: MatchedPair, r: Matrix) -> bool:
         raise DimensionMismatch("r must map h into g")
     if r.field is not mp.field:
         raise FieldMismatch(f"map over {r.field}, pair over {mp.field}")
-    v = [x.value for row in r.rows for x in row]
+    v = [x for row in r.raw for x in row]
     p = mp.field.p
     for lin, quad in _compatibility(mp):
         total = 0
@@ -158,11 +157,10 @@ def enumerate_deformation_maps(mp: MatchedPair, budget: int = 10**7) -> list:
             f"{field.p}^({m}*{n}) = {count} candidate maps exceed budget {budget}",
             required=count,
         )
-    alphabet = tuple(field.elements())
     starts = [a * n for a in range(m)]
     found = []
-    for flat in itertools.product(alphabet, repeat=cells):
-        r = Matrix._of_scalars(field, tuple(flat[s : s + n] for s in starts), n)
+    for flat in itertools.product(range(field.p), repeat=cells):
+        r = Matrix._of_raw(field, tuple(flat[s : s + n] for s in starts), n)
         if is_deformation_map(mp, r):
             found.append(DeformationMap(mp, r))
     return found

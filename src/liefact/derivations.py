@@ -84,26 +84,27 @@ def _twisted_system(algebra: LieAlgebra, lam) -> Matrix:
     """Linear system in the dim^2 entries of Delta for a fixed lambda."""
     n = algebra.dim
     f = algebra.field
+    red = f._reduce
     rows = []
     for i, j in basis_pairs(n):
         cij = algebra.bracket_basis(i, j)
         for k in range(n):
-            row = [f.zero] * (n * n)
+            row = [f.zero.value] * (n * n)
             for m in range(n):
                 if cij[m]:
-                    row[k * n + m] = row[k * n + m] + cij[m]
+                    row[k * n + m] = red(row[k * n + m] + cij[m].value)
                 cmj = algebra.bracket_basis(m, j)[k]
                 if cmj:
-                    row[m * n + i] = row[m * n + i] - cmj
+                    row[m * n + i] = red(row[m * n + i] - cmj.value)
                 cim = algebra.bracket_basis(i, m)[k]
                 if cim:
-                    row[m * n + j] = row[m * n + j] - cim
+                    row[m * n + j] = red(row[m * n + j] - cim.value)
             if lam[j]:
-                row[k * n + i] = row[k * n + i] - lam[j]
+                row[k * n + i] = red(row[k * n + i] - lam[j].value)
             if lam[i]:
-                row[k * n + j] = row[k * n + j] + lam[i]
+                row[k * n + j] = red(row[k * n + j] + lam[i].value)
             rows.append(tuple(row))
-    return Matrix._of_scalars(f, tuple(rows), n * n)
+    return Matrix._of_raw(f, tuple(rows), n * n)
 
 
 def _maps_from_flat(algebra: LieAlgebra, flats) -> list:
@@ -164,8 +165,8 @@ def twisted_derivations_for_lambda(algebra: LieAlgebra, lam) -> list:
 
 def admissible_lambdas(algebra: LieAlgebra) -> list:
     """rref basis of the covectors vanishing on the derived algebra."""
-    rows = tuple(vec for _, vec in algebra.sc_pairs())
-    return Matrix._of_scalars(algebra.field, rows, algebra.dim).nullspace()
+    rows = tuple(tuple(x.value for x in vec) for _, vec in algebra.sc_pairs())
+    return Matrix._of_raw(algebra.field, rows, algebra.dim).nullspace()
 
 
 def enumerate_twisted_derivations(algebra: LieAlgebra, budget: int = 10**7) -> list:
@@ -291,9 +292,9 @@ def tn_delta_matrix(t: TnElement) -> Matrix:
     n = t.n
     rows = []
     for i in range(n):
-        rows.append(list(t.A.rows[i]) + list(t.B.rows[i]) + [t.delta[i]])
+        rows.append(t.A.raw[i] + t.B.raw[i] + (t.delta[i],))
     for i in range(n):
-        rows.append(list(t.C.rows[i]) + list(t.D.rows[i]) + [t.delta[n + i]])
+        rows.append(t.C.raw[i] + t.D.raw[i] + (t.delta[n + i],))
     rows.append(list(zero_vector(f, 2 * n)) + [t.delta[2 * n]])
     return Matrix(f, rows)
 

@@ -6,19 +6,19 @@ values are immutable and all operations pure, so concurrent use is safe and
 every test downstream can assert strict equality.
 
 Scalar is the boundary type: every value a caller passes in or gets back is
-a Scalar tagged by its field.  Elimination (rref, and so rank, nullspace,
-solve, inverse and span_rref, and det) unboxes the entries once, runs on
-plain ints, fraction-free over Q and on residues in [0, p) over GF(p), and
-boxes the result once.
+a Scalar tagged by its field.  A Matrix keeps raw entries (Fractions over Q,
+residues in [0, p) over GF(p)): its public constructors coerce them once,
+sums, products and elimination run on them, and its accessors box what they
+hand out.  Elimination (rref, and so rank, nullspace, solve, inverse and
+span_rref, and det) runs on plain ints, fraction-free over Q and on residues
+over GF(p).
 
 Each field has one instance, built and validated on first use with its zero
 and one, so comparing the fields of two operands is an identity check.
 
 Every matrix has an exact shape: a 0 x n matrix still has n columns, so its
 null space is all of n-space and a (k x 0)(0 x n) product is the k x n zero
-matrix.  Matrix coerces its entries once, in its public constructors; sums,
-products, transposes, stacks and other results built from matrices of one
-field skip that step and are built with their true shape.
+matrix.
 
 The points of an affine subspace x + span(null) of GF(p)^n come from one
 generator, affine_points: residues mod p, lexicographic in the coefficients
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, mul, neg, sub
 from typing import Iterator, Optional
 
 from .errors import BadParameter, DimensionMismatch, FieldMismatch, FormatError, NotFinite
@@ -60,7 +61,7 @@ class Field:
     identity.
     """
 
-    __slots__ = ("kind", "p", "zero", "one")
+    __slots__ = ("kind", "p", "zero", "one", "_reduce")
 
     _instances: dict = {}
 
@@ -80,6 +81,8 @@ class Field:
         field = super().__new__(cls)
         field.kind = kind
         field.p = p
+        # the canonical form of a computed raw entry (an empty sum is the int 0)
+        field._reduce = _fraction if p is None else p.__rmod__
         field.zero = field.scalar(0)
         field.one = field.scalar(1)
         # two threads may build the same field; setdefault keeps the first
@@ -114,23 +117,29 @@ class Field:
         Anything else raises BadParameter, floats included: over GF(p) a
         float would truncate and over Q keep its binary expansion.
         """
-        if isinstance(value, Scalar):
-            if value.field != self:
-                raise FieldMismatch(f"scalar over {value.field}, expected {self}")
+        if isinstance(value, Scalar) and value.field is self:
             return value
+        return Scalar(self, self._raw(value))
+
+    def _raw(self, value):
+        """What scalar(value) holds: a Fraction over Q, a residue over GF(p)."""
+        if isinstance(value, Scalar):
+            if value.field is not self:
+                raise FieldMismatch(f"scalar over {value.field}, expected {self}")
+            return value.value
         if isinstance(value, str):
-            return self.from_string(value)
+            return self.from_string(value).value
         if not isinstance(value, (int, Fraction)):
             raise BadParameter(f"{value!r} is not an exact field element over {self}")
         if self.kind == KIND_Q:
-            return Scalar(self, Fraction(value))
+            return _fraction(value)
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator not invertible mod {self.p}")
             num = value.numerator % self.p
             den = pow(value.denominator % self.p, self.p - 2, self.p)
-            return Scalar(self, (num * den) % self.p)
-        return Scalar(self, value % self.p)
+            return (num * den) % self.p
+        return value % self.p
 
     def from_string(self, text: str) -> "Scalar":
         text = text.strip()
@@ -313,21 +322,33 @@ def enumerate_vectors(field: Field, length: int) -> Iterator[tuple]:
     return enumerate_affine(field, zero_vector(field, length), unit)
 
 
-class Matrix:
-    """Dense exact matrix; rows is a tuple of row tuples of Scalars.
+def _fraction(x) -> Fraction:
+    # Fraction(x) copies a Fraction, at about 20 times the cost of this check
+    return x if type(x) is Fraction else Fraction(x)
 
-    Matrix(field, rows) reads the shape off the rows (no rows: 0 x 0); zeros,
-    from_cols and every result carry their exact shape, 0 x n included.
+
+def _box(field: Field, values) -> tuple:
+    return tuple(Scalar(field, x) for x in values)
+
+
+class Matrix:
+    """Dense exact matrix; raw is a tuple of row tuples of raw entries,
+    Fractions over Q and residues in [0, p) over GF(p).
+
+    The public constructors coerce the entries once and every method works on
+    raw; only rows, col, cols, entries_flat, mul_vector, nullspace, solve and
+    det make Scalars.  Matrix(field, rows) reads the shape off the rows (no
+    rows: 0 x 0); zeros, from_cols and every result carry their exact shape.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "_rref")
+    __slots__ = ("field", "nrows", "ncols", "raw", "_rref")
 
     def __init__(self, field: Field, rows):
         self.field = field
-        self.rows = tuple(tuple(field.scalar(x) for x in row) for row in rows)
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for row in self.rows:
+        self.raw = tuple(tuple(map(field._raw, row)) for row in rows)
+        self.nrows = len(self.raw)
+        self.ncols = len(self.raw[0]) if self.raw else 0
+        for row in self.raw:
             if len(row) != self.ncols:
                 raise DimensionMismatch("ragged rows")
         self._rref = None
@@ -335,20 +356,52 @@ class Matrix:
     # -- constructors --------------------------------------------------------
 
     @classmethod
+    def _of_raw(cls, field: Field, raw: tuple, ncols: int) -> "Matrix":
+        """An ncols-wide matrix from row tuples of raw entries of `field`.
+
+        Nothing is coerced or checked; every result built inside the library
+        comes through here with its exact shape, so a matrix with no rows
+        keeps its column count.
+        """
+        m = object.__new__(cls)
+        m.field = field
+        m.raw = raw
+        m.nrows = len(raw)
+        m.ncols = ncols
+        m._rref = None
+        return m
+
+    @classmethod
     def from_cols(cls, field: Field, cols) -> "Matrix":
         nrows = len(cols[0]) if cols else 0
         if any(len(c) != nrows for c in cols):
             raise DimensionMismatch("ragged columns")
-        rows = tuple(tuple(field.scalar(c[i]) for c in cols) for i in range(nrows))
-        return cls._of_scalars(field, rows, len(cols))
+        raw = tuple(zip(*(tuple(map(field._raw, c)) for c in cols)))
+        return cls._of_raw(field, raw, len(cols))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls._of_scalars(field, tuple(basis_vector(field, n, i) for i in range(n)), n)
+        z, o = field.zero.value, field.one.value
+        return cls._of_raw(field, tuple(tuple(o if k == i else z for k in range(n)) for i in range(n)), n)
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls._of_scalars(field, (zero_vector(field, ncols),) * nrows, ncols)
+        return cls._of_raw(field, ((field.zero.value,) * ncols,) * nrows, ncols)
+
+    # -- accessors: the only places that make Scalars ---------------------------
+
+    @property
+    def rows(self) -> tuple:
+        return tuple(_box(self.field, row) for row in self.raw)
+
+    def col(self, j: int) -> tuple:
+        return _box(self.field, (row[j] for row in self.raw))
+
+    def cols(self) -> list:
+        return [self.col(j) for j in range(self.ncols)]
+
+    def entries_flat(self) -> tuple:
+        return _box(self.field, (x for row in self.raw for x in row))
 
     # -- basic algebra -------------------------------------------------------
 
@@ -358,123 +411,99 @@ class Matrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("shape mismatch")
 
-    def __add__(self, other):
+    def _entrywise(self, op, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        return Matrix._of_scalars(self.field, tuple(map(vadd, self.rows, other.rows)), self.ncols)
+        raw = tuple(tuple(map(self.field._reduce, map(op, r, s))) for r, s in zip(self.raw, other.raw))
+        return Matrix._of_raw(self.field, raw, self.ncols)
+
+    def __add__(self, other):
+        return self._entrywise(add, other)
 
     def __sub__(self, other):
-        self._check_same_shape(other)
-        return Matrix._of_scalars(self.field, tuple(map(vsub, self.rows, other.rows)), self.ncols)
+        return self._entrywise(sub, other)
 
     def __neg__(self):
-        return Matrix._of_scalars(self.field, tuple(map(vneg, self.rows)), self.ncols)
+        raw = tuple(tuple(map(self.field._reduce, map(neg, r))) for r in self.raw)
+        return Matrix._of_raw(self.field, raw, self.ncols)
 
     def __mul__(self, other):
+        field = self.field
+        red = field._reduce
         if isinstance(other, Matrix):
-            if self.field != other.field:
-                raise FieldMismatch(f"{self.field} vs {other.field}")
+            if field != other.field:
+                raise FieldMismatch(f"{field} vs {other.field}")
             if self.ncols != other.nrows:
                 raise DimensionMismatch("inner dimensions differ")
-            cols = list(zip(*other.rows)) if other.rows else [()] * other.ncols
-            return Matrix._of_scalars(
-                self.field,
-                tuple(tuple(_dot(row, col, self.field) for col in cols) for row in self.rows),
-                other.ncols,
-            )
-        c = self.field.scalar(other)
-        return Matrix._of_scalars(self.field, tuple(vscale(c, r) for r in self.rows), self.ncols)
+            cols = tuple(zip(*other.raw)) if other.raw else ((),) * other.ncols
+            raw = tuple(tuple(red(sum(map(mul, row, col))) for col in cols) for row in self.raw)
+            return Matrix._of_raw(field, raw, other.ncols)
+        c = field._raw(other)
+        return Matrix._of_raw(field, tuple(tuple(red(c * x) for x in r) for r in self.raw), self.ncols)
 
     __rmul__ = __mul__
 
     def mul_vector(self, v) -> tuple:
         if len(v) != self.ncols:
             raise DimensionMismatch("vector length != ncols")
-        return tuple(_dot(row, v, self.field) for row in self.rows)
+        field = self.field
+        x = tuple(map(field._raw, v))
+        return _box(field, (field._reduce(sum(map(mul, row, x))) for row in self.raw))
 
     def transpose(self) -> "Matrix":
-        rows = tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
-        return Matrix._of_scalars(self.field, rows, self.nrows)
-
-    def col(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.rows)
-
-    def cols(self) -> list:
-        return [self.col(j) for j in range(self.ncols)]
+        raw = tuple(zip(*self.raw)) if self.raw else ((),) * self.ncols
+        return Matrix._of_raw(self.field, raw, self.nrows)
 
     def stack(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.ncols or self.field != other.field:
             raise DimensionMismatch("cannot stack")
-        return Matrix._of_scalars(self.field, self.rows + other.rows, self.ncols)
+        return Matrix._of_raw(self.field, self.raw + other.raw, self.ncols)
 
     def augment(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows or self.field != other.field:
             raise DimensionMismatch("cannot augment")
-        rows = tuple(r + s for r, s in zip(self.rows, other.rows))
-        return Matrix._of_scalars(self.field, rows, self.ncols + other.ncols)
+        raw = tuple(map(tuple.__add__, self.raw, other.raw))
+        return Matrix._of_raw(self.field, raw, self.ncols + other.ncols)
 
     def is_zero(self) -> bool:
-        return all(is_zero_vector(r) for r in self.rows)
-
-    def entries_flat(self) -> tuple:
-        return tuple(x for row in self.rows for x in row)
+        return not any(map(any, self.raw))
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.field == other.field
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self.raw == other.raw
         )
 
     def __hash__(self):
-        return hash((self.field, self.rows))
+        return hash((self.field, self.raw))
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
+        body = "; ".join(" ".join(map(str, row)) for row in self.raw)
         return f"Matrix[{self.nrows}x{self.ncols} | {body}]"
 
     # -- elimination ---------------------------------------------------------
-
-    @classmethod
-    def _of_scalars(cls, field: Field, rows: tuple, ncols: int) -> "Matrix":
-        """An ncols-wide matrix from row tuples already holding Scalars of `field`.
-
-        Nothing is coerced or checked; every result built inside the library
-        comes through here with its exact shape, so a matrix with no rows
-        keeps its column count.
-        """
-        m = object.__new__(cls)
-        m.field = field
-        m.rows = rows
-        m.nrows = len(rows)
-        m.ncols = ncols
-        m._rref = None
-        return m
 
     def rref(self) -> tuple:
         """Reduced row echelon form and the strictly increasing pivot columns."""
         if self._rref is not None:
             return self._rref
         field = self.field
+        zero = field.zero.value
         if field.kind == KIND_Q:
-            rows, _ = _clear_denominators(self.rows)
+            rows, _ = _clear_denominators(self.raw)
             rows, pivots = _integer_rref(rows, self.ncols)
-            zero, one = field.zero, field.one
-            boxed = []
-            for row, pc in zip(rows, pivots):
-                piv = row[pc]
-                boxed.append(tuple(
-                    zero if not x else one if x == piv else Scalar(field, Fraction(x, piv))
-                    for x in row
-                ))
+            one = field.one.value
+            red = [
+                tuple(zero if not x else one if x == piv else Fraction(x, piv) for x in row)
+                for row, piv in ((row, row[pc]) for row, pc in zip(rows, pivots))
+            ]
         else:
-            rows, pivots = _residue_rref([[x.value for x in row] for row in self.rows],
-                                         self.ncols, field.p)
-            boxed = [tuple(Scalar(field, x) for x in row) for row in rows[:len(pivots)]]
-        boxed += [(field.zero,) * self.ncols] * (self.nrows - len(pivots))
-        result = (Matrix._of_scalars(field, tuple(boxed), self.ncols), tuple(pivots))
-        self._rref = result
-        return result
+            rows, pivots = _residue_rref(list(self.raw), self.ncols, field.p)
+            red = [tuple(row) for row in rows[:len(pivots)]]
+        red += [(zero,) * self.ncols] * (self.nrows - len(pivots))
+        self._rref = (Matrix._of_raw(field, tuple(red), self.ncols), tuple(pivots))
+        return self._rref
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -486,14 +515,14 @@ class Matrix:
     def _null_basis(self, red: "Matrix", pivots: tuple) -> list:
         """The null basis read off an RREF whose first ncols columns are the
         RREF of this matrix (red may carry more columns to the right)."""
+        field = self.field
         pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
         basis = []
-        for f in free:
-            v = list(zero_vector(self.field, self.ncols))
-            v[f] = self.field.one
+        for f in (c for c in range(self.ncols) if c not in pivot_set):
+            v = list(zero_vector(field, self.ncols))
+            v[f] = field.one
             for r, p in enumerate(pivots):
-                v[p] = -red.rows[r][f]
+                v[p] = Scalar(field, field._reduce(-red.raw[r][f]))
             basis.append(tuple(v))
         return basis
 
@@ -511,7 +540,7 @@ class Matrix:
             return None
         x = list(zero_vector(self.field, self.ncols))
         for r, p in enumerate(pivots):
-            x[p] = red.rows[r][self.ncols]
+            x[p] = Scalar(self.field, red.raw[r][self.ncols])
         return tuple(x), self._null_basis(red, pivots)
 
     def det(self) -> Scalar:
@@ -519,10 +548,9 @@ class Matrix:
             raise DimensionMismatch("determinant of a non-square matrix")
         field = self.field
         if field.kind == KIND_Q:
-            rows, scale = _clear_denominators(self.rows)
+            rows, scale = _clear_denominators(self.raw)
             return Scalar(field, Fraction(_bareiss_det(rows), scale))
-        value = _residue_det([[x.value for x in row] for row in self.rows], field.p)
-        return Scalar(field, value)
+        return Scalar(field, _residue_det(list(self.raw), field.p))
 
     def inverse(self) -> Optional["Matrix"]:
         if self.nrows != self.ncols:
@@ -531,7 +559,7 @@ class Matrix:
         red, pivots = self.augment(Matrix.identity(self.field, n)).rref()
         if pivots[:n] != tuple(range(n)):
             return None
-        return Matrix._of_scalars(self.field, tuple(row[n:] for row in red.rows), n)
+        return Matrix._of_raw(self.field, tuple(row[n:] for row in red.raw), n)
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
@@ -539,7 +567,7 @@ class Matrix:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"entries": [[str(x) for x in row] for row in self.rows]}
+        return {"entries": [list(map(str, row)) for row in self.raw]}
 
     @classmethod
     def from_json(cls, field: Field, data) -> "Matrix":
@@ -552,17 +580,18 @@ class Matrix:
 
 
 # -- elimination kernels: plain ints in, plain ints out -------------------------
+# Each kernel reorders its list and replaces rows without changing them, so it
+# can take a list of a matrix's raw rows.
 
 
 def _clear_denominators(rows) -> tuple:
-    """Integer rows from rows of rational Scalars, each row scaled by the lcm
-    of its denominators, and the product of those scales."""
+    """Integer rows from rows of Fractions, each row scaled by the lcm of
+    its denominators, and the product of those scales."""
     out = []
     scale = 1
     for row in rows:
-        values = [x.value for x in row]
-        den = lcm(*(v.denominator for v in values))
-        out.append([v.numerator * (den // v.denominator) for v in values])
+        den = lcm(*(v.denominator for v in row))
+        out.append([v.numerator * (den // v.denominator) for v in row])
         scale *= den
     return out, scale
 
@@ -697,18 +726,11 @@ def _residue_det(rows: list, p: int) -> int:
     return det
 
 
-def _dot(u, v, field: Field) -> Scalar:
-    total = field.zero
-    for a, b in zip(u, v):
-        if a and b:
-            total = total + a * b
-    return total
-
-
 def dot(u, v, field: Field) -> Scalar:
     if len(u) != len(v):
         raise DimensionMismatch("dot of unequal lengths")
-    return _dot(u, v, field)
+    raw = field._raw
+    return Scalar(field, field._reduce(sum(map(mul, map(raw, u), map(raw, v)))))
 
 
 def lincomb(coeffs, vectors, start) -> tuple:
@@ -722,25 +744,13 @@ def lincomb(coeffs, vectors, start) -> tuple:
     return tuple(out)
 
 
-def rref(m: Matrix) -> tuple:
-    return m.rref()
-
-
-def nullspace(m: Matrix) -> list:
-    return m.nullspace()
-
-
-def solve_linear(a: Matrix, b) -> Optional[tuple]:
-    return a.solve(b)
-
-
 def span_rref(field: Field, vectors) -> list:
     """Canonical (rref) basis of the span; zero rows dropped."""
     vecs = [v for v in vectors]
     if not vecs:
         return []
     red, pivots = Matrix(field, vecs).rref()
-    return [red.rows[i] for i in range(len(pivots))]
+    return [_box(field, row) for row in red.raw[:len(pivots)]]
 
 
 def intersect_spans(field: Field, basis_a, basis_b, ambient_dim: int) -> list:
@@ -773,4 +783,4 @@ def enumerate_affine(field: Field, particular, basis) -> Iterator[tuple]:
     x = tuple(c.value for c in particular)
     null = [tuple(c.value for c in v) for v in basis]
     for point in affine_points(field.p, x, null):
-        yield tuple(Scalar(field, v) for v in point)
+        yield _box(field, point)

@@ -318,18 +318,18 @@ def _search_isomorphisms(
         exhausted = True
     except _BudgetHit:
         exhausted = False
-    # one Scalar per residue, shared by every witness
-    scalars = {v: Scalar(f, v) for v in {v for cols in results for x in cols for v in x}}
-    witnesses = [
-        Matrix._of_scalars(f, tuple(tuple(scalars[v] for v in row) for row in zip(*cols)), n)
-        for cols in results
-    ]
+    witnesses = [Matrix._of_raw(f, tuple(zip(*cols)), n) for cols in results]
     return witnesses, nodes, exhausted
 
 
 def are_isomorphic(a: LieAlgebra, b: LieAlgebra, budget: int = 500000) -> IsoResult:
     """Definitive over finite fields (complete search); over the rationals a
-    fingerprint mismatch is a definitive no, anything else is unknown."""
+    fingerprint mismatch is a definitive no, anything else is unknown.
+
+    When the search from a to b runs out of budget, one more search with the
+    same budget goes from b to a; its witness is inverted and re-verified.
+    `searched` counts the nodes of both.
+    """
     if a.field != b.field:
         return IsoResult("no", certificate="different base fields")
     if a.dim != b.dim:
@@ -345,17 +345,20 @@ def are_isomorphic(a: LieAlgebra, b: LieAlgebra, budget: int = 500000) -> IsoRes
             certificate="fingerprints agree; no complete search over an infinite field",
         )
     witnesses, nodes, exhausted = _search_isomorphisms(a, b, budget, find_all=False)
+    searched = nodes
+    if not (witnesses or exhausted):
+        # the search's cost depends strongly on its direction, so try b -> a too
+        back, back_nodes, exhausted = _search_isomorphisms(b, a, budget, find_all=False)
+        searched += back_nodes
+        witnesses = [m for m in (w.inverse() for w in back) if verify_iso(a, b, m)]
+        exhausted = exhausted and not back
     if witnesses:
-        return IsoResult(
-            "yes", witness=LinearMap(a, b, witnesses[0]), searched=nodes
-        )
+        return IsoResult("yes", witness=LinearMap(a, b, witnesses[0]), searched=searched)
     if exhausted:
-        return IsoResult(
-            "no", certificate=f"complete search exhausted ({nodes} nodes)", searched=nodes
-        )
-    return IsoResult(
-        "unknown", certificate=f"budget {budget} exceeded after {nodes} nodes", searched=nodes
-    )
+        reason = f"complete search exhausted ({searched} nodes)"
+        return IsoResult("no", certificate=reason, searched=searched)
+    reason = f"budget {budget} exceeded after {nodes} nodes, and from b to a after {searched - nodes}"
+    return IsoResult("unknown", certificate=reason, searched=searched)
 
 
 def aut_enumerate(algebra: LieAlgebra, budget: int = 500000) -> list:
@@ -369,7 +372,7 @@ def aut_enumerate(algebra: LieAlgebra, budget: int = 500000) -> list:
             f"{algebra.dim}-dimensional algebra with basis {', '.join(algebra.basis_names)} "
             f"and fingerprint {fingerprint(algebra).as_tuple()}"
         )
-    witnesses.sort(key=lambda m: tuple(x.value for x in m.entries_flat()))
+    witnesses.sort(key=lambda m: m.raw)
     return [LinearMap(algebra, algebra, m) for m in witnesses]
 
 
@@ -510,15 +513,10 @@ def enumerate_aut_triples(h: LieAlgebra, delta: Matrix, budget: int = 500000) ->
     for alpha in itertools.islice(f.elements(), 1, None):  # the units, after 0
         for index, v in enumerate(auts):
             lhs = v.matrix * delta - alpha * (delta * v.matrix)
-            rows = []
-            rhs = []
-            for i in range(h.dim):
-                adw = h.ad(v.matrix.col(i))
-                target = lhs.col(i)
-                for r in range(h.dim):
-                    rows.append(adw.rows[r])
-                    rhs.append(target[r])
-            sol = Matrix(f, rows).solve(tuple(rhs))
+            # row (i, r): coordinate r of [v(e_i), h0] = coordinate r of lhs(e_i)
+            rows = tuple(row for x in v.matrix.cols() for row in h.ad(x).raw)
+            rhs = tuple(y for col in zip(*lhs.raw) for y in col)
+            sol = Matrix._of_raw(f, rows, h.dim).solve(rhs)
             if sol is None:
                 continue
             part, null = sol

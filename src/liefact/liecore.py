@@ -533,19 +533,10 @@ def is_metabelian(algebra: LieAlgebra) -> bool:
 
 @_kept
 def killing_gram(algebra: LieAlgebra) -> Matrix:
-    ads = [algebra.ad_basis(i) for i in range(algebra.dim)]
-    n = algebra.dim
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            prod = ads[i] * ads[j]
-            tr = algebra.field.zero
-            for k in range(n):
-                tr = tr + prod.rows[k][k]
-            row.append(tr)
-        rows.append(row)
-    return Matrix(algebra.field, rows)
+    span = range(algebra.dim)
+    ads = [algebra.ad_basis(i) for i in span]
+    products = ([(a * b).raw for b in ads] for a in ads)
+    return Matrix(algebra.field, [[sum(p[k][k] for k in span) for p in row] for row in products])
 
 
 # -- invariant bilinear forms and self-duality ---------------------------------
@@ -555,6 +546,7 @@ def invariant_bilinear_forms(algebra: LieAlgebra, symmetric: bool = False) -> li
     """Basis of forms with B([a,b],c) = B(a,[b,c]) on all basis triples."""
     n = algebra.dim
     f = algebra.field
+    red = f._reduce
     rows = []
     # unknown gram entries g_{m,k} flattened row-major: index m*n + k
     for i in range(n):
@@ -562,22 +554,22 @@ def invariant_bilinear_forms(algebra: LieAlgebra, symmetric: bool = False) -> li
             cij = algebra.bracket_basis(i, j)
             for k in range(n):
                 cjk = algebra.bracket_basis(j, k)
-                row = list(zero_vector(f, n * n))
+                row = [f.zero.value] * (n * n)
                 for m in range(n):
                     if cij[m]:
-                        row[m * n + k] = row[m * n + k] + cij[m]
+                        row[m * n + k] = red(row[m * n + k] + cij[m].value)
                     if cjk[m]:
-                        row[i * n + m] = row[i * n + m] - cjk[m]
-                if not is_zero_vector(row):
+                        row[i * n + m] = red(row[i * n + m] - cjk[m].value)
+                if any(row):
                     rows.append(tuple(row))
     if symmetric:
         for a, b in basis_pairs(n):
-            row = list(zero_vector(f, n * n))
-            row[a * n + b] = f.one
-            row[b * n + a] = -f.one
+            row = [f.zero.value] * (n * n)
+            row[a * n + b] = f.one.value
+            row[b * n + a] = (-f.one).value
             rows.append(tuple(row))
     forms = []
-    for flat in Matrix._of_scalars(f, tuple(rows), n * n).nullspace():
+    for flat in Matrix._of_raw(f, tuple(rows), n * n).nullspace():
         gram = Matrix(f, [flat[r * n : (r + 1) * n] for r in range(n)])
         forms.append(BilinearForm(algebra, gram))
     return forms

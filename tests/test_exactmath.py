@@ -25,9 +25,6 @@ from liefact.exactmath import (
     enumerate_vectors,
     is_zero_vector,
     lincomb,
-    nullspace,
-    rref,
-    solve_linear,
     vadd,
     vscale,
     zero_vector,
@@ -168,30 +165,30 @@ def test_gf5_inverses(a, b):
 
 def test_rref_examples():
     ident = Matrix.identity(Q, 2)
-    red, piv = rref(ident)
+    red, piv = ident.rref()
     assert red == ident and piv == (0, 1)
 
-    red, piv = rref(qm([[2, 4], [1, 2]]))
+    red, piv = qm([[2, 4], [1, 2]]).rref()
     assert red == qm([[1, 2], [0, 0]]) and piv == (0,)
 
-    red, piv = rref(Matrix(F2, [[1, 1], [1, 1]]))
+    red, piv = Matrix(F2, [[1, 1], [1, 1]]).rref()
     assert red == Matrix(F2, [[1, 1], [0, 0]])
 
 
 def test_nullspace_examples():
-    assert nullspace(Matrix.identity(Q, 3)) == []
-    basis = nullspace(Matrix.zeros(Q, 3, 3))
+    assert Matrix.identity(Q, 3).nullspace() == []
+    basis = Matrix.zeros(Q, 3, 3).nullspace()
     assert len(basis) == 3
 
 
 def test_solve_examples():
     b = (Q.scalar(3), Q.scalar(-1))
-    sol = solve_linear(Matrix.identity(Q, 2), b)
+    sol = Matrix.identity(Q, 2).solve(b)
     assert sol is not None and sol[0] == b and sol[1] == []
 
     zero = Matrix.zeros(Q, 2, 2)
-    assert solve_linear(zero, b) is None
-    sol = solve_linear(zero, zero_vector(Q, 2))
+    assert zero.solve(b) is None
+    sol = zero.solve(zero_vector(Q, 2))
     assert sol is not None and len(sol[1]) == 2
 
 
@@ -474,7 +471,7 @@ def test_rref_matches_reference(m):
 @settings(max_examples=200, deadline=None)
 @given(oracle_matrix(fields=(Q,)))
 def test_integer_kernel_keeps_rows_primitive(m):
-    rows, pivots = _integer_rref(_clear_denominators(m.rows)[0], m.ncols)
+    rows, pivots = _integer_rref(_clear_denominators(m.raw)[0], m.ncols)
     for row in rows:
         assert math.gcd(*row) in (0, 1)
     want = _values(reference_rref(Matrix(Q, rows))[0])
@@ -569,6 +566,89 @@ def test_elimination_examples_against_reference():
         assert _values(m.rref()[0]) == _values(reference_rref(m)[0])
         if m.nrows == m.ncols:
             assert m.det() == reference_det(m)
+
+
+# -- matrix arithmetic against the boxed reference loop ----------------------------
+
+
+def reference_dot(u, v, field):
+    """The boxed dot product: Scalar products summed, zeros skipped."""
+    total = field.zero
+    for a, b in zip(u, v):
+        if a and b:
+            total = total + a * b
+    return total
+
+
+def reference_inverse(m: Matrix):
+    """The right block of the reference RREF of [m | 1], or None."""
+    n = m.nrows
+    ident = Matrix.identity(m.field, n).rows
+    red, pivots = reference_rref(Matrix(m.field, [r + e for r, e in zip(m.rows, ident)]))
+    if pivots[:n] != tuple(range(n)):
+        return None
+    return [list(row[n:]) for row in red.rows]
+
+
+def _assert_raw_in(m: Matrix, field: Field):
+    assert m.field is field and len(m.raw) == m.nrows
+    for row in m.raw:
+        assert len(row) == m.ncols
+        for x in row:
+            if field is Q:
+                assert type(x) is fractions.Fraction
+            else:
+                assert type(x) is int and 0 <= x < field.p
+
+
+@st.composite
+def _arithmetic_operands(draw):
+    """Two k x m matrices, an m x n matrix, an m x m matrix, a scalar and an
+    m-vector over one field; every dimension may be 0."""
+    field = draw(st.sampled_from((Q, F2, F7, F_BIG)))
+    k, m, n = (draw(st.integers(0, 4)) for _ in range(3))
+    entry = _entry(field)
+    a, b = (_from_grid(field, draw(_grid(entry, k, m)), m) for _ in range(2))
+    c = _from_grid(field, draw(_grid(entry, m, n)), n)
+    sq = _from_grid(field, draw(_grid(entry, m, m)), m)
+    s = field.scalar(draw(entry))
+    v = tuple(field.scalar(x) for x in draw(_grid(entry, 1, m))[0])
+    return field, a, b, c, sq, s, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(_arithmetic_operands())
+def test_matrix_arithmetic_matches_the_boxed_reference(operands):
+    field, a, b, c, sq, s, v = operands
+    ra, rb = a.rows, b.rows
+    entrywise = {
+        "+": (a + b, [[x + y for x, y in zip(r, t)] for r, t in zip(ra, rb)]),
+        "-": (a - b, [[x - y for x, y in zip(r, t)] for r, t in zip(ra, rb)]),
+        "neg": (-a, [[-x for x in r] for r in ra]),
+        "s*": (s * a, [[s * x for x in r] for r in ra]),
+        "*s": (a * s, [[s * x for x in r] for r in ra]),
+        "int*": (3 * a, [[field.scalar(3) * x for x in r] for r in ra]),
+    }
+    cols = c.cols()
+    products = {
+        "matmul": (a * c, [[reference_dot(r, col, field) for col in cols] for r in ra]),
+        "transpose": (a.transpose(), [list(col) for col in a.cols()]),
+    }
+    for name, (got, want) in {**entrywise, **products}.items():
+        assert [list(row) for row in got.rows] == want, name
+        _assert_raw_in(got, field)
+    assert (a * c).ncols == c.ncols and a.transpose().ncols == a.nrows
+    assert a.mul_vector(v) == tuple(reference_dot(r, v, field) for r in ra)
+    assert sq.det() == reference_det(sq)
+    inv = sq.inverse()
+    want = reference_inverse(sq)
+    if want is None:
+        assert inv is None
+    else:
+        assert inv is not None and [list(row) for row in inv.rows] == want
+        _assert_raw_in(inv, field)
+    for m in (a, b, c, sq, sq.rref()[0]):
+        _assert_raw_in(m, field)
 
 
 # -- enumeration -----------------------------------------------------------------

@@ -588,8 +588,8 @@ def reference_search_isomorphisms(a, b, budget, find_all):
         if not dom:
             return None
         rows, rhs = constraints_for(k)
-        m_rows = tuple(tuple(dot(row, d, f) for d in dom) for row in rows)
-        sol = Matrix._of_scalars(f, m_rows, len(dom)).solve(tuple(rhs))
+        m_cols = [tuple(dot(row, d, f) for row in rows) for d in dom]
+        sol = Matrix.from_cols(f, m_cols).solve(tuple(rhs))
         if sol is None:
             return None
         part, null = sol
@@ -746,3 +746,16 @@ def test_kept_invariants_agree_with_a_recomputation(name, field, seed):
     assert len(derivation_space(alg)) == len(derivation_space(conjugate))
     res = are_isomorphic(alg, conjugate)
     assert res.is_yes and verify_iso(alg, conjugate, res.witness)
+
+
+def test_an_exhausted_budget_searches_the_other_way():
+    # from L(4) over GF(7) to this conjugate the search finds nothing within
+    # 10,000 nodes; from the conjugate back to L(4) it finds an isomorphism,
+    # which is inverted and re-verified
+    alg = matched.make_L(1, F7)
+    conjugate = _random_conjugate(alg, 213640)
+    forward = _search_isomorphisms(alg, conjugate, 10000, False)
+    assert forward[0] == [] and not forward[2]
+    res = are_isomorphic(alg, conjugate, 10000)
+    assert res.is_yes and verify_iso(alg, conjugate, res.witness)
+    assert res.searched > forward[1]
