@@ -48,7 +48,7 @@ from .exactmath import (
     vadd,
     vsub,
 )
-from .liecore import LieAlgebra, basis_pairs, derived_series
+from .liecore import LieAlgebra, basis_pairs, charpolys_differ, derived_ad_charpoly
 from .matched import MatchedPair, canonical_pair_L, canonical_pair_m, _finish
 from .iso import are_isomorphic, fingerprint
 
@@ -349,48 +349,6 @@ def classify_complements(
     )
 
 
-def ad_ratio_invariant(algebra: LieAlgebra) -> Optional[tuple]:
-    """Projective pair (trace^2, det) of ad(z) on the derived subalgebra.
-
-    Defined for 3-dim algebras whose derived subalgebra is a 2-dim abelian
-    ideal; z is any basis vector outside it.  Changing z scales both entries
-    by the same square factor and any isomorphism conjugates the restricted
-    map, so the pair up to a common factor separates isomorphism classes.
-    """
-    if algebra.dim != 3:
-        return None
-    d = derived_series(algebra)[1]
-    if d.dim != 2 or d.bracket_with(d).dim != 0:
-        return None
-    f = algebra.field
-    z = None
-    for i in range(3):
-        e = basis_vector(f, 3, i)
-        if not d.contains(e):
-            z = e
-            break
-    if z is None:
-        return None
-    cols = []
-    for u in d.basis:
-        w = algebra.bracket(z, u)
-        coords = d.coordinates(w)
-        if coords is None:
-            return None
-        cols.append(coords)
-    tr = cols[0][0] + cols[1][1]
-    det = cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
-    return (tr * tr, det)
-
-
-def _projectively_distinct(p1, p2) -> bool:
-    a1, b1 = p1
-    a2, b2 = p2
-    if not (a1 or b1) or not (a2 or b2):
-        return False
-    return a1 * b2 != a2 * b1
-
-
 def _classify_registered_infinite(mp: MatchedPair) -> Optional[ComplementReport]:
     field = mp.field
     if mp != canonical_pair_m(1, field):
@@ -398,19 +356,19 @@ def _classify_registered_infinite(mp: MatchedPair) -> Optional[ComplementReport]
     families = closed_form_defmaps_m(1, field)
     by_label = {fam.label: fam for fam in families}
     # sample the c-family on its generic stratum (derived algebra of dim 2);
-    # the ratio invariant takes infinitely many values there
+    # the charpoly of ad on it takes infinitely many weighted classes there
     samples = []
     invariants = []
     for c in (0, 2, 3, 4, 5):
         d = by_label["c"].instance(field.scalar(c))
         alg = r_deformation(mp, d)
-        inv = ad_ratio_invariant(alg)
+        inv = derived_ad_charpoly(alg)
         if inv is None:
             return None
         samples.append(alg)
         invariants.append(inv)
     for i, j in basis_pairs(len(invariants)):
-        if not _projectively_distinct(invariants[i], invariants[j]):
+        if not charpolys_differ(invariants[i], invariants[j]):
             return None
     return ComplementReport(
         representatives=samples,

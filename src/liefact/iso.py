@@ -1,9 +1,12 @@
 """Isomorphism testing and automorphism groups.
 
-Negative answers come cheap from fingerprints (isomorphism-invariant
-dimension data).  Fingerprints and the search's image domains read the
-series, center and Killing Gram that each LieAlgebra keeps once computed,
-so comparing one algebra with many computes its invariants once.
+Negative answers come cheap from two kept invariants, over any field:
+fingerprints (isomorphism-invariant dimension data) and, for almost abelian
+algebras (abelian derived algebra of codimension 1), the characteristic
+polynomial of ad(z) on the derived algebra up to z -> cz.  These and the
+search's image domains read the series, center, Killing Gram and
+characteristic polynomial that each LieAlgebra keeps once computed, so
+comparing one algebra with many computes its invariants once.
 Definitive answers over finite fields come from a complete
 backtracking search that assigns basis images one at a time, propagating the
 linear constraints each bracket relation imposes and always expanding the
@@ -42,6 +45,8 @@ from .liecore import (
     LieAlgebra,
     LinearMap,
     center,
+    charpolys_differ,
+    derived_ad_charpoly,
     derived_series,
     is_perfect,
     killing_gram,
@@ -323,8 +328,10 @@ def _search_isomorphisms(
 
 
 def are_isomorphic(a: LieAlgebra, b: LieAlgebra, budget: int = 500000) -> IsoResult:
-    """Definitive over finite fields (complete search); over the rationals a
-    fingerprint mismatch is a definitive no, anything else is unknown.
+    """Over any field, differing fingerprints are a definitive no, and so are
+    almost abelian algebras whose derived_ad_charpoly tuples charpolys_differ
+    tells apart (0 nodes searched).  Otherwise the complete search decides
+    over a finite field, and over the rationals the answer is unknown.
 
     When the search from a to b runs out of budget, one more search with the
     same budget goes from b to a; its witness is inverted and re-verified.
@@ -338,6 +345,15 @@ def are_isomorphic(a: LieAlgebra, b: LieAlgebra, budget: int = 500000) -> IsoRes
     if fa != fb:
         return IsoResult(
             "no", certificate=f"fingerprints differ: {fa.as_tuple()} vs {fb.as_tuple()}"
+        )
+    # equal fingerprints: both almost abelian, or neither
+    ua, ub = derived_ad_charpoly(a), derived_ad_charpoly(b)
+    if ua is not None and charpolys_differ(ua, ub):
+        show = lambda u: "(" + ", ".join(map(str, u)) + ")"
+        return IsoResult(
+            "no",
+            certificate=f"ad(z) on the derived algebra has charpoly coefficients {show(ua)} "
+            f"vs {show(ub)}, not related by c_i -> c^i c_i for any c != 0",
         )
     if not a.field.is_finite:
         return IsoResult(

@@ -16,8 +16,10 @@ order.  Characteristic subspaces (center, derived and lower central series),
 invariant bilinear forms, self-duality (decided on a finite grid of form
 combinations, over Q as over GF(p)) and product structures all reduce to
 exact linear algebra over the base field.  Structure constants
-never change after construction, so the series (as tuples), the center and
-the Killing Gram are computed once per LieAlgebra, on first use, and kept on it.
+never change after construction, so the series (as tuples), the center, the
+Killing Gram and, for an almost abelian algebra, the characteristic
+polynomial of ad on the derived algebra are computed once per LieAlgebra, on
+first use, and kept on it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 from .errors import (
@@ -45,6 +48,7 @@ from .exactmath import (
     vadd,
     vsub,
     zero_vector,
+    _box,
     _is_json_scalar,
 )
 
@@ -537,6 +541,67 @@ def killing_gram(algebra: LieAlgebra) -> Matrix:
     ads = [algebra.ad_basis(i) for i in span]
     products = ([(a * b).raw for b in ads] for a in ads)
     return Matrix(algebra.field, [[sum(p[k][k] for k in span) for p in row] for row in products])
+
+
+def _charpoly(a: list, reduce) -> list:
+    """[c_1, ..., c_d] with det(tI - a) = t^d + c_1 t^(d-1) + ... + c_d, for a
+    square list of raw rows; reduce makes each computed entry canonical.
+
+    Division-free (Berkowitz), so it holds in every characteristic: the
+    polynomial of the leading (r+1)-block is a lower triangular Toeplitz
+    matrix with first column (1, -a_rr, -R S, -R B S, ..., -R B^(r-1) S)
+    times the polynomial of the leading r-block B, where S is the column
+    above a_rr and R the row to its left.
+    """
+    poly = [1]
+    for r in range(len(a)):
+        block = [row[:r] for row in a[:r]]
+        left = a[r][:r]
+        column = [row[r] for row in a[:r]]
+        toeplitz = [1, reduce(-a[r][r])]
+        for _ in range(r):
+            toeplitz.append(reduce(-sum(map(mul, left, column))))
+            column = [reduce(sum(map(mul, row, column))) for row in block]
+        poly = [
+            reduce(sum(toeplitz[i - j] * poly[j] for j in range(min(i, r) + 1)))
+            for i in range(r + 2)
+        ]
+    return poly[1:]
+
+
+@_kept
+def derived_ad_charpoly(algebra: LieAlgebra) -> Optional[tuple]:
+    """For an almost abelian algebra, the coefficients (c_1, ..., c_d) of
+    det(tI - A), where A is ad(z) on the derived algebra D in D's basis and z
+    is any basis vector outside D; None for any other algebra.
+
+    Almost abelian means D is abelian of codimension 1, so L = kz + D with
+    ad(z + w) = ad(z) on D for w in D.  An isomorphism maps D onto D and z to
+    c z' + w with c != 0, so it conjugates A to cA': the tuple is an
+    isomorphism invariant up to c_i -> c^i c_i (see charpolys_differ).
+    """
+    series = derived_series(algebra)
+    n = algebra.dim
+    if len(series) != 3 or series[1].dim != n - 1 or series[2].dim:
+        return None
+    f, derived = algebra.field, series[1]
+    z = next(e for e in (basis_vector(f, n, i) for i in range(n)) if not derived.contains(e))
+    cols = [derived.coordinates(algebra.bracket(z, u)) for u in derived.basis]
+    return _box(f, _charpoly([[x.value for x in row] for row in zip(*cols)], f._reduce))
+
+
+def charpolys_differ(u: tuple, v: tuple) -> bool:
+    """True only if no c != 0 has u_i = c^i v_i for every i (c_i has weight
+    i), by two tests sound over every field: the zero patterns differ, or
+    some i < j with u_i, u_j != 0 has u_i^j v_j^i != v_i^j u_j^i (both sides
+    would be c^(ij) v_i^j v_j^i)."""
+    if [bool(x) for x in u] != [bool(y) for y in v]:
+        return True
+    support = [(i, x.value, y.value) for i, (x, y) in enumerate(zip(u, v), 1) if x]
+    return any(
+        u[0].field._reduce(ui**j * vj**i - vi**j * uj**i)
+        for (i, ui, vi), (j, uj, vj) in itertools.combinations(support, 2)
+    )
 
 
 # -- invariant bilinear forms and self-duality ---------------------------------

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,6 @@ from liefact.exactmath import (
 from liefact import deform, liecore, matched, iso
 from liefact.deform import (
     DeformationMap,
-    ad_ratio_invariant,
     classify_complements,
     closed_form_defmaps_L,
     closed_form_defmaps_m,
@@ -376,11 +376,23 @@ def test_classification_infinite_registered():
     assert report.infinite and report.index is None
     assert report.index_str() == "infinite"
     assert len(report.representatives) >= 3
-    invs = [ad_ratio_invariant(rep) for rep in report.representatives]
+    invs = [liecore.derived_ad_charpoly(rep) for rep in report.representatives]
     assert all(inv is not None for inv in invs)
 
     with pytest.raises(NotFinite):
         classify_complements(canonical_pair_L(1, Q))
+
+
+def test_factorization_index_of_L6_over_gf3():
+    # L(6), the n = 2 pair: every r-deformation but the abelian one is almost
+    # abelian, so the fingerprint or the charpoly of ad on the derived algebra
+    # answers each "no" between classes, and each "yes" is searched and verified
+    report = classify_complements(canonical_pair_L(2, F3))
+    assert (report.deformation_count, report.index, report.class_sizes) == (35, 3, [26, 1, 8])
+    reps = report.representatives
+    for a, b in itertools.combinations(reps, 2):
+        res = iso.are_isomorphic(a, b)
+        assert res.verdict == "no" and res.searched == 0
 
 
 def test_classification_budget_names_its_context():
@@ -413,14 +425,17 @@ def test_classification_computes_each_series_once_per_deformation(monkeypatch):
 
 
 def test_ad_ratio_invariant():
-    # invariant under the alpha <-> 1/alpha symmetry, separates other ratios
+    # the charpoly of ad on the derived algebra, up to c_i -> c^i c_i, is
+    # invariant under the alpha <-> 1/alpha symmetry and separates other ratios
     two, three = Q.scalar(2), Q.scalar(3)
     l2 = matched.make_Lalpha(Q, two)
     linv = matched.make_Lalpha(Q, two.inverse())
     l3a = matched.make_Lalpha(Q, three)
-    i2, iinv, i3 = (ad_ratio_invariant(x) for x in (l2, linv, l3a))
-    assert i2[0] * iinv[1] == iinv[0] * i2[1]
-    assert i2[0] * i3[1] != i3[0] * i2[1]
+    i2, iinv, i3 = (liecore.derived_ad_charpoly(x) for x in (l2, linv, l3a))
+    # ad(z) = diag(-1, -2) on span(x, y): t^2 + 3t + 2, so (c_1^2, c_2) = (tr^2, det)
+    assert i2 == (3, 2)
+    assert not liecore.charpolys_differ(i2, iinv)
+    assert liecore.charpolys_differ(i2, i3)
 
 
 def test_every_deformation_embeds_as_complement():
