@@ -328,7 +328,7 @@ def _fraction(x) -> Fraction:
 
 
 def _box(field: Field, values) -> tuple:
-    return tuple(Scalar(field, x) for x in values)
+    return tuple([Scalar(field, x) for x in values])
 
 
 class Matrix:
@@ -339,6 +339,11 @@ class Matrix:
     raw; only rows, col, cols, entries_flat, mul_vector, nullspace, solve and
     det make Scalars.  Matrix(field, rows) reads the shape off the rows (no
     rows: 0 x 0); zeros, from_cols and every result carry their exact shape.
+
+    Each matrix keeps its RREF once computed.  A product of two n x n factors
+    whose kept RREFs have full rank is invertible, det(AB) = det(A) det(B),
+    so it carries their RREF (the identity) without an elimination; so does
+    the inverse of an invertible matrix.
     """
 
     __slots__ = ("field", "nrows", "ncols", "raw", "_rref")
@@ -395,13 +400,13 @@ class Matrix:
         return tuple(_box(self.field, row) for row in self.raw)
 
     def col(self, j: int) -> tuple:
-        return _box(self.field, (row[j] for row in self.raw))
+        return _box(self.field, [row[j] for row in self.raw])
 
     def cols(self) -> list:
         return [self.col(j) for j in range(self.ncols)]
 
     def entries_flat(self) -> tuple:
-        return _box(self.field, (x for row in self.raw for x in row))
+        return _box(self.field, [x for row in self.raw for x in row])
 
     # -- basic algebra -------------------------------------------------------
 
@@ -435,10 +440,18 @@ class Matrix:
             if self.ncols != other.nrows:
                 raise DimensionMismatch("inner dimensions differ")
             cols = tuple(zip(*other.raw)) if other.raw else ((),) * other.ncols
-            raw = tuple(tuple(red(sum(map(mul, row, col))) for col in cols) for row in self.raw)
-            return Matrix._of_raw(field, raw, other.ncols)
+            raw = tuple([tuple([red(sum(map(mul, row, col))) for col in cols]) for row in self.raw])
+            product = Matrix._of_raw(field, raw, other.ncols)
+            known, other_known = self._rref, other._rref
+            if (
+                known is not None
+                and other_known is not None
+                and self.nrows == self.ncols == other.ncols == len(known[1]) == len(other_known[1])
+            ):
+                product._rref = known
+            return product
         c = field._raw(other)
-        return Matrix._of_raw(field, tuple(tuple(red(c * x) for x in r) for r in self.raw), self.ncols)
+        return Matrix._of_raw(field, tuple([tuple([red(c * x) for x in r]) for r in self.raw]), self.ncols)
 
     __rmul__ = __mul__
 
@@ -447,7 +460,7 @@ class Matrix:
             raise DimensionMismatch("vector length != ncols")
         field = self.field
         x = tuple(map(field._raw, v))
-        return _box(field, (field._reduce(sum(map(mul, row, x))) for row in self.raw))
+        return _box(field, [field._reduce(sum(map(mul, row, x))) for row in self.raw])
 
     def transpose(self) -> "Matrix":
         raw = tuple(zip(*self.raw)) if self.raw else ((),) * self.ncols
@@ -559,7 +572,11 @@ class Matrix:
         red, pivots = self.augment(Matrix.identity(self.field, n)).rref()
         if pivots[:n] != tuple(range(n)):
             return None
-        return Matrix._of_raw(self.field, tuple(row[n:] for row in red.raw), n)
+        if self._rref is None:
+            self._rref = (Matrix.identity(self.field, n), pivots[:n])
+        inv = Matrix._of_raw(self.field, tuple(row[n:] for row in red.raw), n)
+        inv._rref = self._rref
+        return inv
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows

@@ -28,8 +28,10 @@ from typing import Callable, Optional
 
 from .errors import BudgetExceeded, InvalidTriple, NotFinite, NotPerfect
 from .exactmath import (
+    Field,
     Matrix,
     Scalar,
+    _box,
     _residue_det,
     _residue_rref,
     affine_points,
@@ -468,28 +470,46 @@ def aut_identity(h: LieAlgebra) -> AutTriple:
     )
 
 
-def _check_compatible(t1: AutTriple, t2: AutTriple):
-    if t1.v.domain.field != t2.v.domain.field or t1.v.domain.dim != t2.v.domain.dim:
+def _check_operand(t: AutTriple, field: Field, dim: int):
+    """Check a group-law operand over a dim-dimensional algebra over field:
+    alpha a unit, h0 of dim entries, v invertible.  Returns alpha raw, an int
+    alpha coerced into the field."""
+    if t.v.domain.field is not field or t.v.domain.dim != dim:
         raise InvalidTriple("triples over different algebras")
-    for t in (t1, t2):
-        if not t.alpha:
-            raise InvalidTriple("alpha must be a unit")
-        if not t.v.is_invertible():
-            raise InvalidTriple("v must be invertible")
+    alpha = field._raw(t.alpha)
+    if not alpha:
+        raise InvalidTriple("alpha must be a unit")
+    if len(t.h0) != dim:
+        raise InvalidTriple(f"h0 has {len(t.h0)} entries, expected {dim}")
+    if not t.v.is_invertible():
+        raise InvalidTriple("v must be invertible")
+    return alpha
 
 
 def aut_multiply(t1: AutTriple, t2: AutTriple) -> AutTriple:
-    """(alpha,h,v)*(beta,g,w) = (alpha*beta, beta*h + v(g), v∘w)."""
-    _check_compatible(t1, t2)
-    h0 = vadd(vscale(t2.alpha, t1.h0), t1.v.matrix.mul_vector(t2.h0))
-    return AutTriple(t1.alpha * t2.alpha, h0, t1.v.compose(t2.v))
+    """(alpha,h,v)*(beta,g,w) = (alpha*beta, beta*h + v(g), v∘w), on raw entries.
+
+    Checking that both v are invertible keeps their RREFs, so the product v∘w
+    carries its own and costs no elimination when it is an operand.  Int
+    entries of h and g are coerced into the field (mul_vector coerces g).
+    """
+    field, dim = t1.v.domain.field, t1.v.domain.dim
+    alpha = _check_operand(t1, field, dim)
+    beta = _check_operand(t2, field, dim)
+    red = field._reduce
+    vg = t1.v.matrix.mul_vector(t2.h0)
+    h0 = _box(field, [red(beta * field._raw(x) + y.value) for x, y in zip(t1.h0, vg)])
+    return AutTriple(Scalar(field, red(alpha * beta)), h0, t1.v.compose(t2.v))
 
 
 def aut_inverse(t: AutTriple) -> AutTriple:
-    _check_compatible(t, t)
-    ainv = t.alpha.inverse()
+    """(alpha,h,v)^-1 = (alpha^-1, -alpha^-1 v^-1(h), v^-1), on raw entries."""
+    field = t.v.domain.field
+    ainv = Scalar(field, _check_operand(t, field, t.v.domain.dim)).inverse()
     vinv = t.v.inverse()
-    return AutTriple(ainv, vscale(-ainv, vinv.matrix.mul_vector(t.h0)), vinv)
+    red = field._reduce
+    h0 = _box(field, [red(-ainv.value * y.value) for y in vinv.matrix.mul_vector(t.h0)])
+    return AutTriple(ainv, h0, vinv)
 
 
 @dataclass(frozen=True)

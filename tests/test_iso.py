@@ -6,15 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liefact.errors import BudgetExceeded, InvalidTriple, NotPerfect
+from liefact import exactmath
 from liefact.exactmath import (
     Field,
     Matrix,
+    Scalar,
     basis_vector,
     dot,
     enumerate_vectors,
     intersect_spans,
     is_zero_vector,
     lincomb,
+    vadd,
     vscale,
     vsub,
     zero_vector,
@@ -321,6 +324,122 @@ def test_aut_triple_group_operations():
 
     with pytest.raises(InvalidTriple):
         aut_multiply(AutTriple(F3.zero, zero_vector(F3, 3), ident.v), ident)
+
+
+# -- the group law against the boxed reference ------------------------------------
+
+
+def boxed_multiply(t1: AutTriple, t2: AutTriple) -> AutTriple:
+    """(alpha,h,v)*(beta,g,w) = (alpha*beta, beta*h + v(g), v∘w) on Scalars."""
+    h0 = vadd(vscale(t2.alpha, t1.h0), t1.v.matrix.mul_vector(t2.h0))
+    return AutTriple(t1.alpha * t2.alpha, h0, t1.v.compose(t2.v))
+
+
+def boxed_inverse(t: AutTriple) -> AutTriple:
+    ainv = t.alpha.inverse()
+    vinv = t.v.inverse()
+    return AutTriple(ainv, vscale(-ainv, vinv.matrix.mul_vector(t.h0)), vinv)
+
+
+def _boxed_parts(t: AutTriple) -> tuple:
+    field = t.v.domain.field
+    assert type(t.alpha) is Scalar and t.alpha.field is field
+    assert all(type(x) is Scalar and x.field is field for x in t.h0)
+    return t.alpha, t.h0, t.v.matrix
+
+
+def _sl2_triples():
+    sl2 = make_sl2(F3)
+    return sl2, enumerate_aut_triples(sl2, sl2.ad(basis_vector(F3, 3, 0)))
+
+
+def test_group_law_matches_the_boxed_reference_over_gf3():
+    _, triples = _sl2_triples()
+    assert len(triples) == 48
+    for t1 in triples:
+        for t2 in triples:
+            assert _boxed_parts(aut_multiply(t1, t2)) == _boxed_parts(boxed_multiply(t1, t2))
+        assert _boxed_parts(aut_inverse(t1)) == _boxed_parts(boxed_inverse(t1))
+
+
+def test_group_law_matches_the_boxed_reference_over_q():
+    # v = diag(c, 1/c, 1) is the automorphism e -> ce, f -> f/c, h -> h of sl2
+    sl2 = make_sl2(Q)
+    rng = random.Random(15)
+
+    def triple():
+        c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        v = Matrix(Q, [[c, 0, 0], [0, 1 / c, 0], [0, 0, 1]])
+        alpha = Q.scalar(Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)))
+        h0 = tuple(Q.scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(3))
+        return AutTriple(alpha, h0, LinearMap(sl2, sl2, v))
+
+    triples = [triple() for _ in range(12)]
+    for t1 in triples:
+        for t2 in triples:
+            assert _boxed_parts(aut_multiply(t1, t2)) == _boxed_parts(boxed_multiply(t1, t2))
+        assert _boxed_parts(aut_inverse(t1)) == _boxed_parts(boxed_inverse(t1))
+
+
+def test_malformed_operands_are_rejected_or_coerced():
+    ident = aut_identity(make_sl2(F3))
+    one, two = F3.one, F3.scalar(2)
+    with pytest.raises(InvalidTriple):
+        aut_multiply(AutTriple(one, (one,), ident.v), ident)
+    with pytest.raises(InvalidTriple):
+        aut_multiply(ident, AutTriple(one, (one, one), ident.v))
+    with pytest.raises(InvalidTriple):
+        aut_inverse(AutTriple(one, (), ident.v))
+    # 3 is zero in GF(3), so it is not a unit
+    for zero_alpha in (3, F3.zero):
+        with pytest.raises(InvalidTriple):
+            aut_multiply(AutTriple(zero_alpha, ident.h0, ident.v), ident)
+        with pytest.raises(InvalidTriple):
+            aut_multiply(ident, AutTriple(zero_alpha, ident.h0, ident.v))
+        with pytest.raises(InvalidTriple):
+            aut_inverse(AutTriple(zero_alpha, ident.h0, ident.v))
+    # int entries are coerced into GF(3) exactly, never passed on unreduced
+    five = AutTriple(5, (4, 0, -1), ident.v)
+    h = (one, F3.zero, two)
+    assert _boxed_parts(aut_multiply(five, five)) == (one, ident.h0, ident.v.matrix)
+    assert _boxed_parts(aut_inverse(five)) == (two, h, ident.v.matrix)
+    boxed = AutTriple(two, h, ident.v)
+    assert _boxed_parts(aut_multiply(five, ident)) == _boxed_parts(boxed)
+    assert _boxed_parts(aut_multiply(ident, five)) == _boxed_parts(boxed)
+
+
+def _count_eliminations(monkeypatch) -> list:
+    calls = []
+    kernel = exactmath._residue_rref
+
+    def counting(rows, ncols, p):
+        calls.append(ncols)
+        return kernel(rows, ncols, p)
+
+    monkeypatch.setattr(exactmath, "_residue_rref", counting)
+    return calls
+
+
+def test_products_of_checked_triples_run_no_elimination(monkeypatch):
+    sl2, triples = _sl2_triples()
+    delta = sl2.ad(basis_vector(F3, 3, 0))
+    calls = _count_eliminations(monkeypatch)
+    assert all(aut_triple_valid(sl2, delta, t) for t in triples)
+    # one 3 x 3 elimination per automorphism, kept on its matrix; each of the
+    # 24 serves the two units alpha
+    assert calls == [3] * len({id(t.v.matrix) for t in triples}) == [3] * 24
+    calls.clear()
+    for i, t2 in enumerate(triples):
+        for j, t3 in enumerate(triples):
+            t1 = triples[(i + j) % 48]
+            prod = aut_multiply(t1, aut_multiply(t2, t3))
+            assert prod.v.matrix._rref is not None
+    assert calls == []
+    # an inverse carries its RREF too: only computing it eliminates
+    for t in triples:
+        ident = aut_multiply(t, aut_inverse(t))
+        assert _boxed_parts(ident) == _boxed_parts(aut_identity(sl2))
+    assert calls == [6] * 48
 
 
 def test_semidirect_embedding():
