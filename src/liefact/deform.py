@@ -45,8 +45,6 @@ from .exactmath import (
     basis_vector,
     enumerate_vectors,
     is_zero_vector,
-    vadd,
-    vsub,
 )
 from .liecore import LieAlgebra, basis_pairs, charpolys_differ, derived_ad_charpoly
 from .matched import MatchedPair, canonical_pair_L, canonical_pair_m, _finish
@@ -173,13 +171,17 @@ def r_deformation(mp: MatchedPair, d: DeformationMap) -> LieAlgebra:
         raise InvalidDeformationMap("the map fails the deformation compatibility")
     h = mp.h
     f = mp.field
-    hb = [basis_vector(f, h.dim, i) for i in range(h.dim)]
+    # h_x <| g_a, raw; the pair keeps its actions boxed
+    right = [(x, a, tuple(map(f._raw, w))) for (x, a), w in mp.right.items()]
     brackets = {}
     for i, j in basis_pairs(h.dim):
-        vec = vadd(
-            h.bracket_basis(i, j),
-            vsub(mp.act_right(hb[i], r.col(j)), mp.act_right(hb[j], r.col(i))),
-        )
+        # [h_i, h_j] + h_i <| r(h_j) - h_j <| r(h_i), summed over the stored actions
+        vec = list(h._table[i][j])
+        for x, a, w in right:
+            c = r.raw[a][j] if x == i else -r.raw[a][i] if x == j else 0
+            if c:
+                for k, y in enumerate(w):
+                    vec[k] += c * y
         brackets[(i, j)] = vec
     out = LieAlgebra(f, h.basis_names, brackets)
     bad = out.check_jacobi()

@@ -85,20 +85,21 @@ def _twisted_system(algebra: LieAlgebra, lam) -> Matrix:
     n = algebra.dim
     f = algebra.field
     red = f._reduce
+    t = algebra._table
     rows = []
     for i, j in basis_pairs(n):
-        cij = algebra.bracket_basis(i, j)
+        cij = t[i][j]
         for k in range(n):
             row = [f.zero.value] * (n * n)
             for m in range(n):
                 if cij[m]:
-                    row[k * n + m] = red(row[k * n + m] + cij[m].value)
-                cmj = algebra.bracket_basis(m, j)[k]
+                    row[k * n + m] = red(row[k * n + m] + cij[m])
+                cmj = t[m][j][k]
                 if cmj:
-                    row[m * n + i] = red(row[m * n + i] - cmj.value)
-                cim = algebra.bracket_basis(i, m)[k]
+                    row[m * n + i] = red(row[m * n + i] - cmj)
+                cim = t[i][m][k]
                 if cim:
-                    row[m * n + j] = red(row[m * n + j] - cim.value)
+                    row[m * n + j] = red(row[m * n + j] - cim)
             if lam[j]:
                 row[k * n + i] = red(row[k * n + i] - lam[j].value)
             if lam[i]:
@@ -108,10 +109,11 @@ def _twisted_system(algebra: LieAlgebra, lam) -> Matrix:
 
 
 def _maps_from_flat(algebra: LieAlgebra, flats) -> list:
+    """The maps whose row-major raw entries are the given flats."""
     n = algebra.dim
     maps = []
     for flat in flats:
-        m = Matrix(algebra.field, [flat[r * n : (r + 1) * n] for r in range(n)])
+        m = Matrix._of_raw(algebra.field, tuple(flat[r * n : (r + 1) * n] for r in range(n)), n)
         maps.append(LinearMap(algebra, algebra, m))
     return maps
 
@@ -119,7 +121,7 @@ def _maps_from_flat(algebra: LieAlgebra, flats) -> list:
 def derivation_space(algebra: LieAlgebra) -> list:
     """Basis of {D : D[x,y] = [Dx,y] + [x,Dy]}."""
     lam = zero_vector(algebra.field, algebra.dim)
-    return _maps_from_flat(algebra, _twisted_system(algebra, lam).nullspace())
+    return _maps_from_flat(algebra, _twisted_system(algebra, lam)._null_raw())
 
 
 def is_derivation(algebra: LieAlgebra, d: LinearMap) -> bool:
@@ -147,10 +149,7 @@ def is_inner(algebra: LieAlgebra, d: LinearMap) -> Optional[tuple]:
 
 
 def lambda_is_admissible(algebra: LieAlgebra, lam) -> bool:
-    for (_, _), vec in algebra.sc_pairs():
-        if dot(lam, vec, algebra.field):
-            return False
-    return True
+    return not any(dot(lam, vec, algebra.field) for vec in algebra._sc.values())
 
 
 def twisted_derivations_for_lambda(algebra: LieAlgebra, lam) -> list:
@@ -160,13 +159,12 @@ def twisted_derivations_for_lambda(algebra: LieAlgebra, lam) -> list:
         raise DimensionMismatch("lambda must have length dim")
     if not lambda_is_admissible(algebra, lam):
         raise LambdaNotAdmissible("lambda does not vanish on the derived algebra")
-    return _maps_from_flat(algebra, _twisted_system(algebra, lam).nullspace())
+    return _maps_from_flat(algebra, _twisted_system(algebra, lam)._null_raw())
 
 
 def admissible_lambdas(algebra: LieAlgebra) -> list:
     """rref basis of the covectors vanishing on the derived algebra."""
-    rows = tuple(tuple(x.value for x in vec) for _, vec in algebra.sc_pairs())
-    return Matrix._of_raw(algebra.field, rows, algebra.dim).nullspace()
+    return Matrix._of_raw(algebra.field, tuple(algebra._sc.values()), algebra.dim).nullspace()
 
 
 def enumerate_twisted_derivations(algebra: LieAlgebra, budget: int = 10**7) -> list:

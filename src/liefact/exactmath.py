@@ -6,12 +6,18 @@ values are immutable and all operations pure, so concurrent use is safe and
 every test downstream can assert strict equality.
 
 Scalar is the boundary type: every value a caller passes in or gets back is
-a Scalar tagged by its field.  A Matrix keeps raw entries (Fractions over Q,
-residues in [0, p) over GF(p)): its public constructors coerce them once,
-sums, products and elimination run on them, and its accessors box what they
-hand out.  Elimination (rref, and so rank, nullspace, solve, inverse and
-span_rref, and det) runs on plain ints, fraction-free over Q and on residues
-over GF(p).
+a Scalar tagged by its field.  Inside, values are raw: Fractions over Q and
+residues in [0, p) over GF(p).  A Matrix keeps raw entries: its public
+constructors coerce them once, sums, products and elimination run on them,
+and its accessors box what they hand out.  Elimination (rref, and so rank,
+nullspace, solve, inverse and span_rref, and det) runs on plain ints,
+fraction-free over Q and on residues over GF(p).
+
+A vector at the boundary is a tuple of Scalars (vadd, vscale, lincomb and
+dot work on those).  Inside, a vector is a tuple of raw entries: the Lie
+algebras and subspaces of liecore keep their bracket tables and bases that
+way.  _span_rows is span_rref on raw rows, and _intersect_rows intersects
+two spans of raw rows.
 
 Each field has one instance, built and validated on first use with its zero
 and one, so comparing the fields of two operands is an identity check.
@@ -276,7 +282,7 @@ class Scalar:
         return str(self.value)
 
 
-# -- vectors: plain tuples of Scalars ---------------------------------------
+# -- vectors at the boundary: tuples of Scalars ------------------------------
 
 
 def _is_json_scalar(x) -> bool:
@@ -523,21 +529,11 @@ class Matrix:
 
     def nullspace(self) -> list:
         """Basis vectors annihilated by the matrix, one per free column."""
-        return self._null_basis(*self.rref())
+        return [_box(self.field, v) for v in self._null_raw()]
 
-    def _null_basis(self, red: "Matrix", pivots: tuple) -> list:
-        """The null basis read off an RREF whose first ncols columns are the
-        RREF of this matrix (red may carry more columns to the right)."""
-        field = self.field
-        pivot_set = set(pivots)
-        basis = []
-        for f in (c for c in range(self.ncols) if c not in pivot_set):
-            v = list(zero_vector(field, self.ncols))
-            v[f] = field.one
-            for r, p in enumerate(pivots):
-                v[p] = Scalar(field, field._reduce(-red.raw[r][f]))
-            basis.append(tuple(v))
-        return basis
+    def _null_raw(self) -> list:
+        """nullspace's basis as raw tuples."""
+        return _null_rows(self.field, *self.rref(), self.ncols)
 
     def solve(self, b) -> Optional[tuple]:
         """Particular solution of A x = b plus a nullspace basis, or None.
@@ -554,7 +550,7 @@ class Matrix:
         x = list(zero_vector(self.field, self.ncols))
         for r, p in enumerate(pivots):
             x[p] = Scalar(self.field, red.raw[r][self.ncols])
-        return tuple(x), self._null_basis(red, pivots)
+        return tuple(x), [_box(self.field, v) for v in _null_rows(self.field, red, pivots, self.ncols)]
 
     def det(self) -> Scalar:
         if self.nrows != self.ncols:
@@ -594,6 +590,22 @@ class Matrix:
         ):
             raise FormatError(f"bad matrix record: {data!r}")
         return cls(field, entries)
+
+
+def _null_rows(field: Field, red: Matrix, pivots: tuple, ncols: int) -> list:
+    """The null basis, raw, read off an RREF whose first ncols columns are
+    the RREF of a matrix (red may carry more columns to the right): one
+    vector per free column."""
+    zero, one, reduce = field.zero.value, field.one.value, field._reduce
+    pivot_set = set(pivots)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivot_set):
+        v = [zero] * ncols
+        v[f] = one
+        for row, p in zip(red.raw, pivots):
+            v[p] = reduce(-row[f])
+        basis.append(tuple(v))
+    return basis
 
 
 # -- elimination kernels: plain ints in, plain ints out -------------------------
@@ -763,21 +775,33 @@ def lincomb(coeffs, vectors, start) -> tuple:
 
 def span_rref(field: Field, vectors) -> list:
     """Canonical (rref) basis of the span; zero rows dropped."""
-    vecs = [v for v in vectors]
-    if not vecs:
-        return []
-    red, pivots = Matrix(field, vecs).rref()
-    return [_box(field, row) for row in red.raw[:len(pivots)]]
+    m = Matrix(field, list(vectors))
+    return [_box(field, row) for row in _span_rows(field, m.raw, m.ncols)[0]]
 
 
-def intersect_spans(field: Field, basis_a, basis_b, ambient_dim: int) -> list:
-    """rref basis of span(basis_a) ∩ span(basis_b)."""
-    if not basis_a or not basis_b:
-        return []
-    cols = [list(v) for v in basis_a] + [[-x for x in v] for v in basis_b]
-    m = Matrix.from_cols(field, cols)
-    origin = zero_vector(field, ambient_dim)
-    return span_rref(field, [lincomb(sol, basis_a, origin) for sol in m.nullspace()])
+def _span_rows(field: Field, rows, ncols: int) -> tuple:
+    """The nonzero rows of the RREF of raw rows of length ncols, and their
+    pivot columns; no rows, no elimination."""
+    if not rows:
+        return (), ()
+    red, pivots = Matrix._of_raw(field, tuple(rows), ncols).rref()
+    return red.raw[:len(pivots)], pivots
+
+
+def _intersect_rows(field: Field, rows_a, rows_b, ncols: int) -> tuple:
+    """RREF rows of span(rows_a) ∩ span(rows_b), raw rows of length ncols.
+
+    The null space of the matrix with columns rows_a and -rows_b gives the
+    coefficients over rows_a of the common vectors."""
+    if not rows_a or not rows_b:
+        return ()
+    red = field._reduce
+    cols = list(rows_a) + [tuple([red(-x) for x in v]) for v in rows_b]
+    m = Matrix._of_raw(field, tuple(zip(*cols)), len(cols))
+    # coordinate k of sum_i sol_i a_i; zip stops at the coefficients of rows_a
+    coords = tuple(zip(*rows_a))
+    common = [tuple([red(sum(map(mul, sol, c))) for c in coords]) for sol in m._null_raw()]
+    return _span_rows(field, common, ncols)[0]
 
 
 def affine_points(p: int, x: tuple, null) -> Iterator[tuple]:

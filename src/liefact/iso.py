@@ -12,11 +12,13 @@ backtracking search that assigns basis images one at a time, propagating the
 linear constraints each bracket relation imposes and always expanding the
 most constrained variable first.
 
-The search runs on residues in [0, p): both bracket tables and the image
-domains are unboxed once, each candidate set takes one elimination, and a
-witness is boxed only when it is reported.  Every Yes is re-verified at its
-leaf against the full bracket tables (rank n, and [e_i, e_j] mapped to
-[x_i, x_j] on every basis pair) before it is reported.
+The search runs on residues in [0, p): it reads both algebras' raw bracket
+tables and the raw rows of the image domains, which _image_domains
+intersects from the raw bases of the characteristic subspaces; each
+candidate set takes one elimination, and a witness is boxed only when it is
+reported.  Every Yes is re-verified at its leaf against the full bracket
+tables (rank n, and [e_i, e_j] mapped to [x_i, x_j] on every basis pair)
+before it is reported.
 """
 
 from __future__ import annotations
@@ -32,12 +34,11 @@ from .exactmath import (
     Matrix,
     Scalar,
     _box,
+    _intersect_rows,
     _residue_det,
     _residue_rref,
     affine_points,
-    basis_vector,
     enumerate_affine,
-    intersect_spans,
     vadd,
     vscale,
     vsub,
@@ -113,21 +114,19 @@ class _BudgetHit(Exception):
 
 
 def _image_domains(a: LieAlgebra, b: LieAlgebra) -> list:
-    """For each source basis index, an rref basis of the target subspace its
-    image must lie in (intersection of matching characteristic subspaces)."""
+    """For each source basis index, the raw rref rows of the target subspace
+    its image must lie in (intersection of matching characteristic subspaces)."""
     f = a.field
-    n = a.dim
     pairs = list(zip(derived_series(a), derived_series(b)))
     pairs += zip(lower_central_series(a), lower_central_series(b))
     pairs.append((center(a), center(b)))
-    full = [basis_vector(f, b.dim, i) for i in range(b.dim)]
+    full = Matrix.identity(f, b.dim).raw
     domains = []
-    for i in range(n):
-        ei = basis_vector(f, n, i)
+    for ei in Matrix.identity(f, a.dim).raw:
         dom = full
         for s1, s2 in pairs:
-            if s1.dim < a.dim and s1.contains(ei):
-                dom = intersect_spans(f, dom, list(s2.basis), b.dim)
+            if s1.dim < a.dim and s1._coordinates(ei) is not None:
+                dom = _intersect_rows(f, dom, s2.rows, b.dim)
         domains.append(dom)
     return domains
 
@@ -171,23 +170,21 @@ def _search_isomorphisms(
     and characteristic-subspace membership, so an exhausted search is a
     definitive negative.
 
-    Everything runs on residues in [0, p): the two bracket tables and the
-    image domains are unboxed once, and a witness is boxed only when reported.
+    Everything runs on residues in [0, p), read off the two raw bracket
+    tables and the raw image domains; a witness is boxed only when reported.
     """
-    domains = _image_domains(a, b)
+    doms = _image_domains(a, b)
     f = a.field
     p = f.p
     n = a.dim
     span = range(n)
     # c_a[i][j]: the coordinates of [e_i, e_j] in a; support[i][j]: their nonzero indices
-    c_a = [[tuple(x.value for x in a.bracket_basis(i, j)) for j in span] for i in span]
+    c_a, table_b = a._table, b._table
     support = [[frozenset(m for m in span if c[m]) for c in row] for row in c_a]
     # ad_lines[r][j][i] = [e_i, e_j]_r in b, so row r of ad(x) is
     # (dot(x, ad_lines[r][j]) for j): ad of an image comes straight from b's table
-    table_b = [[tuple(x.value for x in b.bracket_basis(i, j)) for j in span] for i in span]
     ad_lines = [[tuple(table_b[i][j][r] for i in span) for j in span] for r in span]
     ad_rank = [len(_residue_rref([list(c) for c in c_a[i]], n, p)[1]) for i in span]
-    doms = [[tuple(x.value for x in v) for v in dom] for dom in domains]
     # dom_rows[k][r]: row r of the matrix whose columns are the domain basis of e_k
     dom_rows = [[tuple(v[r] for v in dom) for r in span] for dom in doms]
     assigned: list = [None] * n
@@ -452,7 +449,11 @@ class AutTriple:
     v: LinearMap
 
     def structural_ok(self) -> bool:
-        return bool(self.alpha) and self.v.is_invertible() and self.v.is_lie_morphism()
+        try:
+            _check_operand(self, self.v.domain.field, self.v.domain.dim)
+        except InvalidTriple:
+            return False
+        return self.v.is_lie_morphism()
 
 
 def aut_triple_valid(h: LieAlgebra, delta: Matrix, t: AutTriple) -> bool:
@@ -471,9 +472,10 @@ def aut_identity(h: LieAlgebra) -> AutTriple:
 
 
 def _check_operand(t: AutTriple, field: Field, dim: int):
-    """Check a group-law operand over a dim-dimensional algebra over field:
-    alpha a unit, h0 of dim entries, v invertible.  Returns alpha raw, an int
-    alpha coerced into the field."""
+    """Check a triple over a dim-dimensional algebra over field: alpha a
+    unit, h0 of dim entries, v invertible.  Returns alpha raw, an int alpha
+    coerced into the field.  The group law, membership and the semidirect
+    embedding all check their triples here."""
     if t.v.domain.field is not field or t.v.domain.dim != dim:
         raise InvalidTriple("triples over different algebras")
     alpha = field._raw(t.alpha)
@@ -523,9 +525,12 @@ class SemidirectElement:
 
 
 def semidirect_embed(t: AutTriple) -> SemidirectElement:
-    return SemidirectElement(
-        vscale(t.alpha.inverse(), t.h0), t.alpha, t.v
-    )
+    """(h0, (alpha, v)) scaled to (alpha^-1 h0, (alpha, v)); InvalidTriple
+    unless the triple passes the group law's operand check (an int alpha is
+    coerced)."""
+    field = t.v.domain.field
+    alpha = Scalar(field, _check_operand(t, field, t.v.domain.dim))
+    return SemidirectElement(vscale(alpha.inverse(), t.h0), alpha, t.v)
 
 
 def semidirect_multiply(s1: SemidirectElement, s2: SemidirectElement) -> SemidirectElement:

@@ -7,6 +7,13 @@ builds, once, the dense bracket table _table[i][j] = [e_i, e_j]: antisymmetric,
 with zero vectors on the diagonal and for pairs that bracket to zero.  Basis
 brackets, ad(e_i) and the linear systems of this module read that table.
 
+Both hold raw entries (Fractions over Q, residues in [0, p) over GF(p)), and
+so does a Subspace's rref basis; the bilinear bracket _bracket runs on raw
+vectors.  Scalars appear only at the accessors: bracket_basis, bracket, ad,
+sc_pairs, Subspace.basis and Subspace.coordinates box what they return, and
+the series, center, Killing Gram, characteristic polynomial and invariant
+forms are computed from the raw table and raw rows.
+
 Every identity checked on all basis pairs or triples (Jacobi, Lie morphisms,
 derivation and twisted-derivation laws, matched-pair axioms, product
 structures, invariant forms) goes through defects(),
@@ -28,7 +35,7 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass
-from operator import mul
+from operator import mul, neg
 from typing import Optional
 
 from .errors import (
@@ -43,13 +50,12 @@ from .exactmath import (
     Scalar,
     basis_vector,
     dot,
-    is_zero_vector,
-    span_rref,
     vadd,
     vsub,
     zero_vector,
     _box,
     _is_json_scalar,
+    _span_rows,
 )
 
 
@@ -73,10 +79,10 @@ def defects(indices, lhs, rhs):
 class LieAlgebra:
     """Finite-dimensional Lie algebra over an exact field.
 
-    sc maps an index pair (i, j) with i < j to the coordinate vector of
+    _sc maps an index pair (i, j) with i < j to the raw coordinate vector of
     [e_i, e_j]; pairs that bracket to zero are not stored.  _table[i][j] is
-    [e_i, e_j] for every index pair, built once from sc.  _invariants keeps
-    the results of the functions marked @_kept, by name.
+    [e_i, e_j], raw, for every index pair, built once from _sc.  _invariants
+    keeps the results of the functions marked @_kept, by name.
     """
 
     __slots__ = ("field", "dim", "basis_names", "_sc", "_index", "_table", "_invariants")
@@ -92,17 +98,17 @@ class LieAlgebra:
         for (i, j), vec in brackets.items():
             if not (0 <= i < j < self.dim):
                 raise FormatError(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
-            v = tuple(field.scalar(x) for x in vec)
+            v = tuple(map(field._raw, vec))
             if len(v) != self.dim:
                 raise DimensionMismatch("bracket vector has wrong length")
-            if not is_zero_vector(v):
+            if any(v):
                 sc[(i, j)] = v
         self._sc = sc
-        zero = zero_vector(field, self.dim)
+        zero = (field.zero.value,) * self.dim
         table = [[zero] * self.dim for _ in range(self.dim)]
         for (i, j), v in sc.items():
             table[i][j] = v
-            table[j][i] = tuple(-x for x in v)
+            table[j][i] = tuple(map(field._reduce, map(neg, v)))
         self._table = table
         self._invariants = {}
 
@@ -152,48 +158,62 @@ class LieAlgebra:
         except KeyError:
             raise FormatError(f"unknown basis name {name!r}") from None
 
-    def sc_pairs(self):
-        return self._sc.items()
+    def sc_pairs(self) -> list:
+        """((i, j), [e_i, e_j]) for the pairs i < j that bracket to nonzero."""
+        return [(key, _box(self.field, v)) for key, v in self._sc.items()]
 
     def bracket_basis(self, i: int, j: int) -> tuple:
-        return self._table[i][j]
+        return _box(self.field, self._table[i][j])
+
+    def _raw_vector(self, x) -> tuple:
+        """x coerced to raw entries; DimensionMismatch unless it has dim entries."""
+        if len(x) != self.dim:
+            raise DimensionMismatch(f"vector of length {len(x)} in a {self.dim}-dimensional algebra")
+        return tuple(map(self.field._raw, x))
 
     def bracket(self, x, y) -> tuple:
         """Bilinear extension of the structure constants."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise DimensionMismatch("bracket arguments must have length dim")
-        out = list(zero_vector(self.field, self.dim))
+        return _box(self.field, self._bracket(self._raw_vector(x), self._raw_vector(y)))
+
+    def _bracket(self, x, y) -> tuple:
+        """[x, y] of raw vectors, raw."""
+        out = [0] * self.dim
         for (i, j), vec in self._sc.items():
             c = x[i] * y[j] - x[j] * y[i]
             if c:
                 for k, s in enumerate(vec):
                     if s:
-                        out[k] = out[k] + c * s
-        return tuple(out)
+                        out[k] += c * s
+        return tuple(map(self.field._reduce, out))
 
     def ad(self, x) -> Matrix:
         """Matrix of y -> [x, y] (columns are images of the basis)."""
-        cols = [self.bracket(x, basis_vector(self.field, self.dim, j)) for j in range(self.dim)]
-        return Matrix.from_cols(self.field, cols)
+        x = self._raw_vector(x)
+        cols = [self._bracket(x, e) for e in Matrix.identity(self.field, self.dim).raw]
+        return Matrix._of_raw(self.field, tuple(zip(*cols)), self.dim)
 
     def ad_basis(self, i: int) -> Matrix:
-        return Matrix.from_cols(self.field, self._table[i])
+        return Matrix._of_raw(self.field, tuple(zip(*self._table[i])), self.dim)
 
     def check_jacobi(self) -> list:
         """All violating triples (i, j, l, defect); empty means valid."""
-        t = self._table
-        e = [basis_vector(self.field, self.dim, i) for i in range(self.dim)]
-        zero = zero_vector(self.field, self.dim)
+        t, n, f = self._table, self.dim, self.field
 
         def jacobiator(i, j, l):
-            return vadd(
-                vadd(self.bracket(t[i][j], e[l]), self.bracket(t[j][l], e[i])),
-                self.bracket(t[l][i], e[j]),
-            )
+            # [[e_i, e_j], e_l] = sum over m of [e_i, e_j]_m [e_m, e_l], and cyclically
+            out = [0] * n
+            for inner, outer in ((t[i][j], l), (t[j][l], i), (t[l][i], j)):
+                for m, c in enumerate(inner):
+                    if c:
+                        for k, s in enumerate(t[m][outer]):
+                            if s:
+                                out[k] += c * s
+            return tuple(map(f._reduce, out))
 
-        triples = itertools.combinations(range(self.dim), 3)
+        triples = itertools.combinations(range(n), 3)
+        zero = (f.zero.value,) * n
         return [
-            (i, j, l, defect)
+            (i, j, l, _box(f, defect))
             for (i, j, l), defect, _ in defects(triples, jacobiator, lambda i, j, l: zero)
         ]
 
@@ -226,10 +246,10 @@ class LieAlgebra:
             raise DimensionMismatch("change of basis needs an invertible dim x dim matrix")
         pinv = p.inverse()
         names = tuple(names) if names else tuple(f"b{i + 1}" for i in range(self.dim))
-        cols = p.cols()
+        cols = tuple(zip(*p.raw))
         brackets = {}
         for i, j in basis_pairs(self.dim):
-            brackets[(i, j)] = pinv.mul_vector(self.bracket(cols[i], cols[j]))
+            brackets[(i, j)] = pinv.mul_vector(self._bracket(cols[i], cols[j]))
         return LieAlgebra(self.field, names, brackets)
 
     def permuted(self, order, names=None) -> "LieAlgebra":
@@ -322,41 +342,61 @@ def dump_algebra(algebra: LieAlgebra, path) -> None:
 class Subspace:
     """Subspace of the underlying space of a Lie algebra, held in rref form.
 
-    The rref basis makes equality of subspaces canonical.
+    rows is the rref basis as raw tuples and pivots their pivot columns; the
+    rref basis makes equality of subspaces canonical.  basis and coordinates
+    box what they return.
     """
 
-    __slots__ = ("algebra", "basis")
+    __slots__ = ("algebra", "rows", "pivots")
 
     def __init__(self, algebra: LieAlgebra, vectors):
+        self._span(algebra, [algebra._raw_vector(v) for v in vectors])
+
+    def _span(self, algebra: LieAlgebra, rows):
         self.algebra = algebra
-        self.basis = tuple(span_rref(algebra.field, list(vectors)))
+        self.rows, self.pivots = _span_rows(algebra.field, rows, algebra.dim)
+
+    @classmethod
+    def _of_rows(cls, algebra: LieAlgebra, rows) -> "Subspace":
+        """The span of raw vectors of length algebra.dim."""
+        space = cls.__new__(cls)
+        space._span(algebra, rows)
+        return space
 
     @classmethod
     def full(cls, algebra: LieAlgebra) -> "Subspace":
-        return cls(algebra, [basis_vector(algebra.field, algebra.dim, i) for i in range(algebra.dim)])
+        return cls._of_rows(algebra, Matrix.identity(algebra.field, algebra.dim).raw)
 
     @classmethod
     def zero(cls, algebra: LieAlgebra) -> "Subspace":
-        return cls(algebra, [])
+        return cls._of_rows(algebra, ())
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @property
+    def basis(self) -> tuple:
+        return tuple(_box(self.algebra.field, row) for row in self.rows)
 
     def contains(self, v) -> bool:
-        return self.coordinates(v) is not None
+        return self._coordinates(self.algebra._raw_vector(v)) is not None
 
     def coordinates(self, v) -> Optional[tuple]:
         """Coefficients of v over the rref basis, or None if v is outside."""
-        r = list(v)
+        coeffs = self._coordinates(self.algebra._raw_vector(v))
+        return None if coeffs is None else _box(self.algebra.field, coeffs)
+
+    def _coordinates(self, r) -> Optional[tuple]:
+        """coordinates of a raw vector, raw."""
+        red = self.algebra.field._reduce
         coeffs = []
-        for row in self.basis:
-            pivot = next(k for k, x in enumerate(row) if x)
+        for pivot, row in zip(self.pivots, self.rows):
             c = r[pivot]
             coeffs.append(c)
             if c:
-                r = [a - c * b for a, b in zip(r, row)]
-        if not is_zero_vector(r):
+                r = [red(a - c * b) for a, b in zip(r, row)]
+        if any(r):
             return None
         return tuple(coeffs)
 
@@ -364,31 +404,28 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self.algebra.field == other.algebra.field
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash(self.basis)
+        return hash(self.rows)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.algebra.dim})"
 
     def sum_with(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.algebra, list(self.basis) + list(other.basis))
+        return Subspace._of_rows(self.algebra, self.rows + other.rows)
 
     def bracket_with(self, other: "Subspace") -> "Subspace":
-        vecs = [
-            self.algebra.bracket(u, v)
-            for u in self.basis
-            for v in other.basis
-        ]
-        return Subspace(self.algebra, vecs)
+        bracket = self.algebra._bracket
+        return Subspace._of_rows(self.algebra, [bracket(u, v) for u in self.rows for v in other.rows])
 
     def is_subalgebra(self) -> bool:
-        for u, v in itertools.combinations(self.basis, 2):
-            if not self.contains(self.algebra.bracket(u, v)):
-                return False
-        return True
+        bracket = self.algebra._bracket
+        return all(
+            self._coordinates(bracket(u, v)) is not None
+            for u, v in itertools.combinations(self.rows, 2)
+        )
 
 
 @dataclass(frozen=True)
@@ -460,13 +497,9 @@ class BilinearForm:
 def right_bracket_matrix(algebra: LieAlgebra) -> Matrix:
     """The stacked maps x -> [x, e_j]: row (j, k) gives the e_k-coefficient
     of [x, e_j] as a linear function of x."""
-    n = algebra.dim
-    rows = [
-        tuple(algebra.bracket_basis(i, j)[k] for i in range(n))
-        for j in range(n)
-        for k in range(n)
-    ]
-    return Matrix(algebra.field, rows)
+    n, t = algebra.dim, algebra._table
+    rows = tuple(tuple(t[i][j][k] for i in range(n)) for j in range(n) for k in range(n))
+    return Matrix._of_raw(algebra.field, rows, n)
 
 
 def _kept(compute):
@@ -486,7 +519,7 @@ def _kept(compute):
 @_kept
 def center(algebra: LieAlgebra) -> Subspace:
     """Nullspace of the stacked right-bracket maps x -> [x, e_j]."""
-    return Subspace(algebra, right_bracket_matrix(algebra).nullspace())
+    return Subspace._of_rows(algebra, right_bracket_matrix(algebra)._null_raw())
 
 
 def _series(algebra: LieAlgebra, step) -> tuple:
@@ -538,9 +571,11 @@ def is_metabelian(algebra: LieAlgebra) -> bool:
 @_kept
 def killing_gram(algebra: LieAlgebra) -> Matrix:
     span = range(algebra.dim)
+    red = algebra.field._reduce
     ads = [algebra.ad_basis(i) for i in span]
     products = ([(a * b).raw for b in ads] for a in ads)
-    return Matrix(algebra.field, [[sum(p[k][k] for k in span) for p in row] for row in products])
+    gram = tuple(tuple(red(sum(p[k][k] for k in span)) for p in row) for row in products)
+    return Matrix._of_raw(algebra.field, gram, algebra.dim)
 
 
 def _charpoly(a: list, reduce) -> list:
@@ -585,9 +620,9 @@ def derived_ad_charpoly(algebra: LieAlgebra) -> Optional[tuple]:
     if len(series) != 3 or series[1].dim != n - 1 or series[2].dim:
         return None
     f, derived = algebra.field, series[1]
-    z = next(e for e in (basis_vector(f, n, i) for i in range(n)) if not derived.contains(e))
-    cols = [derived.coordinates(algebra.bracket(z, u)) for u in derived.basis]
-    return _box(f, _charpoly([[x.value for x in row] for row in zip(*cols)], f._reduce))
+    z = next(e for e in Matrix.identity(f, n).raw if derived._coordinates(e) is None)
+    cols = [derived._coordinates(algebra._bracket(z, u)) for u in derived.rows]
+    return _box(f, _charpoly(list(zip(*cols)), f._reduce))
 
 
 def charpolys_differ(u: tuple, v: tuple) -> bool:
@@ -612,19 +647,20 @@ def invariant_bilinear_forms(algebra: LieAlgebra, symmetric: bool = False) -> li
     n = algebra.dim
     f = algebra.field
     red = f._reduce
+    t = algebra._table
     rows = []
     # unknown gram entries g_{m,k} flattened row-major: index m*n + k
     for i in range(n):
         for j in range(n):
-            cij = algebra.bracket_basis(i, j)
+            cij = t[i][j]
             for k in range(n):
-                cjk = algebra.bracket_basis(j, k)
+                cjk = t[j][k]
                 row = [f.zero.value] * (n * n)
                 for m in range(n):
                     if cij[m]:
-                        row[m * n + k] = red(row[m * n + k] + cij[m].value)
+                        row[m * n + k] = red(row[m * n + k] + cij[m])
                     if cjk[m]:
-                        row[i * n + m] = red(row[i * n + m] - cjk[m].value)
+                        row[i * n + m] = red(row[i * n + m] - cjk[m])
                 if any(row):
                     rows.append(tuple(row))
     if symmetric:
@@ -634,8 +670,8 @@ def invariant_bilinear_forms(algebra: LieAlgebra, symmetric: bool = False) -> li
             row[b * n + a] = (-f.one).value
             rows.append(tuple(row))
     forms = []
-    for flat in Matrix._of_raw(f, tuple(rows), n * n).nullspace():
-        gram = Matrix(f, [flat[r * n : (r + 1) * n] for r in range(n)])
+    for flat in Matrix._of_raw(f, tuple(rows), n * n)._null_raw():
+        gram = Matrix._of_raw(f, tuple(flat[r * n : (r + 1) * n] for r in range(n)), n)
         forms.append(BilinearForm(algebra, gram))
     return forms
 
@@ -812,8 +848,7 @@ def subalgebra_structure(algebra: LieAlgebra, space: Subspace, names=None) -> Li
         names = tuple(names)
     brackets = {}
     for i, j in basis_pairs(m):
-        w = algebra.bracket(space.basis[i], space.basis[j])
-        coords = space.coordinates(w)
+        coords = space._coordinates(algebra._bracket(space.rows[i], space.rows[j]))
         if coords is None:
             raise FormatError("subspace is not closed under the bracket")
         brackets[(i, j)] = coords

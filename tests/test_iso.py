@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import boxed_reference as boxed
 from liefact.errors import BudgetExceeded, InvalidTriple, NotPerfect
 from liefact import exactmath
 from liefact.exactmath import (
@@ -14,7 +15,6 @@ from liefact.exactmath import (
     basis_vector,
     dot,
     enumerate_vectors,
-    intersect_spans,
     is_zero_vector,
     lincomb,
     vadd,
@@ -442,6 +442,28 @@ def test_products_of_checked_triples_run_no_elimination(monkeypatch):
     assert calls == [6] * 48
 
 
+def test_membership_and_embedding_coerce_alpha_as_the_group_law_does():
+    sl2 = make_sl2(F3)
+    e = basis_vector(F3, 3, 0)
+    delta = sl2.ad(e)
+    ident = aut_identity(sl2)
+    minus_e = vscale(-F3.one, e)
+    # 3 is zero in GF(3): no unit, as an int or as a field element
+    for zero_alpha in (3, F3.zero):
+        assert not aut_triple_valid(sl2, delta, AutTriple(zero_alpha, minus_e, ident.v))
+        with pytest.raises(InvalidTriple):
+            semidirect_embed(AutTriple(zero_alpha, ident.h0, ident.v))
+    # an int unit is its residue
+    for alpha in (1, 2, 4, 5):
+        unit = F3.scalar(alpha)
+        assert aut_triple_valid(sl2, delta, AutTriple(alpha, minus_e, ident.v)) == aut_triple_valid(
+            sl2, delta, AutTriple(unit, minus_e, ident.v)
+        )
+        embedded = semidirect_embed(AutTriple(alpha, minus_e, ident.v))
+        assert embedded == semidirect_embed(AutTriple(unit, minus_e, ident.v))
+        assert embedded.alpha == unit and embedded.translation == vscale(unit.inverse(), minus_e)
+
+
 def test_semidirect_embedding():
     sl2 = make_sl2(F3)
     delta = sl2.ad(basis_vector(F3, 3, 0))
@@ -659,8 +681,8 @@ def _reference_image_domains(a, b):
         ei = basis_vector(f, n, i)
         dom = full
         for s1, s2 in pairs:
-            if s1.dim < a.dim and s1.contains(ei):
-                dom = intersect_spans(f, dom, list(s2.basis), b.dim)
+            if s1.dim < a.dim and boxed.coordinates(s1.basis, ei) is not None:
+                dom = boxed.intersect_spans(f, dom, list(s2.basis), b.dim)
         domains.append(dom)
     return domains
 
@@ -925,6 +947,11 @@ def test_kept_invariants_agree_with_a_recomputation(name, field, seed):
         assert all(k is a for k, a in zip(kept[:5], again[:5]))
         fresh = LieAlgebra(x.field, x.basis_names, dict(x.sc_pairs()))
         assert kept == _kept_invariants(fresh)
+        # the raw series, center and Killing Gram against the boxed loops
+        assert [list(s.basis) for s in kept[0]] == boxed.derived_series(x)
+        assert [list(s.basis) for s in kept[1]] == boxed.lower_central_series(x)
+        assert list(kept[2].basis) == boxed.center(x)
+        assert kept[3] == boxed.killing_gram(x)
     assert fingerprint(alg) == fingerprint(conjugate)
     # the charpoly of ad on the derived algebra keeps its weighted class
     u, v = liecore.derived_ad_charpoly(alg), liecore.derived_ad_charpoly(conjugate)

@@ -1,12 +1,26 @@
 import copy
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liefact.errors import CharTwo, FieldMismatch, FormatError
-from liefact.exactmath import Field, Matrix, basis_vector, is_zero_vector, vadd, zero_vector
+import boxed_reference as boxed
+from liefact.errors import CharTwo, DimensionMismatch, FieldMismatch, FormatError
+from liefact.exactmath import (
+    Field,
+    Matrix,
+    Scalar,
+    _box,
+    _intersect_rows,
+    basis_vector,
+    is_zero_vector,
+    lincomb,
+    span_rref,
+    vadd,
+    zero_vector,
+)
 from liefact import liecore, matched, deform
 from liefact.liecore import (
     BilinearForm,
@@ -91,6 +105,57 @@ def test_bracket_table_matches_sparse_bracket(data):
         assert alg.ad_basis(i) == alg.ad(e[i])
         for j in range(dim):
             assert alg.bracket_basis(i, j) == alg.bracket(e[i], e[j])
+
+
+@st.composite
+def raw_and_boxed_inputs(draw):
+    """An algebra with random structure constants (Jacobi not imposed) over Q
+    or GF(p), two vectors, and two lists of vectors spanning subspaces."""
+    field = draw(st.sampled_from((Q, F2, F5, Field.gf(2**31 - 1))))
+    dim = draw(st.integers(1, 4))
+    if field is Q:
+        entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    else:
+        entry = st.integers(0, field.p - 1) | st.just(field.p - 1)
+    vector = st.lists(entry, min_size=dim, max_size=dim).map(
+        lambda v: tuple(field.scalar(x) for x in v)
+    )
+    pairs = itertools.combinations(range(dim), 2)
+    alg = LieAlgebra(field, [f"e{k}" for k in range(dim)], {pair: draw(vector) for pair in pairs})
+    vectors = st.lists(vector, max_size=dim + 1)
+    return alg, draw(vector), draw(vector), draw(vectors), draw(vectors)
+
+
+def _boxed_in(field, vectors):
+    return all(isinstance(x, Scalar) and x.field is field for v in vectors for x in v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_and_boxed_inputs())
+def test_raw_paths_match_the_boxed_reference(inputs):
+    alg, x, y, us, vs = inputs
+    f, n = alg.field, alg.dim
+    e = [basis_vector(f, n, j) for j in range(n)]
+    assert alg.bracket(x, y) == boxed.bracket(alg, x, y)
+    assert alg.ad(x) == Matrix.from_cols(f, [boxed.bracket(alg, x, ej) for ej in e])
+    assert _boxed_in(f, [alg.bracket(x, y)] + list(alg.ad(x).rows))
+    a, b = Subspace(alg, us), Subspace(alg, vs)
+    for space, vectors in ((a, us), (b, vs)):
+        assert list(space.basis) == boxed.span_rref(f, vectors) == span_rref(f, vectors)
+        assert _boxed_in(f, space.basis)
+    inside = lincomb(x, a.basis, zero_vector(f, n))
+    for v in (x, y, inside):
+        coords = a.coordinates(v)
+        assert coords == boxed.coordinates(a.basis, v)
+        assert a.contains(v) == (coords is not None)
+        assert coords is None or _boxed_in(f, [coords])
+    assert a.contains(inside)
+    both = boxed.intersect_spans(f, list(a.basis), list(b.basis), n)
+    assert [_box(f, row) for row in _intersect_rows(f, a.rows, b.rows, n)] == both
+    assert list(a.bracket_with(b).basis) == boxed.span_rref(
+        f, [boxed.bracket(alg, u, v) for u in a.basis for v in b.basis]
+    )
+    assert a.sum_with(b) == Subspace(alg, us + vs)
 
 
 # -- Jacobi -------------------------------------------------------------------
@@ -226,11 +291,22 @@ def test_invariant_forms_symmetric_flag():
 
 
 def test_bracket_dimension_mismatch():
-    from liefact.errors import DimensionMismatch
-
     l3 = matched.make_l(1, Q)
     with pytest.raises(DimensionMismatch):
         l3.bracket((Q.one,), (Q.one, Q.zero, Q.zero))
+
+
+def test_subspace_rejects_a_vector_of_the_wrong_length():
+    L4 = matched.make_L(1, F5)
+    line = Subspace(L4, [basis_vector(F5, 4, 0)])
+    assert line.contains(basis_vector(F5, 4, 0))
+    for v in ((F5.one,), basis_vector(F5, 6, 0)):
+        with pytest.raises(DimensionMismatch):
+            line.contains(v)
+        with pytest.raises(DimensionMismatch):
+            line.coordinates(v)
+        with pytest.raises(DimensionMismatch):
+            Subspace(L4, [v])
 
 
 def test_killing_form_invariant_for_sl2():
