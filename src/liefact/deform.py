@@ -8,24 +8,25 @@ A deformation map r: h -> g must satisfy the quadratic compatibility
 and then the deformed bracket [x,y] + x <| r(y) - y <| r(x) is again Lie.
 Complements of g in the bicrossed product are exactly the r-deformations up
 to isomorphism, so classifying the deformed algebras computes the
-factorization index.  Enumeration is exhaustive over finite fields: the
-compatibility is quadratic in r, and desk-scale p^(dim g * dim h) candidate
-sweeps are cheap and certain; closed forms act as cross-checks.  Each named
-deformed family is built from its datum: r_deformation of a canonical pair
-by a closed-form map, whose row is written once and shared with the
-closed-form families.
+factorization index.  Enumeration is complete over finite fields: the
+compatibility is quadratic in r, and a depth-first search over its equations
+fixes the entries of r one at a time, so its cost follows the solution set
+rather than the p^(dim g * dim h) candidate maps; closed forms act as
+cross-checks.  Each named deformed family is built from its datum:
+r_deformation of a canonical pair by a closed-form map, whose row is written
+once and shared with the closed-form families.
 
 The compatibility of a pair is built once, on first use, into fixed linear
 and quadratic terms on the entries of r with raw coefficients (residues over
-GF(p), Fractions over Q), and cached on the pair.  Each check evaluates
-those terms on the raw entries of r, stopping at the first equation that
-fails; the sweep builds its candidates from residues without coercing them,
-in the lexicographic order of enumerate_vectors, and has no other order.
+GF(p), Fractions over Q), and cached on the pair, and so is the search plan
+over it.  Each check evaluates those terms on the raw entries of r, stopping
+at the first equation that fails.  The search works on residues, confirms
+every complete assignment with that check, and returns the maps in the
+lexicographic order of enumerate_vectors, which is their only order.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, Optional
@@ -135,29 +136,137 @@ def is_deformation_map(mp: MatchedPair, r: Matrix) -> bool:
     return True
 
 
-def enumerate_deformation_maps(mp: MatchedPair, budget: int = 10**7) -> list:
-    """Exhaustive, deterministic sweep of all linear maps h -> g.
+def _split(equation: tuple, x: int) -> tuple:
+    """An equation as a polynomial c2 x^2 + a x + b in the cell x:
+    (c2, a0, a_terms, b_lin, b_quad) with a = a0 + sum c v[y] over a_terms
+    and b = sum c v[y] over b_lin + sum c v[y] v[z] over b_quad."""
+    lin, quad = equation
+    return (
+        sum(c for a, b, c in quad if a == b == x),
+        sum(c for a, c in lin if a == x),
+        tuple((b if a == x else a, c) for a, b, c in quad if (a == x) != (b == x)),
+        tuple((a, c) for a, c in lin if a != x),
+        tuple((a, b, c) for a, b, c in quad if x not in (a, b)),
+    )
 
-    The sweep itself never prunes; each candidate is kept iff it passes the
-    per-map compatibility check.  Candidates come in lexicographic order of
-    their row-major entries (first entry slowest), the order of
-    enumerate_vectors.
+
+def _search_plan(mp: MatchedPair) -> tuple:
+    """The depth-first search plan of mp's compatibility, built once.
+
+    The cells of r are ordered greedily so that equations close early: the
+    next cell is the one that closes the most equations (all their cells then
+    fixed), ties going to the cell that occurs in the most equations still
+    open, then to the lower cell.  Level k is (cell, equations): the
+    equations whose last cell in this order is the cell of level k, _split
+    in that cell, those linear in it first.  The result is cached on the
+    pair.
+    """
+    if mp._plan is not None:
+        return mp._plan
+    equations = _compatibility(mp)
+    cells_of = [
+        {a for a, _ in lin} | {a for a, _, _ in quad} | {b for _, b, _ in quad}
+        for lin, quad in equations
+    ]
+    cells = range(mp.g.dim * mp.h.dim)
+    fixed, open_eqs = set(), set(range(len(equations)))
+
+    def score(x):
+        closed = sum(1 for e in open_eqs if cells_of[e] <= fixed | {x})
+        return (closed, sum(1 for e in open_eqs if x in cells_of[e]), -x)
+
+    plan = []
+    for _ in cells:
+        x = max((x for x in cells if x not in fixed), key=score)
+        fixed.add(x)
+        closing = sorted(e for e in open_eqs if cells_of[e] <= fixed)
+        open_eqs.difference_update(closing)
+        split = sorted((_split(equations[e], x) for e in closing), key=lambda eq: eq[0] != 0)
+        plan.append((x, tuple(split)))
+    mp._plan = tuple(plan)
+    return mp._plan
+
+
+def _solve(mp: MatchedPair, budget: int) -> list:
+    """Row-major raw entries of every r that passes the pruning of the search
+    plan, in search order.
+
+    One cell is fixed per level.  If an equation closing at the level is
+    linear in the cell with a nonzero coefficient under the current prefix,
+    the cell takes the one value it forces; one with a zero coefficient and
+    a nonzero constant prunes the branch.  Each value tried is one node; it
+    is kept only if every equation closing at the level holds.
+    """
+    field, plan = mp.field, _search_plan(mp)
+    p, depth = field.p, len(plan)
+    v = [0] * depth
+    found = []
+    nodes = deepest = 0
+
+    def descend(level):
+        nonlocal nodes, deepest
+        if level == depth:
+            found.append(tuple(v))
+            return
+        cell, equations = plan[level]
+        polys = []
+        for c2, a, a_terms, b_lin, b_quad in equations:
+            for y, c in a_terms:
+                a += c * v[y]
+            b = 0
+            for y, c in b_lin:
+                b += c * v[y]
+            for y, z, c in b_quad:
+                b += c * v[y] * v[z]
+            polys.append((c2, a % p, b % p))
+        values = range(p)
+        for c2, a, b in polys:  # those linear in the cell come first
+            if c2:
+                break
+            if a:
+                values = (-b * pow(a, -1, p) % p,)
+                break
+            if b:
+                return
+        deepest = max(deepest, level + 1)
+        for x in values:
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(
+                    f"deformation search of dim g = {mp.g.dim}, dim h = {mp.h.dim} over "
+                    f"{field}: budget {budget} exceeded after {nodes} nodes, deepest level "
+                    f"{deepest} of {depth}",
+                    required=nodes,
+                )
+            for c2, a, b in polys:
+                if ((c2 * x + a) * x + b) % p:
+                    break
+            else:
+                v[cell] = x
+                descend(level + 1)
+        v[cell] = 0
+
+    descend(0)
+    return found
+
+
+def enumerate_deformation_maps(mp: MatchedPair, budget: int = 10**7) -> list:
+    """All deformation maps h -> g over a finite field, deterministically.
+
+    A depth-first search over the search plan fixes the entries of r one at
+    a time and prunes every branch on which an equation of the compatibility
+    fails; budget bounds its nodes, the values it tries.  Every complete
+    assignment is then kept iff is_deformation_map accepts it, so the search
+    only prunes.  The maps come in lexicographic order of their row-major
+    entries (first entry slowest), the order of enumerate_vectors.
     """
     field = mp.field
     if not field.is_finite:
-        raise NotFinite("exhaustive enumeration needs a finite field")
-    m, n = mp.g.dim, mp.h.dim
-    cells = m * n
-    count = field.p ** cells
-    if count > budget:
-        raise BudgetExceeded(
-            f"deformation sweep of dim g = {m}, dim h = {n} over {field}: "
-            f"{field.p}^({m}*{n}) = {count} candidate maps exceed budget {budget}",
-            required=count,
-        )
-    starts = [a * n for a in range(m)]
+        raise NotFinite("deformation map enumeration needs a finite field")
+    n = mp.h.dim
+    starts = [a * n for a in range(mp.g.dim)]
     found = []
-    for flat in itertools.product(range(field.p), repeat=cells):
+    for flat in sorted(_solve(mp, budget)):
         r = Matrix._of_raw(field, tuple(flat[s : s + n] for s in starts), n)
         if is_deformation_map(mp, r):
             found.append(DeformationMap(mp, r))

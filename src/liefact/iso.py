@@ -126,7 +126,8 @@ def _image_domains(a: LieAlgebra, b: LieAlgebra) -> list:
         dom = full
         for s1, s2 in pairs:
             if s1.dim < a.dim and s1._coordinates(ei) is not None:
-                dom = _intersect_rows(f, dom, s2.rows, b.dim)
+                # the first match needs no intersection: its rows are in rref
+                dom = s2.rows if dom is full else _intersect_rows(f, dom, s2.rows, b.dim)
         domains.append(dom)
     return domains
 

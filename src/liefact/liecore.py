@@ -365,7 +365,12 @@ class Subspace:
 
     @classmethod
     def full(cls, algebra: LieAlgebra) -> "Subspace":
-        return cls._of_rows(algebra, Matrix.identity(algebra.field, algebra.dim).raw)
+        """The whole space: the identity rows are already in rref."""
+        space = cls.__new__(cls)
+        space.algebra = algebra
+        space.rows = Matrix.identity(algebra.field, algebra.dim).raw
+        space.pivots = tuple(range(algebra.dim))
+        return space
 
     @classmethod
     def zero(cls, algebra: LieAlgebra) -> "Subspace":
@@ -522,12 +527,13 @@ def center(algebra: LieAlgebra) -> Subspace:
     return Subspace._of_rows(algebra, right_bracket_matrix(algebra)._null_raw())
 
 
-def _series(algebra: LieAlgebra, step) -> tuple:
-    """Shared driver: append terms until the series stabilizes.
+def _series(full: Subspace, step) -> tuple:
+    """Shared driver: from the full space, append terms until the series
+    stabilizes.
 
     Terminates with the first repeated subspace (kept once) or with 0.
     """
-    series = [Subspace.full(algebra)]
+    series = [full]
     while True:
         nxt = step(series[-1])
         stop = nxt == series[-1] or nxt.dim == 0
@@ -538,13 +544,13 @@ def _series(algebra: LieAlgebra, step) -> tuple:
 
 @_kept
 def derived_series(algebra: LieAlgebra) -> tuple:
-    return _series(algebra, lambda s: s.bracket_with(s))
+    return _series(Subspace.full(algebra), lambda s: s.bracket_with(s))
 
 
 @_kept
 def lower_central_series(algebra: LieAlgebra) -> tuple:
     full = Subspace.full(algebra)
-    return _series(algebra, lambda s: full.bracket_with(s))
+    return _series(full, lambda s: full.bracket_with(s))
 
 
 def derived_dims(algebra: LieAlgebra) -> tuple:

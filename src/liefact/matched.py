@@ -59,10 +59,10 @@ class MatchedPair:
     left[(i, j)] is the g-vector (h_i acting on g_j).  Zero entries are
     not stored.  The tables are never changed after construction, so the
     deform module caches the pair's compiled deformation compatibility in
-    _compat on first use.
+    _compat and the search plan over it in _plan on first use.
     """
 
-    __slots__ = ("g", "h", "right", "left", "_compat")
+    __slots__ = ("g", "h", "right", "left", "_compat", "_plan")
 
     def __init__(self, g: LieAlgebra, h: LieAlgebra, right=None, left=None):
         if g.field != h.field:
@@ -72,6 +72,7 @@ class MatchedPair:
         self.right = {}
         self.left = {}
         self._compat = None
+        self._plan = None
         for (i, j), vec in (right or {}).items():
             v = tuple(g.field.scalar(x) for x in vec)
             if len(v) != h.dim:

@@ -5,9 +5,13 @@ accessors.  These are the loops they replaced, on tuples of Scalars: the
 bilinear bracket over the stored structure constants, coordinates over an
 rref basis, span and intersection, and from them the derived and lower
 central series, the center and the Killing Gram.  The tests hold the raw
-paths to them.
+paths to them.  The exhaustive sweep of deformation maps is here too: the
+p^(dim g * dim h) loop that the depth-first search replaced.
 """
 
+import itertools
+
+from liefact.deform import DeformationMap, is_deformation_map
 from liefact.exactmath import Matrix, basis_vector, lincomb, zero_vector
 
 
@@ -102,3 +106,17 @@ def killing_gram(alg) -> Matrix:
         alg.field,
         [[sum(((a * b).rows[k][k] for k in span), alg.field.zero) for b in ads] for a in ads],
     )
+
+
+def sweep_deformation_maps(mp) -> list:
+    """Every linear map h -> g over GF(p) that passes is_deformation_map, in
+    lexicographic order of the row-major entries (first entry slowest)."""
+    field = mp.field
+    m, n = mp.g.dim, mp.h.dim
+    starts = [a * n for a in range(m)]
+    found = []
+    for flat in itertools.product(range(field.p), repeat=m * n):
+        r = Matrix._of_raw(field, tuple(flat[s : s + n] for s in starts), n)
+        if is_deformation_map(mp, r):
+            found.append(DeformationMap(mp, r))
+    return found

@@ -200,7 +200,10 @@ def test_deform_maps_over_budget_names_the_pair(tmp_path, capsys):
     assert code == 2 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("budget exceeded: ")
-    assert "dim g = 1, dim h = 3 over GF(5): 5^(1*3) = 125 candidate maps" in lines[0]
+    assert lines[0] == (
+        "budget exceeded: deformation search of dim g = 1, dim h = 3 over GF(5): "
+        "budget 10 exceeded after 11 nodes, deepest level 3 of 3"
+    )
 
 
 def test_aut_reports_where_the_delta_file_is_broken(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import itertools
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import boxed_reference as boxed
 from liefact.errors import BadParameter, BudgetExceeded, CharTwo, FieldMismatch, NotFinite
 from liefact.exactmath import (
     Field,
@@ -18,6 +20,7 @@ from liefact.exactmath import (
     zero_vector,
 )
 from liefact import deform, liecore, matched, iso
+from liefact.derivations import TwistedDerivation
 from liefact.deform import (
     DeformationMap,
     classify_complements,
@@ -99,6 +102,19 @@ def _trivial_action_pair(field):
     return matched.MatchedPair(liecore.LieAlgebra.abelian(field, 1, ("H",)), matched.make_l(1, field))
 
 
+def _zero_g_pair(field):
+    """dim g = 0: the one map is the empty 0 x dim h matrix."""
+    return matched.MatchedPair(liecore.LieAlgebra.abelian(field, 0), matched.make_l(1, field))
+
+
+def _h5_twisted_pair(field):
+    """The line extension of the perfect 5-dim algebra by its non-inner derivation."""
+    h5 = matched.make_h5(field)
+    return matched.pair_from_twisted(
+        h5, TwistedDerivation(zero_vector(field, 5), matched.h5_noninner_derivation(field))
+    )
+
+
 def _line_pair(field):
     """dim g = dim h = 1: h has no basis pair, so every map passes."""
     return matched.MatchedPair(
@@ -174,13 +190,13 @@ def test_is_deformation_map_rejects_a_map_over_another_field():
 
 def test_sweep_with_zero_dimensional_g():
     # one map, the empty 0 x dim h matrix; it satisfies the (empty) compatibility
-    mp = matched.MatchedPair(liecore.LieAlgebra.abelian(F5, 0), matched.make_l(1, F5))
+    mp = _zero_g_pair(F5)
     maps = enumerate_deformation_maps(mp)
     assert [(d.matrix.nrows, d.matrix.ncols) for d in maps] == [(0, 3)]
 
 
 def test_zero_map_from_a_zero_dimensional_g_is_a_deformation_map():
-    mp = matched.MatchedPair(liecore.LieAlgebra.abelian(F5, 0), matched.make_l(1, F5))
+    mp = _zero_g_pair(F5)
     assert is_deformation_map(mp, Matrix.zeros(F5, 0, 3))
 
 
@@ -212,33 +228,71 @@ def test_trivial_action_pair_maps_kill_derived():
 def test_budget_and_field_gates():
     with pytest.raises(BudgetExceeded) as err:
         enumerate_deformation_maps(canonical_pair_L(1, F5), budget=10)
-    assert err.value.required == 125
+    assert err.value.required == 11
 
 
 def test_sweep_budget_error_names_the_pair():
     with pytest.raises(BudgetExceeded) as err:
         enumerate_deformation_maps(canonical_pair_L(2, F5), budget=10)
     assert str(err.value) == (
-        "deformation sweep of dim g = 1, dim h = 5 over GF(5): "
-        "5^(1*5) = 3125 candidate maps exceed budget 10"
+        "deformation search of dim g = 1, dim h = 5 over GF(5): "
+        "budget 10 exceeded after 11 nodes, deepest level 5 of 5"
     )
-    assert err.value.required == 5**5
+    assert err.value.required == 11
     with pytest.raises(NotFinite):
         enumerate_deformation_maps(canonical_pair_L(1, Q))
+
+
+@pytest.mark.parametrize(
+    "pair, nodes, maps",
+    [(canonical_pair_L, 241, 149), (canonical_pair_m, 145, 53)],
+    ids=["L6", "m6"],
+)
+def test_budget_counts_search_nodes(pair, nodes, maps):
+    # the n = 2 pairs over GF(5) finish within exactly this many nodes
+    mp = pair(2, F5)
+    assert len(enumerate_deformation_maps(mp, budget=nodes)) == maps
+    with pytest.raises(BudgetExceeded) as err:
+        enumerate_deformation_maps(mp, budget=nodes - 1)
+    assert err.value.required == nodes
+
+
+SWEPT_CANONICAL = [(1, 3), (1, 5), (1, 7), (2, 3), (2, 5), (2, 7), (3, 3), (3, 5)]
+SWEPT_PAIRS = {
+    **{f"L{n}-GF{p}": partial(canonical_pair_L, n, Field.gf(p)) for n, p in SWEPT_CANONICAL},
+    **{f"m{n}-GF{p}": partial(canonical_pair_m, n, Field.gf(p)) for n, p in SWEPT_CANONICAL},
+    "borel-GF3": partial(_borel_pair, F3),
+    "trivial-GF5": partial(_trivial_action_pair, F5),
+    "line-GF4099": partial(_line_pair, Field.gf(4099)),
+    "zero-g-GF5": partial(_zero_g_pair, F5),
+    "h5-GF7": partial(_h5_twisted_pair, F7),
+}
+
+
+@pytest.mark.parametrize("pair", list(SWEPT_PAIRS))
+def test_search_equals_the_exhaustive_sweep(pair):
+    mp = SWEPT_PAIRS[pair]()
+    found = [d.matrix for d in enumerate_deformation_maps(mp)]
+    assert found == [d.matrix for d in boxed.sweep_deformation_maps(mp)]
 
 
 # -- closed forms ---------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("p", [3, 5])
-def test_closed_forms_equal_enumeration(n, p):
+@pytest.mark.parametrize(
+    "p, n", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3), (7, 3), (3, 4), (5, 4), (7, 4)]
+)
+def test_closed_forms_equal_enumeration(p, n):
+    # at n = 4 over GF(7) there are 7^9, about 40 M, linear maps h -> g, four times
+    # the default budget of 10^7 nodes, so only a search that prunes finishes
     field = Field.gf(p)
-    for families, pair in (
-        (closed_form_defmaps_L(n, field), canonical_pair_L(n, field)),
-        (closed_form_defmaps_m(n, field), canonical_pair_m(n, field)),
+    for families, pair, count in (
+        (closed_form_defmaps_L(n, field), canonical_pair_L(n, field), p**n - 1 + p ** (n + 1)),
+        (closed_form_defmaps_m(n, field), canonical_pair_m(n, field), 2 * (p**n - 1) + p),
     ):
-        enumerated = {d.matrix for d in enumerate_deformation_maps(pair)}
+        found = [d.matrix for d in enumerate_deformation_maps(pair)]
+        enumerated = set(found)
+        assert len(found) == len(enumerated) == count
         union = set()
         for fam in families:
             members = {d.matrix for d in fam.enumerate()}
@@ -311,12 +365,7 @@ def test_family_builders_match_their_deformation_maps():
 
 
 def test_h5_deformations():
-    from liefact.derivations import TwistedDerivation
-
-    h5 = matched.make_h5(F7)
-    mp = matched.pair_from_twisted(
-        h5, TwistedDerivation(zero_vector(F7, 5), matched.h5_noninner_derivation(F7))
-    )
+    mp = _h5_twisted_pair(F7)
     maps = enumerate_deformation_maps(mp)
     assert len(maps) == 7
     for d in maps:
