@@ -44,6 +44,13 @@ JACOBI_VIOLATING = {
 L4_F3_BASIS = Matrix(F3, [[0, 1, 0, 2], [1, 1, 0, 0], [0, 0, 1, 2], [1, 0, 0, 2]])
 
 
+def _flipped_pair():
+    """The canonical pair of L(4) over GF(5) with its left action (2, 0)
+    flipped to -1: not a matched pair."""
+    mp = matched.canonical_pair_L(1, F5)
+    return matched.MatchedPair(mp.g, mp.h, right=dict(mp.right), left={(2, 0): (-1,)})
+
+
 def _inputs():
     """File name -> JSON record of every input file the cases read."""
     sl2 = matched.make_sl2(F3)
@@ -55,6 +62,7 @@ def _inputs():
         "l3_f3.json": matched.make_l(1, F3).to_json_dict(),
         "pairL_f5.json": matched.canonical_pair_L(1, F5).to_json_dict(),
         "pairm_f7.json": matched.canonical_pair_m(1, F7).to_json_dict(),
+        "pairL_flipped_f5.json": _flipped_pair().to_json_dict(),
         "L4_f3.json": l4_f3.to_json_dict(),
         "L4_f3_conj.json": l4_f3.change_basis(L4_F3_BASIS).to_json_dict(),
         "sl2_f3.json": sl2.to_json_dict(),
@@ -71,6 +79,8 @@ CASES = {
     "twisted_all": ["twisted-derivations", "{l3_f3.json}", "--all", "--json"],
     "matched_check": ["matched-check", "--pair", "{pairL_f5.json}", "--json"],
     "bicrossed": ["bicrossed", "--pair", "{pairL_f5.json}", "--json"],
+    "matched_check_flipped": ["matched-check", "--pair", "{pairL_flipped_f5.json}", "--json"],
+    "bicrossed_flipped": ["bicrossed", "--pair", "{pairL_flipped_f5.json}", "--json"],
     "deform_maps": ["deform-maps", "--pair", "{pairL_f5.json}", "--json"],
     "complements_L_f5": ["complements", "--pair", "{pairL_f5.json}", "--json"],
     "complements_m_f7": ["complements", "--pair", "{pairm_f7.json}", "--json"],
