@@ -43,7 +43,6 @@ from .errors import (
 from .exactmath import (
     Field,
     Matrix,
-    basis_vector,
     enumerate_vectors,
     is_zero_vector,
 )
@@ -73,23 +72,22 @@ def _compatibility(mp: MatchedPair) -> tuple:
     """
     if mp._compat is not None:
         return mp._compat
-    g, h, f = mp.g, mp.h, mp.field
-    m, n = g.dim, h.dim
-    gb = [basis_vector(f, m, a) for a in range(m)]
-    hb = [basis_vector(f, n, i) for i in range(n)]
-    right = [[mp.act_right(x, ga) for ga in gb] for x in hb]  # h_i <| g_a, in h
-    left = [[mp.act_left(x, ga) for ga in gb] for x in hb]  # h_i |> g_a, in g
+    m, n = mp.g.dim, mp.h.dim
+    gt, ht, red = mp.g._table, mp.h._table, mp.field._reduce
+    zero_g, zero_h = (0,) * m, (0,) * n
+    right = [[mp.right.get((i, a), zero_h) for a in range(m)] for i in range(n)]  # h_i <| g_a
+    left = [[mp.left.get((i, a), zero_g) for a in range(m)] for i in range(n)]  # h_i |> g_a
 
     def add(table, key, c):
         if c:
-            table[key] = table.get(key, f.zero) + c
+            table[key] = table.get(key, 0) + c
 
     def add_product(table, c1, c2, c):
         add(table, (c1, c2) if c1 <= c2 else (c2, c1), c)
 
     equations = []
     for i, j in basis_pairs(n):
-        hij = h.bracket_basis(i, j)
+        hij = ht[i][j]
         for k in range(m):
             lin, quad = {}, {}
             # r([h_i, h_j]) - [r(h_i), r(h_j)]
@@ -97,7 +95,7 @@ def _compatibility(mp: MatchedPair) -> tuple:
                 add(lin, k * n + l, hij[l])
             for a in range(m):
                 for b in range(m):
-                    add_product(quad, a * n + i, b * n + j, -g.bracket_basis(a, b)[k])
+                    add_product(quad, a * n + i, b * n + j, -gt[a][b][k])
             # - r(h_j <| r(h_i) - h_i <| r(h_j))
             for a in range(m):
                 for l in range(n):
@@ -107,8 +105,8 @@ def _compatibility(mp: MatchedPair) -> tuple:
             for a in range(m):
                 add(lin, a * n + j, -left[i][a][k])
                 add(lin, a * n + i, left[j][a][k])
-            lin = tuple((c, x.value) for c, x in lin.items() if x)
-            quad = tuple((c1, c2, x.value) for (c1, c2), x in quad.items() if x)
+            lin = tuple((c, x) for c, x in zip(lin, map(red, lin.values())) if x)
+            quad = tuple((c1, c2, x) for (c1, c2), x in zip(quad, map(red, quad.values())) if x)
             if lin or quad:
                 equations.append((lin, quad))
     mp._compat = tuple(equations)
@@ -279,20 +277,17 @@ def r_deformation(mp: MatchedPair, d: DeformationMap) -> LieAlgebra:
     if not is_deformation_map(mp, r):
         raise InvalidDeformationMap("the map fails the deformation compatibility")
     h = mp.h
-    f = mp.field
-    # h_x <| g_a, raw; the pair keeps its actions boxed
-    right = [(x, a, tuple(map(f._raw, w))) for (x, a), w in mp.right.items()]
     brackets = {}
     for i, j in basis_pairs(h.dim):
         # [h_i, h_j] + h_i <| r(h_j) - h_j <| r(h_i), summed over the stored actions
         vec = list(h._table[i][j])
-        for x, a, w in right:
+        for (x, a), w in mp.right.items():
             c = r.raw[a][j] if x == i else -r.raw[a][i] if x == j else 0
             if c:
                 for k, y in enumerate(w):
                     vec[k] += c * y
         brackets[(i, j)] = vec
-    out = LieAlgebra(f, h.basis_names, brackets)
+    out = LieAlgebra(mp.field, h.basis_names, brackets)
     bad = out.check_jacobi()
     if bad:
         raise InvalidDeformationMap(f"deformed bracket violates Jacobi at {bad[0][:3]}")

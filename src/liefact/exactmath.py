@@ -13,7 +13,7 @@ and its accessors box what they hand out.  Elimination (rref, and so rank,
 nullspace, solve, inverse and span_rref, and det) runs on plain ints,
 fraction-free over Q and on residues over GF(p).
 
-A vector at the boundary is a tuple of Scalars (vadd, vscale, lincomb and
+A vector at the boundary is a tuple of Scalars (vadd, vsub, vscale and
 dot work on those).  Inside, a vector is a tuple of raw entries: the Lie
 algebras and subspaces of liecore keep their bracket tables and bases that
 way.  _span_rows is span_rref on raw rows, and _intersect_rows intersects
@@ -307,10 +307,6 @@ def vadd(u, v):
 
 def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vneg(u):
-    return tuple(-a for a in u)
 
 
 def vscale(c: Scalar, u):
@@ -760,17 +756,6 @@ def dot(u, v, field: Field) -> Scalar:
         raise DimensionMismatch("dot of unequal lengths")
     raw = field._raw
     return Scalar(field, field._reduce(sum(map(mul, map(raw, u), map(raw, v)))))
-
-
-def lincomb(coeffs, vectors, start) -> tuple:
-    """start + sum of c * v over paired coefficients and vectors."""
-    out = list(start)
-    for c, v in zip(coeffs, vectors):
-        if c:
-            for k, x in enumerate(v):
-                if x:
-                    out[k] = out[k] + c * x
-    return tuple(out)
 
 
 def span_rref(field: Field, vectors) -> list:

@@ -15,18 +15,20 @@ the series, center, Killing Gram, characteristic polynomial and invariant
 forms are computed from the raw table and raw rows.
 
 Every identity checked on all basis pairs or triples (Jacobi, Lie morphisms,
-derivation and twisted-derivation laws, matched-pair axioms, product
-structures, invariant forms) goes through defects(),
-a lazy generator of the indices where the two sides differ, so a yes/no
-caller stops at the first defect and a report keeps every record in index
-order.  Characteristic subspaces (center, derived and lower central series),
-invariant bilinear forms, self-duality (decided on a finite grid of form
-combinations, over Q as over GF(p)) and product structures all reduce to
-exact linear algebra over the base field.  Structure constants
-never change after construction, so the series (as tuples), the center, the
-Killing Gram and, for an almost abelian algebra, the characteristic
-polynomial of ad on the derived algebra are computed once per LieAlgebra, on
-first use, and kept on it.
+derivation and twisted-derivation laws, product structures, invariant forms)
+goes through defects(), a lazy generator of the indices where the two sides
+differ, so a yes/no caller stops at the first defect and a report keeps
+every record in index order.  The Jacobiator of one basis triple is
+_jacobiator, raw; the matched-pair axioms are the Jacobi identity of the
+bicrossed bracket on mixed triples, and check_matched_pair reads them off
+that same _jacobiator.  Characteristic subspaces (center, derived and lower
+central series), invariant bilinear forms, self-duality (decided on a
+finite grid of form combinations, over Q as over GF(p)) and product
+structures all reduce to exact linear algebra over the base field.
+Structure constants never change after construction, so the series (as
+tuples), the center, the Killing Gram and, for an almost abelian algebra,
+the characteristic polynomial of ad on the derived algebra are computed
+once per LieAlgebra, on first use, and kept on it.
 """
 
 from __future__ import annotations
@@ -195,26 +197,27 @@ class LieAlgebra:
     def ad_basis(self, i: int) -> Matrix:
         return Matrix._of_raw(self.field, tuple(zip(*self._table[i])), self.dim)
 
+    def _jacobiator(self, i: int, j: int, l: int) -> tuple:
+        """[[e_i, e_j], e_l] + [[e_j, e_l], e_i] + [[e_l, e_i], e_j], raw."""
+        t = self._table
+        out = [0] * self.dim
+        # [[e_i, e_j], e_l] = sum over m of [e_i, e_j]_m [e_m, e_l], and cyclically
+        for inner, outer in ((t[i][j], l), (t[j][l], i), (t[l][i], j)):
+            for m, c in enumerate(inner):
+                if c:
+                    for k, s in enumerate(t[m][outer]):
+                        if s:
+                            out[k] += c * s
+        return tuple(map(self.field._reduce, out))
+
     def check_jacobi(self) -> list:
         """All violating triples (i, j, l, defect); empty means valid."""
-        t, n, f = self._table, self.dim, self.field
-
-        def jacobiator(i, j, l):
-            # [[e_i, e_j], e_l] = sum over m of [e_i, e_j]_m [e_m, e_l], and cyclically
-            out = [0] * n
-            for inner, outer in ((t[i][j], l), (t[j][l], i), (t[l][i], j)):
-                for m, c in enumerate(inner):
-                    if c:
-                        for k, s in enumerate(t[m][outer]):
-                            if s:
-                                out[k] += c * s
-            return tuple(map(f._reduce, out))
-
-        triples = itertools.combinations(range(n), 3)
-        zero = (f.zero.value,) * n
+        f = self.field
+        triples = itertools.combinations(range(self.dim), 3)
+        zero = (f.zero.value,) * self.dim
         return [
             (i, j, l, _box(f, defect))
-            for (i, j, l), defect, _ in defects(triples, jacobiator, lambda i, j, l: zero)
+            for (i, j, l), defect, _ in defects(triples, self._jacobiator, lambda i, j, l: zero)
         ]
 
     # -- structure -------------------------------------------------------------
@@ -827,17 +830,22 @@ def direct_product(a: LieAlgebra, b: LieAlgebra, names=None) -> LieAlgebra:
     """Block-diagonal structure constants; all cross brackets vanish."""
     if a.field != b.field:
         raise FieldMismatch(f"{a.field} vs {b.field}")
-    f = a.field
     if names is None:
-        right = [n if n not in a.basis_names else f"{n}'" for n in b.basis_names]
-        names = tuple(a.basis_names) + tuple(right)
-    dim = a.dim + b.dim
-    brackets = {}
-    for (i, j), vec in a.sc_pairs():
-        brackets[(i, j)] = tuple(vec) + zero_vector(f, b.dim)
-    for (i, j), vec in b.sc_pairs():
-        brackets[(a.dim + i, a.dim + j)] = zero_vector(f, a.dim) + tuple(vec)
-    return LieAlgebra(f, names, brackets)
+        # a name of b taken by a gets primes until it is fresh
+        taken = set(a.basis_names) | set(b.basis_names)
+        right = []
+        for name in b.basis_names:
+            if name in a.basis_names:
+                while name in taken:
+                    name += "'"
+                taken.add(name)
+            right.append(name)
+        names = a.basis_names + tuple(right)
+    zero = a.field.zero.value
+    brackets = {key: v + (zero,) * b.dim for key, v in a._sc.items()}
+    for (i, j), v in b._sc.items():
+        brackets[(a.dim + i, a.dim + j)] = (zero,) * a.dim + v
+    return LieAlgebra(a.field, names, brackets)
 
 
 def subalgebra_structure(algebra: LieAlgebra, space: Subspace, names=None) -> LieAlgebra:

@@ -1,10 +1,17 @@
 """Matched pairs, bicrossed products, and the named algebra families.
 
 A matched pair carries two Lie algebras g, h and mutual actions
-(right: h x g -> h, left: h x g -> g) satisfying two module axioms and two
-mixed compatibilities; the bicrossed product glues g and h along them.  The
-dimension-1 case is equivalent to a twisted derivation of h, which is how
-every codimension-1 extension in this toolkit is produced.
+(right: h x g -> h, left: h x g -> g); the bicrossed product glues g and h
+along them, with [g_a, h_i] = -(h_i |> g_a) - (h_i <| g_a).  The action
+tables are kept raw, as LieAlgebra keeps its structure constants: Fractions
+over Q, residues in [0, p) over GF(p), zero entries not stored; act_right
+and act_left box what they return.  The pair is matched exactly when the
+bicrossed bracket satisfies Jacobi, and the two module axioms and two mixed
+compatibilities are the blocks of its Jacobiator on mixed triples, so
+check_matched_pair reads them off that Jacobiator.  The dimension-1 case is
+equivalent to a twisted derivation of h, which is how every codimension-1
+extension in this toolkit is produced: h_lambda_delta is the bicrossed
+product of pair_from_twisted.
 
 Each named extension of l(2n+1,k) is built from its datum: a gate on the
 parameters, then a Tn block datum (TnElement), then one construction that
@@ -28,22 +35,11 @@ from .errors import (
     NotAFactorization,
 )
 from .derivations import TnElement, TwistedDerivation, tn_to_twisted
-from .exactmath import (
-    Field,
-    Matrix,
-    basis_vector,
-    is_zero_vector,
-    lincomb,
-    vadd,
-    vneg,
-    vsub,
-    zero_vector,
-)
+from .exactmath import Field, Matrix, _box
 from .liecore import (
     LieAlgebra,
     Subspace,
     basis_pairs,
-    defects,
     direct_product,
     read_json,
     subalgebra_structure,
@@ -55,11 +51,12 @@ from .liecore import (
 class MatchedPair:
     """Two Lie algebras with mutual actions, stored on basis pairs.
 
-    right[(i, j)] is the h-vector (h_i acted by g_j from the right);
-    left[(i, j)] is the g-vector (h_i acting on g_j).  Zero entries are
-    not stored.  The tables are never changed after construction, so the
-    deform module caches the pair's compiled deformation compatibility in
-    _compat and the search plan over it in _plan on first use.
+    right[(i, j)] is the raw h-vector h_i <| g_j (h_i acted by g_j from the
+    right); left[(i, j)] is the raw g-vector h_i |> g_j (h_i acting on g_j).
+    Zero entries are not stored.  The tables are never changed after
+    construction, so the deform module caches the pair's compiled
+    deformation compatibility in _compat and the search plan over it in
+    _plan on first use.
     """
 
     __slots__ = ("g", "h", "right", "left", "_compat", "_plan")
@@ -69,30 +66,40 @@ class MatchedPair:
             raise FieldMismatch(f"{g.field} vs {h.field}")
         self.g = g
         self.h = h
-        self.right = {}
-        self.left = {}
+        self.right = self._raw_table("right", right, h.dim, "h")
+        self.left = self._raw_table("left", left, g.dim, "g")
         self._compat = None
         self._plan = None
-        for (i, j), vec in (right or {}).items():
-            v = tuple(g.field.scalar(x) for x in vec)
-            if len(v) != h.dim:
-                raise DimensionMismatch("right action value must live in h")
-            if not is_zero_vector(v):
-                self.right[(i, j)] = v
-        for (i, j), vec in (left or {}).items():
-            v = tuple(g.field.scalar(x) for x in vec)
-            if len(v) != g.dim:
-                raise DimensionMismatch("left action value must live in g")
-            if not is_zero_vector(v):
-                self.left[(i, j)] = v
+
+    def _raw_table(self, side: str, entries, dim: int, space: str) -> dict:
+        """entries coerced to raw vectors of length dim, zero ones dropped."""
+        raw = self.field._raw
+        table = {}
+        for (i, j), vec in (entries or {}).items():
+            if not (0 <= i < self.h.dim and 0 <= j < self.g.dim):
+                raise FormatError(
+                    f"{side} action key ({i},{j}) must satisfy 0 <= i < dim h, 0 <= j < dim g"
+                )
+            v = tuple(map(raw, vec))
+            if len(v) != dim:
+                raise DimensionMismatch(f"{side} action value must live in {space}")
+            if any(v):
+                table[(i, j)] = v
+        return table
 
     @property
     def field(self) -> Field:
         return self.g.field
 
     def _act(self, table, dim: int, x, a) -> tuple:
-        coeffs = [x[i] * a[j] for i, j in table]
-        return lincomb(coeffs, table.values(), zero_vector(self.field, dim))
+        x, a = self.h._raw_vector(x), self.g._raw_vector(a)
+        out = [0] * dim
+        for (i, j), v in table.items():
+            c = x[i] * a[j]
+            if c:
+                for k, s in enumerate(v):
+                    out[k] += c * s
+        return _box(self.field, map(self.field._reduce, out))
 
     def act_right(self, x, a) -> tuple:
         """Bilinear extension of (x, a) -> x <| a, valued in h."""
@@ -151,10 +158,9 @@ class MatchedPair:
                     raise FormatError(f"bad action record {rec!r}") from exc
                 if (xi, gj) in table:
                     raise FormatError(f"action pair ({rec['x']}, {rec['g']}) listed twice")
-                vec = list(zero_vector(g.field, target.dim))
+                vec = [0] * target.dim
                 for name, coeff in out:
-                    k = target.name_index(name)
-                    vec[k] = vec[k] + g.field.scalar(coeff)
+                    vec[target.name_index(name)] += g.field._raw(coeff)
                 table[(xi, gj)] = tuple(vec)
             return table
 
@@ -169,71 +175,65 @@ def dump_pair(pair: MatchedPair, path) -> None:
     write_json(path, pair.to_json_dict())
 
 
+def _bicrossed(mp: MatchedPair, names=None) -> LieAlgebra:
+    """g + h with the bicrossed bracket, unchecked: the basis of g, then that
+    of h, and [g_a, h_i] = -(h_i |> g_a) - (h_i <| g_a)."""
+    dg = mp.g.dim
+    base = direct_product(mp.g, mp.h, names)
+    brackets = dict(base._sc)
+    zero_g, zero_h = (0,) * dg, (0,) * mp.h.dim
+    for a in range(dg):
+        for i in range(mp.h.dim):
+            vec = mp.left.get((i, a), zero_g) + mp.right.get((i, a), zero_h)
+            brackets[(a, dg + i)] = tuple(-x for x in vec)
+    return LieAlgebra(mp.field, base.basis_names, brackets)
+
+
+def _axiom_defects(mp: MatchedPair, bi: LieAlgebra) -> list:
+    """The matched-pair axioms as blocks of the Jacobiator of bi, the
+    bicrossed bracket of mp, on mixed triples.
+
+    On (g_a, h_i, h_j) its g-part is the left-module defect (i, j, a) and
+    its h-part the compat-right defect (i, j, a); on (g_a, g_b, h_i) its
+    h-part is minus the right-module defect (i, a, b) and its g-part minus
+    the compat-left defect (i, a, b).  Records are (axiom, indices, defect)
+    in the order of the axioms, each in index order.
+    """
+    dg, dh, red = mp.g.dim, mp.h.dim, mp.field._reduce
+    g_part, h_part = slice(None, dg), slice(dg, None)
+    hh = {(i, j, a): bi._jacobiator(a, dg + i, dg + j) for i, j in basis_pairs(dh) for a in range(dg)}
+    gg = {
+        (i, a, b): tuple(red(-x) for x in bi._jacobiator(a, b, dg + i))
+        for i in range(dh)
+        for a, b in basis_pairs(dg)
+    }
+    axioms = (
+        ("left-module", hh, sorted(hh), g_part),
+        ("right-module", gg, sorted(gg, key=lambda k: (k[1], k[2], k[0])), h_part),
+        ("compat-left", gg, sorted(gg), g_part),
+        ("compat-right", hh, sorted(hh), h_part),
+    )
+    return [
+        (name, index, _box(mp.field, table[index][part]))
+        for name, table, order, part in axioms
+        for index in order
+        if any(table[index][part])
+    ]
+
+
 def check_matched_pair(mp: MatchedPair) -> list:
     """Violated axioms as (axiom, indices, defect) records; empty = valid."""
-    g, h = mp.g, mp.h
-    f = mp.field
-    left, right = mp.act_left, mp.act_right
-    gb = [basis_vector(f, g.dim, j) for j in range(g.dim)]
-    hb = [basis_vector(f, h.dim, i) for i in range(h.dim)]
-    hpairs, gpairs = list(basis_pairs(h.dim)), list(basis_pairs(g.dim))
-
-    # (g, |>) is a left h-module
-    def left_module(i, j, k):
-        return vsub(left(hb[i], left(hb[j], gb[k])), left(hb[j], left(hb[i], gb[k])))
-
-    # (h, <|) is a right g-module
-    def right_module(i, a, b):
-        return vsub(right(right(hb[i], gb[a]), gb[b]), right(right(hb[i], gb[b]), gb[a]))
-
-    # x |> [a, b] = [x |> a, b] + [a, x |> b] + (x <| a) |> b - (x <| b) |> a
-    def compat_left(i, a, b):
-        rhs = vadd(g.bracket(left(hb[i], gb[a]), gb[b]), g.bracket(gb[a], left(hb[i], gb[b])))
-        rhs = vadd(rhs, left(right(hb[i], gb[a]), gb[b]))
-        return vsub(rhs, left(right(hb[i], gb[b]), gb[a]))
-
-    # [x, y] <| a = [x, y <| a] + [x <| a, y] + x <| (y |> a) - y <| (x |> a)
-    def compat_right(i, j, a):
-        rhs = vadd(h.bracket(hb[i], right(hb[j], gb[a])), h.bracket(right(hb[i], gb[a]), hb[j]))
-        rhs = vadd(rhs, right(hb[i], left(hb[j], gb[a])))
-        return vsub(rhs, right(hb[j], left(hb[i], gb[a])))
-
-    axioms = [
-        ("left-module", [(i, j, k) for i, j in hpairs for k in range(g.dim)],
-         lambda i, j, k: left(h.bracket_basis(i, j), gb[k]), left_module),
-        ("right-module", [(i, a, b) for a, b in gpairs for i in range(h.dim)],
-         lambda i, a, b: right(hb[i], g.bracket_basis(a, b)), right_module),
-        ("compat-left", [(i, a, b) for i in range(h.dim) for a, b in gpairs],
-         lambda i, a, b: left(hb[i], g.bracket_basis(a, b)), compat_left),
-        ("compat-right", [(i, j, a) for i, j in hpairs for a in range(g.dim)],
-         lambda i, j, a: right(h.bracket_basis(i, j), gb[a]), compat_right),
-    ]
-    return [
-        (name, index, vsub(lhs, rhs))
-        for name, indices, lhs_of, rhs_of in axioms
-        for index, lhs, rhs in defects(indices, lhs_of, rhs_of)
-    ]
+    return _axiom_defects(mp, _bicrossed(mp))
 
 
 def bicrossed_product(mp: MatchedPair, names=None) -> LieAlgebra:
     """Lie algebra on g x h with the mixed bracket; g and h embed as blocks."""
-    report = check_matched_pair(mp)
+    out = _bicrossed(mp, names)
+    report = _axiom_defects(mp, out)
     if report:
         raise InvalidMatchedPair(
             f"matched pair axioms fail: {report[0][0]} at {report[0][1]}", report
         )
-    g, h = mp.g, mp.h
-    f = mp.field
-    dg = g.dim
-    base = direct_product(g, h, names)
-    brackets = dict(base.sc_pairs())
-    gb = [basis_vector(f, dg, j) for j in range(dg)]
-    hb = [basis_vector(f, h.dim, i) for i in range(h.dim)]
-    for j in range(dg):
-        for i in range(h.dim):
-            # [a, x] = -(x |> a) - (x <| a)
-            brackets[(j, dg + i)] = vneg(mp.act_left(hb[i], gb[j]) + mp.act_right(hb[i], gb[j]))
-    out = LieAlgebra(f, base.basis_names, brackets)
     bad = out.check_jacobi()
     if bad:
         raise InvalidMatchedPair(f"bicrossed bracket violates Jacobi at {bad[0][:3]}", bad)
@@ -304,6 +304,9 @@ def pair_from_twisted(h: LieAlgebra, t: TwistedDerivation, name: Optional[str] =
     bad = t.violations(h)
     if bad:
         raise InvalidTwistedDerivation(f"twisted derivation law fails: {bad[0]}")
+    jac = h.check_jacobi()
+    if jac:
+        raise InvalidTwistedDerivation(f"h violates Jacobi at {jac[0][:3]}")
     gname = name or _fresh_name(set(h.basis_names))
     g = LieAlgebra.abelian(h.field, 1, (gname,))
     right = {}
@@ -321,26 +324,7 @@ def h_lambda_delta(h: LieAlgebra, t: TwistedDerivation, name: Optional[str] = No
     Basis: the new generator first, then the basis of h, with
     [e_i, F] = lambda(e_i) F + Delta(e_i).
     """
-    bad = t.violations(h)
-    if bad:
-        raise InvalidTwistedDerivation(f"twisted derivation law fails: {bad[0]}")
-    f = h.field
-    gname = name or _fresh_name(set(h.basis_names))
-    names = (gname,) + tuple(h.basis_names)
-    dim = h.dim + 1
-    brackets = {}
-    for (i, j), vec in h.sc_pairs():
-        brackets[(i + 1, j + 1)] = (f.zero,) + tuple(vec)
-    for i in range(h.dim):
-        # stored pair (0, i+1) is [F, e_i] = -(lambda(e_i) F + Delta(e_i))
-        vec = (-t.lam[i],) + tuple(-x for x in t.delta.col(i))
-        if not is_zero_vector(vec):
-            brackets[(0, i + 1)] = vec
-    out = LieAlgebra(f, names, brackets)
-    jac = out.check_jacobi()
-    if jac:
-        raise InvalidTwistedDerivation(f"extension violates Jacobi at {jac[0][:3]}")
-    return out
+    return bicrossed_product(pair_from_twisted(h, t, name))
 
 
 # -- canonical matched pairs of the two pinned extensions ----------------------

@@ -1,18 +1,32 @@
 """Boxed reference implementations of the vector layer.
 
-Lie algebras and subspaces keep raw entries and box only at their
-accessors.  These are the loops they replaced, on tuples of Scalars: the
-bilinear bracket over the stored structure constants, coordinates over an
-rref basis, span and intersection, and from them the derived and lower
-central series, the center and the Killing Gram.  The tests hold the raw
-paths to them.  The exhaustive sweep of deformation maps is here too: the
-p^(dim g * dim h) loop that the depth-first search replaced.
+Lie algebras, subspaces and matched pairs keep raw entries and box only at
+their accessors.  These are the loops they replaced, on tuples of Scalars:
+linear combinations, the bilinear bracket over the stored structure
+constants, coordinates over an rref basis, span and intersection, and from
+them the derived and lower central series, the center and the Killing Gram;
+and the four matched-pair axioms written out one by one, where the library
+reads them off the Jacobiator of the bicrossed bracket.  The tests hold the
+raw paths to them.  The exhaustive sweep of deformation maps is here too:
+the p^(dim g * dim h) loop that the depth-first search replaced.
 """
 
 import itertools
 
 from liefact.deform import DeformationMap, is_deformation_map
-from liefact.exactmath import Matrix, basis_vector, lincomb, zero_vector
+from liefact.exactmath import Matrix, _box, basis_vector, vadd, vsub, zero_vector
+from liefact.liecore import basis_pairs, defects
+
+
+def lincomb(coeffs, vectors, start) -> tuple:
+    """start + sum of c * v over paired coefficients and vectors."""
+    out = list(start)
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for k, x in enumerate(v):
+                if x:
+                    out[k] = out[k] + c * x
+    return tuple(out)
 
 
 def bracket(alg, x, y) -> tuple:
@@ -120,3 +134,60 @@ def sweep_deformation_maps(mp) -> list:
         if is_deformation_map(mp, r):
             found.append(DeformationMap(mp, r))
     return found
+
+
+def matched_pair_defects(mp) -> list:
+    """The four matched-pair axioms on Scalars, as (axiom, indices, defect)
+    records in axiom order, each in index order; empty = valid."""
+    g, h = mp.g, mp.h
+    f = mp.field
+
+    def act(table, dim):
+        boxed_table = {key: _box(f, v) for key, v in table.items()}
+
+        def apply(x, a):
+            coeffs = [x[i] * a[j] for i, j in boxed_table]
+            return lincomb(coeffs, boxed_table.values(), zero_vector(f, dim))
+
+        return apply
+
+    left, right = act(mp.left, g.dim), act(mp.right, h.dim)
+    gb = [basis_vector(f, g.dim, j) for j in range(g.dim)]
+    hb = [basis_vector(f, h.dim, i) for i in range(h.dim)]
+    hpairs, gpairs = list(basis_pairs(h.dim)), list(basis_pairs(g.dim))
+
+    # (g, |>) is a left h-module
+    def left_module(i, j, k):
+        return vsub(left(hb[i], left(hb[j], gb[k])), left(hb[j], left(hb[i], gb[k])))
+
+    # (h, <|) is a right g-module
+    def right_module(i, a, b):
+        return vsub(right(right(hb[i], gb[a]), gb[b]), right(right(hb[i], gb[b]), gb[a]))
+
+    # x |> [a, b] = [x |> a, b] + [a, x |> b] + (x <| a) |> b - (x <| b) |> a
+    def compat_left(i, a, b):
+        rhs = vadd(g.bracket(left(hb[i], gb[a]), gb[b]), g.bracket(gb[a], left(hb[i], gb[b])))
+        rhs = vadd(rhs, left(right(hb[i], gb[a]), gb[b]))
+        return vsub(rhs, left(right(hb[i], gb[b]), gb[a]))
+
+    # [x, y] <| a = [x, y <| a] + [x <| a, y] + x <| (y |> a) - y <| (x |> a)
+    def compat_right(i, j, a):
+        rhs = vadd(h.bracket(hb[i], right(hb[j], gb[a])), h.bracket(right(hb[i], gb[a]), hb[j]))
+        rhs = vadd(rhs, right(hb[i], left(hb[j], gb[a])))
+        return vsub(rhs, right(hb[j], left(hb[i], gb[a])))
+
+    axioms = [
+        ("left-module", [(i, j, k) for i, j in hpairs for k in range(g.dim)],
+         lambda i, j, k: left(h.bracket_basis(i, j), gb[k]), left_module),
+        ("right-module", [(i, a, b) for a, b in gpairs for i in range(h.dim)],
+         lambda i, a, b: right(hb[i], g.bracket_basis(a, b)), right_module),
+        ("compat-left", [(i, a, b) for i in range(h.dim) for a, b in gpairs],
+         lambda i, a, b: left(hb[i], g.bracket_basis(a, b)), compat_left),
+        ("compat-right", [(i, j, a) for i, j in hpairs for a in range(g.dim)],
+         lambda i, j, a: right(h.bracket_basis(i, j), gb[a]), compat_right),
+    ]
+    return [
+        (name, index, vsub(lhs, rhs))
+        for name, indices, lhs_of, rhs_of in axioms
+        for index, lhs, rhs in defects(indices, lhs_of, rhs_of)
+    ]

@@ -11,6 +11,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import boxed_reference as boxed
 from liefact.errors import BadParameter, DimensionMismatch, FieldMismatch, FormatError, NotFinite
 from liefact.exactmath import (
     Field,
@@ -24,7 +25,6 @@ from liefact.exactmath import (
     enumerate_affine,
     enumerate_vectors,
     is_zero_vector,
-    lincomb,
     vadd,
     vscale,
     zero_vector,
@@ -726,7 +726,7 @@ def test_enumeration_is_lazy_over_a_large_field():
 def test_enumerate_affine_order_is_lex_in_the_coefficients():
     part = (F3.scalar(1), F3.zero, F3.scalar(2))
     basis = [(F3.one, F3.scalar(2), F3.zero), (F3.zero, F3.one, F3.one)]
-    want = [lincomb(c, basis, part) for c in enumerate_vectors(F3, 2)]
+    want = [boxed.lincomb(c, basis, part) for c in enumerate_vectors(F3, 2)]
     assert list(enumerate_affine(F3, part, basis)) == want
     assert len(set(want)) == 9
     assert list(enumerate_affine(F3, part, [])) == [part]

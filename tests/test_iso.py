@@ -16,7 +16,6 @@ from liefact.exactmath import (
     dot,
     enumerate_vectors,
     is_zero_vector,
-    lincomb,
     vadd,
     vscale,
     vsub,
@@ -729,7 +728,7 @@ def _lex_vectors(field, length):
 def _reference_affine(field, particular, basis):
     """enumerate_affine's points in its order, lazily."""
     for coeffs in _lex_vectors(field, len(basis)):
-        yield lincomb(coeffs, basis, particular)
+        yield boxed.lincomb(coeffs, basis, particular)
 
 
 class _ReferenceBudgetHit(Exception):
@@ -752,7 +751,7 @@ def reference_search_isomorphisms(a, b, budget, find_all):
 
     def known_part(c, done_set, k):
         known = [m for m in done_set if m != k]
-        return lincomb([c[m] for m in known], [assigned[m] for m in known], zero_vector(f, n))
+        return boxed.lincomb([c[m] for m in known], [assigned[m] for m in known], zero_vector(f, n))
 
     def constraints_for(k):
         rows = []
@@ -818,7 +817,7 @@ def reference_search_isomorphisms(a, b, budget, find_all):
         _, k, (part, null, dom) = best
         rest = [m for m in remaining if m != k]
         for t in _reference_affine(f, part, null):
-            x = lincomb(t, dom, zero_vector(f, n))
+            x = boxed.lincomb(t, dom, zero_vector(f, n))
             nodes += 1
             if nodes > budget:
                 raise _ReferenceBudgetHit()

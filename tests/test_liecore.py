@@ -16,7 +16,6 @@ from liefact.exactmath import (
     _intersect_rows,
     basis_vector,
     is_zero_vector,
-    lincomb,
     span_rref,
     vadd,
     zero_vector,
@@ -143,7 +142,7 @@ def test_raw_paths_match_the_boxed_reference(inputs):
     for space, vectors in ((a, us), (b, vs)):
         assert list(space.basis) == boxed.span_rref(f, vectors) == span_rref(f, vectors)
         assert _boxed_in(f, space.basis)
-    inside = lincomb(x, a.basis, zero_vector(f, n))
+    inside = boxed.lincomb(x, a.basis, zero_vector(f, n))
     for v in (x, y, inside):
         coords = a.coordinates(v)
         assert coords == boxed.coordinates(a.basis, v)
@@ -465,6 +464,17 @@ def test_direct_products():
     assert derived_dims(mixed) == (4, 2, 0)
     with pytest.raises(FieldMismatch):
         direct_product(k0, matched.make_sl2(F5))
+
+
+def test_direct_product_primes_colliding_names_until_fresh():
+    a = LieAlgebra.abelian(Q, 1, ("x",))
+    b = LieAlgebra.abelian(Q, 2, ("x", "x'"))
+    assert direct_product(a, b).basis_names == ("x", "x''", "x'")
+    c = LieAlgebra.abelian(Q, 3, ("x", "x''", "y"))
+    assert direct_product(b, c).basis_names == ("x", "x'", "x'''", "x''", "y")
+    # a name that collides once keeps a single prime
+    sl2 = matched.make_sl2(Q)
+    assert direct_product(sl2, sl2).basis_names == ("e", "f", "h", "e'", "f'", "h'")
 
 
 # -- serialization ----------------------------------------------------------------------

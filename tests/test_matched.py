@@ -1,9 +1,13 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
+import boxed_reference as boxed
 from liefact.errors import (
     BadParameter,
+    DimensionMismatch,
     FormatError,
     InvalidMatchedPair,
     InvalidTwistedDerivation,
@@ -105,6 +109,90 @@ def test_check_matched_pair_reports_are_stable():
         ("compat-right", (0, 2, 2), (2, 0, 0)),
         ("compat-right", (1, 2, 2), (0, 3, 0)),
     ]
+
+
+def _pinned_pairs():
+    mp = canonical_pair_L(1, F5)
+    sl2 = make_sl2(F5)
+    yield trivial_pair(make_sl2(Q), make_l(1, Q))
+    for n in (1, 2):
+        yield canonical_pair_L(n, F5)
+        yield canonical_pair_m(n, F5)
+        yield canonical_pair_L(n, Q)
+    yield MatchedPair(mp.g, mp.h, right=dict(mp.right), left={(2, 0): (-1,)})
+    yield MatchedPair(
+        sl2,
+        make_l(1, F5),
+        right={(0, 1): (1, 2, 0), (2, 2): (0, 0, 3)},
+        left={(1, 0): (1, 1, 0), (2, 1): (0, 4, 1)},
+    )
+    yield pair_from_twisted(sl2, TwistedDerivation(zero_vector(F5, 3), sl2.ad(basis_vector(F5, 3, 2))))
+    yield canonical_matched_pair(_line_factorization(make_L(2, F3)))
+
+
+def _random_pair(rng, field):
+    """Random sparse action tables between two small algebras over field."""
+    algebras = [
+        lambda: LieAlgebra.abelian(field, 1, ("a",)),
+        lambda: LieAlgebra.abelian(field, 2, ("a", "b")),
+        lambda: make_sl2(field),
+        lambda: make_l(1, field),
+        lambda: make_Lalpha(field, 2),
+    ]
+    g, h = rng.choice(algebras)(), rng.choice(algebras)()
+    if field.is_finite:
+        value = lambda: rng.randrange(field.p)
+    else:
+        value = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    density = rng.choice((0.2, 0.4, 0.7))
+
+    def table(dim):
+        return {
+            (i, j): tuple(value() if rng.random() < density else 0 for _ in range(dim))
+            for i in range(h.dim)
+            for j in range(g.dim)
+            if rng.random() < density
+        }
+
+    return MatchedPair(g, h, right=table(h.dim), left=table(g.dim))
+
+
+def test_axioms_as_jacobi_match_the_boxed_axioms():
+    rng = random.Random(18)
+    pairs = list(_pinned_pairs()) + [_random_pair(rng, rng.choice((Q, F5))) for _ in range(240)]
+    valid = 0
+    for mp in pairs:
+        want = boxed.matched_pair_defects(mp)
+        assert check_matched_pair(mp) == want
+        valid += not want
+    # both answers occur, and every axiom fails somewhere
+    assert 10 <= valid < len(pairs) - 100
+    failing = {name for mp in pairs for name, _, _ in boxed.matched_pair_defects(mp)}
+    assert failing == {"left-module", "right-module", "compat-left", "compat-right"}
+
+
+def test_action_keys_outside_the_bases_are_rejected():
+    mp = canonical_pair_L(1, F5)
+    for i, j in ((3, 0), (-1, 0), (0, 1), (0, -1)):
+        with pytest.raises(FormatError, match=rf"right action key \({i},{j}\)"):
+            MatchedPair(mp.g, mp.h, right={(i, j): (1, 0, 0)})
+        with pytest.raises(FormatError, match=rf"left action key \({i},{j}\)"):
+            MatchedPair(mp.g, mp.h, left={(i, j): (1,)})
+    with pytest.raises(DimensionMismatch):
+        MatchedPair(mp.g, mp.h, right={(0, 0): (1,)})
+
+
+def test_actions_are_kept_raw():
+    l3 = make_l(1, Q)
+    mp = MatchedPair(l3, l3, right={(0, 1): (1, "1/2", Q.zero)}, left={(2, 2): (0, 0, 0)})
+    assert mp.right == {(0, 1): (Fraction(1), Fraction(1, 2), Fraction(0))}
+    assert mp.left == {}
+    mp5 = MatchedPair(make_l(1, F5), make_l(1, F5), right={(0, 1): (6, -1, F5.one)})
+    assert mp5.right == {(0, 1): (1, 4, 1)}
+    x, a = basis_vector(F5, 3, 0), (F5.zero, F5.scalar(2), F5.zero)
+    assert mp5.act_right(x, a) == (F5.scalar(2), F5.scalar(3), F5.scalar(2))
+    with pytest.raises(DimensionMismatch):
+        mp5.act_right(x, (F5.one,))
 
 
 # -- bicrossed products ------------------------------------------------------------
@@ -221,6 +309,17 @@ def test_h_lambda_delta_rejects_bad_data():
     bad = TwistedDerivation((Q.one, Q.zero, Q.zero), Matrix.zeros(Q, 3, 3))
     with pytest.raises(InvalidTwistedDerivation):
         h_lambda_delta(h, bad)
+
+
+def test_h_lambda_delta_rejects_an_h_that_fails_jacobi():
+    h = LieAlgebra.from_named_brackets(
+        Q, ("e1", "e2", "e3"), {("e1", "e2"): [("e3", 1)], ("e1", "e3"): [("e1", 1)]}
+    )
+    assert h.check_jacobi()
+    zero = TwistedDerivation(zero_vector(Q, 3), Matrix.zeros(Q, 3, 3))
+    assert zero.violations(h) == []
+    with pytest.raises(InvalidTwistedDerivation, match="Jacobi"):
+        h_lambda_delta(h, zero)
 
 
 def test_h_lambda_delta_contains_base():
