@@ -197,7 +197,8 @@ def _axiom_defects(mp: MatchedPair, bi: LieAlgebra) -> list:
     its h-part the compat-right defect (i, j, a); on (g_a, g_b, h_i) its
     h-part is minus the right-module defect (i, a, b) and its g-part minus
     the compat-left defect (i, a, b).  Records are (axiom, indices, defect)
-    in the order of the axioms, each in index order.
+    in the order of the axioms, each in index order, except that
+    right-module runs over (a, b) before i.
     """
     dg, dh, red = mp.g.dim, mp.h.dim, mp.field._reduce
     g_part, h_part = slice(None, dg), slice(dg, None)
