@@ -145,7 +145,9 @@ def _cmd_bicrossed(args):
     try:
         product = matched.bicrossed_product(mp)
     except InvalidMatchedPair as exc:
-        data = {"error": str(exc), "violations": [[a, list(i)] for a, i, _ in exc.report]}
+        # axiom records are (axiom, indices, defect), Jacobi ones (i, j, l, defect)
+        violations = [[r[0], list(r[1])] if len(r) == 3 else ["jacobi", list(r[:3])] for r in exc.report]
+        data = {"error": str(exc), "violations": violations}
         return data, [f"invalid matched pair: {exc}"], MATH_FAIL
     lines = [f"bicrossed product: dim {product.dim}, basis {', '.join(product.basis_names)}"]
     return product.to_json_dict(), lines, 0

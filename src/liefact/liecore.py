@@ -830,6 +830,12 @@ def direct_product(a: LieAlgebra, b: LieAlgebra, names=None) -> LieAlgebra:
     """Block-diagonal structure constants; all cross brackets vanish."""
     if a.field != b.field:
         raise FieldMismatch(f"{a.field} vs {b.field}")
+    return LieAlgebra(a.field, *_block_diagonal(a, b, names))
+
+
+def _block_diagonal(a: LieAlgebra, b: LieAlgebra, names=None) -> tuple:
+    """Basis names and raw structure constants of a x b, the basis of a then
+    that of b, with no cross brackets."""
     if names is None:
         # a name of b taken by a gets primes until it is fresh
         taken = set(a.basis_names) | set(b.basis_names)
@@ -845,7 +851,7 @@ def direct_product(a: LieAlgebra, b: LieAlgebra, names=None) -> LieAlgebra:
     brackets = {key: v + (zero,) * b.dim for key, v in a._sc.items()}
     for (i, j), v in b._sc.items():
         brackets[(a.dim + i, a.dim + j)] = (zero,) * a.dim + v
-    return LieAlgebra(a.field, names, brackets)
+    return names, brackets
 
 
 def subalgebra_structure(algebra: LieAlgebra, space: Subspace, names=None) -> LieAlgebra:

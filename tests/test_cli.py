@@ -142,6 +142,19 @@ def test_bicrossed_rejects_bad_pair(tmp_path, capsys):
     assert "compat" in out or "module" in out
 
 
+def test_bicrossed_reports_a_factor_that_fails_jacobi(tmp_path, capsys):
+    h = liecore.LieAlgebra.from_named_brackets(
+        Q, ("e1", "e2", "e3"), {("e1", "e2"): [("e3", 1)], ("e1", "e3"): [("e1", 1)]}
+    )
+    pair = tmp_path / "pair.json"
+    matched.dump_pair(matched.MatchedPair(liecore.LieAlgebra.abelian(Q, 1, ("F",)), h), pair)
+    code, out, _ = run(capsys, "bicrossed", "--pair", str(pair), "--json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["violations"] == [["jacobi", [1, 2, 3]]]
+    assert "Jacobi at (1, 2, 3)" in data["error"]
+
+
 def test_iso_and_aut_cli(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -14,7 +14,7 @@ from liefact.errors import (
     NotAFactorization,
 )
 from liefact.exactmath import Field, Matrix, basis_vector, vadd, vscale, zero_vector
-from liefact import liecore
+from liefact import liecore, matched
 from liefact.derivations import TwistedDerivation, tn_element, tn_to_twisted, tn_validate
 from liefact.liecore import LieAlgebra, Subspace, direct_product
 from liefact.matched import (
@@ -202,6 +202,20 @@ def test_bicrossed_trivial_is_direct_product():
     g = make_sl2(F5)
     h = make_l(1, F5)
     assert bicrossed_product(trivial_pair(g, h)).same_brackets(direct_product(g, h))
+
+
+def test_bicrossed_reports_the_factors_jacobi_in_the_product_basis():
+    # fails Jacobi at (0, 1, 2)
+    bad = LieAlgebra.from_named_brackets(
+        Q, ("e1", "e2", "e3"), {("e1", "e2"): [("e3", 1)], ("e1", "e3"): [("e1", 1)]}
+    )
+    for g, h in ((bad, make_l(1, Q)), (make_sl2(Q), bad), (bad, bad)):
+        mp = trivial_pair(g, h)
+        assert check_matched_pair(mp) == []
+        with pytest.raises(InvalidMatchedPair, match="Jacobi") as err:
+            bicrossed_product(mp)
+        # what the Jacobi identity of the whole unchecked product reports
+        assert err.value.report == matched._bicrossed(mp).check_jacobi() != []
 
 
 def test_bicrossed_canonical_pairs():
