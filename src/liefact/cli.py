@@ -145,8 +145,7 @@ def _cmd_bicrossed(args):
     try:
         product = matched.bicrossed_product(mp)
     except InvalidMatchedPair as exc:
-        # axiom records are (axiom, indices, defect), Jacobi ones (i, j, l, defect)
-        violations = [[r[0], list(r[1])] if len(r) == 3 else ["jacobi", list(r[:3])] for r in exc.report]
+        violations = [[axiom, list(idx)] for axiom, idx, _ in exc.report]
         data = {"error": str(exc), "violations": violations}
         return data, [f"invalid matched pair: {exc}"], MATH_FAIL
     lines = [f"bicrossed product: dim {product.dim}, basis {', '.join(product.basis_names)}"]
@@ -355,7 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", action="append", metavar="NAME=VALUE")
     p.add_argument("--all", action="store_true", help="enumerate all admissible covectors (finite field)")
 
-    p = command("matched-check", _cmd_matched_check, "verify the matched pair axioms")
+    p = command(
+        "matched-check", _cmd_matched_check, "verify the matched pair axioms and Jacobi in g and h"
+    )
     p.add_argument("--pair", required=True)
 
     p = command("bicrossed", _cmd_bicrossed, "bicrossed product of a matched pair", out=True)

@@ -24,7 +24,7 @@ before it is reported.
 from __future__ import annotations
 
 import itertools
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from operator import mul
 from typing import Callable, Optional
 
@@ -47,6 +47,7 @@ from .exactmath import (
 from .liecore import (
     LieAlgebra,
     LinearMap,
+    _kept,
     center,
     charpolys_differ,
     derived_ad_charpoly,
@@ -71,7 +72,14 @@ class Fingerprint:
     killing_rank: int
 
     def as_tuple(self) -> tuple:
-        return astuple(self)
+        return (
+            self.dim,
+            self.derived,
+            self.lower_central,
+            self.center_dim,
+            self.abelianization_dim,
+            self.killing_rank,
+        )
 
 
 def fingerprint(algebra: LieAlgebra) -> Fingerprint:
@@ -113,22 +121,57 @@ class _BudgetHit(Exception):
     pass
 
 
+def _characteristic(algebra: LieAlgebra) -> tuple:
+    """The characteristic subspaces by name: (name, terms) pairs."""
+    return (
+        ("derived", derived_series(algebra)),
+        ("lower_central", lower_central_series(algebra)),
+        ("center", (center(algebra),)),
+    )
+
+
+@_kept
+def _basis_patterns(algebra: LieAlgebra) -> tuple:
+    """For each basis vector, its pattern: the (series name, index) of every
+    proper characteristic subspace that holds it, the center as
+    ("center", 0)."""
+    proper = [
+        (name, i, s)
+        for name, terms in _characteristic(algebra)
+        for i, s in enumerate(terms)
+        if s.dim < algebra.dim
+    ]
+    return tuple(
+        tuple((name, i) for name, i, s in proper if s._coordinates(e) is not None)
+        for e in Matrix.identity(algebra.field, algebra.dim).raw
+    )
+
+
+@_kept
+def _kept_domains(algebra: LieAlgebra) -> dict:
+    """Image domains in this algebra by source pattern, filled in by
+    _image_domains: a class representative is the target of every later
+    comparison, so each intersection is computed once per pattern."""
+    return {}
+
+
 def _image_domains(a: LieAlgebra, b: LieAlgebra) -> list:
     """For each source basis index, the raw rref rows of the target subspace
-    its image must lie in (intersection of matching characteristic subspaces)."""
-    f = a.field
-    pairs = list(zip(derived_series(a), derived_series(b)))
-    pairs += zip(lower_central_series(a), lower_central_series(b))
-    pairs.append((center(a), center(b)))
-    full = Matrix.identity(f, b.dim).raw
+    its image must lie in: the intersection of the target's characteristic
+    subspaces named by the source vector's pattern, those that b has."""
+    kept = _kept_domains(b)
     domains = []
-    for ei in Matrix.identity(f, a.dim).raw:
-        dom = full
-        for s1, s2 in pairs:
-            if s1.dim < a.dim and s1._coordinates(ei) is not None:
-                # the first match needs no intersection: its rows are in rref
-                dom = s2.rows if dom is full else _intersect_rows(f, dom, s2.rows, b.dim)
-        domains.append(dom)
+    for pattern in _basis_patterns(a):
+        if pattern not in kept:
+            terms = dict(_characteristic(b))
+            dom = None
+            for name, i in pattern:
+                if i < len(terms[name]):
+                    rows = terms[name][i].rows
+                    # the first match needs no intersection: its rows are in rref
+                    dom = rows if dom is None else _intersect_rows(b.field, dom, rows, b.dim)
+            kept[pattern] = Matrix.identity(b.field, b.dim).raw if dom is None else dom
+        domains.append(kept[pattern])
     return domains
 
 

@@ -21,14 +21,17 @@ differ, so a yes/no caller stops at the first defect and a report keeps
 every record in index order.  The Jacobiator of one basis triple is
 _jacobiator, raw; the matched-pair axioms are the Jacobi identity of the
 bicrossed bracket on mixed triples, and check_matched_pair reads them off
-that same _jacobiator.  Characteristic subspaces (center, derived and lower
-central series), invariant bilinear forms, self-duality (decided on a
-finite grid of form combinations, over Q as over GF(p)) and product
-structures all reduce to exact linear algebra over the base field.
-Structure constants never change after construction, so the series (as
-tuples), the center, the Killing Gram and, for an almost abelian algebra,
-the characteristic polynomial of ad on the derived algebra are computed
-once per LieAlgebra, on first use, and kept on it.
+that same _jacobiator, as it reads the Jacobi identity of g and h.
+Characteristic subspaces (center, derived and lower central series),
+invariant bilinear forms, self-duality (decided on a finite grid of form
+combinations, over Q as over GF(p)) and product structures all reduce to
+exact linear algebra over the base field; the Killing Gram is a sum of
+table entries, with no matrix product.  Structure constants never change
+after construction, so the series (as tuples, the lower central one
+starting from the derived algebra [L, L]), the center, the Killing Gram
+and, for an almost abelian algebra, the characteristic polynomial of ad on
+the derived algebra are computed once per LieAlgebra, on first use, and
+kept on it.
 """
 
 from __future__ import annotations
@@ -530,30 +533,28 @@ def center(algebra: LieAlgebra) -> Subspace:
     return Subspace._of_rows(algebra, right_bracket_matrix(algebra)._null_raw())
 
 
-def _series(full: Subspace, step) -> tuple:
-    """Shared driver: from the full space, append terms until the series
-    stabilizes.
+def _series(series: list, step) -> tuple:
+    """Shared driver: from the leading terms (the full space, perhaps more),
+    append step(last term) until the series stabilizes.
 
     Terminates with the first repeated subspace (kept once) or with 0.
     """
-    series = [full]
-    while True:
-        nxt = step(series[-1])
-        stop = nxt == series[-1] or nxt.dim == 0
-        series.append(nxt)
-        if stop:
-            return tuple(series)
+    while len(series) < 2 or not (series[-1] == series[-2] or series[-1].dim == 0):
+        series.append(step(series[-1]))
+    return tuple(series)
 
 
 @_kept
 def derived_series(algebra: LieAlgebra) -> tuple:
-    return _series(Subspace.full(algebra), lambda s: s.bracket_with(s))
+    return _series([Subspace.full(algebra)], lambda s: s.bracket_with(s))
 
 
 @_kept
 def lower_central_series(algebra: LieAlgebra) -> tuple:
-    full = Subspace.full(algebra)
-    return _series(full, lambda s: full.bracket_with(s))
+    """L, [L, L], [L, [L, L]], ...: the first two terms are the derived
+    series' own, so [L, L] is computed once per algebra."""
+    full, derived = derived_series(algebra)[:2]
+    return _series([full, derived], lambda s: full.bracket_with(s))
 
 
 def derived_dims(algebra: LieAlgebra) -> tuple:
@@ -579,12 +580,19 @@ def is_metabelian(algebra: LieAlgebra) -> bool:
 
 @_kept
 def killing_gram(algebra: LieAlgebra) -> Matrix:
-    span = range(algebra.dim)
-    red = algebra.field._reduce
-    ads = [algebra.ad_basis(i) for i in span]
-    products = ([(a * b).raw for b in ads] for a in ads)
-    gram = tuple(tuple(red(sum(p[k][k] for k in span)) for p in row) for row in products)
-    return Matrix._of_raw(algebra.field, gram, algebra.dim)
+    """tr(ad e_i ad e_j) = sum over k, l of [e_i, e_l]_k [e_j, e_k]_l, read
+    off the raw table: n^4 multiply-adds, each entry above the diagonal
+    mirrored below it."""
+    n, t, red = algebra.dim, algebra._table, algebra.field._reduce
+    span = range(n)
+    # flat[i][l*n + k] = [e_i, e_l]_k and swapped[j][l*n + k] = [e_j, e_k]_l
+    flat = [[x for v in t[i] for x in v] for i in span]
+    swapped = [[t[j][k][l] for l in span for k in span] for j in span]
+    gram = [[0] * n for _ in span]
+    for i in span:
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = red(sum(map(mul, flat[i], swapped[j])))
+    return Matrix._of_raw(algebra.field, tuple(map(tuple, gram)), n)
 
 
 def _charpoly(a: list, reduce) -> list:

@@ -8,10 +8,11 @@ over Q, residues in [0, p) over GF(p), zero entries not stored; act_right
 and act_left box what they return.  The pair is matched exactly when the
 bicrossed bracket satisfies Jacobi, and the two module axioms and two mixed
 compatibilities are the blocks of its Jacobiator on mixed triples, so
-check_matched_pair reads them off that Jacobiator.  The dimension-1 case is
-equivalent to a twisted derivation of h, which is how every codimension-1
-extension in this toolkit is produced: h_lambda_delta is the bicrossed
-product of pair_from_twisted.
+check_matched_pair reads them off that Jacobiator and adds the Jacobi
+identity of g and h themselves; bicrossed_product raises on that same
+report.  The dimension-1 case is equivalent to a twisted derivation of h,
+which is how every codimension-1 extension in this toolkit is produced:
+h_lambda_delta is the bicrossed product of pair_from_twisted.
 
 Each named extension of l(2n+1,k) is built from its datum: a gate on the
 parameters, then a Tn block datum (TnElement), then one construction that
@@ -188,16 +189,18 @@ def _bicrossed(mp: MatchedPair, names=None) -> LieAlgebra:
     return LieAlgebra(mp.field, names, brackets)
 
 
-def _axiom_defects(mp: MatchedPair, bi: LieAlgebra) -> list:
+def _pair_defects(mp: MatchedPair, bi: LieAlgebra) -> list:
     """The matched-pair axioms as blocks of the Jacobiator of bi, the
-    bicrossed bracket of mp, on mixed triples.
+    bicrossed bracket of mp, on mixed triples, then the Jacobi identity of
+    g and of h themselves.
 
     On (g_a, h_i, h_j) its g-part is the left-module defect (i, j, a) and
     its h-part the compat-right defect (i, j, a); on (g_a, g_b, h_i) its
     h-part is minus the right-module defect (i, a, b) and its g-part minus
     the compat-left defect (i, a, b).  Records are (axiom, indices, defect)
     in the order of the axioms, each in index order, except that
-    right-module runs over (a, b) before i.
+    right-module runs over (a, b) before i; then the "jacobi" records of g
+    and of h, their indices and defects in the basis of bi.
     """
     dg, dh, red = mp.g.dim, mp.h.dim, mp.field._reduce
     g_part, h_part = slice(None, dg), slice(dg, None)
@@ -213,37 +216,45 @@ def _axiom_defects(mp: MatchedPair, bi: LieAlgebra) -> list:
         ("compat-left", gg, sorted(gg), g_part),
         ("compat-right", hh, sorted(hh), h_part),
     )
-    return [
+    out = [
         (name, index, _box(mp.field, table[index][part]))
         for name, table, order, part in axioms
         for index in order
         if any(table[index][part])
     ]
+    zero = mp.field.zero
+    out += [("jacobi", (i, j, l), d + (zero,) * dh) for i, j, l, d in mp.g.check_jacobi()]
+    out += [
+        ("jacobi", (dg + i, dg + j, dg + l), (zero,) * dg + d)
+        for i, j, l, d in mp.h.check_jacobi()
+    ]
+    return out
 
 
 def check_matched_pair(mp: MatchedPair) -> list:
-    """Violated axioms as (axiom, indices, defect) records; empty = valid."""
-    return _axiom_defects(mp, _bicrossed(mp))
+    """Violated axioms as (axiom, indices, defect) records; empty = valid.
+
+    The four axioms come first, then the Jacobi defects of g and h as
+    "jacobi" records in the basis of the bicrossed product (see
+    _pair_defects).  Once the axioms hold, the product satisfies Jacobi
+    exactly when g and h do, so an empty report is a Lie bicrossed product.
+    """
+    return _pair_defects(mp, _bicrossed(mp))
 
 
 def bicrossed_product(mp: MatchedPair, names=None) -> LieAlgebra:
     """Lie algebra on g x h with the mixed bracket; g and h embed as blocks.
 
-    Once the axioms hold on the mixed triples, the product satisfies Jacobi
-    exactly when g and h do, so only their own triples are checked further,
-    reported in the basis of the product.
+    Raises InvalidMatchedPair, carrying check_matched_pair's report, unless
+    that report is empty.
     """
     out = _bicrossed(mp, names)
-    report = _axiom_defects(mp, out)
+    report = _pair_defects(mp, out)
     if report:
-        raise InvalidMatchedPair(
-            f"matched pair axioms fail: {report[0][0]} at {report[0][1]}", report
-        )
-    dg, dh, zero = mp.g.dim, mp.h.dim, mp.field.zero
-    bad = [(i, j, l, d + (zero,) * dh) for i, j, l, d in mp.g.check_jacobi()]
-    bad += [(dg + i, dg + j, dg + l, (zero,) * dg + d) for i, j, l, d in mp.h.check_jacobi()]
-    if bad:
-        raise InvalidMatchedPair(f"bicrossed bracket violates Jacobi at {bad[0][:3]}", bad)
+        axiom, index, _ = report[0]
+        if axiom == "jacobi":
+            raise InvalidMatchedPair(f"bicrossed bracket violates Jacobi at {index}", report)
+        raise InvalidMatchedPair(f"matched pair axioms fail: {axiom} at {index}", report)
     return out
 
 

@@ -8,14 +8,17 @@ them the derived and lower central series, the center and the Killing Gram;
 and the four matched-pair axioms written out one by one, where the library
 reads them off the Jacobiator of the bicrossed bracket.  The tests hold the
 raw paths to them.  The exhaustive sweep of deformation maps is here too:
-the p^(dim g * dim h) loop that the depth-first search replaced.
+the p^(dim g * dim h) loop that the depth-first search replaced; so are two
+raw paths the library replaced, the Killing Gram as traces of n^2 products
+of ad matrices and the lower central series that brackets [L, L] anew
+instead of reading it off the derived series.
 """
 
 import itertools
 
 from liefact.deform import DeformationMap, is_deformation_map
 from liefact.exactmath import Matrix, _box, basis_vector, vadd, vsub, zero_vector
-from liefact.liecore import basis_pairs, defects
+from liefact.liecore import Subspace, basis_pairs, defects
 
 
 def lincomb(coeffs, vectors, start) -> tuple:
@@ -120,6 +123,29 @@ def killing_gram(alg) -> Matrix:
         alg.field,
         [[sum(((a * b).rows[k][k] for k in span), alg.field.zero) for b in ads] for a in ads],
     )
+
+
+def killing_gram_by_products(alg) -> Matrix:
+    """trace(ad(e_i) ad(e_j)) from the n^2 products of the raw ad matrices."""
+    span = range(alg.dim)
+    red = alg.field._reduce
+    ads = [alg.ad_basis(i) for i in span]
+    products = ([(a * b).raw for b in ads] for a in ads)
+    gram = tuple(tuple(red(sum(p[k][k] for k in span)) for p in row) for row in products)
+    return Matrix._of_raw(alg.field, gram, alg.dim)
+
+
+def lower_central_series_anew(alg) -> tuple:
+    """The lower central series as Subspaces, from the full space alone:
+    [L, L] is bracketed again rather than read off the derived series."""
+    full = Subspace.full(alg)
+    series = [full]
+    while True:
+        nxt = full.bracket_with(series[-1])
+        stop = nxt == series[-1] or nxt.dim == 0
+        series.append(nxt)
+        if stop:
+            return tuple(series)
 
 
 def sweep_deformation_maps(mp) -> list:

@@ -142,17 +142,35 @@ def test_bicrossed_rejects_bad_pair(tmp_path, capsys):
     assert "compat" in out or "module" in out
 
 
-def test_bicrossed_reports_a_factor_that_fails_jacobi(tmp_path, capsys):
+def _pair_with_a_factor_failing_jacobi(tmp_path) -> str:
+    """g = k and h = span(e1, e2, e3), [e1, e2] = e3, [e1, e3] = e1, zero
+    actions: every mixed axiom holds, Jacobi fails on h's triple (1, 2, 3)."""
     h = liecore.LieAlgebra.from_named_brackets(
         Q, ("e1", "e2", "e3"), {("e1", "e2"): [("e3", 1)], ("e1", "e3"): [("e1", 1)]}
     )
     pair = tmp_path / "pair.json"
     matched.dump_pair(matched.MatchedPair(liecore.LieAlgebra.abelian(Q, 1, ("F",)), h), pair)
-    code, out, _ = run(capsys, "bicrossed", "--pair", str(pair), "--json")
+    return str(pair)
+
+
+def test_bicrossed_reports_a_factor_that_fails_jacobi(tmp_path, capsys):
+    pair = _pair_with_a_factor_failing_jacobi(tmp_path)
+    code, out, _ = run(capsys, "bicrossed", "--pair", pair, "--json")
     assert code == 1
     data = json.loads(out)
     assert data["violations"] == [["jacobi", [1, 2, 3]]]
     assert "Jacobi at (1, 2, 3)" in data["error"]
+
+
+def test_matched_check_reports_a_factor_that_fails_jacobi(tmp_path, capsys):
+    pair = _pair_with_a_factor_failing_jacobi(tmp_path)
+    code, out, _ = run(capsys, "matched-check", "--pair", pair)
+    assert (code, out) == (1, "violated: jacobi at (1, 2, 3)\n")
+    code, out, _ = run(capsys, "matched-check", "--pair", pair, "--json")
+    assert code == 1
+    assert json.loads(out) == {
+        "valid": False, "violations": [{"axiom": "jacobi", "indices": [1, 2, 3]}]
+    }
 
 
 def test_iso_and_aut_cli(tmp_path, capsys):

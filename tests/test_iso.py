@@ -21,7 +21,7 @@ from liefact.exactmath import (
     vsub,
     zero_vector,
 )
-from liefact import liecore, matched, deform
+from liefact import iso, liecore, matched, deform
 from liefact.derivations import TwistedDerivation, derivation_space
 from liefact.iso import (
     AutTriple,
@@ -610,11 +610,13 @@ def vadd_(u, v):
 
 
 def _random_conjugate(alg, seed):
-    """alg in the basis of the first invertible matrix drawn from the seed."""
+    """alg in the basis of the first invertible matrix drawn from the seed,
+    with entries in [0, p) over GF(p) and in [-2, 2] over Q."""
     rnd = random.Random(seed)
     n = alg.dim
+    low, high = (0, alg.field.p) if alg.field.is_finite else (-2, 3)
     while True:
-        m = Matrix(alg.field, [[rnd.randrange(alg.field.p) for _ in range(n)] for _ in range(n)])
+        m = Matrix(alg.field, [[rnd.randrange(low, high) for _ in range(n)] for _ in range(n)])
         if m.is_invertible():
             return alg.change_basis(m)
 
@@ -951,6 +953,15 @@ def test_kept_invariants_agree_with_a_recomputation(name, field, seed):
         assert [list(s.basis) for s in kept[1]] == boxed.lower_central_series(x)
         assert list(kept[2].basis) == boxed.center(x)
         assert kept[3] == boxed.killing_gram(x)
+    # the replaced raw paths: the Killing Gram by products of ad matrices and
+    # the lower central series that brackets [L, L] anew
+    for other in (Q, F2, F5):
+        if name == "h5" and other is F2:
+            continue  # h5 needs characteristic != 2
+        y = _KEPT_CORPUS[name](other)
+        for x in (y, _random_conjugate(y, seed)):
+            assert liecore.killing_gram(x) == boxed.killing_gram_by_products(x)
+            assert liecore.lower_central_series(x) == boxed.lower_central_series_anew(x)
     assert fingerprint(alg) == fingerprint(conjugate)
     # the charpoly of ad on the derived algebra keeps its weighted class
     u, v = liecore.derived_ad_charpoly(alg), liecore.derived_ad_charpoly(conjugate)
@@ -959,6 +970,55 @@ def test_kept_invariants_agree_with_a_recomputation(name, field, seed):
     assert len(derivation_space(alg)) == len(derivation_space(conjugate))
     res = are_isomorphic(alg, conjugate)
     assert res.is_yes and verify_iso(alg, conjugate, res.witness)
+
+
+def test_kept_image_domains_equal_the_reference(monkeypatch):
+    # every (deformation, representative) pair of the n = 1 classifications;
+    # on the L pairs some deformations have longer series than some
+    # representatives, so a pattern may name a term the target lacks
+    intersections = []
+    intersect = iso._intersect_rows
+    monkeypatch.setattr(
+        iso, "_intersect_rows", lambda *args: intersections.append(1) or intersect(*args)
+    )
+    beyond = 0
+
+    def check(alg, rep):
+        nonlocal beyond
+        terms = dict(iso._characteristic(rep))
+        patterns = iso._basis_patterns(alg)
+        beyond += any(i >= len(terms[n]) for p in patterns for n, i in p)
+        first = iso._image_domains(alg, rep)
+        want = _reference_image_domains(alg, rep)
+        assert [[exactmath._box(rep.field, r) for r in dom] for dom in first] == [
+            [tuple(v) for v in dom] for dom in want
+        ]
+        del intersections[:]
+        second = iso._image_domains(alg, rep)
+        assert not intersections
+        assert all(x is y for x, y in zip(first, second))
+
+    for field in (F3, F5):
+        for make_pair in (matched.canonical_pair_L, matched.canonical_pair_m):
+            mp = make_pair(1, field)
+            # fresh representatives, so that no image domain is kept on them yet
+            reps = [
+                LieAlgebra(field, r.basis_names, dict(r.sc_pairs()))
+                for r in deform.classify_complements(mp).representatives
+            ]
+            for d in deform.enumerate_deformation_maps(mp):
+                alg = deform.r_deformation(mp, d)
+                for rep in reps:
+                    check(alg, rep)
+    assert beyond
+    # a filiform algebra, whose lower central series (4, 2, 1, 0) is finer
+    # than its derived series (4, 2, 0), against a conjugate and against L(4)
+    filiform = LieAlgebra.from_named_brackets(
+        F5, ("e1", "e2", "e3", "e4"), {("e1", "e2"): [("e3", 1)], ("e1", "e3"): [("e4", 1)]}
+    )
+    L4 = matched.make_L(1, F5)
+    for alg, rep in ((_random_conjugate(filiform, 0), filiform), (filiform, L4), (L4, filiform)):
+        check(alg, rep)
 
 
 def test_an_exhausted_budget_searches_the_other_way():
