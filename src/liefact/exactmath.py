@@ -458,11 +458,20 @@ class Matrix:
     __rmul__ = __mul__
 
     def mul_vector(self, v) -> tuple:
+        """M v: v coerced into the field, applied by _apply, the result boxed."""
         if len(v) != self.ncols:
             raise DimensionMismatch("vector length != ncols")
         field = self.field
-        x = tuple(map(field._raw, v))
-        return _box(field, [field._reduce(sum(map(mul, row, x))) for row in self.raw])
+        return _box(field, self._apply(tuple(map(field._raw, v))))
+
+    def _apply(self, x, c=None, y=None) -> tuple:
+        """M x of a raw vector of ncols entries, or c*y + M x given a raw c and
+        a raw y of nrows entries, raw; nothing is checked.  The sum is
+        reduced once per entry."""
+        red = self.field._reduce
+        if y is None:
+            return tuple([red(sum(map(mul, row, x))) for row in self.raw])
+        return tuple([red(c * a + sum(map(mul, row, x))) for a, row in zip(y, self.raw)])
 
     def transpose(self) -> "Matrix":
         raw = tuple(zip(*self.raw)) if self.raw else ((),) * self.ncols

@@ -19,12 +19,16 @@ candidate set takes one elimination, and a witness is boxed only when it is
 reported.  Every Yes is re-verified at its leaf against the full bracket
 tables (rank n, and [e_i, e_j] mapped to [x_i, x_j] on every basis pair)
 before it is reported.
+
+The automorphism-triple group law, membership and the semidirect embedding
+run on raw entries too.  Each triple is checked once, on first use, and
+keeps its raw (alpha, h0); products and inverses are born checked.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from operator import mul
 from typing import Callable, Optional
 
@@ -39,9 +43,6 @@ from .exactmath import (
     _residue_rref,
     affine_points,
     enumerate_affine,
-    vadd,
-    vscale,
-    vsub,
     zero_vector,
 )
 from .liecore import (
@@ -443,14 +444,14 @@ def _zero_lambda(algebra: LieAlgebra) -> tuple:
 
 
 def _relation_defect(
-    algebra: LieAlgebra, delta: Matrix, delta_prime: Matrix, alpha: Scalar, h0, v: Matrix
+    algebra: LieAlgebra, delta: Matrix, delta_prime: Matrix, alpha, h0: tuple, v: Matrix
 ) -> bool:
-    """Check v∘Delta - alpha*Delta'∘v = [v(-), h0] columnwise."""
+    """Check v∘Delta - alpha*Delta'∘v = [v(-), h0] columnwise, for raw alpha
+    and a raw h0 of dim entries."""
     lhs = v * delta - alpha * (delta_prime * v)
-    for i in range(algebra.dim):
-        if lhs.col(i) != algebra.bracket(v.col(i), h0):
-            return False
-    return True
+    return all(
+        col == algebra._bracket(image, h0) for col, image in zip(zip(*lhs.raw), zip(*v.raw))
+    )
 
 
 def is_valid_triple(
@@ -459,10 +460,10 @@ def is_valid_triple(
     """Morphism datum check: v a Lie map and the Delta-intertwining relation."""
     if not is_perfect(h):
         raise NotPerfect("the base algebra must be perfect")
-    alpha = h.field.scalar(alpha)
+    alpha = h.field._raw(alpha)
     if not v.is_lie_morphism():
         return False
-    return _relation_defect(h, delta, delta_prime, alpha, tuple(h0), v.matrix)
+    return _relation_defect(h, delta, delta_prime, alpha, h._raw_vector(h0), v.matrix)
 
 
 def phi_from_triple(
@@ -486,11 +487,16 @@ def phi_from_triple(
 
 @dataclass(frozen=True)
 class AutTriple:
-    """Datum (alpha, h0, v) encoding an automorphism of an extension."""
+    """Datum (alpha, h0, v) encoding an automorphism of an extension.
+
+    _checked keeps raw (alpha, h0) once _check_operand has passed the triple;
+    it takes no part in construction, equality, hashing or repr.
+    """
 
     alpha: Scalar
     h0: tuple
     v: LinearMap
+    _checked: Optional[tuple] = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     def structural_ok(self) -> bool:
         try:
@@ -502,9 +508,11 @@ class AutTriple:
 
 def aut_triple_valid(h: LieAlgebra, delta: Matrix, t: AutTriple) -> bool:
     """Membership in the group: invertible Lie map with the defining relation."""
-    if not t.structural_ok():
+    try:
+        checked = _check_operand(t, t.v.domain.field, t.v.domain.dim)
+    except InvalidTriple:
         return False
-    return _relation_defect(h, delta, delta, t.alpha, t.h0, t.v.matrix)
+    return t.v.is_lie_morphism() and _relation_defect(h, delta, delta, *checked, t.v.matrix)
 
 
 def aut_identity(h: LieAlgebra) -> AutTriple:
@@ -515,13 +523,20 @@ def aut_identity(h: LieAlgebra) -> AutTriple:
     )
 
 
-def _check_operand(t: AutTriple, field: Field, dim: int):
+def _check_operand(t: AutTriple, field: Field, dim: int) -> tuple:
     """Check a triple over a dim-dimensional algebra over field: alpha a
-    unit, h0 of dim entries, v invertible.  Returns alpha raw, an int alpha
-    coerced into the field.  The group law, membership and the semidirect
-    embedding all check their triples here."""
+    unit, h0 of dim entries, v invertible.  Returns (alpha, h0) raw, int
+    entries coerced into the field.  The group law, membership and the
+    semidirect embedding all check their triples here.
+
+    Only the algebra is compared on every call; the rest is checked on the
+    triple's first use and kept on it, since a triple is immutable (an h0
+    given as a list is checked on every use, as the list may change).
+    """
     if t.v.domain.field is not field or t.v.domain.dim != dim:
         raise InvalidTriple("triples over different algebras")
+    if t._checked is not None:
+        return t._checked
     alpha = field._raw(t.alpha)
     if not alpha:
         raise InvalidTriple("alpha must be a unit")
@@ -529,33 +544,44 @@ def _check_operand(t: AutTriple, field: Field, dim: int):
         raise InvalidTriple(f"h0 has {len(t.h0)} entries, expected {dim}")
     if not t.v.is_invertible():
         raise InvalidTriple("v must be invertible")
-    return alpha
+    checked = (alpha, tuple(map(field._raw, t.h0)))
+    if type(t.h0) is tuple:
+        object.__setattr__(t, "_checked", checked)
+    return checked
+
+
+def _born_checked(field: Field, alpha, h0: tuple, v: LinearMap) -> AutTriple:
+    """The triple of raw alpha and h0, its check kept.  The group law builds
+    it from checked operands: alpha is a product or inverse of units, h0 has
+    dim entries, and v, a product or inverse of invertible maps, carries its
+    RREF."""
+    t = AutTriple(Scalar(field, alpha), _box(field, h0), v)
+    object.__setattr__(t, "_checked", (alpha, h0))
+    return t
 
 
 def aut_multiply(t1: AutTriple, t2: AutTriple) -> AutTriple:
     """(alpha,h,v)*(beta,g,w) = (alpha*beta, beta*h + v(g), v∘w), on raw entries.
 
-    Checking that both v are invertible keeps their RREFs, so the product v∘w
-    carries its own and costs no elimination when it is an operand.  Int
-    entries of h and g are coerced into the field (mul_vector coerces g).
+    Both operands go through _check_operand, which coerces int entries into
+    the field on a triple's first use; the product is born checked.
     """
     field, dim = t1.v.domain.field, t1.v.domain.dim
-    alpha = _check_operand(t1, field, dim)
-    beta = _check_operand(t2, field, dim)
-    red = field._reduce
-    vg = t1.v.matrix.mul_vector(t2.h0)
-    h0 = _box(field, [red(beta * field._raw(x) + y.value) for x, y in zip(t1.h0, vg)])
-    return AutTriple(Scalar(field, red(alpha * beta)), h0, t1.v.compose(t2.v))
+    alpha, h = _check_operand(t1, field, dim)
+    beta, g = _check_operand(t2, field, dim)
+    h0 = t1.v.matrix._apply(g, beta, h)
+    return _born_checked(field, field._reduce(alpha * beta), h0, t1.v.compose(t2.v))
 
 
 def aut_inverse(t: AutTriple) -> AutTriple:
     """(alpha,h,v)^-1 = (alpha^-1, -alpha^-1 v^-1(h), v^-1), on raw entries."""
     field = t.v.domain.field
-    ainv = Scalar(field, _check_operand(t, field, t.v.domain.dim)).inverse()
+    alpha, h = _check_operand(t, field, t.v.domain.dim)
+    ainv = Scalar(field, alpha).inverse().value
     vinv = t.v.inverse()
     red = field._reduce
-    h0 = _box(field, [red(-ainv.value * y.value) for y in vinv.matrix.mul_vector(t.h0)])
-    return AutTriple(ainv, h0, vinv)
+    h0 = tuple([red(-ainv * y) for y in vinv.matrix._apply(h)])
+    return _born_checked(field, ainv, h0, vinv)
 
 
 @dataclass(frozen=True)
@@ -573,14 +599,21 @@ def semidirect_embed(t: AutTriple) -> SemidirectElement:
     unless the triple passes the group law's operand check (an int alpha is
     coerced)."""
     field = t.v.domain.field
-    alpha = Scalar(field, _check_operand(t, field, t.v.domain.dim))
-    return SemidirectElement(vscale(alpha.inverse(), t.h0), alpha, t.v)
+    alpha, h0 = _check_operand(t, field, t.v.domain.dim)
+    alpha = Scalar(field, alpha)
+    ainv, red = alpha.inverse().value, field._reduce
+    return SemidirectElement(_box(field, [red(ainv * x) for x in h0]), alpha, t.v)
 
 
 def semidirect_multiply(s1: SemidirectElement, s2: SemidirectElement) -> SemidirectElement:
-    twist = vscale(s1.alpha.inverse(), s1.v.matrix.mul_vector(s2.translation))
+    """(x, (alpha, v)) * (y, (beta, w)) = (x + alpha^-1 v(y), (alpha*beta, v∘w)),
+    on raw entries."""
+    dom = s1.v.domain
+    x, y = dom._raw_vector(s1.translation), dom._raw_vector(s2.translation)
+    ainv, red = s1.alpha.inverse().value, dom.field._reduce
+    twisted = [red(a + ainv * b) for a, b in zip(x, s1.v.matrix._apply(y))]
     return SemidirectElement(
-        vadd(s1.translation, twist), s1.alpha * s2.alpha, s1.v.compose(s2.v)
+        _box(dom.field, twisted), s1.alpha * s2.alpha, s1.v.compose(s2.v)
     )
 
 
@@ -620,11 +653,19 @@ def enumerate_aut_triples(h: LieAlgebra, delta: Matrix, budget: int = 500000) ->
 
 def gcheck_inner(h: LieAlgebra, x0) -> Callable:
     """Simplified membership predicate when the twist is the inner map [x0, -]:
-    (alpha, h0, v) belongs iff v(x0) - alpha*x0 + h0 lies in the center."""
+    (alpha, h0, v) belongs iff it passes the group law's operand check over h
+    and v(x0) - alpha*x0 + h0 lies in the center."""
     z = center(h)
+    x = h._raw_vector(x0)
+    red = h.field._reduce
 
     def predicate(t: AutTriple) -> bool:
-        w = vadd(vsub(t.v.matrix.mul_vector(x0), vscale(t.alpha, x0)), t.h0)
-        return z.contains(w)
+        try:
+            alpha, h0 = _check_operand(t, h.field, h.dim)
+        except InvalidTriple:
+            return False
+        # v(x0) - alpha*x0, then + h0
+        w = tuple([red(a + b) for a, b in zip(t.v.matrix._apply(x, -alpha, x), h0)])
+        return z._coordinates(w) is not None
 
     return predicate

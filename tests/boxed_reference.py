@@ -11,13 +11,17 @@ raw paths to them.  The exhaustive sweep of deformation maps is here too:
 the p^(dim g * dim h) loop that the depth-first search replaced; so are two
 raw paths the library replaced, the Killing Gram as traces of n^2 products
 of ad matrices and the lower central series that brackets [L, L] anew
-instead of reading it off the derived series.
+instead of reading it off the derived series.  The Delta-intertwining
+relation of an automorphism triple and the product of the semidirect group
+are here on Scalars too, as the library had them before they ran on raw
+entries.
 """
 
 import itertools
 
 from liefact.deform import DeformationMap, is_deformation_map
-from liefact.exactmath import Matrix, _box, basis_vector, vadd, vsub, zero_vector
+from liefact.exactmath import Matrix, _box, basis_vector, vadd, vscale, vsub, zero_vector
+from liefact.iso import SemidirectElement
 from liefact.liecore import Subspace, basis_pairs, defects
 
 
@@ -217,3 +221,17 @@ def matched_pair_defects(mp) -> list:
         for name, indices, lhs_of, rhs_of in axioms
         for index, lhs, rhs in defects(indices, lhs_of, rhs_of)
     ]
+
+
+def relation_defect(algebra, delta, delta_prime, alpha, h0, v) -> bool:
+    """v∘Delta - alpha*Delta'∘v = [v(-), h0] column by column, on a Scalar
+    alpha and a Scalar h0; True when it holds."""
+    lhs = v * delta - alpha * (delta_prime * v)
+    return all(lhs.col(i) == algebra.bracket(v.col(i), h0) for i in range(algebra.dim))
+
+
+def semidirect_multiply(s1, s2):
+    """(x, (alpha, v)) * (y, (beta, w)) = (x + alpha^-1 v(y), (alpha*beta, v∘w))
+    on Scalars."""
+    twist = vscale(s1.alpha.inverse(), s1.v.matrix.mul_vector(s2.translation))
+    return SemidirectElement(vadd(s1.translation, twist), s1.alpha * s2.alpha, s1.v.compose(s2.v))

@@ -484,6 +484,200 @@ def test_semidirect_embedding():
             )
 
 
+def test_raw_relation_and_semidirect_product_match_the_boxed_reference():
+    sl2, triples = _sl2_triples()
+    delta = sl2.ad(basis_vector(F3, 3, 0))
+    vs = list({id(t.v.matrix): t.v.matrix for t in triples}.values())
+    assert len(vs) == 24
+    vs += [Matrix.zeros(F3, 3, 3), Matrix(F3, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])]
+    for vm in vs:
+        for alpha in F3.elements():
+            for h0 in enumerate_vectors(F3, 3):
+                raw_h0 = tuple(x.value for x in h0)
+                assert iso._relation_defect(sl2, delta, delta, alpha.value, raw_h0, vm) == (
+                    boxed.relation_defect(sl2, delta, delta, alpha, h0, vm)
+                )
+    # over Q: v = diag(c, 1/c, 1) gives v∘ad(e) = c ad(e)∘v, so the relation
+    # holds exactly when h0 = (alpha - c) e
+    sl2q = make_sl2(Q)
+    deltaq = sl2q.ad(basis_vector(Q, 3, 0))
+    for c in (Fraction(2), Fraction(-1, 3)):
+        v = Matrix(Q, [[c, 0, 0], [0, 1 / c, 0], [0, 0, 1]])
+        for alpha in (Fraction(1), c, Fraction(5, 7)):
+            for h0 in ((alpha - c, 0, 0), (alpha - c, 1, 0), (0, 0, Fraction(1, 2))):
+                boxed_h0 = tuple(map(Q.scalar, h0))
+                holds = boxed.relation_defect(sl2q, deltaq, deltaq, Q.scalar(alpha), boxed_h0, v)
+                assert holds == (h0 == (alpha - c, 0, 0))
+                raw_h0 = tuple(map(Fraction, h0))
+                assert iso._relation_defect(sl2q, deltaq, deltaq, alpha, raw_h0, v) == holds
+    embedded = [semidirect_embed(t) for t in triples]
+    for s1 in embedded:
+        for s2 in embedded:
+            got, want = semidirect_multiply(s1, s2), boxed.semidirect_multiply(s1, s2)
+            assert (got.translation, got.alpha, got.v.matrix) == (
+                want.translation,
+                want.alpha,
+                want.v.matrix,
+            )
+            assert all(type(x) is Scalar for x in got.translation)
+
+
+def test_inner_predicate_is_membership():
+    sl2 = make_sl2(F3)
+    e = basis_vector(F3, 3, 0)
+    delta = sl2.ad(e)
+    predicate = gcheck_inner(sl2, e)
+    ident = aut_identity(sl2)
+    minus_e = vscale(-F3.one, e)
+    singular = LinearMap(sl2, sl2, Matrix.zeros(F3, 3, 3))
+    # each fails the operand check, though v(e) - alpha*e + h0 is 0, in the
+    # center, wherever it is defined
+    for t in (
+        AutTriple(0, minus_e, ident.v),
+        AutTriple(F3.zero, minus_e, ident.v),
+        AutTriple(F3.one, minus_e[:2], ident.v),
+        AutTriple(F3.one, e, singular),
+    ):
+        assert not aut_triple_valid(sl2, delta, t)
+        assert not predicate(t)
+    _, triples = _sl2_triples()
+    assert all(predicate(t) and aut_triple_valid(sl2, delta, t) for t in triples)
+    # for v an automorphism the predicate is exactly the defining relation:
+    # every unit alpha, automorphism v and h0 over GF(3), 48 of them members
+    members = 0
+    for alpha in (F3.one, F3.scalar(2)):
+        for v in aut_enumerate(sl2):
+            for h0 in enumerate_vectors(F3, 3):
+                t = AutTriple(alpha, h0, v)
+                valid = aut_triple_valid(sl2, delta, t)
+                assert predicate(t) == valid
+                members += valid
+    assert members == 48
+
+
+# -- each triple is checked once ----------------------------------------------------
+
+
+def _kept_is_boxed(t: AutTriple) -> bool:
+    """The kept raw (alpha, h0) is the boxed fields' values, and what a fresh
+    check of the same fields computes."""
+    field = t.v.domain.field
+    fresh = AutTriple(t.alpha, t.h0, t.v)
+    return t._checked == (t.alpha.value, tuple(x.value for x in t.h0)) == (
+        iso._check_operand(fresh, field, t.v.domain.dim)
+    )
+
+
+def test_a_failing_triple_raises_on_every_use():
+    ident = aut_identity(make_sl2(F3))
+    singular = LinearMap(ident.v.domain, ident.v.domain, Matrix.zeros(F3, 3, 3))
+    for bad in (
+        AutTriple(F3.zero, ident.h0, ident.v),
+        AutTriple(3, ident.h0, ident.v),
+        AutTriple(F3.one, ident.h0[:2], ident.v),
+        AutTriple(F3.one, ident.h0, singular),
+    ):
+        for _ in range(2):
+            with pytest.raises(InvalidTriple):
+                aut_multiply(bad, ident)
+            with pytest.raises(InvalidTriple):
+                aut_multiply(ident, bad)
+            with pytest.raises(InvalidTriple):
+                aut_inverse(bad)
+            with pytest.raises(InvalidTriple):
+                semidirect_embed(bad)
+        assert bad._checked is None
+
+
+def test_products_and_inverses_are_born_checked():
+    _, triples = _sl2_triples()
+    for t1 in triples[:12]:
+        assert _kept_is_boxed(aut_inverse(t1))
+        for t2 in triples:
+            prod = aut_multiply(t1, t2)
+            assert _kept_is_boxed(prod)
+            assert prod == AutTriple(prod.alpha, prod.h0, prod.v)
+            assert hash(prod) == hash(AutTriple(prod.alpha, prod.h0, prod.v))
+            assert "_checked" not in repr(prod)
+
+
+def test_int_entries_are_coerced_once(monkeypatch):
+    ident = aut_identity(make_sl2(F3))
+    aut_multiply(ident, ident)
+    five = AutTriple(5, (4, 0, -1), ident.v)
+    coerced = []
+    coerce = Field._raw
+
+    def counting(field, value):
+        coerced.append(value)
+        return coerce(field, value)
+
+    monkeypatch.setattr(Field, "_raw", counting)
+    first = aut_multiply(five, ident)
+    assert coerced == [5, 4, 0, -1]
+    assert five._checked == (2, (1, 0, 2))
+    coerced.clear()
+    for _ in range(3):
+        assert _boxed_parts(aut_multiply(five, ident)) == _boxed_parts(first)
+        aut_multiply(ident, five)
+        aut_multiply(first, five)
+    assert coerced == []
+
+
+def test_an_h0_list_is_read_on_every_use():
+    ident = aut_identity(make_sl2(F3))
+    h0 = [1, 0, 0]
+    t = AutTriple(1, h0, ident.v)
+    assert _boxed_parts(aut_multiply(t, ident))[1] == (F3.one, F3.zero, F3.zero)
+    h0[0] = 2
+    assert _boxed_parts(aut_multiply(t, ident))[1] == (F3.scalar(2), F3.zero, F3.zero)
+    assert t._checked is None
+
+
+@st.composite
+def _triples_over_one_algebra(draw):
+    """Three triples (alpha, h0, v) over an abelian algebra of dimension 1 to
+    3, over Q or GF(p); v = P L U with L lower triangular with a unit
+    diagonal, U upper unitriangular and P a row permutation, so invertible."""
+    field = draw(st.sampled_from((Q, F2, F3, F5, F7)))
+    n = draw(st.integers(1, 3))
+    if field is Q:
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    else:
+        entry = st.integers(0, field.p - 1)
+    unit = entry.filter(bool)
+    alg = LieAlgebra.abelian(field, n)
+
+    def triple():
+        low = Matrix(field, [[draw(unit) if r == c else draw(entry) if c < r else 0
+                              for c in range(n)] for r in range(n)])
+        up = Matrix(field, [[1 if r == c else draw(entry) if c > r else 0
+                             for c in range(n)] for r in range(n)])
+        perm = draw(st.permutations(range(n)))
+        lu = (low * up).raw
+        v = Matrix(field, [lu[r] for r in perm])
+        h0 = tuple(field.scalar(draw(entry)) for _ in range(n))
+        return AutTriple(field.scalar(draw(unit)), h0, LinearMap(alg, alg, v))
+
+    return triple(), triple(), triple()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_triples_over_one_algebra())
+def test_products_of_products_and_inverses_match_the_boxed_reference(triples):
+    t1, t2, t3 = triples
+    raw = aut_multiply(aut_multiply(t1, aut_inverse(t2)), aut_multiply(t3, t1))
+    ref = boxed_multiply(boxed_multiply(t1, boxed_inverse(t2)), boxed_multiply(t3, t1))
+    assert _boxed_parts(raw) == _boxed_parts(ref)
+    assert _kept_is_boxed(raw)
+    # the inverse of a product, and a product of inverses, as operands
+    back = aut_multiply(aut_inverse(raw), aut_multiply(raw, aut_inverse(t3)))
+    assert _boxed_parts(back) == _boxed_parts(
+        boxed_multiply(boxed_inverse(ref), boxed_multiply(ref, boxed_inverse(t3)))
+    )
+    assert _boxed_parts(back) == _boxed_parts(aut_inverse(t3))
+
+
 def test_search_verdicts_consistent_with_ratio_invariant():
     """The classes of classify_complements agree with the charpoly of ad on
     the derived algebra, up to c_i -> c^i c_i, on the 3-dim deformations with
