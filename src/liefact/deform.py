@@ -18,11 +18,11 @@ once and shared with the closed-form families.
 
 The compatibility of a pair is built once, on first use, into fixed linear
 and quadratic terms on the entries of r with raw coefficients (residues over
-GF(p), Fractions over Q), and cached on the pair, and so is the search plan
-over it.  Each check evaluates those terms on the raw entries of r, stopping
-at the first equation that fails.  The search works on residues, confirms
-every complete assignment with that check, and returns the maps in the
-lexicographic order of enumerate_vectors, which is their only order.
+GF(p), canonical rationals over Q), and cached on the pair, and so is the
+search plan over it.  Each check evaluates those terms on the raw entries of
+r, stopping at the first equation that fails.  The search works on residues,
+confirms every complete assignment with that check, and returns the maps in
+the lexicographic order of enumerate_vectors, which is their only order.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ def _compatibility(mp: MatchedPair) -> tuple:
     states that coordinate k of lhs(h_i, h_j) - rhs(h_i, h_j) vanishes; it is
     a pair (linear, quadratic) of term tuples (cell, coeff) and
     (cell, cell, coeff) with nonzero raw coefficients (residues over GF(p),
-    Fractions over Q).  Equations without terms hold for every r and are
-    left out.  The result is cached on the pair.
+    canonical rationals over Q).  Equations without terms hold for every r
+    and are left out.  The result is cached on the pair.
     """
     if mp._compat is not None:
         return mp._compat

@@ -1,17 +1,21 @@
 """Exact field arithmetic and linear algebra over the rationals and GF(p).
 
-Everything here is exact: rationals are stdlib fractions (always in lowest
-terms, positive denominator), prime-field residues are ints in [0, p).  All
-values are immutable and all operations pure, so concurrent use is safe and
-every test downstream can assert strict equality.
+Everything here is exact: a rational is kept canonical, as an int when it
+is integral and as a stdlib Fraction (lowest terms, denominator > 1) when it
+is not, and prime-field residues are ints in [0, p).  All values are
+immutable and all operations pure, so concurrent use is safe and every test
+downstream can assert strict equality.
 
 Scalar is the boundary type: every value a caller passes in or gets back is
-a Scalar tagged by its field.  Inside, values are raw: Fractions over Q and
-residues in [0, p) over GF(p).  A Matrix keeps raw entries: its public
-constructors coerce them once, sums, products and elimination run on them,
-and its accessors box what they hand out.  Elimination (rref, and so rank,
-nullspace, solve, inverse and span_rref, and det) runs on plain ints,
-fraction-free over Q and on residues over GF(p).
+a Scalar tagged by its field.  Inside, values are raw: canonical rationals
+over Q (an int and an equal Fraction compare and hash alike, so raw tuples
+mean the same either way) and residues in [0, p) over GF(p).  Every raw value
+the module computes goes through Field._reduce, which makes it canonical.  A
+Matrix keeps raw entries: its public constructors coerce them once, sums,
+products and elimination run on them, and its accessors box what they hand
+out.  Elimination (rref, and so rank, nullspace, solve, inverse and
+span_rref, and det) runs on plain ints, fraction-free over Q and on residues
+over GF(p).
 
 A vector at the boundary is a tuple of Scalars (vadd, vsub, vscale and
 dot work on those).  Inside, a vector is a tuple of raw entries: the Lie
@@ -87,8 +91,8 @@ class Field:
         field = super().__new__(cls)
         field.kind = kind
         field.p = p
-        # the canonical form of a computed raw entry (an empty sum is the int 0)
-        field._reduce = _fraction if p is None else p.__rmod__
+        # the canonical form of a computed raw entry
+        field._reduce = _rational if p is None else p.__rmod__
         field.zero = field.scalar(0)
         field.one = field.scalar(1)
         # two threads may build the same field; setdefault keeps the first
@@ -128,7 +132,8 @@ class Field:
         return Scalar(self, self._raw(value))
 
     def _raw(self, value):
-        """What scalar(value) holds: a Fraction over Q, a residue over GF(p)."""
+        """What scalar(value) holds: a canonical rational over Q, a residue
+        over GF(p)."""
         if isinstance(value, Scalar):
             if value.field is not self:
                 raise FieldMismatch(f"scalar over {value.field}, expected {self}")
@@ -138,7 +143,7 @@ class Field:
         if not isinstance(value, (int, Fraction)):
             raise BadParameter(f"{value!r} is not an exact field element over {self}")
         if self.kind == KIND_Q:
-            return _fraction(value)
+            return _rational(value)
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator not invertible mod {self.p}")
@@ -208,9 +213,7 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.field.kind == KIND_Q:
-            return Scalar(self.field, self.value + other.value)
-        return Scalar(self.field, (self.value + other.value) % self.field.p)
+        return Scalar(self.field, self.field._reduce(self.value + other.value))
 
     __radd__ = __add__
 
@@ -218,9 +221,7 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.field.kind == KIND_Q:
-            return Scalar(self.field, self.value - other.value)
-        return Scalar(self.field, (self.value - other.value) % self.field.p)
+        return Scalar(self.field, self.field._reduce(self.value - other.value))
 
     def __rsub__(self, other):
         coerced = self._coerce(other)
@@ -232,9 +233,7 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.field.kind == KIND_Q:
-            return Scalar(self.field, self.value * other.value)
-        return Scalar(self.field, (self.value * other.value) % self.field.p)
+        return Scalar(self.field, self.field._reduce(self.value * other.value))
 
     __rmul__ = __mul__
 
@@ -245,22 +244,25 @@ class Scalar:
         return self * other.inverse()
 
     def __neg__(self):
-        if self.field.kind == KIND_Q:
-            return Scalar(self.field, -self.value)
-        return Scalar(self.field, (-self.value) % self.field.p)
+        return Scalar(self.field, self.field._reduce(-self.value))
 
     def inverse(self) -> "Scalar":
         if not self:
             raise ZeroDivisionError("inverse of zero")
         if self.field.kind == KIND_Q:
-            return Scalar(self.field, 1 / self.value)
+            # 1 / an int would be a float
+            return Scalar(self.field, _rational(Fraction(1, self.value)))
         return Scalar(self.field, pow(self.value, self.field.p - 2, self.field.p))
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
             return self.field == other.field and self.value == other.value
         if isinstance(other, (int, Fraction)):
-            return self == self.field.scalar(other)
+            try:
+                return self.value == self.field._raw(other)
+            except ZeroDivisionError:
+                # a Fraction whose denominator p divides is no element of GF(p)
+                return False
         return NotImplemented
 
     def __hash__(self):
@@ -324,9 +326,12 @@ def enumerate_vectors(field: Field, length: int) -> Iterator[tuple]:
     return enumerate_affine(field, zero_vector(field, length), unit)
 
 
-def _fraction(x) -> Fraction:
-    # Fraction(x) copies a Fraction, at about 20 times the cost of this check
-    return x if type(x) is Fraction else Fraction(x)
+def _rational(x):
+    """The canonical raw form of an int or Fraction: an int when it is
+    integral, else the Fraction itself (its denominator is then > 1)."""
+    if type(x) is int:
+        return x
+    return x.numerator if x.denominator == 1 else x
 
 
 def _box(field: Field, values) -> tuple:
@@ -335,7 +340,7 @@ def _box(field: Field, values) -> tuple:
 
 class Matrix:
     """Dense exact matrix; raw is a tuple of row tuples of raw entries,
-    Fractions over Q and residues in [0, p) over GF(p).
+    canonical rationals over Q and residues in [0, p) over GF(p).
 
     The public constructors coerce the entries once and every method works on
     raw; only rows, col, cols, entries_flat, mul_vector, nullspace, solve and
@@ -519,7 +524,10 @@ class Matrix:
             rows, pivots = _integer_rref(rows, self.ncols)
             one = field.one.value
             red = [
-                tuple(zero if not x else one if x == piv else Fraction(x, piv) for x in row)
+                tuple(
+                    zero if not x else one if x == piv else _rational(Fraction(x, piv))
+                    for x in row
+                )
                 for row, piv in ((row, row[pc]) for row, pc in zip(rows, pivots))
             ]
         else:
@@ -563,7 +571,7 @@ class Matrix:
         field = self.field
         if field.kind == KIND_Q:
             rows, scale = _clear_denominators(self.raw)
-            return Scalar(field, Fraction(_bareiss_det(rows), scale))
+            return Scalar(field, _rational(Fraction(_bareiss_det(rows), scale)))
         return Scalar(field, _residue_det(list(self.raw), field.p))
 
     def inverse(self) -> Optional["Matrix"]:
@@ -619,13 +627,14 @@ def _null_rows(field: Field, red: Matrix, pivots: tuple, ncols: int) -> list:
 
 
 def _clear_denominators(rows) -> tuple:
-    """Integer rows from rows of Fractions, each row scaled by the lcm of
-    its denominators, and the product of those scales."""
+    """Integer rows from rows of canonical rationals, each row scaled by the
+    lcm of its denominators, and the product of those scales; a row of ints
+    is copied as it is."""
     out = []
     scale = 1
     for row in rows:
         den = lcm(*(v.denominator for v in row))
-        out.append([v.numerator * (den // v.denominator) for v in row])
+        out.append(list(row) if den == 1 else [v.numerator * (den // v.denominator) for v in row])
         scale *= den
     return out, scale
 

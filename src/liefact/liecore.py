@@ -7,9 +7,10 @@ builds, once, the dense bracket table _table[i][j] = [e_i, e_j]: antisymmetric,
 with zero vectors on the diagonal and for pairs that bracket to zero.  Basis
 brackets, ad(e_i) and the linear systems of this module read that table.
 
-Both hold raw entries (Fractions over Q, residues in [0, p) over GF(p)), and
-so does a Subspace's rref basis; the bilinear bracket _bracket runs on raw
-vectors.  Scalars appear only at the accessors: bracket_basis, bracket, ad,
+Both hold raw entries (canonical rationals over Q: ints when integral,
+Fractions otherwise; residues in [0, p) over GF(p)), and so does a
+Subspace's rref basis; the bilinear bracket _bracket runs on raw vectors.
+Scalars appear only at the accessors: bracket_basis, bracket, ad,
 sc_pairs, Subspace.basis and Subspace.coordinates box what they return, and
 the series, center, Killing Gram, characteristic polynomial and invariant
 forms are computed from the raw table and raw rows.
@@ -481,22 +482,33 @@ class LinearMap:
 
 @dataclass(frozen=True)
 class BilinearForm:
-    """Bilinear form on an algebra, given by its Gram matrix."""
+    """Bilinear form on an algebra, given by its dim x dim Gram matrix."""
 
     algebra: LieAlgebra
     gram: Matrix
+
+    def __post_init__(self):
+        if self.gram.nrows != self.algebra.dim or self.gram.ncols != self.algebra.dim:
+            raise DimensionMismatch("Gram matrix shape does not match the algebra")
+        if self.gram.field != self.algebra.field:
+            raise FieldMismatch("form and algebra must share one field")
 
     def evaluate(self, x, y) -> Scalar:
         return dot(x, self.gram.mul_vector(y), self.algebra.field)
 
     def is_invariant(self) -> bool:
+        """B([e_i, e_j], e_k) = B(e_i, [e_j, e_k]) on every basis triple, with
+        B(u, v) = u^T G v summed off the raw table and the raw Gram G."""
         alg = self.algebra
-        e = [basis_vector(alg.field, alg.dim, i) for i in range(alg.dim)]
-        return not any(defects(
-            itertools.product(range(alg.dim), repeat=3),
-            lambda i, j, k: self.evaluate(alg.bracket_basis(i, j), e[k]),
-            lambda i, j, k: self.evaluate(e[i], alg.bracket_basis(j, k)),
-        ))
+        t, g, red = alg._table, self.gram.raw, alg.field._reduce
+        g_cols = tuple(zip(*g))
+        span = range(alg.dim)
+        return not any(
+            red(sum(map(mul, t[i][j], g_cols[k])) - sum(map(mul, g[i], t[j][k])))
+            for i in span
+            for j in span
+            for k in span
+        )
 
     def is_nondegenerate(self) -> bool:
         return bool(self.gram.det())

@@ -3,16 +3,16 @@
 A matched pair carries two Lie algebras g, h and mutual actions
 (right: h x g -> h, left: h x g -> g); the bicrossed product glues g and h
 along them, with [g_a, h_i] = -(h_i |> g_a) - (h_i <| g_a).  The action
-tables are kept raw, as LieAlgebra keeps its structure constants: Fractions
-over Q, residues in [0, p) over GF(p), zero entries not stored; act_right
-and act_left box what they return.  The pair is matched exactly when the
-bicrossed bracket satisfies Jacobi, and the two module axioms and two mixed
-compatibilities are the blocks of its Jacobiator on mixed triples, so
-check_matched_pair reads them off that Jacobiator and adds the Jacobi
-identity of g and h themselves; bicrossed_product raises on that same
-report.  The dimension-1 case is equivalent to a twisted derivation of h,
-which is how every codimension-1 extension in this toolkit is produced:
-h_lambda_delta is the bicrossed product of pair_from_twisted.
+tables are kept raw, as LieAlgebra keeps its structure constants: canonical
+rationals over Q (ints when integral), residues in [0, p) over GF(p), zero
+entries not stored; act_right and act_left box what they return.  The pair is
+matched exactly when the bicrossed bracket satisfies Jacobi, and the two
+module axioms and two mixed compatibilities are the blocks of its Jacobiator
+on mixed triples, so check_matched_pair reads them off that Jacobiator and
+adds the Jacobi identity of g and h themselves; bicrossed_product raises on
+that same report.  The dimension-1 case is equivalent to a twisted derivation
+of h, which is how every codimension-1 extension in this toolkit is
+produced: h_lambda_delta is the bicrossed product of pair_from_twisted.
 
 Each named extension of l(2n+1,k) is built from its datum: a gate on the
 parameters, then a Tn block datum (TnElement), then one construction that

@@ -14,7 +14,8 @@ of ad matrices and the lower central series that brackets [L, L] anew
 instead of reading it off the derived series.  The Delta-intertwining
 relation of an automorphism triple and the product of the semidirect group
 are here on Scalars too, as the library had them before they ran on raw
-entries.
+entries, and so is the invariance check of a bilinear form, by evaluate on
+boxed basis vectors.
 """
 
 import itertools
@@ -235,3 +236,15 @@ def semidirect_multiply(s1, s2):
     on Scalars."""
     twist = vscale(s1.alpha.inverse(), s1.v.matrix.mul_vector(s2.translation))
     return SemidirectElement(vadd(s1.translation, twist), s1.alpha * s2.alpha, s1.v.compose(s2.v))
+
+
+def is_invariant(form) -> bool:
+    """B([e_i, e_j], e_k) = B(e_i, [e_j, e_k]) on every basis triple, by
+    form.evaluate on boxed basis vectors."""
+    alg = form.algebra
+    e = [basis_vector(alg.field, alg.dim, i) for i in range(alg.dim)]
+    return not any(defects(
+        itertools.product(range(alg.dim), repeat=3),
+        lambda i, j, k: form.evaluate(alg.bracket_basis(i, j), e[k]),
+        lambda i, j, k: form.evaluate(e[i], alg.bracket_basis(j, k)),
+    ))

@@ -139,6 +139,24 @@ def test_scalar_normalization_and_strings():
         Q.from_string("x")
 
 
+def test_a_fraction_outside_gf_p_compares_unequal():
+    # 1/3 has no value mod 3, so it equals no element of GF(3), and saying so
+    # raises nothing
+    assert not F3.one == fractions.Fraction(1, 3)
+    assert F3.one != fractions.Fraction(1, 3)
+    assert F3.scalar(2) == fractions.Fraction(1, 2)
+
+
+def test_rational_division_stays_exact():
+    # 1 / an int is a float; inverse and division must give Fractions
+    half = Q.scalar(2).inverse().value
+    assert type(half) is fractions.Fraction and half == fractions.Fraction(1, 2)
+    third = (Q.scalar(3) / 6).value
+    assert type(third) is fractions.Fraction and third == fractions.Fraction(1, 2)
+    assert type((Q.scalar(6) / 3).value) is int
+    assert type(Q.scalar(-1).inverse().value) is int
+
+
 def test_scalar_field_mismatch():
     with pytest.raises(FieldMismatch):
         Q.one + F5.one
@@ -626,13 +644,18 @@ def reference_inverse(m: Matrix):
     return [list(row[n:]) for row in red.rows]
 
 
+def _canonical_rational(x) -> bool:
+    """An int, or a Fraction that is not integral: the one raw form over Q."""
+    return type(x) is int or (type(x) is fractions.Fraction and x.denominator > 1)
+
+
 def _assert_raw_in(m: Matrix, field: Field):
     assert m.field is field and len(m.raw) == m.nrows
     for row in m.raw:
         assert len(row) == m.ncols
         for x in row:
             if field is Q:
-                assert type(x) is fractions.Fraction
+                assert _canonical_rational(x)
             else:
                 assert type(x) is int and 0 <= x < field.p
 
@@ -761,3 +784,55 @@ def test_scalar_rejects_floats():
     for value, call in calls.items():
         with pytest.raises(BadParameter, match=value):
             call()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_raw_rationals_are_canonical(data):
+    """Every raw rational made over Q is an int or a non-integral Fraction,
+    whatever the inputs: Fractions with denominator 1 are drawn often."""
+    from liefact.liecore import LieAlgebra, Subspace
+    from liefact.matched import MatchedPair
+
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    dim = data.draw(st.integers(1, 4), label="dim")
+
+    def vec(n=dim):
+        return [data.draw(entry) for _ in range(n)]
+
+    def grid(nrows, ncols):
+        return [vec(ncols) for _ in range(nrows)]
+
+    x, y = Q.scalar(data.draw(entry)), Q.scalar(data.draw(entry))
+    values = [Q._raw(data.draw(entry)), Q.from_string("4/2").value, Q.from_string("-6/3").value]
+    values += [(x + y).value, (x - y).value, (x * y).value, (-x).value, (3 * x).value]
+    if y:
+        values += [(x / y).value, y.inverse().value]
+
+    names = [f"e{k}" for k in range(dim)]
+    alg = LieAlgebra(Q, names, {pair: vec() for pair in itertools.combinations(range(dim), 2)})
+    algebras = [alg]
+    p = Matrix(Q, grid(dim, dim))
+    if p.is_invertible():
+        algebras.append(alg.change_basis(p))
+    for a in algebras:
+        values += [c for v in a._sc.values() for c in v]
+        values += [c for row in a._table for v in row for c in v]
+    values += [c for row in Subspace(alg, grid(2, dim)).rows for c in row]
+    h = LieAlgebra.abelian(Q, 2)
+    pairs = [(i, j) for i in range(2) for j in range(dim)]
+    mp = MatchedPair(alg, h, {k: vec(2) for k in pairs}, {k: vec() for k in pairs})
+    values += [c for table in (mp.right, mp.left) for v in table.values() for c in v]
+
+    m = Matrix(Q, grid(dim, dim + 1))
+    sq = Matrix(Q, grid(dim, dim))
+    values += [c for row in m.rref()[0].raw for c in row]
+    values += [c.value for v in m.nullspace() for c in v]
+    values.append(sq.det().value)
+    inv = sq.inverse()
+    if inv is not None:
+        values += [c for row in inv.raw for c in row]
+    sol = sq.solve(tuple(Q.scalar(c) for c in vec()))
+    if sol is not None:
+        values += [c.value for c in sol[0]] + [c.value for v in sol[1] for c in v]
+    assert all(map(_canonical_rational, values)), values

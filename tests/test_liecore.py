@@ -281,6 +281,57 @@ def test_invariant_forms_abelian_and_l3():
             assert not form.evaluate(E, basis_vector(Q, 3, k))
 
 
+@st.composite
+def forms_on_algebras(draw):
+    """A form on a Lie algebra or on random structure constants, over Q or
+    GF(p): a random Gram, a combination of the invariant forms, or such a
+    combination with one entry moved."""
+    field = draw(st.sampled_from((Q, F2, F5, Field.gf(2**31 - 1))))
+    makers = [matched.make_sl2, lambda f: matched.make_l(1, f), lambda f: matched.make_L(1, f),
+              lambda f: LieAlgebra.abelian(f, 2), lambda f: deform.make_h_a(f, 3)]
+    if field is Q:
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    else:
+        entry = st.integers(0, field.p - 1) | st.just(field.p - 1)
+    make = draw(st.sampled_from(makers + [None]))
+    if make is None:
+        dim = draw(st.integers(1, 4))
+        vector = st.lists(entry, min_size=dim, max_size=dim)
+        pairs = itertools.combinations(range(dim), 2)
+        alg = LieAlgebra(field, [f"e{k}" for k in range(dim)], {p: draw(vector) for p in pairs})
+    else:
+        alg = make(field)
+    n = alg.dim
+    kind = draw(st.sampled_from(("random", "invariant", "moved")))
+    if kind == "random":
+        row = st.lists(entry, min_size=n, max_size=n)
+        gram = Matrix(field, draw(st.lists(row, min_size=n, max_size=n)))
+    else:
+        gram = Matrix.zeros(field, n, n)
+        for form in invariant_bilinear_forms(alg):
+            gram = gram + field.scalar(draw(entry)) * form.gram
+        if kind == "moved":
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            rows = [list(row) for row in gram.rows]
+            rows[i][j] = rows[i][j] + field.one
+            gram = Matrix(field, rows)
+    return BilinearForm(alg, gram)
+
+
+@settings(max_examples=150, deadline=None)
+@given(forms_on_algebras())
+def test_raw_invariance_matches_the_boxed_reference(form):
+    assert form.is_invariant() == boxed.is_invariant(form)
+
+
+def test_a_form_rejects_a_gram_of_another_shape_or_field():
+    sl2 = matched.make_sl2(Q)
+    with pytest.raises(DimensionMismatch):
+        BilinearForm(sl2, Matrix.identity(Q, 2))
+    with pytest.raises(FieldMismatch):
+        BilinearForm(sl2, Matrix.identity(F5, 3))
+
+
 def test_invariant_forms_symmetric_flag():
     ab = LieAlgebra.abelian(Q, 2)
     assert len(invariant_bilinear_forms(ab, symmetric=True)) == 3
