@@ -44,7 +44,6 @@ from .exactmath import (
     Field,
     Matrix,
     enumerate_vectors,
-    is_zero_vector,
 )
 from .liecore import LieAlgebra, basis_pairs, charpolys_differ, derived_ad_charpoly
 from .matched import MatchedPair, canonical_pair_L, canonical_pair_m, _finish
@@ -320,13 +319,9 @@ class DeformationFamily:
             yield DeformationMap(self.mp, self.builder(*params))
 
 
-def _nonzero(v) -> bool:
-    return not is_zero_vector(v)
-
-
 def _nonzero_vectors(field: Field, n: int) -> Iterator[tuple]:
     """Parameter tuples (a,) for the nonzero vectors a of length n, in order."""
-    return ((a,) for a in enumerate_vectors(field, n) if _nonzero(a))
+    return ((a,) for a in enumerate_vectors(field, n) if any(a))
 
 
 def _split_vectors(field: Field, n: int) -> Iterator[tuple]:
@@ -372,7 +367,7 @@ def closed_form_defmaps_L(n: int, field: Field) -> list:
         raise CharTwo("the closed form assumes characteristic != 2")
     mp = canonical_pair_L(n, field)
     return [
-        DeformationFamily("a", mp, partial(_L_a, field, n), partial(_nonzero_vectors, field, n), _nonzero),
+        DeformationFamily("a", mp, partial(_L_a, field, n), partial(_nonzero_vectors, field, n), any),
         DeformationFamily("bc", mp, partial(_L_bc, field, n), partial(_split_vectors, field, n)),
     ]
 
@@ -387,8 +382,8 @@ def closed_form_defmaps_m(n: int, field: Field) -> list:
     mp = canonical_pair_m(n, field)
     nonzero_vectors = partial(_nonzero_vectors, field, n)
     return [
-        DeformationFamily("a", mp, partial(_m_a, field, n), nonzero_vectors, _nonzero),
-        DeformationFamily("b", mp, partial(_m_b, field, n), nonzero_vectors, _nonzero),
+        DeformationFamily("a", mp, partial(_m_a, field, n), nonzero_vectors, any),
+        DeformationFamily("b", mp, partial(_m_b, field, n), nonzero_vectors, any),
         DeformationFamily("c", mp, partial(_m_c, field, n), partial(enumerate_vectors, field, 1)),
     ]
 
@@ -496,7 +491,7 @@ def _vector_param(field: Field, a, allow_zero: bool) -> tuple:
     vec = tuple(field.scalar(x) for x in a)
     if not vec:
         raise BadParameter("parameter vector must be nonempty")
-    if not allow_zero and is_zero_vector(vec):
+    if not allow_zero and not any(vec):
         raise BadParameter("parameter vector must be nonzero")
     return vec
 

@@ -8,19 +8,24 @@ derivation law
 
 The lambda-terms carry the sign that makes every codimension-1 extension
 bracket satisfy Jacobi; with lambda = 0 the law reduces to the ordinary
-derivation law.  Twisted derivations of the family l(2n+1,k) admit a block
-closed form (TnElement below), which the tests play off against this
-module's generic solver.
+derivation law.  The law is stated once, on raw entries, as the linear
+system _twisted_system in the entries of Delta: the solvers take its null
+space, and a given pair (lambda, Delta) is checked by applying it to Delta.
+Twisted derivations of the family l(2n+1,k) admit a block closed form
+(TnElement below), which the tests play off against this module's generic
+solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
+    FieldMismatch,
     InvalidTn,
     LambdaNotAdmissible,
     NotADerivation,
@@ -30,16 +35,12 @@ from .exactmath import (
     Field,
     Matrix,
     Scalar,
-    basis_vector,
-    dot,
+    _box,
     enumerate_affine,
     span_rref,
-    vadd,
-    vscale,
-    vsub,
     zero_vector,
 )
-from .liecore import LieAlgebra, LinearMap, basis_pairs, defects, right_bracket_matrix
+from .liecore import LieAlgebra, LinearMap, basis_pairs, right_bracket_matrix
 
 
 @dataclass(frozen=True)
@@ -48,40 +49,48 @@ class TwistedDerivation:
     delta: Matrix
 
     def _defects(self, algebra: LieAlgebra):
-        """Both identities on each basis pair (i, j), as one pair of sides:
-        (lambda([e_i, e_j]), Delta([e_i, e_j])) against (0, the derivation
-        law's right-hand side)."""
-        f = algebra.field
-        e = [basis_vector(f, algebra.dim, i) for i in range(algebra.dim)]
-        lam, d = self.lam, self.delta
-
-        def lhs(i, j):
-            bij = algebra.bracket_basis(i, j)
-            return dot(lam, bij, f), d.mul_vector(bij)
-
-        def rhs(i, j):
-            di, dj = d.col(i), d.col(j)
-            law = vadd(algebra.bracket(di, e[j]), algebra.bracket(e[i], dj))
-            return f.zero, vadd(law, vsub(vscale(lam[j], di), vscale(lam[i], dj)))
-
-        return defects(basis_pairs(algebra.dim), lhs, rhs)
+        """(i, j, lambda([e_i, e_j]), Delta-defect), raw, for each basis pair
+        where either is nonzero; the Delta-defects are _twisted_system
+        applied to the row-major entries of Delta, dim entries per pair."""
+        n, f, d = algebra.dim, algebra.field, self.delta
+        if (d.nrows, d.ncols, len(self.lam)) != (n, n, n):
+            raise DimensionMismatch("Delta must be dim x dim and lambda of length dim")
+        if d.field is not f:
+            raise FieldMismatch(f"Delta over {d.field} on an algebra over {f}")
+        lam = tuple(map(f._raw, self.lam))
+        on_brackets = _lambda_of_brackets(algebra, lam)
+        law = _twisted_system(algebra, lam)._apply([x for row in d.raw for x in row])
+        for q, pair in enumerate(basis_pairs(n)):
+            lam_val, delta_val = on_brackets.get(pair, 0), law[q * n : (q + 1) * n]
+            if lam_val or any(delta_val):
+                yield (*pair, lam_val, delta_val)
 
     def violations(self, algebra: LieAlgebra) -> list:
-        """Defects of the two defining identities on all basis pairs."""
+        """Defects of the two defining identities on all basis pairs, boxed:
+        per pair a "lambda" record, then a "delta" one, where nonzero."""
+        f = algebra.field
         bad = []
-        for (i, j), (lam_val, dl), (_, dr) in self._defects(algebra):
+        for i, j, lam_val, delta_val in self._defects(algebra):
             if lam_val:
-                bad.append(("lambda", i, j, lam_val))
-            if dl != dr:
-                bad.append(("delta", i, j, vsub(dl, dr)))
+                bad.append(("lambda", i, j, Scalar(f, lam_val)))
+            if any(delta_val):
+                bad.append(("delta", i, j, _box(f, delta_val)))
         return bad
 
     def is_valid_for(self, algebra: LieAlgebra) -> bool:
         return not any(self._defects(algebra))
 
 
+def _lambda_of_brackets(algebra: LieAlgebra, lam) -> dict:
+    """lambda([e_i, e_j]) for a raw lambda, raw, keyed by the stored pairs."""
+    red = algebra.field._reduce
+    return {pair: red(sum(map(mul, lam, vec))) for pair, vec in algebra._sc.items()}
+
+
 def _twisted_system(algebra: LieAlgebra, lam) -> Matrix:
-    """Linear system in the dim^2 entries of Delta for a fixed lambda."""
+    """Linear system in the dim^2 row-major entries of Delta for a fixed raw
+    lambda: row (i, j, k), pairs i < j in order, is coordinate k of the
+    law's left-hand side minus its right-hand side."""
     n = algebra.dim
     f = algebra.field
     red = f._reduce
@@ -101,9 +110,9 @@ def _twisted_system(algebra: LieAlgebra, lam) -> Matrix:
                 if cim:
                     row[m * n + j] = red(row[m * n + j] - cim)
             if lam[j]:
-                row[k * n + i] = red(row[k * n + i] - lam[j].value)
+                row[k * n + i] = red(row[k * n + i] - lam[j])
             if lam[i]:
-                row[k * n + j] = red(row[k * n + j] + lam[i].value)
+                row[k * n + j] = red(row[k * n + j] + lam[i])
             rows.append(tuple(row))
     return Matrix._of_raw(f, tuple(rows), n * n)
 
@@ -120,7 +129,7 @@ def _maps_from_flat(algebra: LieAlgebra, flats) -> list:
 
 def derivation_space(algebra: LieAlgebra) -> list:
     """Basis of {D : D[x,y] = [Dx,y] + [x,Dy]}."""
-    lam = zero_vector(algebra.field, algebra.dim)
+    lam = (algebra.field.zero.value,) * algebra.dim
     return _maps_from_flat(algebra, _twisted_system(algebra, lam)._null_raw())
 
 
@@ -149,14 +158,14 @@ def is_inner(algebra: LieAlgebra, d: LinearMap) -> Optional[tuple]:
 
 
 def lambda_is_admissible(algebra: LieAlgebra, lam) -> bool:
-    return not any(dot(lam, vec, algebra.field) for vec in algebra._sc.values())
+    return not any(_lambda_of_brackets(algebra, algebra._raw_vector(lam)).values())
 
 
 def twisted_derivations_for_lambda(algebra: LieAlgebra, lam) -> list:
     """Basis of the Delta-solution space for one fixed admissible lambda."""
-    lam = tuple(algebra.field.scalar(x) for x in lam)
     if len(lam) != algebra.dim:
         raise DimensionMismatch("lambda must have length dim")
+    lam = algebra._raw_vector(lam)
     if not lambda_is_admissible(algebra, lam):
         raise LambdaNotAdmissible("lambda does not vanish on the derived algebra")
     return _maps_from_flat(algebra, _twisted_system(algebra, lam)._null_raw())

@@ -17,11 +17,12 @@ out.  Elimination (rref, and so rank, nullspace, solve, inverse and
 span_rref, and det) runs on plain ints, fraction-free over Q and on residues
 over GF(p).
 
-A vector at the boundary is a tuple of Scalars (vadd, vsub, vscale and
-dot work on those).  Inside, a vector is a tuple of raw entries: the Lie
-algebras and subspaces of liecore keep their bracket tables and bases that
-way.  _span_rows is span_rref on raw rows, and _intersect_rows intersects
-two spans of raw rows.
+A vector at the boundary is a tuple of Scalars; zero_vector and
+basis_vector build the two a caller needs most, and the module has no
+arithmetic on such tuples.  Inside, a vector is a tuple of raw entries: the
+Lie algebras and subspaces of liecore keep their bracket tables and bases
+that way, and every sum, product and law check runs on those.  _span_rows is
+span_rref on raw rows, and _intersect_rows intersects two spans of raw rows.
 
 Each field has one instance, built and validated on first use with its zero
 and one, so comparing the fields of two operands is an identity check.
@@ -192,7 +193,12 @@ class Field:
 
 
 class Scalar:
-    """A single exact field element, tagged by its field."""
+    """A single exact field element, tagged by its field.
+
+    It hashes as its raw value, so it meets in a set the int or Fraction it
+    equals when that is canonical (Q.one and 1).  A non-canonical int such
+    as 6 over GF(5) compares equal to the Scalar 1 but cannot hash alike.
+    """
 
     __slots__ = ("field", "value")
 
@@ -266,7 +272,7 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.value))
+        return hash(self.value)
 
     def __bool__(self):
         return self.value != 0
@@ -301,22 +307,6 @@ def zero_vector(field: Field, n: int) -> tuple:
 def basis_vector(field: Field, n: int, i: int) -> tuple:
     z, o = field.zero, field.one
     return tuple(o if k == i else z for k in range(n))
-
-
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c: Scalar, u):
-    return tuple(c * a for a in u)
-
-
-def is_zero_vector(u) -> bool:
-    return not any(u)
 
 
 def enumerate_vectors(field: Field, length: int) -> Iterator[tuple]:
@@ -767,13 +757,6 @@ def _residue_det(rows: list, p: int) -> int:
                 f = row[c] * inv % p
                 rows[r] = [(x - f * y) % p for x, y in zip(row, prow)]
     return det
-
-
-def dot(u, v, field: Field) -> Scalar:
-    if len(u) != len(v):
-        raise DimensionMismatch("dot of unequal lengths")
-    raw = field._raw
-    return Scalar(field, field._reduce(sum(map(mul, map(raw, u), map(raw, v)))))
 
 
 def span_rref(field: Field, vectors) -> list:

@@ -16,9 +16,10 @@ The search runs on residues in [0, p): it reads both algebras' raw bracket
 tables and the raw rows of the image domains, which _image_domains
 intersects from the raw bases of the characteristic subspaces; each
 candidate set takes one elimination, and a witness is boxed only when it is
-reported.  Every Yes is re-verified at its leaf against the full bracket
-tables (rank n, and [e_i, e_j] mapped to [x_i, x_j] on every basis pair)
-before it is reported.
+reported.  Every Yes is re-verified at its leaf before it is reported: the
+assigned columns must have a nonzero determinant mod p, and then the matrix
+they make must pass liecore's Lie-morphism law on the full bracket tables,
+the same check verify_iso runs, in either search direction.
 
 The automorphism-triple group law, membership and the semidirect embedding
 run on raw entries too.  Each triple is checked once, on first use, and
@@ -49,6 +50,7 @@ from .liecore import (
     LieAlgebra,
     LinearMap,
     _kept,
+    _morphism_defects,
     center,
     charpolys_differ,
     derived_ad_charpoly,
@@ -99,11 +101,11 @@ def fingerprint(algebra: LieAlgebra) -> Fingerprint:
 def verify_iso(a: LieAlgebra, b: LieAlgebra, m) -> bool:
     """True iff m is invertible and preserves every basis bracket."""
     matrix = m.matrix if isinstance(m, LinearMap) else m
-    if a.field != b.field or a.dim != b.dim:
+    if a.field != b.field or matrix.field != a.field or a.dim != b.dim:
         return False
     if matrix.nrows != b.dim or matrix.ncols != a.dim:
         return False
-    return matrix.is_invertible() and LinearMap(a, b, matrix).is_lie_morphism()
+    return matrix.is_invertible() and not any(_morphism_defects(a, b, matrix))
 
 
 @dataclass(frozen=True)
@@ -227,7 +229,7 @@ def _search_isomorphisms(
     c_a, table_b = a._table, b._table
     support = [[frozenset(m for m in span if c[m]) for c in row] for row in c_a]
     # ad_lines[r][j][i] = [e_i, e_j]_r in b, so row r of ad(x) is
-    # (dot(x, ad_lines[r][j]) for j): ad of an image comes straight from b's table
+    # (x . ad_lines[r][j] for j): ad of an image comes straight from b's table
     ad_lines = [[tuple(table_b[i][j][r] for i in span) for j in span] for r in span]
     ad_rank = [len(_residue_rref([list(c) for c in c_a[i]], n, p)[1]) for i in span]
     # dom_rows[k][r]: row r of the matrix whose columns are the domain basis of e_k
@@ -312,26 +314,18 @@ def _search_isomorphisms(
             null.append(v)
         return tuple(x % p for x in part), null
 
-    def is_isomorphism():
-        """The leaf check on residues: the assigned columns have rank n and
-        map [e_i, e_j] to [x_i, x_j] for every basis pair."""
-        if _residue_det([list(row) for row in zip(*assigned)], p) == 0:
-            return False
-        for i, j in itertools.combinations(span, 2):
-            image = known_part(c_a[i][j], None)
-            xj = assigned[j]
-            for row, y in zip(ad_cache[i], image):
-                if sum(map(mul, row, xj)) % p != y % p:
-                    return False
-        return True
-
     def expand(remaining):
         nonlocal nodes
         if not remaining:
-            if is_isomorphism():
-                results.append(assigned[:])
-                return not find_all
-            return False
+            # the leaf: rank n by a determinant mod p, then the shared law
+            rows = tuple(zip(*assigned))
+            if _residue_det([list(row) for row in rows], p) == 0:
+                return False
+            m = Matrix._of_raw(f, rows, n)
+            if any(_morphism_defects(a, b, m)):
+                return False
+            results.append(m)
+            return not find_all
         done = [m for m in span if assigned[m] is not None]
         done_set = frozenset(done)
         best = None
@@ -367,8 +361,7 @@ def _search_isomorphisms(
         exhausted = True
     except _BudgetHit:
         exhausted = False
-    witnesses = [Matrix._of_raw(f, tuple(zip(*cols)), n) for cols in results]
-    return witnesses, nodes, exhausted
+    return results, nodes, exhausted
 
 
 def are_isomorphic(a: LieAlgebra, b: LieAlgebra, budget: int = 500000) -> IsoResult:

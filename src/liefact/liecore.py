@@ -15,14 +15,19 @@ sc_pairs, Subspace.basis and Subspace.coordinates box what they return, and
 the series, center, Killing Gram, characteristic polynomial and invariant
 forms are computed from the raw table and raw rows.
 
-Every identity checked on all basis pairs or triples (Jacobi, Lie morphisms,
-derivation and twisted-derivation laws, product structures, invariant forms)
-goes through defects(), a lazy generator of the indices where the two sides
-differ, so a yes/no caller stops at the first defect and a report keeps
-every record in index order.  The Jacobiator of one basis triple is
-_jacobiator, raw; the matched-pair axioms are the Jacobi identity of the
-bicrossed bracket on mixed triples, and check_matched_pair reads them off
-that same _jacobiator, as it reads the Jacobi identity of g and h.
+Each law checked on all basis pairs or triples is stated once, on raw
+entries.  The Jacobi identity, the Lie-morphism law and the integrability of
+a product structure go through defects(), a lazy generator of the indices
+where the two sides differ, so a yes/no caller stops at the first defect and
+a report keeps every record in index order.  The Lie-morphism law is
+_morphism_defects: LinearMap.is_lie_morphism, iso.verify_iso and the leaf of
+the isomorphism search all read it.  Invariance of a bilinear form is summed
+off the raw table and Gram, and the twisted-derivation law (the derivation
+law at lambda = 0) is the linear system derivations._twisted_system.  The
+Jacobiator of one basis triple is _jacobiator, raw; the matched-pair axioms
+are the Jacobi identity of the bicrossed bracket on mixed triples, and
+check_matched_pair reads them off that same _jacobiator, as it reads the
+Jacobi identity of g and h.
 Characteristic subspaces (center, derived and lower central series),
 invariant bilinear forms, self-duality (decided on a finite grid of form
 combinations, over Q as over GF(p)) and product structures all reduce to
@@ -55,9 +60,6 @@ from .exactmath import (
     Matrix,
     Scalar,
     basis_vector,
-    dot,
-    vadd,
-    vsub,
     zero_vector,
     _box,
     _is_json_scalar,
@@ -440,6 +442,18 @@ class Subspace:
         )
 
 
+def _morphism_defects(a: LieAlgebra, b: LieAlgebra, m: Matrix):
+    """The Lie-morphism law m[e_i, e_j] = [m e_i, m e_j] on every basis pair
+    of a, through defects(), raw: m is a b.dim x a.dim matrix over the
+    algebras' field, read column by column; nothing is checked."""
+    cols = tuple(zip(*m.raw)) if m.raw else ((),) * m.ncols
+    return defects(
+        basis_pairs(a.dim),
+        lambda i, j: m._apply(a._table[i][j]),
+        lambda i, j: b._bracket(cols[i], cols[j]),
+    )
+
+
 @dataclass(frozen=True)
 class LinearMap:
     """Linear map between Lie algebras; matrix columns are basis images."""
@@ -458,12 +472,7 @@ class LinearMap:
         return self.matrix.mul_vector(v)
 
     def is_lie_morphism(self) -> bool:
-        m, dom, cod = self.matrix, self.domain, self.codomain
-        return not any(defects(
-            basis_pairs(dom.dim),
-            lambda i, j: m.mul_vector(dom.bracket_basis(i, j)),
-            lambda i, j: cod.bracket(m.col(i), m.col(j)),
-        ))
+        return not any(_morphism_defects(self.domain, self.codomain, self.matrix))
 
     def is_invertible(self) -> bool:
         return self.matrix.is_invertible()
@@ -494,7 +503,10 @@ class BilinearForm:
             raise FieldMismatch("form and algebra must share one field")
 
     def evaluate(self, x, y) -> Scalar:
-        return dot(x, self.gram.mul_vector(y), self.algebra.field)
+        """x^T G y, on the raw entries of x, y and the Gram G."""
+        alg = self.algebra
+        x, y = alg._raw_vector(x), alg._raw_vector(y)
+        return Scalar(alg.field, alg.field._reduce(sum(map(mul, x, self.gram._apply(y)))))
 
     def is_invariant(self) -> bool:
         """B([e_i, e_j], e_k) = B(e_i, [e_j, e_k]) on every basis triple, with
@@ -802,9 +814,10 @@ def is_product_structure(algebra: LieAlgebra, f: LinearMap) -> bool:
     """Involution f != +-id whose +-1 eigenspaces factorize the algebra.
 
     Integrability: f([x,y]) = [f(x),y] + [x,f(y)] - f([f(x),f(y)]) on all
-    basis pairs.  (Some write the defining condition as "f^2 = f" while
-    still working with +-1 eigenspaces; the eigenspace decomposition needs
-    an involution, so f^2 = id is what this checks.)
+    basis pairs, on the raw table and the raw columns of f.  (Some write the
+    defining condition as "f^2 = f" while still working with +-1
+    eigenspaces; the eigenspace decomposition needs an involution, so
+    f^2 = id is what this checks.)
     """
     m = f.matrix
     n = algebra.dim
@@ -815,18 +828,17 @@ def is_product_structure(algebra: LieAlgebra, f: LinearMap) -> bool:
         return False
     if m == ident or m == -ident:
         return False
-    e = [basis_vector(algebra.field, n, i) for i in range(n)]
+    e, cols = ident.raw, tuple(zip(*m.raw))
+    bracket, red = algebra._bracket, algebra.field._reduce
 
     def rhs(i, j):
-        fi, fj = m.col(i), m.col(j)
-        return vsub(
-            vadd(algebra.bracket(fi, e[j]), algebra.bracket(e[i], fj)),
-            m.mul_vector(algebra.bracket(fi, fj)),
-        )
+        fi, fj = cols[i], cols[j]
+        return tuple([
+            red(u + v - w)
+            for u, v, w in zip(bracket(fi, e[j]), bracket(e[i], fj), m._apply(bracket(fi, fj)))
+        ])
 
-    return not any(defects(
-        basis_pairs(n), lambda i, j: m.mul_vector(algebra.bracket_basis(i, j)), rhs
-    ))
+    return not any(defects(basis_pairs(n), lambda i, j: m._apply(algebra._table[i][j]), rhs))
 
 
 def split_product_structure(algebra: LieAlgebra, f: LinearMap) -> tuple:

@@ -15,15 +15,44 @@ instead of reading it off the derived series.  The Delta-intertwining
 relation of an automorphism triple and the product of the semidirect group
 are here on Scalars too, as the library had them before they ran on raw
 entries, and so is the invariance check of a bilinear form, by evaluate on
-boxed basis vectors.
+boxed basis vectors.  So are the vector helpers the library dropped (vadd,
+vsub, vscale, dot, is_zero_vector) and the laws it now states once on raw
+entries: the Lie-morphism law, the twisted-derivation law as bracket
+identities (violations), the integrability of a product structure, and
+evaluate.
 """
 
 import itertools
+from operator import mul
 
 from liefact.deform import DeformationMap, is_deformation_map
-from liefact.exactmath import Matrix, _box, basis_vector, vadd, vscale, vsub, zero_vector
+from liefact.errors import DimensionMismatch
+from liefact.exactmath import Matrix, Scalar, _box, basis_vector, zero_vector
 from liefact.iso import SemidirectElement
 from liefact.liecore import Subspace, basis_pairs, defects
+
+
+def vadd(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vsub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def vscale(c, u):
+    return tuple(c * a for a in u)
+
+
+def is_zero_vector(u) -> bool:
+    return not any(u)
+
+
+def dot(u, v, field) -> Scalar:
+    if len(u) != len(v):
+        raise DimensionMismatch("dot of unequal lengths")
+    raw = field._raw
+    return Scalar(field, field._reduce(sum(map(mul, map(raw, u), map(raw, v)))))
 
 
 def lincomb(coeffs, vectors, start) -> tuple:
@@ -248,3 +277,63 @@ def is_invariant(form) -> bool:
         lambda i, j, k: form.evaluate(alg.bracket_basis(i, j), e[k]),
         lambda i, j, k: form.evaluate(e[i], alg.bracket_basis(j, k)),
     ))
+
+
+def is_lie_morphism(linear_map) -> bool:
+    """m[e_i, e_j] = [m e_i, m e_j] on every basis pair, on Scalars."""
+    m, dom, cod = linear_map.matrix, linear_map.domain, linear_map.codomain
+    return not any(defects(
+        basis_pairs(dom.dim),
+        lambda i, j: m.mul_vector(dom.bracket_basis(i, j)),
+        lambda i, j: cod.bracket(m.col(i), m.col(j)),
+    ))
+
+
+def violations(t, algebra) -> list:
+    """The twisted-derivation law as bracket identities on Scalars: per basis
+    pair, ("lambda", i, j, lambda([e_i, e_j])) and then ("delta", i, j,
+    Delta[e_i, e_j] - [Delta e_i, e_j] - [e_i, Delta e_j] - lambda_j Delta e_i
+    + lambda_i Delta e_j), each only where it is nonzero."""
+    f = algebra.field
+    e = [basis_vector(f, algebra.dim, i) for i in range(algebra.dim)]
+    lam, d = t.lam, t.delta
+    bad = []
+    for i, j in basis_pairs(algebra.dim):
+        bij = algebra.bracket_basis(i, j)
+        lam_val = dot(lam, bij, f)
+        di, dj = d.col(i), d.col(j)
+        law = vadd(algebra.bracket(di, e[j]), algebra.bracket(e[i], dj))
+        law = vadd(law, vsub(vscale(lam[j], di), vscale(lam[i], dj)))
+        if lam_val:
+            bad.append(("lambda", i, j, lam_val))
+        defect = vsub(d.mul_vector(bij), law)
+        if not is_zero_vector(defect):
+            bad.append(("delta", i, j, defect))
+    return bad
+
+
+def is_product_structure(algebra, f) -> bool:
+    """An involution f != +-id with f([x,y]) = [f(x),y] + [x,f(y)] -
+    f([f(x),f(y)]) on every basis pair, on Scalars."""
+    m = f.matrix
+    n = algebra.dim
+    ident = Matrix.identity(algebra.field, n)
+    if m * m != ident or m == ident or m == -ident:
+        return False
+    e = [basis_vector(algebra.field, n, i) for i in range(n)]
+
+    def rhs(i, j):
+        fi, fj = m.col(i), m.col(j)
+        return vsub(
+            vadd(algebra.bracket(fi, e[j]), algebra.bracket(e[i], fj)),
+            m.mul_vector(algebra.bracket(fi, fj)),
+        )
+
+    return not any(defects(
+        basis_pairs(n), lambda i, j: m.mul_vector(algebra.bracket_basis(i, j)), rhs
+    ))
+
+
+def evaluate(form, x, y) -> Scalar:
+    """B(x, y) = x . (G y), on Scalars."""
+    return dot(x, form.gram.mul_vector(y), form.algebra.field)

@@ -14,11 +14,9 @@ from liefact.exactmath import (
     basis_vector,
     enumerate_vectors,
     span_rref,
-    vadd,
-    vscale,
-    vsub,
     zero_vector,
 )
+from boxed_reference import vadd, vscale, vsub
 from liefact import deform, liecore, matched, iso
 from liefact.derivations import TwistedDerivation
 from liefact.deform import (

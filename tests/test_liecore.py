@@ -15,11 +15,10 @@ from liefact.exactmath import (
     _box,
     _intersect_rows,
     basis_vector,
-    is_zero_vector,
     span_rref,
-    vadd,
     zero_vector,
 )
+from boxed_reference import is_zero_vector, vadd
 from liefact import liecore, matched, deform
 from liefact.liecore import (
     BilinearForm,
@@ -109,7 +108,8 @@ def test_bracket_table_matches_sparse_bracket(data):
 @st.composite
 def raw_and_boxed_inputs(draw):
     """An algebra with random structure constants (Jacobi not imposed) over Q
-    or GF(p), two vectors, and two lists of vectors spanning subspaces."""
+    or GF(p), two vectors, two lists of vectors spanning subspaces, and a
+    random square matrix."""
     field = draw(st.sampled_from((Q, F2, F5, Field.gf(2**31 - 1))))
     dim = draw(st.integers(1, 4))
     if field is Q:
@@ -122,7 +122,8 @@ def raw_and_boxed_inputs(draw):
     pairs = itertools.combinations(range(dim), 2)
     alg = LieAlgebra(field, [f"e{k}" for k in range(dim)], {pair: draw(vector) for pair in pairs})
     vectors = st.lists(vector, max_size=dim + 1)
-    return alg, draw(vector), draw(vector), draw(vectors), draw(vectors)
+    square = Matrix(field, draw(st.lists(vector, min_size=dim, max_size=dim)))
+    return alg, draw(vector), draw(vector), draw(vectors), draw(vectors), square
 
 
 def _boxed_in(field, vectors):
@@ -132,7 +133,7 @@ def _boxed_in(field, vectors):
 @settings(max_examples=60, deadline=None)
 @given(raw_and_boxed_inputs())
 def test_raw_paths_match_the_boxed_reference(inputs):
-    alg, x, y, us, vs = inputs
+    alg, x, y, us, vs, square = inputs
     f, n = alg.field, alg.dim
     e = [basis_vector(f, n, j) for j in range(n)]
     assert alg.bracket(x, y) == boxed.bracket(alg, x, y)
@@ -155,6 +156,11 @@ def test_raw_paths_match_the_boxed_reference(inputs):
         f, [boxed.bracket(alg, u, v) for u in a.basis for v in b.basis]
     )
     assert a.sum_with(b) == Subspace(alg, us + vs)
+    form, endo = BilinearForm(alg, square), LinearMap(alg, alg, square)
+    value = form.evaluate(x, y)
+    assert value == boxed.evaluate(form, x, y) and _boxed_in(f, [(value,)])
+    assert endo.is_lie_morphism() == boxed.is_lie_morphism(endo)
+    assert is_product_structure(alg, endo) == boxed.is_product_structure(alg, endo)
 
 
 # -- Jacobi -------------------------------------------------------------------
@@ -322,6 +328,67 @@ def forms_on_algebras(draw):
 @given(forms_on_algebras())
 def test_raw_invariance_matches_the_boxed_reference(form):
     assert form.is_invariant() == boxed.is_invariant(form)
+
+
+@st.composite
+def involutions_of_algebras(draw):
+    """An algebra and an endomorphism over Q or GF(p): the involution that is
+    +1 on the first factor and -1 on the second of a direct product or of a
+    bicrossed product, in a conjugate basis; a random diagonal of signs on
+    a Lie algebra or on random structure constants; or either with one
+    entry moved."""
+    field = draw(st.sampled_from((Q, F2, F5, Field.gf(2**31 - 1))))
+    if field is Q:
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    else:
+        entry = st.integers(0, field.p - 1) | st.just(field.p - 1)
+    makers = [matched.make_sl2, lambda f: matched.make_l(1, f), lambda f: matched.make_L(1, f),
+              lambda f: LieAlgebra.abelian(f, 2), lambda f: deform.make_h_a(f, 3), None]
+
+    def algebra():
+        make = draw(st.sampled_from(makers))
+        if make is not None:
+            return make(field)
+        dim = draw(st.integers(1, 3))
+        vector = st.lists(entry, min_size=dim, max_size=dim)
+        pairs = itertools.combinations(range(dim), 2)
+        return LieAlgebra(field, [f"e{k}" for k in range(dim)], {p: draw(vector) for p in pairs})
+
+    kind = draw(st.sampled_from(("direct", "bicrossed", "signs")))
+    if kind == "signs":
+        alg = algebra()
+        signs = [draw(st.sampled_from((field.one, -field.one))) for _ in range(alg.dim)]
+        m = Matrix(field, [[s if k == i else field.zero for k in range(alg.dim)]
+                           for i, s in enumerate(signs)])
+    else:
+        if kind == "direct":
+            first, second = algebra(), algebra()
+            alg = direct_product(first, second)
+            split = first.dim
+        else:
+            mp = draw(st.sampled_from((matched.canonical_pair_L, matched.canonical_pair_m)))(1, field)
+            alg = matched.bicrossed_product(mp)
+            split = mp.g.dim
+        n = alg.dim
+        m = Matrix(field, [[(field.one if i < split else -field.one) if k == i else field.zero
+                            for k in range(n)] for i in range(n)])
+        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        rebase = Matrix(field, rows)
+        if rebase.is_invertible():
+            alg, m = alg.change_basis(rebase), rebase.inverse() * m * rebase
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, alg.dim - 1)), draw(st.integers(0, alg.dim - 1))
+        rows = [list(row) for row in m.rows]
+        rows[i][j] = rows[i][j] + field.one
+        m = Matrix(field, rows)
+    return alg, LinearMap(alg, alg, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(involutions_of_algebras())
+def test_raw_product_structure_matches_the_boxed_reference(case):
+    alg, f = case
+    assert is_product_structure(alg, f) == boxed.is_product_structure(alg, f)
 
 
 def test_a_form_rejects_a_gram_of_another_shape_or_field():

@@ -13,7 +13,8 @@ from liefact.errors import (
     InvalidTwistedDerivation,
     NotAFactorization,
 )
-from liefact.exactmath import Field, Matrix, basis_vector, vadd, vscale, zero_vector
+from liefact.exactmath import Field, Matrix, basis_vector, zero_vector
+from boxed_reference import vadd, vscale
 from liefact import liecore, matched
 from liefact.derivations import TwistedDerivation, tn_element, tn_to_twisted, tn_validate
 from liefact.liecore import LieAlgebra, Subspace, direct_product
