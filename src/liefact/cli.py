@@ -228,6 +228,8 @@ def _cmd_families(args):
     name, n = args.make, args.n
     if args.field == "Fp" and args.p is None:
         raise BadParameter("--field Fp needs --p")
+    if args.field == "Q" and args.p is not None:
+        raise BadParameter("--field Q runs over the rationals; --p does not apply")
     field = Field.gf(args.p) if args.field == "Fp" else Field.rationals()
 
     def need(what, parse=Field.from_string):

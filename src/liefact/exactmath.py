@@ -619,12 +619,15 @@ def _null_rows(field: Field, red: Matrix, pivots: tuple, ncols: int) -> list:
 def _clear_denominators(rows) -> tuple:
     """Integer rows from rows of canonical rationals, each row scaled by the
     lcm of its denominators, and the product of those scales; a row of ints
-    is copied as it is."""
+    is copied as it is, with no lcm taken."""
     out = []
     scale = 1
     for row in rows:
+        if Fraction not in map(type, row):
+            out.append(list(row))
+            continue
         den = lcm(*(v.denominator for v in row))
-        out.append(list(row) if den == 1 else [v.numerator * (den // v.denominator) for v in row])
+        out.append([v.numerator * (den // v.denominator) for v in row])
         scale *= den
     return out, scale
 
@@ -663,9 +666,14 @@ def _integer_rref(rows: list, ncols: int) -> tuple:
             row = rows[r]
             a = row[pc]
             if a and r != pr:
-                g = gcd(piv, a)
-                pf, af = piv // g, a // g
-                row = [pf * x - af * y for x, y in zip(row, prow)]
+                if a % piv:
+                    g = gcd(piv, a)
+                    pf, af = piv // g, a // g
+                    row = [pf * x - af * y for x, y in zip(row, prow)]
+                else:
+                    # the pivot divides a: no gcd of the two and no scaling
+                    q = a // piv
+                    row = [x - q * y for x, y in zip(row, prow)]
                 g = gcd(*row)
                 rows[r] = [x // g for x in row] if g > 1 else row
         pivots.append(pc)

@@ -683,16 +683,68 @@ def charpolys_differ(u: tuple, v: tuple) -> bool:
 # -- invariant bilinear forms and self-duality ---------------------------------
 
 
+def _generating_indices(algebra: LieAlgebra) -> list:
+    """Basis indices whose vectors generate the algebra, chosen greedily in
+    index order: e_i joins when it lies outside the span generated so far,
+    and that span is then closed under brackets.
+
+    The span is kept as echelon rows by pivot column and grows one raw
+    vector at a time by fraction-free reduction; no elimination is run.
+    """
+    n = algebra.dim
+    red = algebra.field._reduce
+    echelon = {}  # pivot column -> a spanning row whose first nonzero entry is there
+    spanned = []
+
+    def extend(v) -> bool:
+        for p in sorted(echelon):
+            c = v[p]
+            if c:
+                row = echelon[p]
+                v = [red(row[p] * a - c * b) for a, b in zip(v, row)]
+        for p, c in enumerate(v):
+            if c:
+                echelon[p] = v
+                spanned.append(v)
+                return True
+        return False
+
+    generators = []
+    done = 0  # spanned[:done] have been bracketed with each other
+    for i, unit in enumerate(Matrix.identity(algebra.field, n).raw):
+        if len(spanned) == n:
+            break
+        if not extend(unit):
+            continue
+        generators.append(i)
+        while done < len(spanned) < n:
+            u = spanned[done]
+            for w in spanned[:done]:
+                extend(algebra._bracket(u, w))
+            done += 1
+    return generators
+
+
 def invariant_bilinear_forms(algebra: LieAlgebra, symmetric: bool = False) -> list:
-    """Basis of forms with B([a,b],c) = B(a,[b,c]) on all basis triples."""
+    """Basis of forms with B([a,b],c) = B(a,[b,c]) on all basis triples.
+
+    The conditions with middle index j say that e_j kills B under
+    (y.B)(x, z) = -B([y,x], z) - B(x, [y,z]).  On a Lie algebra this action
+    is a representation, so the y that kill B form a subalgebra, and the
+    conditions of a generating set of basis indices (_generating_indices)
+    imply all the others: both systems have the same null space, hence the
+    same RREF and the same forms.  The shortcut is taken only when the
+    bracket passes the Jacobi identity; other brackets get every triple.
+    """
     n = algebra.dim
     f = algebra.field
     red = f._reduce
     t = algebra._table
+    middle = range(n) if algebra.check_jacobi() else _generating_indices(algebra)
     rows = []
     # unknown gram entries g_{m,k} flattened row-major: index m*n + k
     for i in range(n):
-        for j in range(n):
+        for j in middle:
             cij = t[i][j]
             for k in range(n):
                 cjk = t[j][k]
@@ -747,6 +799,9 @@ def self_dual(algebra: LieAlgebra, budget: int = 2000) -> SelfDualResult:
     """
     f = algebra.field
     n = algebra.dim
+    if n == 0:
+        # the 0 x 0 Gram is invariant and nondegenerate (its determinant is 1)
+        return SelfDualResult("yes", form=BilinearForm(algebra, Matrix.identity(f, 0)))
     basis = invariant_bilinear_forms(algebra)
     if not basis:
         return SelfDualResult(

@@ -15,11 +15,13 @@ instead of reading it off the derived series.  The Delta-intertwining
 relation of an automorphism triple and the product of the semidirect group
 are here on Scalars too, as the library had them before they ran on raw
 entries, and so is the invariance check of a bilinear form, by evaluate on
-boxed basis vectors.  So are the vector helpers the library dropped (vadd,
-vsub, vscale, dot, is_zero_vector) and the laws it now states once on raw
-entries: the Lie-morphism law, the twisted-derivation law as bracket
-identities (violations), the integrability of a product structure, and
-evaluate.
+boxed basis vectors, and the system of invariant forms with the condition
+of every basis triple, where the library keeps only the triples whose
+middle index lies in a generating set.  So are the vector helpers the
+library dropped (vadd, vsub, vscale, dot, is_zero_vector) and the laws it
+now states once on raw entries: the Lie-morphism law, the twisted-derivation
+law as bracket identities (violations), the integrability of a product
+structure, and evaluate.
 """
 
 import itertools
@@ -29,7 +31,7 @@ from liefact.deform import DeformationMap, is_deformation_map
 from liefact.errors import DimensionMismatch
 from liefact.exactmath import Matrix, Scalar, _box, basis_vector, zero_vector
 from liefact.iso import SemidirectElement
-from liefact.liecore import Subspace, basis_pairs, defects
+from liefact.liecore import BilinearForm, Subspace, basis_pairs, defects
 
 
 def vadd(u, v):
@@ -277,6 +279,33 @@ def is_invariant(form) -> bool:
         lambda i, j, k: form.evaluate(alg.bracket_basis(i, j), e[k]),
         lambda i, j, k: form.evaluate(e[i], alg.bracket_basis(j, k)),
     ))
+
+
+def invariant_bilinear_forms(algebra, symmetric=False) -> list:
+    """The forms B([e_i, e_j], e_k) = B(e_i, [e_j, e_k]) on every basis
+    triple, as the null space of n^3 rows on Scalars over the Gram entries
+    (g_{m,k} is unknown m * n + k), with the rows g_{a,b} = g_{b,a} when
+    symmetric."""
+    f, n = algebra.field, algebra.dim
+    if n == 0:
+        return []
+    rows = []
+    for i, j, k in itertools.product(range(n), repeat=3):
+        row = [f.zero] * (n * n)
+        for m, c in enumerate(algebra.bracket_basis(i, j)):
+            row[m * n + k] += c
+        for m, c in enumerate(algebra.bracket_basis(j, k)):
+            row[i * n + m] -= c
+        rows.append(row)
+    if symmetric:
+        for a, b in basis_pairs(n):
+            row = [f.zero] * (n * n)
+            row[a * n + b], row[b * n + a] = f.one, -f.one
+            rows.append(row)
+    return [
+        BilinearForm(algebra, Matrix(f, [flat[r * n : (r + 1) * n] for r in range(n)]))
+        for flat in Matrix(f, rows).nullspace()
+    ]
 
 
 def is_lie_morphism(linear_map) -> bool:

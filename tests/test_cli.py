@@ -294,6 +294,16 @@ def test_composite_modulus_is_an_input_error(capsys):
         assert err.splitlines() == ["input error: modulus must be a prime below 2**32, got 4"]
 
 
+def test_a_modulus_over_the_rationals_is_an_input_error(capsys):
+    # as paper-verify does for a scenario over Q, families rejects --p
+    # rather than dropping it
+    for field in (("--field", "Q"), ()):
+        code, out, err = run(capsys, "families", "--make", "l", "--n", "1", *field, "--p", "5")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["input error: --field Q runs over the rationals; --p does not apply"]
+
+
 def test_family_size_below_one_is_an_input_error(capsys):
     families = (
         ("l1", "--lambda0", "1", "--delta", "0"),

@@ -119,6 +119,8 @@ FAMILY_CASES = {
     "families_lbarpp_c_f5": ["--make", "lbarpp_c", "--n", "2", *GF5, "--c", "3"],
     "families_pair_L_n2": ["--make", "pair-L", "--n", "2"],
     "families_pair_m_n2": ["--make", "pair-m", "--n", "2"],
+    # an input error: a modulus given for the rationals
+    "families_l_q_p5": ["--make", "l", "--n", "1", "--field", "Q", "--p", "5"],
 }
 CASES.update({name: ["families", *args, "--json"] for name, args in FAMILY_CASES.items()})
 

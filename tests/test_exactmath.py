@@ -495,8 +495,28 @@ def _values(m: Matrix) -> list:
     return [[x.value for x in row] for row in m.rows]
 
 
-@settings(max_examples=300, deadline=None)
-@given(oracle_matrix())
+@st.composite
+def tall_rational_matrix(draw):
+    """Tall matrices over Q, up to 24 x 6, of rank below the column count
+    or equal to it: combinations of a few integer rows, some with integer
+    coefficients (rows of ints, whose small pivots often divide the
+    entries below them) and some with fractional ones (rows that hold
+    Fractions)."""
+    ncols = draw(st.integers(1, 6))
+    nrows = draw(st.integers(ncols + 1, 24))
+    k = draw(st.integers(0, ncols))
+    small = st.integers(-3, 3)
+    base = draw(_grid(small, k, ncols))
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    rows = []
+    for _ in range(nrows):
+        coeffs = draw(st.lists(draw(st.sampled_from((small, rational))), min_size=k, max_size=k))
+        rows.append([sum((c * b[j] for c, b in zip(coeffs, base)), 0) for j in range(ncols)])
+    return Matrix(Q, rows)
+
+
+@settings(max_examples=450, deadline=None)
+@given(oracle_matrix() | tall_rational_matrix())
 def test_rref_matches_reference(m):
     red, pivots = m.rref()
     want, want_pivots = reference_rref(m)
@@ -506,8 +526,8 @@ def test_rref_matches_reference(m):
     _assert_boxed_in(red, m.field)
 
 
-@settings(max_examples=200, deadline=None)
-@given(oracle_matrix(fields=(Q,)))
+@settings(max_examples=300, deadline=None)
+@given(oracle_matrix(fields=(Q,)) | tall_rational_matrix())
 def test_integer_kernel_keeps_rows_primitive(m):
     rows, pivots = _integer_rref(_clear_denominators(m.raw)[0], m.ncols)
     for row in rows:

@@ -331,6 +331,79 @@ def test_raw_invariance_matches_the_boxed_reference(form):
 
 
 @st.composite
+def algebras_for_forms(draw):
+    """Over Q or GF(p): a family algebra in a random basis (the canonical
+    one when the drawn matrix is singular), or small random structure
+    constants, most of which fail the Jacobi identity.  On some of those
+    the triples of a generating set alone admit more forms than all
+    triples do."""
+    field = draw(st.sampled_from((Q, F2, F3, F5, Field.gf(2**31 - 1))))
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 4))
+        small = (0, 1, -1, Fraction(1, 2)) if field is Q else (0, 1, -1)
+        vector = st.lists(st.sampled_from(small), min_size=dim, max_size=dim)
+        pairs = itertools.combinations(range(dim), 2)
+        return LieAlgebra(field, [f"e{k}" for k in range(dim)], {p: draw(vector) for p in pairs})
+    if field is Q:
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    else:
+        entry = st.integers(0, field.p - 1) | st.just(field.p - 1)
+    makers = [matched.make_sl2, lambda f: matched.make_l(1, f), lambda f: matched.make_L(1, f),
+              lambda f: matched.make_m(1, f), lambda f: matched.make_l(2, f),
+              lambda f: matched.make_L(2, f), lambda f: LieAlgebra.abelian(f, 3),
+              lambda f: deform.make_h_a(f, -1)]
+    if field is not F2:
+        makers.append(matched.make_h5)
+    alg = draw(st.sampled_from(makers))(field)
+    n = alg.dim
+    rebase = Matrix(field, draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+    return alg.change_basis(rebase) if rebase.is_invertible() else alg
+
+
+@settings(max_examples=150, deadline=None)
+@given(algebras_for_forms(), st.booleans())
+def test_invariant_forms_match_the_all_triples_oracle(alg, symmetric):
+    got = [form.gram for form in invariant_bilinear_forms(alg, symmetric)]
+    assert got == [form.gram for form in boxed.invariant_bilinear_forms(alg, symmetric)]
+
+
+def _generated_subalgebra(alg, indices) -> Subspace:
+    """The span of the e_i, i in indices, grown by [V, V] until it is closed."""
+    space = Subspace(alg, [basis_vector(alg.field, alg.dim, i) for i in indices])
+    while True:
+        grown = space.sum_with(space.bracket_with(space))
+        if grown == space:
+            return space
+        space = grown
+
+
+@settings(max_examples=100, deadline=None)
+@given(algebras_for_forms())
+def test_generating_indices_generate_the_algebra(alg):
+    indices = liecore._generating_indices(alg)
+    assert indices == sorted(set(indices))
+    assert _generated_subalgebra(alg, indices).dim == alg.dim
+
+
+def test_generating_indices_of_small_algebras():
+    for field in (Q, F5):
+        assert liecore._generating_indices(LieAlgebra.abelian(field, 4)) == [0, 1, 2, 3]
+        assert liecore._generating_indices(LieAlgebra.abelian(field, 0)) == []
+        # [e, f] = h, so e and f generate sl2
+        assert liecore._generating_indices(matched.make_sl2(field)) == [0, 1]
+
+
+def test_invariant_forms_of_a_bracket_failing_jacobi_use_every_triple():
+    # e0 and e1 generate, and their triples alone admit one nonzero form;
+    # the triples with middle index 2 rule it out
+    brackets = {(0, 1): (0, 1, 1), (0, 2): (1, 0, 0), (1, 2): (0, 0, 1)}
+    alg = LieAlgebra(F2, ("e0", "e1", "e2"), brackets)
+    assert alg.check_jacobi()
+    assert liecore._generating_indices(alg) == [0, 1]
+    assert invariant_bilinear_forms(alg) == []
+
+
+@st.composite
 def involutions_of_algebras(draw):
     """An algebra and an endomorphism over Q or GF(p): the involution that is
     +1 on the first factor and -1 on the second of a direct product or of a
@@ -455,6 +528,15 @@ def test_self_dual_verdicts():
         for form in invariant_bilinear_forms(matched.make_l(n, Q)):
             for k in range(2 * n + 1):
                 assert not form.evaluate(no.witness, basis_vector(Q, 2 * n + 1, k))
+
+
+@pytest.mark.parametrize("field", [Q, F2, F5], ids=["Q", "GF2", "GF5"])
+def test_self_dual_of_the_zero_algebra_is_a_yes(field):
+    # the 0 x 0 Gram is invariant and nondegenerate; "no" would need a witness
+    res = self_dual(LieAlgebra.abelian(field, 0))
+    assert res.verdict == "yes" and res.witness is None
+    assert res.form.gram == Matrix.identity(field, 0)
+    assert res.form.is_invariant() and res.form.is_nondegenerate()
 
 
 def test_self_dual_over_finite_field():
