@@ -44,7 +44,10 @@ def _parse_vector(field: Field, text: str) -> tuple:
 
 
 def _parse_matrix(field: Field, text: str) -> Matrix:
-    return Matrix(field, [row.split(",") for row in text.split(";")])
+    rows = [row.split(",") for row in text.split(";")]
+    if len(set(map(len, rows))) > 1:
+        raise BadParameter(f"ragged rows in matrix {text!r}")
+    return Matrix(field, rows)
 
 
 # -- commands --------------------------------------------------------------------
@@ -199,6 +202,8 @@ def _cmd_aut(args):
     alg = liecore.load_algebra(args.algebra)
     if args.delta:
         delta = Matrix.from_json(alg.field, liecore.read_json(args.delta))
+        if (delta.nrows, delta.ncols) != (alg.dim, alg.dim):
+            raise BadParameter(f"--delta must be {alg.dim} x {alg.dim}, got {delta.nrows} x {delta.ncols}")
         triples = iso.enumerate_aut_triples(alg, delta, args.budget)
         data = {
             "count": len(triples),

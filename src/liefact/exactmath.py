@@ -13,9 +13,12 @@ mean the same either way) and residues in [0, p) over GF(p).  Every raw value
 the module computes goes through Field._reduce, which makes it canonical.  A
 Matrix keeps raw entries: its public constructors coerce them once, sums,
 products and elimination run on them, and its accessors box what they hand
-out.  Elimination (rref, and so rank, nullspace, solve, inverse and
-span_rref, and det) runs on plain ints, fraction-free over Q and on residues
-over GF(p).
+out.  Row reduction is decided here, once: Matrix.rref (and so rank,
+nullspace, solve, inverse and span_rref) and Matrix.det wrap two raw entry
+points, _rref_rows and _det_rows, whose kernels run on plain ints,
+fraction-free over Q and on residues over GF(p); no other module names the
+kernels.  _Echelon decides independence one raw vector at a time, with no
+elimination, for the isomorphism search and liecore's generating sets.
 
 A vector at the boundary is a tuple of Scalars; zero_vector and
 basis_vector build the two a caller needs most, and the module has no
@@ -505,26 +508,10 @@ class Matrix:
 
     def rref(self) -> tuple:
         """Reduced row echelon form and the strictly increasing pivot columns."""
-        if self._rref is not None:
-            return self._rref
-        field = self.field
-        zero = field.zero.value
-        if field.kind == KIND_Q:
-            rows, _ = _clear_denominators(self.raw)
-            rows, pivots = _integer_rref(rows, self.ncols)
-            one = field.one.value
-            red = [
-                tuple(
-                    zero if not x else one if x == piv else _rational(Fraction(x, piv))
-                    for x in row
-                )
-                for row, piv in ((row, row[pc]) for row, pc in zip(rows, pivots))
-            ]
-        else:
-            rows, pivots = _residue_rref(list(self.raw), self.ncols, field.p)
-            red = [tuple(row) for row in rows[:len(pivots)]]
-        red += [(zero,) * self.ncols] * (self.nrows - len(pivots))
-        self._rref = (Matrix._of_raw(field, tuple(red), self.ncols), tuple(pivots))
+        if self._rref is None:
+            red, pivots = _rref_rows(self.field, self.raw, self.ncols)
+            zeros = ((self.field.zero.value,) * self.ncols,) * (self.nrows - len(pivots))
+            self._rref = (Matrix._of_raw(self.field, red + zeros, self.ncols), pivots)
         return self._rref
 
     def rank(self) -> int:
@@ -558,11 +545,7 @@ class Matrix:
     def det(self) -> Scalar:
         if self.nrows != self.ncols:
             raise DimensionMismatch("determinant of a non-square matrix")
-        field = self.field
-        if field.kind == KIND_Q:
-            rows, scale = _clear_denominators(self.raw)
-            return Scalar(field, _rational(Fraction(_bareiss_det(rows), scale)))
-        return Scalar(field, _residue_det(list(self.raw), field.p))
+        return Scalar(self.field, _det_rows(self.field, self.raw))
 
     def inverse(self) -> Optional["Matrix"]:
         if self.nrows != self.ncols:
@@ -592,6 +575,8 @@ class Matrix:
             isinstance(row, list) and all(map(_is_json_scalar, row)) for row in entries
         ):
             raise FormatError(f"bad matrix record: {data!r}")
+        if len(set(map(len, entries))) > 1:
+            raise FormatError("ragged rows in matrix record")
         return cls(field, entries)
 
 
@@ -611,9 +596,63 @@ def _null_rows(field: Field, red: Matrix, pivots: tuple, ncols: int) -> list:
     return basis
 
 
+# -- elimination on raw rows ----------------------------------------------------
+
+
+def _rref_rows(field: Field, rows, ncols: int) -> tuple:
+    """The nonzero rows of the RREF of raw rows of length ncols, as raw
+    tuples, and the pivot columns; the rows given are not changed."""
+    if field.kind == KIND_FP:
+        rows, pivots = _residue_rref(list(rows), ncols, field.p)
+        return tuple(map(tuple, rows[:len(pivots)])), tuple(pivots)
+    rows, pivots = _integer_rref(_clear_denominators(rows)[0], ncols)
+    return tuple(
+        tuple(0 if not x else 1 if x == piv else _rational(Fraction(x, piv)) for x in row)
+        for row, piv in ((row, row[pc]) for row, pc in zip(rows, pivots))
+    ), tuple(pivots)
+
+
+def _det_rows(field: Field, rows):
+    """The raw determinant of a square matrix's raw rows, left unchanged."""
+    if field.kind == KIND_Q:
+        rows, scale = _clear_denominators(rows)
+        return _rational(Fraction(_bareiss_det(rows), scale))
+    return _residue_det(list(rows), field.p)
+
+
+class _Echelon:
+    """Incremental independence of raw vectors: push(v) reduces v
+    fraction-free by the rows kept so far (each zero at the pivots of the
+    rows before it), keeps the rest when nonzero and says whether it did;
+    pop() drops the last row kept.  rows spans every vector pushed."""
+
+    __slots__ = ("_reduce", "_pivots", "rows")
+
+    def __init__(self, field: Field):
+        self._reduce, self._pivots, self.rows = field._reduce, [], []
+
+    def push(self, v) -> bool:
+        red = self._reduce
+        for pc, row in zip(self._pivots, self.rows):
+            c = v[pc]
+            if c:
+                a = row[pc]
+                v = [red(a * x - c * y) for x, y in zip(v, row)]
+        for pc, c in enumerate(v):
+            if c:
+                self._pivots.append(pc)
+                self.rows.append(v)
+                return True
+        return False
+
+    def pop(self):
+        self._pivots.pop()
+        self.rows.pop()
+
+
 # -- elimination kernels: plain ints in, plain ints out -------------------------
-# Each kernel reorders its list and replaces rows without changing them, so it
-# can take a list of a matrix's raw rows.
+# Only _rref_rows and _det_rows call these.  Each reorders its list and
+# replaces rows without changing them, so it can take a matrix's raw rows.
 
 
 def _clear_denominators(rows) -> tuple:

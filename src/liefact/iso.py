@@ -14,12 +14,15 @@ most constrained variable first.
 
 The search runs on residues in [0, p): it reads both algebras' raw bracket
 tables and the raw rows of the image domains, which _image_domains
-intersects from the raw bases of the characteristic subspaces; each
-candidate set takes one elimination, and a witness is boxed only when it is
-reported.  Every Yes is re-verified at its leaf before it is reported: the
-assigned columns must have a nonzero determinant mod p, and then the matrix
-they make must pass liecore's Lie-morphism law on the full bracket tables,
-the same check verify_iso runs, in either search direction.
+intersects from the raw bases of the characteristic subspaces, and a
+witness is boxed only when it is reported.  Its row reduction is exactmath's:
+each candidate set is one _rref_rows of the constraint rows and their
+right-hand side, read off through the domain matrix, and an image is
+assigned only when _Echelon finds it independent of those before it.  Every
+Yes is re-verified at its leaf before it is reported: _det_rows of the
+assigned columns must be nonzero, and then the matrix they make must pass
+liecore's Lie-morphism law on the full bracket tables, the same check
+verify_iso runs, in either search direction.
 
 The automorphism-triple group law, membership and the semidirect embedding
 run on raw entries too.  Each triple is checked once, on first use, and
@@ -38,10 +41,11 @@ from .exactmath import (
     Field,
     Matrix,
     Scalar,
+    _Echelon,
     _box,
+    _det_rows,
     _intersect_rows,
-    _residue_det,
-    _residue_rref,
+    _rref_rows,
     affine_points,
     enumerate_affine,
     zero_vector,
@@ -178,32 +182,6 @@ def _image_domains(a: LieAlgebra, b: LieAlgebra) -> list:
     return domains
 
 
-class _Reducer:
-    """Incremental independence tracking for the assigned image vectors,
-    on residues mod p."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.rows = []  # (pivot, reduced row scaled to 1 at the pivot)
-
-    def push(self, v) -> bool:
-        p = self.p
-        r = v
-        for pivot, row in self.rows:
-            c = r[pivot]
-            if c:
-                r = [(x - c * y) % p for x, y in zip(r, row)]
-        for pivot, c in enumerate(r):
-            if c:
-                inv = pow(c, -1, p)
-                self.rows.append((pivot, [x * inv % p for x in r]))
-                return True
-        return False
-
-    def pop(self):
-        self.rows.pop()
-
-
 def _search_isomorphisms(
     a: LieAlgebra,
     b: LieAlgebra,
@@ -231,13 +209,13 @@ def _search_isomorphisms(
     # ad_lines[r][j][i] = [e_i, e_j]_r in b, so row r of ad(x) is
     # (x . ad_lines[r][j] for j): ad of an image comes straight from b's table
     ad_lines = [[tuple(table_b[i][j][r] for i in span) for j in span] for r in span]
-    ad_rank = [len(_residue_rref([list(c) for c in c_a[i]], n, p)[1]) for i in span]
+    ad_rank = [len(_rref_rows(f, c_a[i], n)[1]) for i in span]
     # dom_rows[k][r]: row r of the matrix whose columns are the domain basis of e_k
     dom_rows = [[tuple(v[r] for v in dom) for r in span] for dom in doms]
     assigned: list = [None] * n
     ad_cache: list = [None] * n  # rows of ad(x_i) on b for each assigned x_i
     ad_dom: list = [None] * n  # ad(x_i) times the domain matrix of k, by k
-    reducer = _Reducer(p)
+    images = _Echelon(f)
     results = []
     nodes = 0
 
@@ -293,7 +271,7 @@ def _search_isomorphisms(
             bracket = [sum(map(mul, row, assigned[j])) for row in ad_cache[i]]
             for r in span:
                 rows.add(tuple(ck * y % p for y in drows[r]) + ((bracket[r] - known[r]) % p,))
-        red, pivots = _residue_rref([list(row) for row in rows], d + 1, p)
+        red, pivots = _rref_rows(f, rows, d + 1)
         if pivots and pivots[-1] == d:
             return None
         # x = D t with t = part + span(null), mapped through the domain matrix D
@@ -319,7 +297,7 @@ def _search_isomorphisms(
         if not remaining:
             # the leaf: rank n by a determinant mod p, then the shared law
             rows = tuple(zip(*assigned))
-            if _residue_det([list(row) for row in rows], p) == 0:
+            if not _det_rows(f, rows):
                 return False
             m = Matrix._of_raw(f, rows, n)
             if any(_morphism_defects(a, b, m)):
@@ -342,7 +320,7 @@ def _search_isomorphisms(
             nodes += 1
             if nodes > budget:
                 raise _BudgetHit()
-            if not reducer.push(x):
+            if not images.push(x):
                 continue
             assigned[k] = x
             ad_cache[k] = ad_of(x)
@@ -351,7 +329,7 @@ def _search_isomorphisms(
             assigned[k] = None
             ad_cache[k] = None
             ad_dom[k] = None
-            reducer.pop()
+            images.pop()
             if stop:
                 return True
         return False
@@ -490,13 +468,6 @@ class AutTriple:
     h0: tuple
     v: LinearMap
     _checked: Optional[tuple] = dataclass_field(default=None, init=False, repr=False, compare=False)
-
-    def structural_ok(self) -> bool:
-        try:
-            _check_operand(self, self.v.domain.field, self.v.domain.dim)
-        except InvalidTriple:
-            return False
-        return self.v.is_lie_morphism()
 
 
 def aut_triple_valid(h: LieAlgebra, delta: Matrix, t: AutTriple) -> bool:

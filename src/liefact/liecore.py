@@ -61,6 +61,7 @@ from .exactmath import (
     Scalar,
     basis_vector,
     zero_vector,
+    _Echelon,
     _box,
     _is_json_scalar,
     _span_rows,
@@ -251,9 +252,9 @@ class LieAlgebra:
 
     def change_basis(self, p: Matrix, names=None) -> "LieAlgebra":
         """Conjugate structure constants; columns of p are the new basis vectors."""
-        if not p.is_invertible() or p.nrows != self.dim:
+        pinv = p.inverse() if p.nrows == p.ncols == self.dim else None
+        if pinv is None:
             raise DimensionMismatch("change of basis needs an invertible dim x dim matrix")
-        pinv = p.inverse()
         names = tuple(names) if names else tuple(f"b{i + 1}" for i in range(self.dim))
         cols = tuple(zip(*p.raw))
         brackets = {}
@@ -688,39 +689,22 @@ def _generating_indices(algebra: LieAlgebra) -> list:
     index order: e_i joins when it lies outside the span generated so far,
     and that span is then closed under brackets.
 
-    The span is kept as echelon rows by pivot column and grows one raw
-    vector at a time by fraction-free reduction; no elimination is run.
+    The span is an exactmath._Echelon, grown one raw vector at a time and
+    closed by bracketing its kept rows; no elimination is run.
     """
     n = algebra.dim
-    red = algebra.field._reduce
-    echelon = {}  # pivot column -> a spanning row whose first nonzero entry is there
-    spanned = []
-
-    def extend(v) -> bool:
-        for p in sorted(echelon):
-            c = v[p]
-            if c:
-                row = echelon[p]
-                v = [red(row[p] * a - c * b) for a, b in zip(v, row)]
-        for p, c in enumerate(v):
-            if c:
-                echelon[p] = v
-                spanned.append(v)
-                return True
-        return False
-
+    span = _Echelon(algebra.field)
+    spanned = span.rows
     generators = []
     done = 0  # spanned[:done] have been bracketed with each other
     for i, unit in enumerate(Matrix.identity(algebra.field, n).raw):
         if len(spanned) == n:
             break
-        if not extend(unit):
-            continue
-        generators.append(i)
+        if span.push(unit):
+            generators.append(i)
         while done < len(spanned) < n:
-            u = spanned[done]
             for w in spanned[:done]:
-                extend(algebra._bracket(u, w))
+                span.push(algebra._bracket(spanned[done], w))
             done += 1
     return generators
 

@@ -344,10 +344,12 @@ def _pair_with_right_term(tmp_path):
     return ["matched-check", "--pair", _write(tmp_path, "pair.json", record)]
 
 
-def _delta_with_null(tmp_path):
-    sl2 = _write(tmp_path, "sl2.json", matched.make_sl2(Field.gf(3)).to_json_dict())
-    delta = _write(tmp_path, "delta.json", {"entries": [[None, 0, 0], [0, 0, 0], [0, 0, 0]]})
-    return ["aut", "--algebra", sl2, "--delta", delta]
+def _aut_with_delta(entries):
+    def argv(tmp_path):
+        sl2 = _write(tmp_path, "sl2.json", matched.make_sl2(Field.gf(3)).to_json_dict())
+        return ["aut", "--algebra", sl2, "--delta", _write(tmp_path, "delta.json", {"entries": entries})]
+
+    return argv
 
 
 def _not_utf8(tmp_path):
@@ -356,7 +358,7 @@ def _not_utf8(tmp_path):
     return ["validate", str(path)]
 
 
-# case -> argv builder; each input used to end in a traceback
+# case -> argv builder; each input once ended in a traceback or in exit 1
 MALFORMED = {
     "validate-a-directory": lambda tmp_path: ["validate", str(tmp_path)],
     "out-is-a-directory": lambda tmp_path: ["families", "--make", "l", "--out", str(tmp_path)],
@@ -367,7 +369,12 @@ MALFORMED = {
     "coefficient-is-null": _validate(_l3_term(["E", None])),
     "basis-name-is-a-list": _validate(_l3_with(basis=[["E"], "F", "G"], brackets=[])),
     "action-term-without-coefficient": _pair_with_right_term,
-    "delta-entry-is-null": _delta_with_null,
+    "delta-entry-is-null": _aut_with_delta([[None, 0, 0], [0, 0, 0], [0, 0, 0]]),
+    "delta-rows-ragged": _aut_with_delta([[1, 0, 0], [0, 1], [0, 0, 1]]),
+    "delta-not-dim-by-dim": _aut_with_delta([[1, 0], [0, 1]]),
+    "matrix-parameter-rows-ragged": lambda tmp_path: [
+        "families", "--make", "l2", "--A", "1,2;3", "--D", "1", "--delta", "1",
+    ],
 }
 
 

@@ -1,3 +1,4 @@
+import ast
 import copy
 import fractions
 import itertools
@@ -7,14 +8,17 @@ import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import boxed_reference as boxed
 from liefact.errors import BadParameter, DimensionMismatch, FieldMismatch, FormatError, NotFinite
+from liefact import exactmath
 from liefact.exactmath import (
     Field,
+    _Echelon,
     _clear_denominators,
     _integer_rref,
     _is_prime,
@@ -536,6 +540,51 @@ def test_integer_kernel_keeps_rows_primitive(m):
     got = [[fractions.Fraction(x, row[pc]) for x in row] for row, pc in zip(rows, pivots)]
     assert got == want[: len(pivots)]
     assert all(not any(row) for row in rows[len(pivots):])
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_matrix(fields=(Q, F2, F5, F_BIG)))
+def test_echelon_push_answers_whether_the_rank_grows(m):
+    field, rows = m.field, m.raw
+
+    def rank(vectors):
+        return Matrix._of_raw(field, tuple(vectors), m.ncols).rank()
+
+    echelon = _Echelon(field)
+    kept = []
+    for v in rows:
+        grows = rank(kept + [v]) > len(kept)
+        assert echelon.push(v) is grows
+        if grows:
+            kept.append(v)
+    assert len(echelon.rows) == len(kept) == m.rank()
+    assert rank(kept + echelon.rows) == len(kept)
+    # popping back to each shorter prefix of the kept rows restores its answers
+    while kept:
+        kept.pop()
+        echelon.pop()
+        for v in rows:
+            grows = rank(kept + [v]) > len(kept)
+            assert echelon.push(v) is grows
+            if grows:
+                echelon.pop()
+        assert rank(kept + echelon.rows) == len(kept) == len(echelon.rows)
+
+
+KERNELS = {"_residue_rref", "_integer_rref", "_clear_denominators", "_residue_det", "_bareiss_det"}
+
+
+def test_only_exactmath_names_the_elimination_kernels():
+    modules = [p for p in Path(exactmath.__file__).parent.glob("*.py") if p.name != "exactmath.py"]
+    assert modules
+    offenders = []
+    for path in sorted(modules):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            # a Name, an attribute, an imported alias or a definition
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if name in KERNELS:
+                offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert offenders == []
 
 
 @settings(max_examples=300, deadline=None)
