@@ -183,6 +183,8 @@ def _cmd_complements(args):
 def _cmd_iso(args):
     a = liecore.load_algebra(args.a)
     b = liecore.load_algebra(args.b)
+    if a.field != b.field:
+        raise BadParameter(f"--a is over {a.field} and --b over {b.field}; both must be over one field")
     res = iso.are_isomorphic(a, b, args.budget)
     data = {
         "verdict": res.verdict,

@@ -45,7 +45,7 @@ from .exactmath import (
     Matrix,
     enumerate_vectors,
 )
-from .liecore import LieAlgebra, basis_pairs, charpolys_differ, derived_ad_charpoly
+from .liecore import LieAlgebra, _kept, basis_pairs, charpolys_differ, derived_ad_charpoly
 from .matched import MatchedPair, canonical_pair_L, canonical_pair_m, _finish
 from .iso import are_isomorphic, fingerprint
 
@@ -58,6 +58,7 @@ class DeformationMap:
     matrix: Matrix
 
 
+@_kept
 def _compatibility(mp: MatchedPair) -> tuple:
     """The compatibility of mp as equations on the entries of r, built once.
 
@@ -67,10 +68,8 @@ def _compatibility(mp: MatchedPair) -> tuple:
     a pair (linear, quadratic) of term tuples (cell, coeff) and
     (cell, cell, coeff) with nonzero raw coefficients (residues over GF(p),
     canonical rationals over Q).  Equations without terms hold for every r
-    and are left out.  The result is cached on the pair.
+    and are left out.
     """
-    if mp._compat is not None:
-        return mp._compat
     m, n = mp.g.dim, mp.h.dim
     gt, ht, red = mp.g._table, mp.h._table, mp.field._reduce
     zero_g, zero_h = (0,) * m, (0,) * n
@@ -108,8 +107,7 @@ def _compatibility(mp: MatchedPair) -> tuple:
             quad = tuple((c1, c2, x) for (c1, c2), x in zip(quad, map(red, quad.values())) if x)
             if lin or quad:
                 equations.append((lin, quad))
-    mp._compat = tuple(equations)
-    return mp._compat
+    return tuple(equations)
 
 
 def is_deformation_map(mp: MatchedPair, r: Matrix) -> bool:
@@ -147,6 +145,7 @@ def _split(equation: tuple, x: int) -> tuple:
     )
 
 
+@_kept
 def _search_plan(mp: MatchedPair) -> tuple:
     """The depth-first search plan of mp's compatibility, built once.
 
@@ -155,11 +154,8 @@ def _search_plan(mp: MatchedPair) -> tuple:
     fixed), ties going to the cell that occurs in the most equations still
     open, then to the lower cell.  Level k is (cell, equations): the
     equations whose last cell in this order is the cell of level k, _split
-    in that cell, those linear in it first.  The result is cached on the
-    pair.
+    in that cell, those linear in it first.
     """
-    if mp._plan is not None:
-        return mp._plan
     equations = _compatibility(mp)
     cells_of = [
         {a for a, _ in lin} | {a for a, _, _ in quad} | {b for _, b, _ in quad}
@@ -180,8 +176,7 @@ def _search_plan(mp: MatchedPair) -> tuple:
         open_eqs.difference_update(closing)
         split = sorted((_split(equations[e], x) for e in closing), key=lambda eq: eq[0] != 0)
         plan.append((x, tuple(split)))
-    mp._plan = tuple(plan)
-    return mp._plan
+    return tuple(plan)
 
 
 def _solve(mp: MatchedPair, budget: int) -> list:

@@ -11,9 +11,12 @@ bracket satisfy Jacobi; with lambda = 0 the law reduces to the ordinary
 derivation law.  The law is stated once, on raw entries, as the linear
 system _twisted_system in the entries of Delta: the solvers take its null
 space, and a given pair (lambda, Delta) is checked by applying it to Delta.
-Twisted derivations of the family l(2n+1,k) admit a block closed form
-(TnElement below), which the tests play off against this module's generic
-solver.
+
+Twisted derivations of l(2n+1,k) admit a block closed form, a datum
+(TnElement below) under four linear block constraints.  That block law is
+stated once, on raw entries, as the linear system _tn_system at a fixed
+lambda0: tn_validate applies it to a datum and tn_space_for_lambda0 takes
+its null space, which the tests play off against the generic solver.
 """
 
 from __future__ import annotations
@@ -208,9 +211,8 @@ def canonical_solution_span(maps) -> tuple:
 class TnElement:
     """Block datum (A, B, C, D, lambda0, delta) for a twisted derivation of l(2n+1,k).
 
-    A, B, C, D are n x n; delta has length 2n+1.  Validity couples the blocks:
-    lambda0*A = -delta_last*I, (2+lambda0)*B = 0, (2-lambda0)*C = 0,
-    lambda0*D = delta_last*I.
+    A, B, C, D are n x n over one field and delta has length 2n+1; the datum
+    is valid when it satisfies the block law, _tn_system.
     """
 
     n: int
@@ -229,31 +231,10 @@ class TnElement:
         for block in (self.A, self.B, self.C, self.D):
             if block.nrows != self.n or block.ncols != self.n:
                 raise DimensionMismatch("blocks must be n x n")
+            if block.field is not self.field:
+                raise FieldMismatch(f"block over {block.field}, A over {self.field}")
         if len(self.delta) != 2 * self.n + 1:
             raise DimensionMismatch("delta must have length 2n+1")
-
-
-def tn_to_json(t: TnElement) -> dict:
-    """Serialize mirroring the block layout: A, B, C, D, lambda0, delta."""
-    return {
-        "n": t.n,
-        "A": [[str(x) for x in row] for row in t.A.rows],
-        "B": [[str(x) for x in row] for row in t.B.rows],
-        "C": [[str(x) for x in row] for row in t.C.rows],
-        "D": [[str(x) for x in row] for row in t.D.rows],
-        "lambda0": str(t.lambda0),
-        "delta": [str(x) for x in t.delta],
-    }
-
-
-def tn_from_json(field: Field, data: dict) -> TnElement:
-    try:
-        return tn_element(
-            field, data["n"], data["A"], data["B"], data["C"], data["D"],
-            data["lambda0"], data["delta"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise DimensionMismatch(f"bad block record: {exc}") from exc
 
 
 def tn_element(field: Field, n: int, A, B, C, D, lambda0, delta) -> TnElement:
@@ -276,21 +257,33 @@ def tn_element(field: Field, n: int, A, B, C, D, lambda0, delta) -> TnElement:
     )
 
 
+def _tn_system(field: Field, n: int, lam0) -> Matrix:
+    """The block law at a raw lambda0, as a linear system in the flat datum
+    A | B | C | D | delta (blocks row-major, 4n^2 + 2n + 1 unknowns): per
+    entry (i, j), one row each of lambda0*A + delta_last*I, (2+lambda0)*B,
+    (2-lambda0)*C and lambda0*D - delta_last*I."""
+    red = field._reduce
+    zero, one = field.zero.value, field.one.value
+    nn, total = n * n, 4 * n * n + 2 * n + 1
+    # (coefficient of the block entry, of delta_last on the diagonal), per block
+    laws = ((lam0, one), (red(2 + lam0), zero), (red(2 - lam0), zero), (lam0, red(-one)))
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for b, (c, d) in enumerate(laws):
+                row = [zero] * total
+                row[b * nn + i * n + j] = c
+                if i == j:
+                    row[-1] = d
+                rows.append(tuple(row))
+    return Matrix._of_raw(field, tuple(rows), total)
+
+
 def tn_validate(t: TnElement) -> bool:
     f = t.field
-    n = t.n
-    dlast = t.delta[-1]
-    ident = Matrix.identity(f, n)
-    two = f.scalar(2)
-    if t.lambda0 * t.A != (-dlast) * ident:
-        return False
-    if (two + t.lambda0) * t.B != Matrix.zeros(f, n, n):
-        return False
-    if (two - t.lambda0) * t.C != Matrix.zeros(f, n, n):
-        return False
-    if t.lambda0 * t.D != dlast * ident:
-        return False
-    return True
+    flat = [x for m in (t.A, t.B, t.C, t.D) for row in m.raw for x in row]
+    flat += map(f._raw, t.delta)
+    return not any(_tn_system(f, t.n, f._raw(t.lambda0))._apply(flat))
 
 
 def tn_delta_matrix(t: TnElement) -> Matrix:
@@ -315,55 +308,19 @@ def tn_to_twisted(t: TnElement) -> TwistedDerivation:
 
 
 def tn_space_for_lambda0(field: Field, n: int, lambda0) -> list:
-    """Basis TnElements of the block-constraint solution space at fixed lambda0.
-
-    The constraints are linear in (A, B, C, D, delta) once lambda0 is fixed,
-    so the valid data form a linear space; its image under tn_delta_matrix is
-    the closed-form Delta-space the generic solver must reproduce.
-    """
+    """Basis TnElements of the block law at fixed lambda0: the null space of
+    _tn_system, cut into blocks.  Its image under tn_delta_matrix is the
+    closed-form Delta-space the generic solver must reproduce."""
     lam0 = field.scalar(lambda0)
-    two = field.scalar(2)
     nn = n * n
-    total = 4 * nn + 2 * n + 1
-    # unknown layout: A | B | C | D | delta
-    rows = []
-    dlast = 4 * nn + 2 * n
-    for i in range(n):
-        for j in range(n):
-            row = [field.zero] * total
-            row[i * n + j] = lam0
-            if i == j:
-                row[dlast] = field.one
-            rows.append(row)
-            row = [field.zero] * total
-            row[nn + i * n + j] = two + lam0
-            rows.append(row)
-            row = [field.zero] * total
-            row[2 * nn + i * n + j] = two - lam0
-            rows.append(row)
-            row = [field.zero] * total
-            row[3 * nn + i * n + j] = lam0
-            if i == j:
-                row[dlast] = -field.one
-            rows.append(row)
-    sols = Matrix(field, rows).nullspace()
-    elements = []
-    for flat in sols:
-        def block(offset):
-            return Matrix(field, [flat[offset + r * n : offset + (r + 1) * n] for r in range(n)])
 
-        elements.append(
-            TnElement(
-                n=n,
-                A=block(0),
-                B=block(nn),
-                C=block(2 * nn),
-                D=block(3 * nn),
-                lambda0=lam0,
-                delta=tuple(flat[4 * nn :]),
-            )
-        )
-    return elements
+    def block(flat, b):
+        return Matrix._of_raw(field, tuple(flat[b * nn + r * n : b * nn + (r + 1) * n] for r in range(n)), n)
+
+    return [
+        TnElement(n, *(block(flat, b) for b in range(4)), lam0, _box(field, flat[4 * nn :]))
+        for flat in _tn_system(field, n, lam0.value)._null_raw()
+    ]
 
 
 def tn_delta_span(field: Field, n: int, lambda0) -> tuple:

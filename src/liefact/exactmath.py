@@ -340,10 +340,7 @@ class Matrix:
     det make Scalars.  Matrix(field, rows) reads the shape off the rows (no
     rows: 0 x 0); zeros, from_cols and every result carry their exact shape.
 
-    Each matrix keeps its RREF once computed.  A product of two n x n factors
-    whose kept RREFs have full rank is invertible, det(AB) = det(A) det(B),
-    so it carries their RREF (the identity) without an elimination; so does
-    the inverse of an invertible matrix.
+    Each matrix keeps its RREF once computed.
     """
 
     __slots__ = ("field", "nrows", "ncols", "raw", "_rref")
@@ -441,15 +438,7 @@ class Matrix:
                 raise DimensionMismatch("inner dimensions differ")
             cols = tuple(zip(*other.raw)) if other.raw else ((),) * other.ncols
             raw = tuple([tuple([red(sum(map(mul, row, col))) for col in cols]) for row in self.raw])
-            product = Matrix._of_raw(field, raw, other.ncols)
-            known, other_known = self._rref, other._rref
-            if (
-                known is not None
-                and other_known is not None
-                and self.nrows == self.ncols == other.ncols == len(known[1]) == len(other_known[1])
-            ):
-                product._rref = known
-            return product
+            return Matrix._of_raw(field, raw, other.ncols)
         c = field._raw(other)
         return Matrix._of_raw(field, tuple([tuple([red(c * x) for x in r]) for r in self.raw]), self.ncols)
 
@@ -554,11 +543,7 @@ class Matrix:
         red, pivots = self.augment(Matrix.identity(self.field, n)).rref()
         if pivots[:n] != tuple(range(n)):
             return None
-        if self._rref is None:
-            self._rref = (Matrix.identity(self.field, n), pivots[:n])
-        inv = Matrix._of_raw(self.field, tuple(row[n:] for row in red.raw), n)
-        inv._rref = self._rref
-        return inv
+        return Matrix._of_raw(self.field, tuple(row[n:] for row in red.raw), n)
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows

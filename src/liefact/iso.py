@@ -36,7 +36,7 @@ from dataclasses import dataclass, field as dataclass_field
 from operator import mul
 from typing import Callable, Optional
 
-from .errors import BudgetExceeded, InvalidTriple, NotFinite, NotPerfect
+from .errors import BudgetExceeded, FieldMismatch, InvalidTriple, NotFinite, NotPerfect
 from .exactmath import (
     Field,
     Matrix,
@@ -347,13 +347,14 @@ def are_isomorphic(a: LieAlgebra, b: LieAlgebra, budget: int = 500000) -> IsoRes
     almost abelian algebras whose derived_ad_charpoly tuples charpolys_differ
     tells apart (0 nodes searched).  Otherwise the complete search decides
     over a finite field, and over the rationals the answer is unknown.
+    Algebras over different fields raise FieldMismatch.
 
     When the search from a to b runs out of budget, one more search with the
     same budget goes from b to a; its witness is inverted and re-verified.
     `searched` counts the nodes of both.
     """
     if a.field != b.field:
-        return IsoResult("no", certificate="different base fields")
+        raise FieldMismatch(f"a over {a.field}, b over {b.field}")
     if a.dim != b.dim:
         return IsoResult("no", certificate=f"dim {a.dim} != dim {b.dim}")
     fa, fb = fingerprint(a), fingerprint(b)

@@ -539,14 +539,15 @@ def right_bracket_matrix(algebra: LieAlgebra) -> Matrix:
 
 
 def _kept(compute):
-    """compute(algebra), run on first use and kept in algebra._invariants."""
+    """compute(owner) of an algebra or a matched pair, run on first use and
+    kept in owner._invariants."""
     name = compute.__name__
 
     @functools.wraps(compute)
-    def get(algebra: LieAlgebra):
-        kept = algebra._invariants
+    def get(owner):
+        kept = owner._invariants
         if name not in kept:
-            kept[name] = compute(algebra)
+            kept[name] = compute(owner)
         return kept[name]
 
     return get

@@ -55,12 +55,11 @@ class MatchedPair:
     right[(i, j)] is the raw h-vector h_i <| g_j (h_i acted by g_j from the
     right); left[(i, j)] is the raw g-vector h_i |> g_j (h_i acting on g_j).
     Zero entries are not stored.  The tables are never changed after
-    construction, so the deform module caches the pair's compiled
-    deformation compatibility in _compat and the search plan over it in
-    _plan on first use.
+    construction, so _invariants keeps the results of the functions marked
+    @liecore._kept, by name, as LieAlgebra does.
     """
 
-    __slots__ = ("g", "h", "right", "left", "_compat", "_plan")
+    __slots__ = ("g", "h", "right", "left", "_invariants")
 
     def __init__(self, g: LieAlgebra, h: LieAlgebra, right=None, left=None):
         if g.field != h.field:
@@ -69,8 +68,7 @@ class MatchedPair:
         self.h = h
         self.right = self._raw_table("right", right, h.dim, "h")
         self.left = self._raw_table("left", left, g.dim, "g")
-        self._compat = None
-        self._plan = None
+        self._invariants = {}
 
     def _raw_table(self, side: str, entries, dim: int, space: str) -> dict:
         """entries coerced to raw vectors of length dim, zero ones dropped."""
@@ -413,9 +411,9 @@ def _datum(n: int, field: Field, lam0, delta, A=None, B=None, C=None, D=None) ->
     """The gated block datum of a family at lambda0 = lam0.
 
     Given blocks must be n x n and missing ones are zero.  With lam0 != 0 the
-    block constraints force A = -(delta_last/lam0) I = -D, and delta has all
-    2n+1 entries; with lam0 = 0 they force delta_last = 0, and delta lists
-    the first 2n.
+    block law (derivations._tn_system) forces A = -(delta_last/lam0) I = -D,
+    and delta has all 2n+1 entries; with lam0 = 0 it forces delta_last = 0,
+    and delta lists the first 2n.
     """
     _lnames(n)
     A, B, C, D = (Matrix.zeros(field, n, n) if m is None else _block(field, n, m) for m in (A, B, C, D))

@@ -352,6 +352,11 @@ def _aut_with_delta(entries):
     return argv
 
 
+def _iso_fields_differ(tmp_path):
+    a, b = (_write(tmp_path, f"l-gf{p}.json", matched.make_l(1, Field.gf(p)).to_json_dict()) for p in (5, 7))
+    return ["iso", "--a", a, "--b", b]
+
+
 def _not_utf8(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes('{"basis": ["\xe9"]}'.encode("latin-1"))
@@ -372,6 +377,7 @@ MALFORMED = {
     "delta-entry-is-null": _aut_with_delta([[None, 0, 0], [0, 0, 0], [0, 0, 0]]),
     "delta-rows-ragged": _aut_with_delta([[1, 0, 0], [0, 1], [0, 0, 1]]),
     "delta-not-dim-by-dim": _aut_with_delta([[1, 0], [0, 1]]),
+    "iso-fields-differ": _iso_fields_differ,
     "matrix-parameter-rows-ragged": lambda tmp_path: [
         "families", "--make", "l2", "--A", "1,2;3", "--D", "1", "--delta", "1",
     ],

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -402,15 +403,51 @@ def test_tn_space_basis_elements_are_valid():
             assert tn_to_twisted(t).is_valid_for(matched.make_l(2, F5))
 
 
-def test_tn_serialization_roundtrip():
-    from liefact.derivations import tn_from_json, tn_to_json
+@st.composite
+def _tn_datum(draw):
+    """A combination of the block law's basis at a drawn lambda0, over one of
+    five fields with n in {1, 2}, sometimes with one entry moved."""
+    field = draw(st.sampled_from((Q, Field.gf(2), F3, F5, Field.gf(2**31 - 1))))
+    if field is Q:
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    else:
+        entry = st.integers(0, field.p - 1) | st.just(field.p - 1)
+    n = draw(st.integers(1, 2))
+    nn = n * n
+    lam0 = field.scalar(draw(entry))
+    flat = [field.zero] * (4 * nn + 2 * n + 1)
+    for t in tn_space_for_lambda0(field, n, lam0):
+        c = field.scalar(draw(entry))
+        parts = [x for m in (t.A, t.B, t.C, t.D) for x in m.entries_flat()] + list(t.delta)
+        flat = [a + c * b for a, b in zip(flat, parts)]
+    if draw(st.booleans()):
+        flat[draw(st.integers(0, len(flat) - 1))] += field.scalar(draw(entry))
+    blocks = (Matrix(field, [flat[b * nn + r * n : b * nn + (r + 1) * n] for r in range(n)]) for b in range(4))
+    return TnElement(n, *blocks, lam0, tuple(flat[4 * nn :]))
 
-    t = tn_element(
-        F5, 2, [[-1, 0], [0, -1]], 0, [[1, 2], [0, 1]], [[1, 0], [0, 1]], 2, (1, 0, 2, 3, 2)
-    )
-    assert tn_validate(t)
-    back = tn_from_json(F5, tn_to_json(t))
-    assert back == t
+
+@settings(max_examples=200, deadline=None)
+@given(_tn_datum())
+def test_tn_validate_is_the_twisted_law_of_the_assembled_pair(t):
+    lam = tuple(zero_vector(t.field, 2 * t.n)) + (t.lambda0,)
+    law = TwistedDerivation(lam, tn_delta_matrix(t)).is_valid_for(matched.make_l(t.n, t.field))
+    assert tn_validate(t) == law
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("lam0", [0, 1, 2, -2, Fraction(1, 3)])
+def test_solver_equals_closed_form_spans_over_q(n, lam0):
+    lam = (0,) * (2 * n) + (lam0,)
+    basis = twisted_derivations_for_lambda(matched.make_l(n, Q), lam)
+    assert canonical_solution_span(basis) == tn_delta_span(Q, n, lam0)
+
+
+def test_tn_blocks_over_two_fields_raise():
+    blocks = [Matrix(F3, [[1]]), Matrix.zeros(F3, 1, 1), Matrix.zeros(F3, 1, 1), Matrix(F3, [[1]])]
+    for k in range(4):
+        mixed = blocks[:k] + [Matrix.zeros(F5, 1, 1)] + blocks[k + 1 :]
+        with pytest.raises(FieldMismatch):
+            TnElement(1, *mixed, F3.zero, (F3.zero,) * 3)
 
 
 def test_enumerate_budget_gate():

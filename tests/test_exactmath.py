@@ -608,42 +608,6 @@ def test_inverse_is_two_sided(m):
     ident = Matrix.identity(m.field, m.nrows)
     if m.nrows:
         assert m * inv == ident and inv * m == ident
-    # the inverse carries its RREF, the identity, and so does the matrix now
-    for known in (inv._rref, m._rref):
-        assert known is not None and known[1] == tuple(range(m.nrows))
-        assert known[0] == ident
-
-
-@st.composite
-def _factor_pair(draw):
-    """Two n x n factors over one field, often singular, each with its RREF
-    computed beforehand or not; sometimes a wide or tall second factor."""
-    field = draw(st.sampled_from((Q, F2, F3, F7, F_BIG)))
-    n = draw(st.integers(0, 5))
-    a = draw(oracle_matrix(square=True, fields=(field,), nrows=n))
-    if draw(st.booleans()):
-        b = draw(oracle_matrix(square=True, fields=(field,), nrows=n))
-    else:
-        b = Matrix(field, draw(_grid(_entry(field), n, draw(st.integers(1, 5)))))
-    return a, b, draw(st.booleans()), draw(st.booleans())
-
-
-@settings(max_examples=300, deadline=None)
-@given(_factor_pair())
-def test_product_of_invertible_factors_carries_its_rref(operands):
-    a, b, a_known, b_known = operands
-    if a_known:
-        a.rref()
-    if b_known:
-        b.rref()
-    prod = a * b
-    fresh = Matrix(prod.field, prod.rows).rref()
-    invertible = b.nrows == b.ncols and reference_det(a) and reference_det(b)
-    if a_known and b_known and invertible:
-        assert prod._rref is not None
-        assert prod._rref[0] == fresh[0] and prod._rref[1] == fresh[1]
-    else:
-        assert prod._rref is None
 
 
 def reference_solve(m: Matrix, b):

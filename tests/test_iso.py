@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import boxed_reference as boxed
-from liefact.errors import BudgetExceeded, InvalidTriple, NotPerfect
+from liefact.errors import BudgetExceeded, FieldMismatch, InvalidTriple, NotPerfect
 from liefact import exactmath
 from liefact.exactmath import (
     Field,
@@ -119,8 +119,13 @@ def test_yes_verdicts_carry_verified_witnesses():
     assert res2.is_yes and verify_iso(lp1, make_l(1, F7), res2.witness)
 
 
+def test_algebras_over_different_fields_raise():
+    # a "no" would certify nothing: the question needs one field
+    with pytest.raises(FieldMismatch):
+        are_isomorphic(make_l(1, F5), make_l(1, F7))
+
+
 def test_immediate_negatives_and_unknown():
-    assert are_isomorphic(make_l(1, F5), make_l(1, F7)).verdict == "no"
     assert are_isomorphic(make_l(1, F5), LieAlgebra.abelian(F5, 4)).verdict == "no"
     # over the rationals the charpoly of ad on the derived algebra answers no
     res = are_isomorphic(make_l(1, Q), third_complement(Q))
@@ -505,10 +510,9 @@ def test_products_of_checked_triples_run_no_elimination(monkeypatch):
     for i, t2 in enumerate(triples):
         for j, t3 in enumerate(triples):
             t1 = triples[(i + j) % 48]
-            prod = aut_multiply(t1, aut_multiply(t2, t3))
-            assert prod.v.matrix._rref is not None
+            aut_multiply(t1, aut_multiply(t2, t3))
     assert calls == []
-    # an inverse carries its RREF too: only computing it eliminates
+    # computing an inverse eliminates [v | I] once
     for t in triples:
         ident = aut_multiply(t, aut_inverse(t))
         assert _boxed_parts(ident) == _boxed_parts(aut_identity(sl2))
