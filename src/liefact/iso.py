@@ -26,13 +26,15 @@ verify_iso runs, in either search direction.
 
 The automorphism-triple group law, membership and the semidirect embedding
 run on raw entries too.  Each triple is checked once, on first use, and
-keeps its raw (alpha, h0); products and inverses are born checked.
+keeps its raw (alpha, h0); products and inverses are born checked.  The
+defining relation is linear in h0 and stated once, as the raw system
+_relation_system: membership applies it and enumerate_aut_triples solves it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 from operator import mul
 from typing import Callable, Optional
 
@@ -79,14 +81,8 @@ class Fingerprint:
     killing_rank: int
 
     def as_tuple(self) -> tuple:
-        return (
-            self.dim,
-            self.derived,
-            self.lower_central,
-            self.center_dim,
-            self.abelianization_dim,
-            self.killing_rank,
-        )
+        # not dataclasses.astuple, which deep-copies: each fingerprint "no" formats two
+        return tuple(getattr(self, f.name) for f in fields(self))
 
 
 def fingerprint(algebra: LieAlgebra) -> Fingerprint:
@@ -411,19 +407,25 @@ def aut_enumerate(algebra: LieAlgebra, budget: int = 500000) -> list:
 # -- morphisms of codimension-1 extensions of a perfect algebra -----------------
 
 
-def _zero_lambda(algebra: LieAlgebra) -> tuple:
-    return zero_vector(algebra.field, algebra.dim)
+def _relation_system(h: LieAlgebra, delta: Matrix, delta_prime: Matrix, alpha, v: Matrix) -> tuple:
+    """The relation v∘Delta - alpha*Delta'∘v = [v(-), h0], for a raw alpha, as
+    a dim^2 x dim system in h0 and its raw right-hand side: row (i, r) is
+    coordinate r of [v(e_i), -], against entry (r, i) of the left side."""
+    units = Matrix.identity(h.field, h.dim).raw
+    rows = tuple(
+        row for image in zip(*v.raw) for row in zip(*(h._bracket(image, e) for e in units))
+    )
+    lhs = v * delta - alpha * (delta_prime * v)
+    return Matrix._of_raw(h.field, rows, h.dim), tuple(y for col in zip(*lhs.raw) for y in col)
 
 
 def _relation_defect(
     algebra: LieAlgebra, delta: Matrix, delta_prime: Matrix, alpha, h0: tuple, v: Matrix
 ) -> bool:
-    """Check v∘Delta - alpha*Delta'∘v = [v(-), h0] columnwise, for raw alpha
-    and a raw h0 of dim entries."""
-    lhs = v * delta - alpha * (delta_prime * v)
-    return all(
-        col == algebra._bracket(image, h0) for col, image in zip(zip(*lhs.raw), zip(*v.raw))
-    )
+    """True when the relation holds: _relation_system applied to a raw h0 of
+    dim entries, for raw alpha."""
+    system, rhs = _relation_system(algebra, delta, delta_prime, alpha, v)
+    return system._apply(h0) == rhs
 
 
 def is_valid_triple(
@@ -446,8 +448,8 @@ def phi_from_triple(
         raise NotPerfect("the base algebra must be perfect")
     alpha = h.field.scalar(alpha)
     h0 = tuple(h.field.scalar(x) for x in h0)
-    dom = h_lambda_delta(h, TwistedDerivation(_zero_lambda(h), delta))
-    cod = h_lambda_delta(h, TwistedDerivation(_zero_lambda(h), delta_prime))
+    dom = h_lambda_delta(h, TwistedDerivation(zero_vector(h.field, h.dim), delta))
+    cod = h_lambda_delta(h, TwistedDerivation(zero_vector(h.field, h.dim), delta_prime))
     cols = [(alpha,) + h0]
     for i in range(h.dim):
         cols.append((h.field.zero,) + tuple(v.matrix.col(i)))
@@ -517,9 +519,9 @@ def _check_operand(t: AutTriple, field: Field, dim: int) -> tuple:
 
 def _born_checked(field: Field, alpha, h0: tuple, v: LinearMap) -> AutTriple:
     """The triple of raw alpha and h0, its check kept.  The group law builds
-    it from checked operands: alpha is a product or inverse of units, h0 has
-    dim entries, and v, a product or inverse of invertible maps, carries its
-    RREF."""
+    it from checked operands, so the check holds without being run: alpha is
+    a product or inverse of units, h0 has dim entries, and v is a product or
+    an inverse of checked invertible maps, so it is invertible."""
     t = AutTriple(Scalar(field, alpha), _box(field, h0), v)
     object.__setattr__(t, "_checked", (alpha, h0))
     return t
@@ -585,21 +587,18 @@ def semidirect_multiply(s1: SemidirectElement, s2: SemidirectElement) -> Semidir
 def enumerate_aut_triples(h: LieAlgebra, delta: Matrix, budget: int = 500000) -> list:
     """Full automorphism-triple group over a finite field.
 
-    For each unit alpha and each automorphism v, the defining relation is
-    linear in h0, so the h0-fiber is solved exactly; `budget` bounds the
-    automorphism search and, separately, the number of triples listed, and
-    each fiber is counted against it before it is enumerated.
+    For each unit alpha and each automorphism v, the h0-fiber is solved
+    exactly from _relation_system; `budget` bounds the automorphism search
+    and, separately, the number of triples listed, and each fiber is counted
+    against it before it is enumerated.
     """
     f = h.field
     auts = aut_enumerate(h, budget)
     triples = []
     for alpha in itertools.islice(f.elements(), 1, None):  # the units, after 0
         for index, v in enumerate(auts):
-            lhs = v.matrix * delta - alpha * (delta * v.matrix)
-            # row (i, r): coordinate r of [v(e_i), h0] = coordinate r of lhs(e_i)
-            rows = tuple(row for x in v.matrix.cols() for row in h.ad(x).raw)
-            rhs = tuple(y for col in zip(*lhs.raw) for y in col)
-            sol = Matrix._of_raw(f, rows, h.dim).solve(rhs)
+            system, rhs = _relation_system(h, delta, delta, alpha.value, v.matrix)
+            sol = system.solve(rhs)
             if sol is None:
                 continue
             part, null = sol

@@ -21,11 +21,12 @@ a product structure go through defects(), a lazy generator of the indices
 where the two sides differ, so a yes/no caller stops at the first defect and
 a report keeps every record in index order.  The Lie-morphism law is
 _morphism_defects: LinearMap.is_lie_morphism, iso.verify_iso and the leaf of
-the isomorphism search all read it.  Invariance of a bilinear form is summed
-off the raw table and Gram, and the twisted-derivation law (the derivation
-law at lambda = 0) is the linear system derivations._twisted_system.  The
-Jacobiator of one basis triple is _jacobiator, raw; the matched-pair axioms
-are the Jacobi identity of the bicrossed bracket on mixed triples, and
+the isomorphism search all read it.  A law linear in its unknown is one raw
+linear system that its check applies and its solver solves: invariance of a
+form is _invariance_rows, the twisted-derivation law (lambda = 0) is
+derivations._twisted_system, and the triple relation is iso._relation_system.
+The Jacobiator of one basis triple is _jacobiator, raw; the matched-pair
+axioms are the Jacobi identity of the bicrossed bracket on mixed triples, and
 check_matched_pair reads them off that same _jacobiator, as it reads the
 Jacobi identity of g and h.
 Characteristic subspaces (center, derived and lower central series),
@@ -44,9 +45,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+from itertools import compress
 import json
 from dataclasses import dataclass
-from operator import mul, neg
+from operator import mul, neg, sub
 from typing import Optional
 
 from .errors import (
@@ -510,18 +512,12 @@ class BilinearForm:
         return Scalar(alg.field, alg.field._reduce(sum(map(mul, x, self.gram._apply(y)))))
 
     def is_invariant(self) -> bool:
-        """B([e_i, e_j], e_k) = B(e_i, [e_j, e_k]) on every basis triple, with
-        B(u, v) = u^T G v summed off the raw table and the raw Gram G."""
-        alg = self.algebra
-        t, g, red = alg._table, self.gram.raw, alg.field._reduce
-        g_cols = tuple(zip(*g))
-        span = range(alg.dim)
-        return not any(
-            red(sum(map(mul, t[i][j], g_cols[k])) - sum(map(mul, g[i], t[j][k])))
-            for i in span
-            for j in span
-            for k in span
-        )
+        """The law _invariance_rows on every basis triple, applied to the
+        row-major raw Gram entries."""
+        g, red = [x for row in self.gram.raw for x in row], self.algebra.field._reduce
+        rows = _invariance_rows(self.algebra, range(self.algebra.dim))
+        # the products of the zero coefficients are skipped: over Q each one costs a Fraction
+        return not any(red(sum(map(mul, compress(row, row), compress(g, row)))) for row in rows)
 
     def is_nondegenerate(self) -> bool:
         return bool(self.gram.det())
@@ -710,6 +706,23 @@ def _generating_indices(algebra: LieAlgebra) -> list:
     return generators
 
 
+def _invariance_rows(algebra: LieAlgebra, middle):
+    """The invariance law B([e_i, e_j], e_k) = B(e_i, [e_j, e_k]) for j in
+    middle, as raw rows in the Gram entries g_{m,k} (unknown m * n + k): row
+    (i, j, k), in that order, is the left side minus the right; zero rows
+    are left out."""
+    n, t, red = algebra.dim, algebra._table, algebra.field._reduce
+    for i in range(n):
+        for j in middle:
+            for k in range(n):
+                row = [0] * (n * n)
+                row[k::n] = t[i][j]  # + B([e_i, e_j], e_k): the unknowns g_{m,k}
+                head = i * n  # - B(e_i, [e_j, e_k]): the unknowns g_{i,m}
+                row[head : head + n] = map(red, map(sub, row[head : head + n], t[j][k]))
+                if any(row):
+                    yield tuple(row)
+
+
 def invariant_bilinear_forms(algebra: LieAlgebra, symmetric: bool = False) -> list:
     """Basis of forms with B([a,b],c) = B(a,[b,c]) on all basis triples.
 
@@ -723,24 +736,8 @@ def invariant_bilinear_forms(algebra: LieAlgebra, symmetric: bool = False) -> li
     """
     n = algebra.dim
     f = algebra.field
-    red = f._reduce
-    t = algebra._table
     middle = range(n) if algebra.check_jacobi() else _generating_indices(algebra)
-    rows = []
-    # unknown gram entries g_{m,k} flattened row-major: index m*n + k
-    for i in range(n):
-        for j in middle:
-            cij = t[i][j]
-            for k in range(n):
-                cjk = t[j][k]
-                row = [f.zero.value] * (n * n)
-                for m in range(n):
-                    if cij[m]:
-                        row[m * n + k] = red(row[m * n + k] + cij[m])
-                    if cjk[m]:
-                        row[i * n + m] = red(row[i * n + m] - cjk[m])
-                if any(row):
-                    rows.append(tuple(row))
+    rows = list(_invariance_rows(algebra, middle))
     if symmetric:
         for a, b in basis_pairs(n):
             row = [f.zero.value] * (n * n)

@@ -143,6 +143,8 @@ class MatchedPair:
             raise FormatError("pair record must contain g and h algebras")
         g = LieAlgebra.from_json_dict(data["g"])
         h = LieAlgebra.from_json_dict(data["h"])
+        if g.field != h.field:
+            raise FormatError(f"g is over {g.field} and h over {h.field}; a pair needs one field")
 
         def read(entries, target: LieAlgebra):
             if not isinstance(entries, (list, type(None))):

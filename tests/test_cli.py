@@ -357,6 +357,12 @@ def _iso_fields_differ(tmp_path):
     return ["iso", "--a", a, "--b", b]
 
 
+def _pair_fields_differ(tmp_path):
+    record = matched.canonical_pair_L(1, Q).to_json_dict()
+    record["h"] = matched.canonical_pair_L(1, Field.gf(5)).to_json_dict()["h"]
+    return ["matched-check", "--pair", _write(tmp_path, "pair.json", record)]
+
+
 def _not_utf8(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes('{"basis": ["\xe9"]}'.encode("latin-1"))
@@ -378,6 +384,7 @@ MALFORMED = {
     "delta-rows-ragged": _aut_with_delta([[1, 0, 0], [0, 1], [0, 0, 1]]),
     "delta-not-dim-by-dim": _aut_with_delta([[1, 0], [0, 1]]),
     "iso-fields-differ": _iso_fields_differ,
+    "pair-fields-differ": _pair_fields_differ,
     "matrix-parameter-rows-ragged": lambda tmp_path: [
         "families", "--make", "l2", "--A", "1,2;3", "--D", "1", "--delta", "1",
     ],

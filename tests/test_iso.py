@@ -861,6 +861,28 @@ def test_inner_twist_triples_have_determined_translation():
         assert t.h0 == expected
 
 
+def test_solver_lists_exactly_the_triples_the_membership_check_accepts():
+    # the center of sl2 x k has dimension 1, so each h0-fibre has 3 points;
+    # the solver and the check read one system, and a brute force over
+    # every (alpha, h0, v) ties the two together
+    h = liecore.direct_product(make_sl2(F3), LieAlgebra.abelian(F3, 1, ("z",)))
+    delta = h.ad(basis_vector(F3, 4, 1))
+    key = lambda t: (t.alpha, t.h0, t.v.matrix)
+    triples = enumerate_aut_triples(h, delta)
+    solved = {key(t) for t in triples}
+    units = list(F3.elements())[1:]
+    members = {
+        key(t)
+        for alpha in units
+        for v in aut_enumerate(h)
+        for h0 in enumerate_vectors(F3, 4)
+        for t in (AutTriple(alpha, h0, v),)
+        if aut_triple_valid(h, delta, t)
+    }
+    assert len(triples) == len(solved) == 288
+    assert solved == members
+
+
 def test_gcheck_inner_predicate():
     sl2 = make_sl2(F3)
     x0 = basis_vector(F3, 3, 0)

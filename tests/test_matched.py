@@ -8,6 +8,7 @@ import boxed_reference as boxed
 from liefact.errors import (
     BadParameter,
     DimensionMismatch,
+    FieldMismatch,
     FormatError,
     InvalidMatchedPair,
     InvalidTwistedDerivation,
@@ -492,3 +493,17 @@ def test_pair_format_errors(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(FormatError):
         load_pair(path)
+
+
+def test_pair_file_over_two_fields_is_a_format_error(tmp_path):
+    import json
+
+    data = canonical_pair_L(1, Q).to_json_dict()
+    data["h"] = canonical_pair_L(1, F5).to_json_dict()["h"]
+    path = tmp_path / "two-fields.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(FormatError, match=r"g is over Q and h over GF\(5\)"):
+        load_pair(path)
+    # a library caller still gets FieldMismatch from the constructor
+    with pytest.raises(FieldMismatch):
+        MatchedPair(canonical_pair_L(1, Q).g, canonical_pair_L(1, F5).h)
