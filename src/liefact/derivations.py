@@ -75,7 +75,7 @@ class TwistedDerivation:
         bad = []
         for i, j, lam_val, delta_val in self._defects(algebra):
             if lam_val:
-                bad.append(("lambda", i, j, Scalar(f, lam_val)))
+                bad.append(("lambda", i, j, f._scalar_of(lam_val)))
             if any(delta_val):
                 bad.append(("delta", i, j, _box(f, delta_val)))
         return bad

@@ -13,12 +13,15 @@ mean the same either way) and residues in [0, p) over GF(p).  Every raw value
 the module computes goes through Field._reduce, which makes it canonical.  A
 Matrix keeps raw entries: its public constructors coerce them once, sums,
 products and elimination run on them, and its accessors box what they hand
-out.  Row reduction is decided here, once: Matrix.rref (and so rank,
-nullspace, solve, inverse and span_rref) and Matrix.det wrap two raw entry
-points, _rref_rows and _det_rows, whose kernels run on plain ints,
-fraction-free over Q and on residues over GF(p); no other module names the
-kernels.  _Echelon decides independence one raw vector at a time, with no
-elimination, for the isomorphism search and liecore's generating sets.
+out.  Every matrix product goes through Matrix.__mul__, and its one kernel
+is _mul_rows: a single flat pass over the (row, column) pairs, one _reduce
+per entry, cut back into rows.  Row reduction is decided here, once:
+Matrix.rref (and so rank, nullspace, solve, inverse and span_rref) and
+Matrix.det wrap two raw entry points, _rref_rows and _det_rows, whose
+kernels run on plain ints, fraction-free over Q and on residues over GF(p);
+no other module names the kernels.  _Echelon decides independence one raw
+vector at a time, with no elimination, for the isomorphism search and
+liecore's generating sets.
 
 A vector at the boundary is a tuple of Scalars; zero_vector and
 basis_vector build the two a caller needs most, and the module has no
@@ -28,7 +31,13 @@ that way, and every sum, product and law check runs on those.  _span_rows is
 span_rref on raw rows, and _intersect_rows intersects two spans of raw rows.
 
 Each field has one instance, built and validated on first use with its zero
-and one, so comparing the fields of two operands is an identity check.
+and one, so comparing the fields of two operands is an identity check.  A
+prime field below TABLE_BOUND (1024) also builds, once, the tuple of its p
+Scalars, and its zero and one are entries 0 and 1 of it: _box, Field.scalar
+and Field.elements (and so every accessor) box a residue by indexing that
+tuple.  Q and the larger prime fields, GF(2^31 - 1) among them, build no
+table and box into a new Scalar each time.  Scalar arithmetic builds a new
+Scalar on every field.
 
 Every matrix has an exact shape: a 0 x n matrix still has n columns, so its
 null space is all of n-space and a (k x 0)(0 x n) product is the k x n zero
@@ -52,6 +61,8 @@ from .errors import BadParameter, DimensionMismatch, FieldMismatch, FormatError,
 
 KIND_Q = "Q"
 KIND_FP = "Fp"
+# a prime field below this bound builds the tuple of its p Scalars once
+TABLE_BOUND = 1024
 
 
 def _is_prime(p: int) -> bool:
@@ -72,10 +83,11 @@ class Field:
     Each field has one instance: Field(kind, p) validates (kind, p) on the
     first call and returns the stored instance on every later one, as do
     gf, rationals, from_json, copy and pickle.  Equality of fields is
-    identity.
+    identity.  _table is the tuple of the p Scalars of a prime field below
+    TABLE_BOUND, and None for every other field.
     """
 
-    __slots__ = ("kind", "p", "zero", "one", "_reduce")
+    __slots__ = ("kind", "p", "zero", "one", "_reduce", "_table")
 
     _instances: dict = {}
 
@@ -97,6 +109,10 @@ class Field:
         field.p = p
         # the canonical form of a computed raw entry
         field._reduce = _rational if p is None else p.__rmod__
+        # a small prime field boxes a residue by indexing its p Scalars
+        field._table = None
+        if p is not None and p < TABLE_BOUND:
+            field._table = tuple([Scalar(field, v) for v in range(p)])
         field.zero = field.scalar(0)
         field.one = field.scalar(1)
         # two threads may build the same field; setdefault keeps the first
@@ -133,7 +149,13 @@ class Field:
         """
         if isinstance(value, Scalar) and value.field is self:
             return value
-        return Scalar(self, self._raw(value))
+        return self._scalar_of(self._raw(value))
+
+    def _scalar_of(self, raw) -> "Scalar":
+        """The Scalar of a canonical raw value: the table's own entry when
+        the field has a table, else a new Scalar."""
+        table = self._table
+        return Scalar(self, raw) if table is None else table[raw]
 
     def _raw(self, value):
         """What scalar(value) holds: a canonical rational over Q, a residue
@@ -170,8 +192,7 @@ class Field:
         """All field elements in ascending residue order (finite fields only)."""
         if not self.is_finite:
             raise NotFinite("cannot enumerate the rationals")
-        for v in range(self.p):
-            yield Scalar(self, v)
+        yield from map(self._scalar_of, range(self.p))
 
     # -- serialization -------------------------------------------------------
 
@@ -328,7 +349,12 @@ def _rational(x):
 
 
 def _box(field: Field, values) -> tuple:
-    return tuple([Scalar(field, x) for x in values])
+    """Scalars of canonical raw values: entries of the field's table when it
+    has one, new Scalars otherwise."""
+    table = field._table
+    if table is None:
+        return tuple([Scalar(field, x) for x in values])
+    return tuple([table[x] for x in values])
 
 
 class Matrix:
@@ -430,16 +456,13 @@ class Matrix:
 
     def __mul__(self, other):
         field = self.field
-        red = field._reduce
         if isinstance(other, Matrix):
             if field != other.field:
                 raise FieldMismatch(f"{field} vs {other.field}")
             if self.ncols != other.nrows:
                 raise DimensionMismatch("inner dimensions differ")
-            cols = tuple(zip(*other.raw)) if other.raw else ((),) * other.ncols
-            raw = tuple([tuple([red(sum(map(mul, row, col))) for col in cols]) for row in self.raw])
-            return Matrix._of_raw(field, raw, other.ncols)
-        c = field._raw(other)
+            return Matrix._of_raw(field, _mul_rows(field, self.raw, other.raw, other.ncols), other.ncols)
+        c, red = field._raw(other), field._reduce
         return Matrix._of_raw(field, tuple([tuple([red(c * x) for x in r]) for r in self.raw]), self.ncols)
 
     __rmul__ = __mul__
@@ -528,13 +551,13 @@ class Matrix:
             return None
         x = list(zero_vector(self.field, self.ncols))
         for r, p in enumerate(pivots):
-            x[p] = Scalar(self.field, red.raw[r][self.ncols])
+            x[p] = self.field._scalar_of(red.raw[r][self.ncols])
         return tuple(x), [_box(self.field, v) for v in _null_rows(self.field, red, pivots, self.ncols)]
 
     def det(self) -> Scalar:
         if self.nrows != self.ncols:
             raise DimensionMismatch("determinant of a non-square matrix")
-        return Scalar(self.field, _det_rows(self.field, self.raw))
+        return self.field._scalar_of(_det_rows(self.field, self.raw))
 
     def inverse(self) -> Optional["Matrix"]:
         if self.nrows != self.ncols:
@@ -563,6 +586,17 @@ class Matrix:
         if len(set(map(len, entries))) > 1:
             raise FormatError("ragged rows in matrix record")
         return cls(field, entries)
+
+
+def _mul_rows(field: Field, rows, other, ncols: int) -> tuple:
+    """The raw product of raw rows and the raw rows of an ncols-wide right
+    factor: one flat pass, one reduce per entry, cut into rows of ncols."""
+    if not ncols:
+        return ((),) * len(rows)
+    cols = tuple(zip(*other)) if other else ((),) * ncols
+    red = field._reduce
+    flat = [red(sum(map(mul, row, col))) for row in rows for col in cols]
+    return tuple(zip(*[iter(flat)] * ncols))
 
 
 def _null_rows(field: Field, red: Matrix, pivots: tuple, ncols: int) -> list:

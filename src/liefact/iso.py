@@ -25,10 +25,18 @@ liecore's Lie-morphism law on the full bracket tables, the same check
 verify_iso runs, in either search direction.
 
 The automorphism-triple group law, membership and the semidirect embedding
-run on raw entries too.  Each triple is checked once, on first use, and
-keeps its raw (alpha, h0); products and inverses are born checked.  The
-defining relation is linear in h0 and stated once, as the raw system
-_relation_system: membership applies it and enumerate_aut_triples solves it.
+run on raw entries too.  Each operand is checked once, by _check_operand on
+its first use, and keeps its raw (alpha, h0).  A product or an inverse is
+born checked: aut_multiply composes v∘w by one Matrix.__mul__ (exactmath's
+one product kernel) in the trusted LinearMap._of, and _born_checked builds
+the triple without the dataclass's __init__, boxing alpha and h0 by table
+lookups over a small prime field.  The defining relation is linear in h0
+and stated once, as the raw system _relation_system: membership applies it
+and enumerate_aut_triples solves it.  The relation is defined for any base
+algebra h, so membership and enumerate_aut_triples accept one that is not
+perfect; only the correspondence with automorphisms of the extension needs
+h perfect, and is_valid_triple and phi_from_triple, which state it, raise
+NotPerfect.
 """
 
 from __future__ import annotations
@@ -474,7 +482,12 @@ class AutTriple:
 
 
 def aut_triple_valid(h: LieAlgebra, delta: Matrix, t: AutTriple) -> bool:
-    """Membership in the group: invertible Lie map with the defining relation."""
+    """Membership in the group: invertible Lie map with the defining relation.
+
+    h need not be perfect: the relation is defined for any h.  Only reading
+    a triple as an automorphism of the extension needs h perfect, which
+    is_valid_triple and phi_from_triple enforce.
+    """
     try:
         checked = _check_operand(t, t.v.domain.field, t.v.domain.dim)
     except InvalidTriple:
@@ -518,12 +531,13 @@ def _check_operand(t: AutTriple, field: Field, dim: int) -> tuple:
 
 
 def _born_checked(field: Field, alpha, h0: tuple, v: LinearMap) -> AutTriple:
-    """The triple of raw alpha and h0, its check kept.  The group law builds
-    it from checked operands, so the check holds without being run: alpha is
-    a product or inverse of units, h0 has dim entries, and v is a product or
-    an inverse of checked invertible maps, so it is invertible."""
-    t = AutTriple(Scalar(field, alpha), _box(field, h0), v)
-    object.__setattr__(t, "_checked", (alpha, h0))
+    """The triple of raw alpha and h0, its check kept, built without the
+    dataclass's __init__.  The group law builds it from checked operands, so
+    the check holds without being run: alpha is a product or inverse of
+    units, h0 has dim entries, and v is a product or an inverse of checked
+    invertible maps, so it is invertible."""
+    t = object.__new__(AutTriple)
+    t.__dict__.update(alpha=field._scalar_of(alpha), h0=_box(field, h0), v=v, _checked=(alpha, h0))
     return t
 
 
@@ -544,7 +558,7 @@ def aut_inverse(t: AutTriple) -> AutTriple:
     """(alpha,h,v)^-1 = (alpha^-1, -alpha^-1 v^-1(h), v^-1), on raw entries."""
     field = t.v.domain.field
     alpha, h = _check_operand(t, field, t.v.domain.dim)
-    ainv = Scalar(field, alpha).inverse().value
+    ainv = field._scalar_of(alpha).inverse().value
     vinv = t.v.inverse()
     red = field._reduce
     h0 = tuple([red(-ainv * y) for y in vinv.matrix._apply(h)])
@@ -567,7 +581,7 @@ def semidirect_embed(t: AutTriple) -> SemidirectElement:
     coerced)."""
     field = t.v.domain.field
     alpha, h0 = _check_operand(t, field, t.v.domain.dim)
-    alpha = Scalar(field, alpha)
+    alpha = field._scalar_of(alpha)
     ainv, red = alpha.inverse().value, field._reduce
     return SemidirectElement(_box(field, [red(ainv * x) for x in h0]), alpha, t.v)
 
@@ -591,6 +605,11 @@ def enumerate_aut_triples(h: LieAlgebra, delta: Matrix, budget: int = 500000) ->
     exactly from _relation_system; `budget` bounds the automorphism search
     and, separately, the number of triples listed, and each fiber is counted
     against it before it is enumerated.
+
+    h need not be perfect: the relation is defined for any h, and the list
+    is the group of triples that satisfy it.  Only reading those triples as
+    the automorphisms of the extension needs h perfect, which
+    is_valid_triple and phi_from_triple enforce (they raise NotPerfect).
     """
     f = h.field
     auts = aut_enumerate(h, budget)

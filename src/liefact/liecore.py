@@ -34,11 +34,17 @@ invariant bilinear forms, self-duality (decided on a finite grid of form
 combinations, over Q as over GF(p)) and product structures all reduce to
 exact linear algebra over the base field; the Killing Gram is a sum of
 table entries, with no matrix product.  Structure constants never change
-after construction, so the series (as tuples, the lower central one
-starting from the derived algebra [L, L]), the center, the Killing Gram
-and, for an almost abelian algebra, the characteristic polynomial of ad on
-the derived algebra are computed once per LieAlgebra, on first use, and
-kept on it.
+after construction, so the Jacobi violations (check_jacobi copies them,
+invariant_bilinear_forms and self_dual read them), the series (as tuples,
+the lower central one starting from the derived algebra [L, L]), the
+center, the Killing Gram and, for an almost abelian algebra, the
+characteristic polynomial of ad on the derived algebra are computed once
+per LieAlgebra, on first use, and kept on it.
+
+A LinearMap checks its matrix's shape and field against its algebras when
+it is built; compose and inverse build their results with the trusted
+LinearMap._of, since a product or inverse of checked maps has the right
+shape and field by construction.
 """
 
 from __future__ import annotations
@@ -220,14 +226,10 @@ class LieAlgebra:
         return tuple(map(self.field._reduce, out))
 
     def check_jacobi(self) -> list:
-        """All violating triples (i, j, l, defect); empty means valid."""
-        f = self.field
-        triples = itertools.combinations(range(self.dim), 3)
-        zero = (f.zero.value,) * self.dim
-        return [
-            (i, j, l, _box(f, defect))
-            for (i, j, l), defect, _ in defects(triples, self._jacobiator, lambda i, j, l: zero)
-        ]
+        """All violating triples (i, j, l, defect); empty means valid.  The
+        triples are swept once per algebra (_jacobi_violations keeps them);
+        each call returns a new list."""
+        return list(_jacobi_violations(self))
 
     # -- structure -------------------------------------------------------------
 
@@ -471,6 +473,18 @@ class LinearMap:
         if self.matrix.field != self.domain.field or self.domain.field != self.codomain.field:
             raise FieldMismatch("map and algebras must share one field")
 
+    @classmethod
+    def _of(cls, domain: LieAlgebra, codomain: LieAlgebra, matrix: Matrix) -> "LinearMap":
+        """A map whose matrix already has the algebras' field and shape.
+
+        Nothing is checked: compose and inverse build their results here from
+        operands that were checked when they were built, as Matrix._of_raw
+        does for matrices.
+        """
+        m = object.__new__(cls)
+        m.__dict__.update(domain=domain, codomain=codomain, matrix=matrix)
+        return m
+
     def __call__(self, v) -> tuple:
         return self.matrix.mul_vector(v)
 
@@ -483,13 +497,14 @@ class LinearMap:
     def compose(self, other: "LinearMap") -> "LinearMap":
         if other.codomain is not self.domain and other.codomain.dim != self.domain.dim:
             raise DimensionMismatch("composition shape mismatch")
-        return LinearMap(other.domain, self.codomain, self.matrix * other.matrix)
+        # the product raises FieldMismatch for operands over two fields
+        return LinearMap._of(other.domain, self.codomain, self.matrix * other.matrix)
 
     def inverse(self) -> "LinearMap":
         inv = self.matrix.inverse()
         if inv is None:
             raise DimensionMismatch("map is not invertible")
-        return LinearMap(self.codomain, self.domain, inv)
+        return LinearMap._of(self.codomain, self.domain, inv)
 
 
 @dataclass(frozen=True)
@@ -509,7 +524,7 @@ class BilinearForm:
         """x^T G y, on the raw entries of x, y and the Gram G."""
         alg = self.algebra
         x, y = alg._raw_vector(x), alg._raw_vector(y)
-        return Scalar(alg.field, alg.field._reduce(sum(map(mul, x, self.gram._apply(y)))))
+        return alg.field._scalar_of(alg.field._reduce(sum(map(mul, x, self.gram._apply(y)))))
 
     def is_invariant(self) -> bool:
         """The law _invariance_rows on every basis triple, applied to the
@@ -547,6 +562,19 @@ def _kept(compute):
         return kept[name]
 
     return get
+
+
+@_kept
+def _jacobi_violations(algebra: LieAlgebra) -> tuple:
+    """The Jacobi identity on every basis triple, through defects(): each
+    violating (i, j, l, defect), the defect boxed."""
+    f = algebra.field
+    triples = itertools.combinations(range(algebra.dim), 3)
+    zero = (f.zero.value,) * algebra.dim
+    return tuple(
+        (i, j, l, _box(f, defect))
+        for (i, j, l), defect, _ in defects(triples, algebra._jacobiator, lambda i, j, l: zero)
+    )
 
 
 @_kept

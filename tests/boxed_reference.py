@@ -21,7 +21,8 @@ middle index lies in a generating set.  So are the vector helpers the
 library dropped (vadd, vsub, vscale, dot, is_zero_vector) and the laws it
 now states once on raw entries: the Lie-morphism law, the twisted-derivation
 law as bracket identities (violations), the integrability of a product
-structure, and evaluate.
+structure, and evaluate.  The matrix product is here as the boxed loop of
+Scalar products that exactmath's one raw kernel, _mul_rows, replaced.
 """
 
 import itertools
@@ -55,6 +56,13 @@ def dot(u, v, field) -> Scalar:
         raise DimensionMismatch("dot of unequal lengths")
     raw = field._raw
     return Scalar(field, field._reduce(sum(map(mul, map(raw, u), map(raw, v)))))
+
+
+def matmul(a, b) -> list:
+    """The rows of a * b on Scalars: each entry the sum, from zero, of the
+    boxed products of a row of a and a column of b."""
+    zero, cols = a.field.zero, b.cols()
+    return [[sum((x * y for x, y in zip(row, col)), zero) for col in cols] for row in a.rows]
 
 
 def lincomb(coeffs, vectors, start) -> tuple:

@@ -17,11 +17,14 @@ import boxed_reference as boxed
 from liefact.errors import BadParameter, DimensionMismatch, FieldMismatch, FormatError, NotFinite
 from liefact import exactmath
 from liefact.exactmath import (
+    TABLE_BOUND,
     Field,
     _Echelon,
+    _box,
     _clear_denominators,
     _integer_rref,
     _is_prime,
+    _mul_rows,
     Matrix,
     Scalar,
     basis_vector,
@@ -37,6 +40,8 @@ F3 = Field.gf(3)
 F5 = Field.gf(5)
 F7 = Field.gf(7)
 F_BIG = Field.gf(2**31 - 1)
+# the largest prime below TABLE_BOUND, so the largest field with a table
+F_TOP = Field.gf(1021)
 
 
 def qm(rows):
@@ -761,6 +766,95 @@ def test_matrix_arithmetic_matches_the_boxed_reference(operands):
         _assert_raw_in(inv, field)
     for m in (a, b, c, sq, sq.rref()[0]):
         _assert_raw_in(m, field)
+
+
+# -- the one product kernel and table boxing ---------------------------------------
+
+KERNEL_FIELDS = (F2, F3, F5, F_TOP, F_BIG, Q)
+
+
+def test_a_table_is_built_below_the_bound_only():
+    assert not any(map(_is_prime, range(1022, TABLE_BOUND)))
+    for field in (F2, F3, F5, F7, F_TOP):
+        assert len(field._table) == field.p
+        assert field.zero is field._table[0] and field.one is field._table[1]
+        assert all(type(x) is Scalar and x.field is field and x.value == v
+                   for v, x in enumerate(field._table))
+    for field in (Q, F_BIG, Field.gf(1031)):
+        assert field._table is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_boxing_gives_the_scalars_a_new_one_would_equal(data):
+    field = data.draw(st.sampled_from(KERNEL_FIELDS))
+    values = data.draw(st.lists(_entry(field), max_size=6))
+    raw = [field._raw(x) for x in values]
+    fresh = tuple(Scalar(field, x) for x in raw)
+    m = Matrix._of_raw(field, (tuple(raw),), len(raw))
+    ways = {
+        "_box": _box(field, raw),
+        "scalar": tuple(field.scalar(x) for x in values),
+        "scalar of a string": tuple(field.scalar(str(x)) for x in values),
+        "entries_flat": m.entries_flat(),
+        "rows": m.rows[0],
+    }
+    for name, got in ways.items():
+        assert got == fresh, name
+        assert all(type(x) is Scalar and x.field is field and type(x.value) is type(y.value)
+                   for x, y in zip(got, fresh)), name
+        if field._table is not None:
+            assert all(x is field._table[v] for x, v in zip(got, raw)), name
+    if field is Q:
+        with pytest.raises(NotFinite):
+            next(field.elements())
+        return
+    first = list(itertools.islice(field.elements(), 3))
+    assert first == [Scalar(field, v) for v in range(min(3, field.p))]
+    if field._table is not None:
+        assert all(x is y for x, y in zip(field.elements(), field._table))
+        assert field.zero is next(field.elements())
+
+
+@st.composite
+def _kernel_operands(draw):
+    """A k x m and an m x n matrix over one field, every dimension 0 to 4."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    k, m, n = (draw(st.integers(0, 4)) for _ in range(3))
+    entry = _entry(field)
+    a = _from_grid(field, draw(_grid(entry, k, m)), m)
+    b = _from_grid(field, draw(_grid(entry, m, n)), n)
+    return a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(_kernel_operands())
+def test_the_product_kernel_matches_the_boxed_loop(operands):
+    a, b = operands
+    field = a.field
+    raw = _mul_rows(field, a.raw, b.raw, b.ncols)
+    assert len(raw) == a.nrows and all(len(row) == b.ncols for row in raw)
+    assert [list(_box(field, row)) for row in raw] == boxed.matmul(a, b)
+    product = a * b
+    assert product.raw == raw and (product.nrows, product.ncols) == (a.nrows, b.ncols)
+    _assert_raw_in(product, field)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+def test_the_product_kernel_on_empty_shapes(field):
+    three = ((field.one.value,) * 3,) * 3
+    for (k, m, n), a, b in (
+        ((0, 3, 3), (), three),
+        ((3, 3, 0), three, ((),) * 3),
+        ((3, 0, 3), ((),) * 3, ()),
+        ((0, 0, 0), (), ()),
+    ):
+        raw = _mul_rows(field, a, b, n)
+        assert raw == ((field.zero.value,) * n,) * k
+        product = Matrix._of_raw(field, a, m) * Matrix._of_raw(field, b, n)
+        assert product.raw == raw and (product.nrows, product.ncols) == (k, n)
+        assert [list(row) for row in product.rows] == boxed.matmul(
+            Matrix._of_raw(field, a, m), Matrix._of_raw(field, b, n))
 
 
 # -- enumeration -----------------------------------------------------------------

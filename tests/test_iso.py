@@ -677,6 +677,9 @@ def test_products_and_inverses_are_born_checked():
             assert prod == AutTriple(prod.alpha, prod.h0, prod.v)
             assert hash(prod) == hash(AutTriple(prod.alpha, prod.h0, prod.v))
             assert "_checked" not in repr(prod)
+            # boxed from the field's table, v as the checked constructor builds it
+            assert all(x is F3._table[x.value] for x in (prod.alpha,) + prod.h0)
+            assert prod.v == LinearMap(t1.v.domain, t2.v.codomain, t1.v.matrix * t2.v.matrix)
 
 
 def test_int_entries_are_coerced_once(monkeypatch):
@@ -881,6 +884,20 @@ def test_solver_lists_exactly_the_triples_the_membership_check_accepts():
     }
     assert len(triples) == len(solved) == 288
     assert solved == members
+
+
+def test_only_the_extension_correspondence_needs_a_perfect_base():
+    # sl2 x k is not perfect ([L, L] = sl2): the relation and its group are
+    # defined, but reading a triple as an automorphism of the extension is not
+    h = liecore.direct_product(make_sl2(F3), LieAlgebra.abelian(F3, 1, ("z",)))
+    delta = h.ad(basis_vector(F3, 4, 1))
+    assert not liecore.is_perfect(h)
+    t = enumerate_aut_triples(h, delta)[0]
+    assert aut_triple_valid(h, delta, t)
+    with pytest.raises(NotPerfect):
+        is_valid_triple(h, delta, delta, t.alpha, t.h0, t.v)
+    with pytest.raises(NotPerfect):
+        phi_from_triple(h, delta, delta, t.alpha, t.h0, t.v)
 
 
 def test_gcheck_inner_predicate():

@@ -207,6 +207,31 @@ def test_check_jacobi_matches_oracle_on_zoo():
                     assert is_zero_vector(jacobi_defect_oracle(alg, i, j, l))
 
 
+def test_the_jacobi_identity_is_swept_once_per_algebra(monkeypatch):
+    sweeps = []
+    jacobiator = LieAlgebra._jacobiator
+    monkeypatch.setattr(
+        LieAlgebra, "_jacobiator", lambda alg, *t: sweeps.append(t) or jacobiator(alg, *t)
+    )
+    for made in (matched.make_L(1, Q), matched.make_sl2(F5)):
+        # a new algebra of the same brackets, with nothing kept on it yet
+        alg = LieAlgebra(made.field, made.basis_names, dict(made.sc_pairs()))
+        sweeps.clear()
+        first = alg.check_jacobi()
+        invariant_bilinear_forms(alg)
+        invariant_bilinear_forms(alg, symmetric=True)
+        self_dual(alg)
+        assert alg.check_jacobi() == first == [] and alg.check_jacobi() is not first
+        assert sorted(sweeps) == list(itertools.combinations(range(alg.dim), 3))
+    # a failing bracket: the kept report cannot be changed through a returned list
+    bad = LieAlgebra(F2, ("e0", "e1", "e2"), {(0, 1): (0, 1, 1), (0, 2): (1, 0, 0), (1, 2): (0, 0, 1)})
+    sweeps.clear()
+    report = bad.check_jacobi()
+    assert report and len(sweeps) == 1
+    report.clear()
+    assert invariant_bilinear_forms(bad) == [] and bad.check_jacobi() and len(sweeps) == 1
+
+
 # -- series, center, predicates --------------------------------------------------
 
 
@@ -634,6 +659,47 @@ def test_product_structure_on_bicrossed():
         for u in s.basis:
             for v in s.basis:
                 assert s.contains(bi.bracket(u, v))
+
+
+# -- linear maps ------------------------------------------------------------------
+
+
+def test_compose_and_inverse_build_what_the_checked_constructor_builds():
+    for field in (Q, F3, F5):
+        sl2, l3 = matched.make_sl2(field), matched.make_l(1, field)
+        v = Matrix(field, [[2, 0, 0], [0, 1, 0], [1, 0, 2]])
+        w = Matrix(field, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+        f, g = LinearMap(l3, sl2, v), LinearMap(sl2, l3, w)
+        for got, (dom, cod, m) in (
+            (f.compose(g), (sl2, sl2, v * w)),
+            (g.compose(f), (l3, l3, w * v)),
+            (f.inverse(), (sl2, l3, v.inverse())),
+        ):
+            assert type(got) is LinearMap and got == LinearMap(dom, cod, m)
+            assert got.domain is dom and got.codomain is cod
+            assert hash(got) == hash(LinearMap(dom, cod, m))
+        with pytest.raises(DimensionMismatch):
+            LinearMap(l3, l3, Matrix.zeros(field, 3, 3)).inverse()
+
+
+def test_compose_rejects_maps_over_two_fields_or_of_two_dimensions():
+    f5 = LinearMap(matched.make_sl2(F5), matched.make_sl2(F5), Matrix.identity(F5, 3))
+    f3 = LinearMap(matched.make_sl2(F3), matched.make_sl2(F3), Matrix.identity(F3, 3))
+    with pytest.raises(FieldMismatch):
+        f5.compose(f3)
+    with pytest.raises(FieldMismatch):
+        f3.compose(f5)
+    plane = LieAlgebra.abelian(F5, 2)
+    p5 = LinearMap(plane, plane, Matrix.identity(F5, 2))
+    with pytest.raises(DimensionMismatch):
+        f5.compose(p5)
+    with pytest.raises(DimensionMismatch):
+        p5.compose(f5)
+    # a 3 x 2 map composes with the plane but not with sl2
+    into = LinearMap(plane, f5.domain, Matrix(F5, [[1, 0], [0, 1], [0, 0]]))
+    assert f5.compose(into).matrix == into.matrix
+    with pytest.raises(DimensionMismatch):
+        into.compose(f5)
 
 
 def test_product_structure_excludes_identities():
