@@ -45,7 +45,7 @@ from .exactmath import (
     Matrix,
     enumerate_vectors,
 )
-from .liecore import LieAlgebra, _kept, basis_pairs, charpolys_differ, derived_ad_charpoly
+from .liecore import LieAlgebra, _kept, basis_pairs
 from .matched import MatchedPair, canonical_pair_L, canonical_pair_m, _finish
 from .iso import are_isomorphic, fingerprint
 
@@ -451,20 +451,13 @@ def _classify_registered_infinite(mp: MatchedPair) -> Optional[ComplementReport]
         return None
     families = closed_form_defmaps_m(1, field)
     by_label = {fam.label: fam for fam in families}
-    # sample the c-family on its generic stratum (derived algebra of dim 2);
-    # the charpoly of ad on it takes infinitely many weighted classes there
-    samples = []
-    invariants = []
-    for c in (0, 2, 3, 4, 5):
-        d = by_label["c"].instance(field.scalar(c))
-        alg = r_deformation(mp, d)
-        inv = derived_ad_charpoly(alg)
-        if inv is None:
-            return None
-        samples.append(alg)
-        invariants.append(inv)
-    for i, j in basis_pairs(len(invariants)):
-        if not charpolys_differ(invariants[i], invariants[j]):
+    # sample the c-family on its generic stratum (derived algebra of dim 2),
+    # where ad on it takes infinitely many classes up to scaling; the
+    # samples must be pairwise non-isomorphic, which are_isomorphic decides
+    # over Q for these almost abelian algebras
+    samples = [r_deformation(mp, by_label["c"].instance(field.scalar(c))) for c in (0, 2, 3, 4, 5)]
+    for i, j in basis_pairs(len(samples)):
+        if are_isomorphic(samples[i], samples[j]).verdict != "no":
             return None
     return ComplementReport(
         representatives=samples,

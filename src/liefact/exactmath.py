@@ -16,8 +16,9 @@ products and elimination run on them, and its accessors box what they hand
 out.  Every matrix product goes through Matrix.__mul__, and its one kernel
 is _mul_rows: a single flat pass over the (row, column) pairs, one _reduce
 per entry, cut back into rows.  Row reduction is decided here, once:
-Matrix.rref (and so rank, nullspace, solve, inverse and span_rref) and
-Matrix.det wrap two raw entry points, _rref_rows and _det_rows, whose
+Matrix.rref (and so rank, nullspace, solve and span_rref), Matrix.inverse
+and Matrix.det wrap three raw entry points, _rref_rows, _inverse_rows (the
+RREF of (A | I)) and _det_rows, whose
 kernels run on plain ints, fraction-free over Q and on residues over GF(p);
 no other module names the kernels.  _Echelon decides independence one raw
 vector at a time, with no elimination, for the isomorphism search and
@@ -39,6 +40,13 @@ tuple.  Q and the larger prime fields, GF(2^31 - 1) among them, build no
 table and box into a new Scalar each time.  Scalar arithmetic builds a new
 Scalar on every field.
 
+The Frobenius form of a square matrix is one raw kernel, _frobenius_rows:
+the invariant factors and a transform to block companion form, by the
+cyclic-vector construction on small polynomial helpers (a polynomial is a
+list of raw coefficients, lowest degree first).  _roots gives every g-th
+root of a field element, by integer roots over Q and by splitting t^e - s
+over GF(p), with no pass over the field's elements.
+
 Every matrix has an exact shape: a 0 x n matrix still has n columns, so its
 null space is all of n-space and a (k x 0)(0 x n) product is the k x n zero
 matrix.
@@ -53,6 +61,7 @@ enumerate_vectors is enumerate_affine over the unit basis.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import add, mul, neg, sub
 from typing import Iterator, Optional
@@ -562,11 +571,8 @@ class Matrix:
     def inverse(self) -> Optional["Matrix"]:
         if self.nrows != self.ncols:
             raise DimensionMismatch("inverse of a non-square matrix")
-        n = self.nrows
-        red, pivots = self.augment(Matrix.identity(self.field, n)).rref()
-        if pivots[:n] != tuple(range(n)):
-            return None
-        return Matrix._of_raw(self.field, tuple(row[n:] for row in red.raw), n)
+        inv = _inverse_rows(self.field, self.raw)
+        return None if inv is None else Matrix._of_raw(self.field, inv, self.nrows)
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
@@ -631,6 +637,17 @@ def _rref_rows(field: Field, rows, ncols: int) -> tuple:
     ), tuple(pivots)
 
 
+def _inverse_rows(field: Field, rows):
+    """The raw rows of the inverse of a square matrix's raw rows, or None
+    when it is singular: the right half of the RREF of (A | I)."""
+    n = len(rows)
+    augmented = [tuple(row) + tuple(int(i == j) for j in range(n)) for i, row in enumerate(rows)]
+    red, pivots = _rref_rows(field, augmented, 2 * n)
+    if pivots[:n] != tuple(range(n)):
+        return None
+    return tuple(row[n:] for row in red)
+
+
 def _det_rows(field: Field, rows):
     """The raw determinant of a square matrix's raw rows, left unchanged."""
     if field.kind == KIND_Q:
@@ -667,6 +684,232 @@ class _Echelon:
     def pop(self):
         self._pivots.pop()
         self.rows.pop()
+
+
+# -- polynomials, roots and the Frobenius form ------------------------------------
+# No trailing zero: the zero polynomial is [] and a monic one ends in 1.
+
+
+def _power(field: Field, x, e: int):
+    """x^e of a raw x, e any int (x != 0 when e < 0)."""
+    if field.p is None:
+        return _rational(Fraction(x) ** e)
+    return pow(x, e, field.p)
+
+
+def _poly_mul(field: Field, f: list, g: list) -> list:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return list(map(field._reduce, out))
+
+
+def _poly_divmod(field: Field, f: list, g: list) -> tuple:
+    """Quotient and remainder of f by a nonzero g."""
+    red, m = field._reduce, len(g) - 1
+    lead = _power(field, g[-1], -1)
+    r = list(f)
+    q = [0] * max(len(f) - m, 0)
+    for k in range(len(f) - 1 - m, -1, -1):
+        c = q[k] = red(r[k + m] * lead)
+        if c:
+            for j, b in enumerate(g):
+                r[k + j] = red(r[k + j] - c * b)
+    r = r[:m]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _poly_gcd(field: Field, f: list, g: list) -> list:
+    """The monic gcd of f and g, not both zero."""
+    while g:
+        f, g = g, _poly_divmod(field, f, g)[1]
+    lead = _power(field, f[-1], -1)
+    return [field._reduce(a * lead) for a in f]
+
+
+def _poly_apply(field: Field, rows, f: list, v) -> list:
+    """f(A) v for the raw rows of a square A and a raw vector v, by Horner."""
+    red = field._reduce
+    w = [0] * len(v)
+    for c in reversed(f):
+        w = [red(sum(map(mul, row, w)) + c * x) for row, x in zip(rows, v)]
+    return w
+
+
+def _iroot(n: int, k: int) -> int:
+    """The integer part of the k-th root of n >= 0, by Newton's method."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+@lru_cache(maxsize=1024)
+def _roots(field: Field, g: int, r) -> tuple:
+    """Every raw c with c^g = r, for g >= 1 and a raw r != 0, in increasing
+    order; kept per (field, g, r), as comparing one algebra with many asks
+    for the same roots again.
+
+    Over Q c is a ratio of integer g-th roots, at most two of them.  Over
+    GF(p), with e = gcd(g, p - 1), the roots exist iff r^((p-1)/e) = 1; they
+    are then the e roots of c^e = r^a, where a inverts g/e modulo (p-1)/e,
+    which x^e - r^a splits into by Cantor-Zassenhaus.  No step runs over
+    the field's elements, so GF(2^31 - 1) costs O(e^2 log p).
+    """
+    if field.p is None:
+        num, den = abs(r.numerator), r.denominator
+        a, b = _iroot(num, g), _iroot(den, g)
+        if a**g != num or b**g != den or (r < 0 and g % 2 == 0):
+            return ()
+        c = _rational(Fraction(a if r > 0 else -a, b))
+        return (c,) if g % 2 else (-c, c)
+    p = field.p
+    e = gcd(g, p - 1)
+    if pow(r, (p - 1) // e, p) != 1:
+        return ()
+    s = pow(r, pow(g // e, -1, (p - 1) // e), p)
+    return tuple(sorted(_split_roots(field, [p - s] + [0] * (e - 1) + [1])))
+
+
+def _split_roots(field: Field, f: list) -> list:
+    """The roots of a monic f over GF(p), p odd, that is a product of
+    distinct linear factors: gcd(f, (t + a)^((p-1)/2) - 1) splits f for the
+    first shift a that separates two roots by their quadratic character."""
+    if len(f) == 2:
+        return [field._reduce(-f[0])]
+    p = field.p
+    for a in range(p):
+        h, base, k = [1], [a, 1], (p - 1) // 2
+        while k:
+            if k & 1:
+                h = _poly_divmod(field, _poly_mul(field, h, base), f)[1]
+            base = _poly_divmod(field, _poly_mul(field, base, base), f)[1]
+            k >>= 1
+        h[0] = field._reduce(h[0] - 1)
+        if h == [0]:
+            continue  # (t + a)^((p-1)/2) = 1 at every root
+        h = _poly_gcd(field, f, h)
+        if 1 < len(h) < len(f):
+            return _split_roots(field, h) + _split_roots(field, _poly_divmod(field, f, h)[0])
+    raise AssertionError("a product of distinct linear factors always splits")
+
+
+def _krylov(field: Field, rows, v) -> tuple:
+    """v, Av, ..., A^(m-1) v for the raw rows of a square A, up to the first
+    power that depends on those before it, and the monic minimal polynomial
+    of v: the dependency, read off an echelon that records each reduced
+    vector's combination of the powers."""
+    red = field._reduce
+    echelon, vectors, w = [], [], list(v)
+    while True:
+        x, comb = w, [0] * len(vectors) + [1]
+        for pc, row, rc in echelon:
+            c = x[pc]
+            if c:
+                x = [red(a - c * b) for a, b in zip(x, row)]
+                comb = [red(a - c * b) for a, b in zip(comb, rc)] + comb[len(rc):]
+        pivot = next((i for i, a in enumerate(x) if a), None)
+        if pivot is None:
+            return vectors, comb
+        inv = _power(field, x[pivot], -1)
+        echelon.append((pivot, [red(a * inv) for a in x], [red(a * inv) for a in comb]))
+        vectors.append(w)
+        w = [red(sum(map(mul, row, w))) for row in rows]
+
+
+def _maximal_vector(field: Field, rows) -> tuple:
+    """A vector of a square A's raw rows whose minimal polynomial is A's
+    own, with its Krylov vectors and that polynomial.
+
+    A's minimal polynomial is the lcm of the unit vectors' ones, which v
+    takes in one by one.  The lcm of mu (of v) and b (of e) is mu' b' with
+    mu' | mu, b' | b coprime, found by moving common factors from mu' to b'
+    with no factoring; then (mu/mu')(A) v + (b/b')(A) e has minimal
+    polynomial mu' b'."""
+    n, red = len(rows), field._reduce
+    # the sum of the units first: it is cyclic for a cyclic diagonal A
+    v = [1] * n
+    krylov, mu = _krylov(field, rows, v)
+    for e in ([int(i == j) for j in range(n)] for i in range(n)):
+        if len(mu) == n + 1:
+            break
+        if not any(_poly_apply(field, rows, mu, e)):
+            continue
+        b = _krylov(field, rows, e)[1]
+        common = _poly_gcd(field, mu, b)
+        if len(common) > 1:
+            # coprime mu' | mu and b' | b with mu' b' = lcm(mu, b)
+            mu1, b1 = mu, _poly_divmod(field, b, common)[0]
+            while len(common := _poly_gcd(field, mu1, b1)) > 1:
+                mu1 = _poly_divmod(field, mu1, common)[0]
+                b1 = _poly_mul(field, b1, common)
+            v = _poly_apply(field, rows, _poly_divmod(field, mu, mu1)[0], v)
+            e = _poly_apply(field, rows, _poly_divmod(field, b, b1)[0], e)
+            mu, b = mu1, b1
+        v = [red(x + y) for x, y in zip(v, e)]
+        mu = _poly_mul(field, mu, b)
+        krylov = None
+    if krylov is None:
+        krylov = _krylov(field, rows, v)[0]
+    return krylov, mu
+
+
+def _frobenius_rows(field: Field, rows) -> tuple:
+    """The Frobenius (rational canonical) form of a square A given by raw
+    rows: (factors, transform).
+
+    factors are A's invariant factors, monic polynomials (raw coefficients,
+    lowest degree first, the leading 1 included) each dividing the next.
+    transform is the raw rows of an invertible P whose columns are, block by
+    block, v, Av, ..., A^(m-1) v for a v whose minimal polynomial is the
+    block's factor, of degree m; so P^-1 A P is block diagonal, each block
+    the companion matrix of its factor (ones below the diagonal, the last
+    column minus the factor's lower coefficients).
+
+    The textbook cyclic-vector construction: a maximal vector v of A spans
+    the cyclic subspace Z of the largest factor; a functional phi with
+    phi(A^j v) = [j = m - 1] has the A-invariant complement
+    {x : phi(A^i x) = 0 for i < m}, and the construction recurses on it.
+    """
+    red = field._reduce
+    a = rows
+    embed = None  # the current subspace's basis in the whole space; None at first
+    blocks = []
+    while a:
+        n = len(a)
+        krylov, mu = _maximal_vector(field, a)
+        blocks.append((mu, krylov if embed is None else _mul_rows(field, krylov, embed, len(rows))))
+        m = len(krylov)
+        if m == n:
+            break
+        system = [tuple(x) + (int(j == m - 1),) for j, x in enumerate(krylov)]
+        solved, pivots = _rref_rows(field, system, n + 1)
+        phi = [0] * n
+        for row, pc in zip(solved, pivots):
+            phi[pc] = row[n]
+        functionals = []
+        for _ in range(m):
+            functionals.append(tuple(phi))
+            phi = _mul_rows(field, (phi,), a, n)[0]
+        ann, pivots = _rref_rows(field, functionals, n)
+        null = _null_rows(field, Matrix._of_raw(field, ann, n), pivots, n)
+        # a null vector's coordinates over this basis are its free entries
+        free = [c for c in range(n) if c not in pivots]
+        images = [[red(sum(map(mul, row, x))) for row in a] for x in null]
+        a = [[image[c] for image in images] for c in free]
+        embed = null if embed is None else _mul_rows(field, null, embed, len(rows))
+    blocks.reverse()
+    factors = tuple(tuple(mu) for mu, _ in blocks)
+    columns = [col for _, cols in blocks for col in cols]
+    return factors, tuple(zip(*columns)) if columns else ()
 
 
 # -- elimination kernels: plain ints in, plain ints out -------------------------

@@ -1,16 +1,23 @@
 """Isomorphism testing and automorphism groups.
 
-Negative answers come cheap from two kept invariants, over any field:
-fingerprints (isomorphism-invariant dimension data) and, for almost abelian
-algebras (abelian derived algebra of codimension 1), the characteristic
-polynomial of ad(z) on the derived algebra up to z -> cz.  These and the
-search's image domains read the series, center, Killing Gram and
-characteristic polynomial that each LieAlgebra keeps once computed, so
-comparing one algebra with many computes its invariants once.
-Definitive answers over finite fields come from a complete
-backtracking search that assigns basis images one at a time, propagating the
-linear constraints each bracket relation imposes and always expanding the
-most constrained variable first.
+Negative answers come cheap from fingerprints (isomorphism-invariant
+dimension data), over any field.  Almost abelian algebras (abelian derived
+algebra D of codimension 1, L = kz + D) are then decided outright, over Q as
+over GF(p), from the form liecore.almost_abelian keeps on each algebra:
+L and L' are isomorphic iff A = ad(z)|D is similar to cA' for some c != 0.
+The candidates for c are the g-th roots of the c^g that the charpoly
+coefficients fix (g the gcd of the weights of the nonzero ones), found by
+exactmath._roots, never by running over the field; for each, the invariant
+factors of cA' are read off A''s kept ones.  A "yes" carries the witness
+z -> cz', Frobenius basis onto scaled Frobenius basis, checked by
+verify_iso; a "no" names the charpolys, or each c with its factors.  These
+and the search's image domains read the series, center, Killing Gram and
+forms that each LieAlgebra keeps once computed, so comparing one algebra
+with many computes its invariants once.  Definitive answers on other
+algebras over finite fields come from a complete backtracking search that
+assigns basis images one at a time, propagating the linear constraints each
+bracket relation imposes and always expanding the most constrained variable
+first.
 
 The search runs on residues in [0, p): it reads both algebras' raw bracket
 tables and the raw rows of the image domains, which _image_domains
@@ -42,6 +49,7 @@ NotPerfect.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dataclass_field, fields
 from operator import mul
 from typing import Callable, Optional
@@ -55,6 +63,9 @@ from .exactmath import (
     _box,
     _det_rows,
     _intersect_rows,
+    _mul_rows,
+    _power,
+    _roots,
     _rref_rows,
     affine_points,
     enumerate_affine,
@@ -65,9 +76,8 @@ from .liecore import (
     LinearMap,
     _kept,
     _morphism_defects,
+    almost_abelian,
     center,
-    charpolys_differ,
-    derived_ad_charpoly,
     derived_series,
     is_perfect,
     killing_gram,
@@ -346,12 +356,114 @@ def _search_isomorphisms(
     return results, nodes, exhausted
 
 
+def _scalings(field: Field, u: tuple, v: tuple) -> tuple:
+    """Every raw c != 0 with u_i = c^i v_i for each i, for two raw charpoly
+    coefficient tuples (c_i has weight i) whose last entries are nonzero.
+
+    The zero patterns must agree.  On the nonzero coefficients each ratio
+    fixes c^i, and those fix c^g for g the gcd of their weights (an integer
+    combination of the weights, by the extended gcd); every weight's ratio
+    must then be a power of c^g, and c runs over the g-th roots of it
+    (exactmath._roots), none of which is searched for among the field's
+    elements.
+    """
+    if [bool(x) for x in u] != [bool(y) for y in v]:
+        return ()
+    ratios = [
+        (i, field._reduce(x * _power(field, y, -1))) for i, (x, y) in enumerate(zip(u, v), 1) if x
+    ]
+    g, power = 0, 1
+    for i, ratio in ratios:
+        # c^gcd(g, i) = (c^g)^s (c^i)^t for s g + t i = gcd(g, i)
+        s, t, g = *_bezout(g, i), math.gcd(g, i)
+        power = field._reduce(_power(field, power, s) * _power(field, ratio, t))
+    if any(_power(field, power, i // g) != ratio for i, ratio in ratios):
+        return ()
+    return _roots(field, g, power)
+
+
+def _bezout(a: int, b: int) -> tuple:
+    """(s, t) with s a + t b = gcd(a, b), for a, b >= 0."""
+    if not b:
+        return 1, 0
+    s, t = _bezout(b, a % b)
+    return t, s - (a // b) * t
+
+
+def _scaled_factors(field: Field, factors: tuple, c) -> tuple:
+    """The invariant factors of cA from A's: f(t) of degree m becomes
+    c^m f(t / c), its coefficient of t^k scaled by c^(m - k)."""
+    red = field._reduce
+    return tuple(
+        tuple(red(x * _power(field, c, len(f) - 1 - k)) for k, x in enumerate(f)) for f in factors
+    )
+
+
+def _show_poly(f: tuple) -> str:
+    """A monic raw polynomial, lowest degree first, as text in t."""
+    text = ""
+    for k in range(len(f) - 1, -1, -1):
+        x = f[k]
+        if not x:
+            continue
+        sign = " - " if x < 0 else " + "
+        x = abs(x)
+        monomial = "" if not k else "t" if k == 1 else f"t^{k}"
+        term = monomial if x == 1 and k else f"{x}{monomial}"
+        text = term if not text else text + sign + term
+    return text
+
+
+def _almost_abelian_verdict(a: LieAlgebra, b: LieAlgebra) -> Optional[IsoResult]:
+    """Decide two almost abelian algebras with equal fingerprints from their
+    kept forms (liecore.almost_abelian), with no search: L = kz + D and
+    L' = kz' + D' are isomorphic iff A = ad(z)|D is similar to cA' for a c
+    whose charpoly scaling matches, iff the invariant factors of A equal
+    those of A' scaled by c.
+
+    A "yes" carries z -> cz', then the Frobenius basis of D onto that of D'
+    with block vector j scaled by c^j (the transform of cA', from A''s), and
+    is reported only if verify_iso passes it; a witness that failed would
+    leave the verdict to the search (None).  A "no" names the charpolys when
+    no c relates them, and otherwise each c with the scaled factors.
+    """
+    ka, kb = almost_abelian(a), almost_abelian(b)
+    f = a.field
+    candidates = _scalings(f, ka.charpoly, kb.charpoly)
+    if not candidates:
+        show = lambda u: "(" + ", ".join(map(str, u)) + ")"
+        return IsoResult(
+            "no",
+            certificate=f"ad(z) on the derived algebra has charpoly coefficients {show(ka.charpoly)} "
+            f"vs {show(kb.charpoly)}, not related by c_i -> c^i c_i for any c != 0",
+        )
+    listed = lambda factors: "[" + ", ".join(map(_show_poly, factors)) + "]"
+    tried = []
+    for c in candidates:
+        scaled = _scaled_factors(f, kb.factors, c)
+        if scaled != ka.factors:
+            tried.append(f"{listed(scaled)} at c = {c}")
+            continue
+        scale = [c] + [_power(f, c, j) for factor in kb.factors for j in range(len(factor) - 1)]
+        frame = tuple(tuple(f._reduce(x * y) for x, y in zip(row, scale)) for row in kb.frame)
+        m = Matrix._of_raw(f, _mul_rows(f, frame, ka.frame_inverse, a.dim), a.dim)
+        if not verify_iso(a, b, m):
+            return None
+        return IsoResult("yes", witness=LinearMap._of(a, b, m))
+    return IsoResult(
+        "no",
+        certificate=f"ad(z) on the derived algebra has invariant factors {listed(ka.factors)}; "
+        f"c ad(z') has {'; '.join(tried)}",
+    )
+
+
 def are_isomorphic(a: LieAlgebra, b: LieAlgebra, budget: int = 500000) -> IsoResult:
-    """Over any field, differing fingerprints are a definitive no, and so are
-    almost abelian algebras whose derived_ad_charpoly tuples charpolys_differ
-    tells apart (0 nodes searched).  Otherwise the complete search decides
-    over a finite field, and over the rationals the answer is unknown.
-    Algebras over different fields raise FieldMismatch.
+    """Over any field, differing fingerprints are a definitive no (0 nodes
+    searched).  Two almost abelian algebras are then decided by
+    _almost_abelian_verdict, a "yes" with a verified witness or a "no" with
+    the charpolys or invariant factors, also with 0 nodes.  Otherwise the
+    complete search decides over a finite field, and over the rationals the
+    answer is unknown.  Algebras over different fields raise FieldMismatch.
 
     When the search from a to b runs out of budget, one more search with the
     same budget goes from b to a; its witness is inverted and re-verified.
@@ -367,14 +479,10 @@ def are_isomorphic(a: LieAlgebra, b: LieAlgebra, budget: int = 500000) -> IsoRes
             "no", certificate=f"fingerprints differ: {fa.as_tuple()} vs {fb.as_tuple()}"
         )
     # equal fingerprints: both almost abelian, or neither
-    ua, ub = derived_ad_charpoly(a), derived_ad_charpoly(b)
-    if ua is not None and charpolys_differ(ua, ub):
-        show = lambda u: "(" + ", ".join(map(str, u)) + ")"
-        return IsoResult(
-            "no",
-            certificate=f"ad(z) on the derived algebra has charpoly coefficients {show(ua)} "
-            f"vs {show(ub)}, not related by c_i -> c^i c_i for any c != 0",
-        )
+    if almost_abelian(a) is not None:
+        res = _almost_abelian_verdict(a, b)
+        if res is not None:
+            return res
     if not a.field.is_finite:
         return IsoResult(
             "unknown",

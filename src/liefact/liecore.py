@@ -37,9 +37,10 @@ table entries, with no matrix product.  Structure constants never change
 after construction, so the Jacobi violations (check_jacobi copies them,
 invariant_bilinear_forms and self_dual read them), the series (as tuples,
 the lower central one starting from the derived algebra [L, L]), the
-center, the Killing Gram and, for an almost abelian algebra, the
-characteristic polynomial of ad on the derived algebra are computed once
-per LieAlgebra, on first use, and kept on it.
+center, the Killing Gram and, for an almost abelian algebra, its form
+(almost_abelian: z, the derived algebra, ad(z) on it with its invariant
+factors and charpoly, and the basis that puts it in Frobenius form) are
+computed once per LieAlgebra, on first use, and kept on it.
 
 A LinearMap checks its matrix's shape and field against its algebras when
 it is built; compose and inverse build their results with the trusted
@@ -71,7 +72,11 @@ from .exactmath import (
     zero_vector,
     _Echelon,
     _box,
+    _frobenius_rows,
+    _inverse_rows,
     _is_json_scalar,
+    _mul_rows,
+    _poly_mul,
     _span_rows,
 )
 
@@ -495,9 +500,14 @@ class LinearMap:
         return self.matrix.is_invertible()
 
     def compose(self, other: "LinearMap") -> "LinearMap":
-        if other.codomain is not self.domain and other.codomain.dim != self.domain.dim:
-            raise DimensionMismatch("composition shape mismatch")
-        # the product raises FieldMismatch for operands over two fields
+        """self∘other.  other's codomain must be self's domain or an equal
+        algebra, else FieldMismatch over two fields and DimensionMismatch
+        otherwise; identity is tested first, so the group law's products
+        pay no comparison."""
+        if other.codomain is not self.domain and other.codomain != self.domain:
+            if other.codomain.field != self.domain.field:
+                raise FieldMismatch(f"{other.codomain.field} vs {self.domain.field}")
+            raise DimensionMismatch("composition: other's codomain is not this map's domain")
         return LinearMap._of(other.domain, self.codomain, self.matrix * other.matrix)
 
     def inverse(self) -> "LinearMap":
@@ -645,42 +655,37 @@ def killing_gram(algebra: LieAlgebra) -> Matrix:
     return Matrix._of_raw(algebra.field, tuple(map(tuple, gram)), n)
 
 
-def _charpoly(a: list, reduce) -> list:
-    """[c_1, ..., c_d] with det(tI - a) = t^d + c_1 t^(d-1) + ... + c_d, for a
-    square list of raw rows; reduce makes each computed entry canonical.
+@dataclass(frozen=True)
+class AlmostAbelian:
+    """An almost abelian algebra L = kz + D, D = [L, L] abelian of
+    codimension 1, as almost_abelian keeps it, all raw.
 
-    Division-free (Berkowitz), so it holds in every characteristic: the
-    polynomial of the leading (r+1)-block is a lower triangular Toeplitz
-    matrix with first column (1, -a_rr, -R S, -R B S, ..., -R B^(r-1) S)
-    times the polynomial of the leading r-block B, where S is the column
-    above a_rr and R the row to its left.
+    z is the first basis vector outside D and derived D's rref rows u_1..u_d.
+    ad_z is A = ad(z) on D in that basis (column j the coordinates of
+    [z, u_j]), factors A's invariant factors (exactmath._frobenius_rows) and
+    charpoly (c_1, ..., c_d) with det(tI - A) = t^d + c_1 t^(d-1) + ... + c_d,
+    their product.  frame holds the rows of the matrix whose columns are z
+    and then the Frobenius basis of D (the transform's columns, combined over
+    u_1..u_d), and frame_inverse its inverse's.
     """
-    poly = [1]
-    for r in range(len(a)):
-        block = [row[:r] for row in a[:r]]
-        left = a[r][:r]
-        column = [row[r] for row in a[:r]]
-        toeplitz = [1, reduce(-a[r][r])]
-        for _ in range(r):
-            toeplitz.append(reduce(-sum(map(mul, left, column))))
-            column = [reduce(sum(map(mul, row, column))) for row in block]
-        poly = [
-            reduce(sum(toeplitz[i - j] * poly[j] for j in range(min(i, r) + 1)))
-            for i in range(r + 2)
-        ]
-    return poly[1:]
+
+    z: tuple
+    derived: tuple
+    ad_z: tuple
+    factors: tuple
+    charpoly: tuple
+    frame: tuple
+    frame_inverse: tuple
 
 
 @_kept
-def derived_ad_charpoly(algebra: LieAlgebra) -> Optional[tuple]:
-    """For an almost abelian algebra, the coefficients (c_1, ..., c_d) of
-    det(tI - A), where A is ad(z) on the derived algebra D in D's basis and z
-    is any basis vector outside D; None for any other algebra.
+def almost_abelian(algebra: LieAlgebra) -> Optional[AlmostAbelian]:
+    """The kept AlmostAbelian of an almost abelian algebra, None for any other.
 
-    Almost abelian means D is abelian of codimension 1, so L = kz + D with
-    ad(z + w) = ad(z) on D for w in D.  An isomorphism maps D onto D and z to
-    c z' + w with c != 0, so it conjugates A to cA': the tuple is an
-    isomorphism invariant up to c_i -> c^i c_i (see charpolys_differ).
+    L = kz + D with ad(z + w) = ad(z) on D for w in D, and A is invertible,
+    since D = [L, L] = A(D).  An isomorphism maps D onto D' and z to
+    c z' + w with c != 0, so L and L' are isomorphic iff A is similar to
+    cA' for some c != 0: iff A's invariant factors are those of cA'.
     """
     series = derived_series(algebra)
     n = algebra.dim
@@ -689,21 +694,24 @@ def derived_ad_charpoly(algebra: LieAlgebra) -> Optional[tuple]:
     f, derived = algebra.field, series[1]
     z = next(e for e in Matrix.identity(f, n).raw if derived._coordinates(e) is None)
     cols = [derived._coordinates(algebra._bracket(z, u)) for u in derived.rows]
-    return _box(f, _charpoly(list(zip(*cols)), f._reduce))
-
-
-def charpolys_differ(u: tuple, v: tuple) -> bool:
-    """True only if no c != 0 has u_i = c^i v_i for every i (c_i has weight
-    i), by two tests sound over every field: the zero patterns differ, or
-    some i < j with u_i, u_j != 0 has u_i^j v_j^i != v_i^j u_j^i (both sides
-    would be c^(ij) v_i^j v_j^i)."""
-    if [bool(x) for x in u] != [bool(y) for y in v]:
-        return True
-    support = [(i, x.value, y.value) for i, (x, y) in enumerate(zip(u, v), 1) if x]
-    return any(
-        u[0].field._reduce(ui**j * vj**i - vi**j * uj**i)
-        for (i, ui, vi), (j, uj, vj) in itertools.combinations(support, 2)
+    ad_z = tuple(zip(*cols))
+    factors, transform = _frobenius_rows(f, ad_z)
+    product = functools.reduce(functools.partial(_poly_mul, f), factors, [1])
+    images = _mul_rows(f, tuple(zip(*transform)), derived.rows, n)
+    frame = tuple(zip(z, *images))
+    return AlmostAbelian(
+        z, derived.rows, ad_z, factors, tuple(product[-2::-1]), frame, _inverse_rows(f, frame)
     )
+
+
+@_kept
+def derived_ad_charpoly(algebra: LieAlgebra) -> Optional[tuple]:
+    """For an almost abelian algebra, the charpoly coefficients
+    (c_1, ..., c_d) of A = ad(z) on the derived algebra, boxed; None for any
+    other algebra.  Up to c_i -> c^i c_i it is an isomorphism invariant (see
+    almost_abelian)."""
+    form = almost_abelian(algebra)
+    return None if form is None else _box(algebra.field, form.charpoly)
 
 
 # -- invariant bilinear forms and self-duality ---------------------------------

@@ -22,7 +22,10 @@ library dropped (vadd, vsub, vscale, dot, is_zero_vector) and the laws it
 now states once on raw entries: the Lie-morphism law, the twisted-derivation
 law as bracket identities (violations), the integrability of a product
 structure, and evaluate.  The matrix product is here as the boxed loop of
-Scalar products that exactmath's one raw kernel, _mul_rows, replaced.
+Scalar products that exactmath's one raw kernel, _mul_rows, replaced.  The
+division-free (Berkowitz) characteristic polynomial that liecore kept for an
+almost abelian algebra, before the product of the invariant factors from
+exactmath's Frobenius kernel replaced it, is the oracle of that product.
 """
 
 import itertools
@@ -374,3 +377,29 @@ def is_product_structure(algebra, f) -> bool:
 def evaluate(form, x, y) -> Scalar:
     """B(x, y) = x . (G y), on Scalars."""
     return dot(x, form.gram.mul_vector(y), form.algebra.field)
+
+
+def charpoly(a, reduce) -> list:
+    """[c_1, ..., c_d] with det(tI - a) = t^d + c_1 t^(d-1) + ... + c_d, for a
+    square list of raw rows; reduce makes each computed entry canonical.
+
+    Division-free (Berkowitz), so it holds in every characteristic: the
+    polynomial of the leading (r+1)-block is a lower triangular Toeplitz
+    matrix with first column (1, -a_rr, -R S, -R B S, ..., -R B^(r-1) S)
+    times the polynomial of the leading r-block B, where S is the column
+    above a_rr and R the row to its left.
+    """
+    poly = [1]
+    for r in range(len(a)):
+        block = [row[:r] for row in a[:r]]
+        left = a[r][:r]
+        column = [row[r] for row in a[:r]]
+        toeplitz = [1, reduce(-a[r][r])]
+        for _ in range(r):
+            toeplitz.append(reduce(-sum(map(mul, left, column))))
+            column = [reduce(sum(map(mul, row, column))) for row in block]
+        poly = [
+            reduce(sum(toeplitz[i - j] * poly[j] for j in range(min(i, r) + 1)))
+            for i in range(r + 2)
+        ]
+    return poly[1:]

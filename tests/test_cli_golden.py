@@ -22,6 +22,8 @@ import pytest
 from liefact import matched
 from liefact.cli import build_parser, main
 from liefact.exactmath import Field, Matrix
+from liefact.iso import verify_iso
+from liefact.liecore import load_algebra
 
 GOLDEN = Path(__file__).parent / "golden_cli"
 
@@ -40,8 +42,9 @@ JACOBI_VIOLATING = {
     ],
 }
 
-# a basis of L(4) over GF(3) for which the iso search expands 1,104 nodes
-L4_F3_BASIS = Matrix(F3, [[0, 1, 0, 2], [1, 1, 0, 0], [0, 0, 1, 2], [1, 0, 0, 2]])
+# a basis of GF(3)^4: into L(4) in it the iso search expands 1,104 nodes,
+# which the kept almost abelian forms now spare, and into m(4) in it 67
+F3_BASIS = Matrix(F3, [[0, 1, 0, 2], [1, 1, 0, 0], [0, 0, 1, 2], [1, 0, 0, 2]])
 
 
 def _flipped_pair():
@@ -55,6 +58,7 @@ def _inputs():
     """File name -> JSON record of every input file the cases read."""
     sl2 = matched.make_sl2(F3)
     l4_f3 = matched.make_L(1, F3)
+    m4_f3 = matched.make_m(1, F3)
     return {
         "L4_f5.json": matched.make_L(1, F5).to_json_dict(),
         "jacobi_violating.json": JACOBI_VIOLATING,
@@ -64,7 +68,9 @@ def _inputs():
         "pairm_f7.json": matched.canonical_pair_m(1, F7).to_json_dict(),
         "pairL_flipped_f5.json": _flipped_pair().to_json_dict(),
         "L4_f3.json": l4_f3.to_json_dict(),
-        "L4_f3_conj.json": l4_f3.change_basis(L4_F3_BASIS).to_json_dict(),
+        "L4_f3_conj.json": l4_f3.change_basis(F3_BASIS).to_json_dict(),
+        "m4_f3.json": m4_f3.to_json_dict(),
+        "m4_f3_conj.json": m4_f3.change_basis(F3_BASIS).to_json_dict(),
         "sl2_f3.json": sl2.to_json_dict(),
         "sl2_ad_e.json": sl2.ad((F3.one, F3.zero, F3.zero)).to_json(),
     }
@@ -85,6 +91,8 @@ CASES = {
     "complements_L_f5": ["complements", "--pair", "{pairL_f5.json}", "--json"],
     "complements_m_f7": ["complements", "--pair", "{pairm_f7.json}", "--json"],
     "iso": ["iso", "--a", "{L4_f3.json}", "--b", "{L4_f3_conj.json}", "--json"],
+    # m(4) is not almost abelian, so its "yes" comes from the search
+    "iso_searched": ["iso", "--a", "{m4_f3.json}", "--b", "{m4_f3_conj.json}", "--json"],
     "aut": ["aut", "--algebra", "{sl2_f3.json}", "--json"],
     "aut_delta": ["aut", "--algebra", "{sl2_f3.json}", "--delta", "{sl2_ad_e.json}", "--json"],
     "paper_verify_n1": ["paper-verify", "n1-index", "--json"],
@@ -156,6 +164,17 @@ def test_cli_output_matches_golden(case, input_dir, capsys):
     expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
     assert code == expected_codes[case]
     assert out == (GOLDEN / f"{case}.stdout").read_text()
+
+
+def test_recorded_iso_witnesses_pass_verify_iso(input_dir):
+    # the kept almost abelian forms answer L(4) with no search, the search
+    # answers m(4); either witness must preserve every bracket
+    for case, searched in (("iso", False), ("iso_searched", True)):
+        record = json.loads((GOLDEN / f"{case}.stdout").read_text())
+        a, b = (load_algebra(input_dir / CASES[case][k][1:-1]) for k in (2, 4))
+        witness = Matrix.from_json(a.field, record["witness"])
+        assert record["verdict"] == "yes" and (record["searched"] > 0) == searched
+        assert verify_iso(a, b, witness)
 
 
 def _options() -> dict:

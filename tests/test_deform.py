@@ -425,6 +425,10 @@ def test_classification_infinite_registered():
     assert len(report.representatives) >= 3
     invs = [liecore.derived_ad_charpoly(rep) for rep in report.representatives]
     assert all(inv is not None for inv in invs)
+    # the samples are pairwise non-isomorphic, decided over Q with no search
+    for a, b in itertools.combinations(report.representatives, 2):
+        res = iso.are_isomorphic(a, b)
+        assert (res.verdict, res.searched) == ("no", 0)
 
     with pytest.raises(NotFinite):
         classify_complements(canonical_pair_L(1, Q))
@@ -432,8 +436,9 @@ def test_classification_infinite_registered():
 
 def test_factorization_index_of_L6_over_gf3():
     # L(6), the n = 2 pair: every r-deformation but the abelian one is almost
-    # abelian, so the fingerprint or the charpoly of ad on the derived algebra
-    # answers each "no" between classes, and each "yes" is searched and verified
+    # abelian, so the fingerprint or the kept form of ad on the derived
+    # algebra answers each "no" between classes and each "yes", with a
+    # verified witness and no search
     report = classify_complements(canonical_pair_L(2, F3))
     assert (report.deformation_count, report.index, report.class_sizes) == (35, 3, [26, 1, 8])
     reps = report.representatives
@@ -442,14 +447,32 @@ def test_factorization_index_of_L6_over_gf3():
         assert res.verdict == "no" and res.searched == 0
 
 
+def test_factorization_index_of_L6_over_gf5():
+    # with the complete search deciding each almost abelian pair, this raised
+    # BudgetExceeded after 21 s, at map 126 of 149 against representative 2;
+    # the kept forms decide every pair with no search (0.1 s on a 2-core Xeon)
+    report = classify_complements(canonical_pair_L(2, F5))
+    assert (report.deformation_count, report.index, report.class_sizes) == (149, 3, [124, 1, 24])
+    for a, b in itertools.combinations(report.representatives, 2):
+        res = iso.are_isomorphic(a, b)
+        assert (res.verdict, res.searched) == ("no", 0)
+
+
 def test_classification_budget_names_its_context():
+    # the almost abelian pairs are decided without a search, so the budget
+    # is hit on the m pair's deformations with a 1-dimensional derived algebra
     with pytest.raises(BudgetExceeded) as err:
-        classify_complements(canonical_pair_L(1, F5), iso_budget=1)
+        classify_complements(canonical_pair_m(1, F5), iso_budget=1)
     msg = str(err.value)
-    assert msg.startswith("isomorphism search inconclusive: budget 1 exceeded after 2 nodes")
-    assert "deformation map at sweep index 2 of 29" in msg
-    assert "class representative index 0" in msg
-    assert "shared fingerprint (3, (3, 2, 0), (3, 2, 2), 0, 1, 1)" in msg
+    assert msg.startswith(
+        "isomorphism search inconclusive: budget 1 exceeded after 2 nodes, and from b to a after 2"
+    )
+    assert "deformation map at sweep index 4 of 13" in msg
+    assert "class representative index 1" in msg
+    assert "shared fingerprint (3, (3, 1, 0), (3, 1, 1), 1, 2, 1)" in msg
+    # on the L pair every deformation is almost abelian or abelian, and the
+    # abelian one is alone in its class: no search runs, whatever the budget
+    assert classify_complements(canonical_pair_L(1, F5), iso_budget=1).class_sizes == [24, 1, 4]
 
 
 def test_classification_computes_each_series_once_per_deformation(monkeypatch):
@@ -481,8 +504,11 @@ def test_ad_ratio_invariant():
     i2, iinv, i3 = (liecore.derived_ad_charpoly(x) for x in (l2, linv, l3a))
     # ad(z) = diag(-1, -2) on span(x, y): t^2 + 3t + 2, so (c_1^2, c_2) = (tr^2, det)
     assert i2 == (3, 2)
-    assert not liecore.charpolys_differ(i2, iinv)
-    assert liecore.charpolys_differ(i2, i3)
+    res = iso.are_isomorphic(l2, linv)
+    assert (res.verdict, res.searched) == ("yes", 0) and iso.verify_iso(l2, linv, res.witness)
+    res = iso.are_isomorphic(l2, l3a)
+    assert (res.verdict, res.searched) == ("no", 0)
+    assert res.certificate.startswith("ad(z) on the derived algebra has charpoly coefficients (3, 2)")
 
 
 def test_every_deformation_embeds_as_complement():

@@ -857,6 +857,139 @@ def test_the_product_kernel_on_empty_shapes(field):
             Matrix._of_raw(field, a, m), Matrix._of_raw(field, b, n))
 
 
+# -- the Frobenius form and roots ---------------------------------------------------
+
+FROBENIUS_FIELDS = (Q, F2, F5, F_BIG)
+
+
+def _raw_poly_mul(field, f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return [field._reduce(x) for x in out]
+
+
+def _companion(field, factors):
+    """The block companion matrix of monic factors (lowest degree first):
+    ones below each block's diagonal, minus the lower coefficients in its
+    last column."""
+    d = sum(len(f) - 1 for f in factors)
+    rows = [[0] * d for _ in range(d)]
+    at = 0
+    for f in factors:
+        m = len(f) - 1
+        for j in range(m):
+            if j + 1 < m:
+                rows[at + j + 1][at + j] = 1
+            rows[at + j][at + m - 1] = field._reduce(-f[j])
+        at += m
+    return Matrix._of_raw(field, tuple(map(tuple, rows)), d)
+
+
+@st.composite
+def _conjugator(draw, field, d):
+    """An invertible d x d matrix: unit lower times unit upper triangular."""
+    entry = _entry(field)
+    low = [[1 if i == j else draw(entry) if j < i else 0 for j in range(d)] for i in range(d)]
+    up = [[1 if i == j else draw(entry) if j > i else 0 for j in range(d)] for i in range(d)]
+    return _from_grid(field, low, d) * _from_grid(field, up, d)
+
+
+@st.composite
+def _frobenius_operands(draw):
+    """(A, its invariant factors or None, an invertible conjugator).  Half
+    the draws are the block companion matrix of a divisibility chain f_1 |
+    f_2 | ... (each f_i f_(i-1) times a monic factor of degree 0 to 2, total
+    degree at most 8), conjugated, so that repeated and split factors are
+    common; the other half are drawn entry by entry, with unknown factors."""
+    field = draw(st.sampled_from(FROBENIUS_FIELDS))
+    entry = _entry(field)
+    if draw(st.booleans()):
+        chain, f = [], [1]
+        for _ in range(draw(st.integers(1, 4))):
+            g = draw(st.lists(entry, max_size=2)) + [1]
+            step = _raw_poly_mul(field, f, [field._raw(x) for x in g])
+            if sum(len(h) - 1 for h in chain) + len(step) - 1 > 8:
+                break
+            f = step
+            if len(f) > 1:
+                chain.append(tuple(f))
+        d = sum(len(h) - 1 for h in chain)
+        p = draw(_conjugator(field, d))
+        a = p.inverse() * _companion(field, chain) * p if d else Matrix.zeros(field, 0, 0)
+        expected = tuple(chain)
+    else:
+        d = draw(st.integers(0, 8))
+        a = _from_grid(field, draw(_grid(entry, d, d)), d)
+        expected = None
+    return a, expected, draw(_conjugator(field, a.nrows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_frobenius_operands())
+def test_the_frobenius_form_is_the_block_companion_of_dividing_factors(operands):
+    a, expected, q = operands
+    field, d = a.field, a.nrows
+    factors, transform = exactmath._frobenius_rows(field, a.raw)
+    if expected is not None:
+        assert factors == expected
+    p = Matrix._of_raw(field, transform, d)
+    assert len(transform) == d and p.is_invertible()
+    if d:
+        assert p.inverse() * a * p == _companion(field, factors)
+    # monic, nonconstant, each dividing the next
+    assert all(len(f) > 1 and f[-1] == 1 for f in factors)
+    for f, g in zip(factors, factors[1:]):
+        assert exactmath._poly_divmod(field, list(g), list(f))[1] == []
+    # their product is the charpoly, by the division-free oracle
+    product = [1]
+    for f in factors:
+        product = _raw_poly_mul(field, product, f)
+    assert product[-2::-1] == boxed.charpoly([list(row) for row in a.raw], field._reduce)
+    # a conjugate has the same factors
+    if d:
+        assert exactmath._frobenius_rows(field, (q.inverse() * a * q).raw)[0] == factors
+
+
+@pytest.mark.parametrize("field", (F2, F3, F5, F7, Field.gf(13)), ids=lambda f: f"GF{f.p}")
+def test_roots_are_every_solution_over_a_small_field(field):
+    p = field.p
+    for g in range(1, 9):
+        for r in range(1, p):
+            assert exactmath._roots(field, g, r) == tuple(c for c in range(1, p) if pow(c, g, p) == r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(1, F_BIG.p - 1), st.booleans())
+def test_roots_over_a_large_prime_field(g, x, power):
+    p = F_BIG.p
+    r = pow(x, g, p) if power else x
+    e = math.gcd(g, p - 1)
+    roots = exactmath._roots(F_BIG, g, r)
+    assert roots == tuple(sorted(set(roots))) and all(pow(c, g, p) == r for c in roots)
+    assert len(roots) == (e if pow(r, (p - 1) // e, p) == 1 else 0)
+    if power:
+        assert x in roots
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(bool),
+    st.booleans(),
+)
+def test_roots_over_the_rationals(g, x, power):
+    r = exactmath._rational(x**g if power else x)
+    roots = exactmath._roots(Q, g, r)
+    assert all(type(c) in (int, fractions.Fraction) and _canonical_rational(c) for c in roots)
+    assert roots == tuple(sorted(set(roots))) and all(c**g == r for c in roots)
+    # a rational g-th root is x or -x for one x > 0, and -x only for an even g
+    assert len(roots) <= (2 if g % 2 == 0 else 1)
+    if power:
+        assert x in roots and len(roots) == (2 if g % 2 == 0 else 1)
+
+
 # -- enumeration -----------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -133,11 +134,20 @@ def test_immediate_negatives_and_unknown():
     assert res.certificate.startswith(
         "ad(z) on the derived algebra has charpoly coefficients (0, -1) vs (2, 1)"
     )
-    # where it does not separate, equal fingerprints stay unknown over Q
-    res = are_isomorphic(make_Lalpha(Q, 2), make_Lalpha(Q, Fraction(1, 2)))
-    assert res.verdict == "unknown"
-    # tiny budget maps to unknown with diagnostics, on a pair it does not separate
-    res = are_isomorphic(make_l(1, F7), _random_conjugate(make_l(1, F7), 0), budget=5)
+    # where it does not separate, the invariant factors decide over Q too,
+    # and the "yes" carries a witness
+    a, b = make_Lalpha(Q, 2), make_Lalpha(Q, Fraction(1, 2))
+    res = are_isomorphic(a, b)
+    assert (res.verdict, res.searched) == ("yes", 0) and verify_iso(a, b, res.witness)
+    # equal fingerprints of algebras that are not almost abelian stay unknown over Q
+    m4 = matched.make_m(1, Q)
+    res = are_isomorphic(m4, _random_conjugate(m4, 0))
+    assert liecore.almost_abelian(m4) is None
+    assert (res.verdict, res.searched) == ("unknown", 0)
+    assert res.certificate == "fingerprints agree; no complete search over an infinite field"
+    # tiny budget maps to unknown with diagnostics, on a pair that is searched
+    m4 = matched.make_m(1, F7)
+    res = are_isomorphic(m4, _random_conjugate(m4, 0), budget=5)
     assert res.verdict == "unknown" and "budget" in res.certificate
 
 
@@ -763,7 +773,7 @@ def test_search_verdicts_consistent_with_ratio_invariant():
     """The classes of classify_complements agree with the charpoly of ad on
     the derived algebra, up to c_i -> c^i c_i, on the 3-dim deformations with
     a 2-dim abelian derived ideal, where it is the projective (trace^2, det)
-    ratio; every "yes" behind the classes comes from the complete search."""
+    ratio; every "yes" behind the classes carries a verified witness."""
     from liefact.deform import classify_complements, enumerate_deformation_maps, r_deformation
     from liefact.matched import canonical_pair_m
 
@@ -781,49 +791,58 @@ def test_search_verdicts_consistent_with_ratio_invariant():
         labels.append(hit)
     for i in range(len(algs)):
         for j in range(i + 1, len(algs)):
-            inv_i = liecore.derived_ad_charpoly(algs[i])
-            inv_j = liecore.derived_ad_charpoly(algs[j])
-            if inv_i is None or inv_j is None:
+            form_i = liecore.almost_abelian(algs[i])
+            form_j = liecore.almost_abelian(algs[j])
+            if form_i is None or form_j is None:
                 continue
             same_class = labels[i] == labels[j]
-            equal_invariant = not liecore.charpolys_differ(inv_i, inv_j)
+            equal_invariant = bool(iso._scalings(F7, form_i.charpoly, form_j.charpoly))
             assert same_class == equal_invariant
 
 
 @pytest.mark.parametrize("field", (F3, F5, F7), ids=("GF3", "GF5", "GF7"))
 @pytest.mark.parametrize("pair", ("L", "m"))
 def test_charpoly_separates_exactly_the_pairs_the_search_exhausts(pair, field):
-    """The complete search is the oracle of derived_ad_charpoly.  On every
-    fingerprint-equal pair of r-deformations of the n = 1 canonical pair,
-    the invariant separates the pair iff the search finds no isomorphism.
+    """The complete search is the oracle of the almost abelian test.  On
+    every (deformation, representative) pair of the n = 1 canonical pair,
+    are_isomorphic gives the search's verdict, its every "yes" is verified,
+    and on fingerprint-equal pairs the charpolys are related by no
+    c_i -> c^i c_i exactly when the search finds no isomorphism (on these
+    2 x 2 blocks the charpoly up to scaling is the whole invariant).
 
     Each deformation is searched against every class representative with
     its fingerprint: it finds a verified witness to exactly one of them, and
     every other search exhausts.  Isomorphism is an equivalence relation, so
     two deformations are isomorphic iff they reach the same representative:
     an isomorphism from one to the other would compose with the second's
-    witness into one to a representative whose search exhausted.  (Searching
+    witness into one to a representative whose search exhausted.  The
+    classes this gives are classify_complements', in order.  (Searching
     every pair directly gives the same verdicts, at about 40 s, 37 s of it on
     L over GF(7).)"""
     mp = (matched.canonical_pair_L if pair == "L" else matched.canonical_pair_m)(1, field)
     algs = [deform.r_deformation(mp, d) for d in deform.enumerate_deformation_maps(mp)]
-    charpoly = liecore.derived_ad_charpoly
+    form = liecore.almost_abelian
 
     def separated(a, b):
-        return charpoly(a) is not None and liecore.charpolys_differ(charpoly(a), charpoly(b))
+        return form(a) is not None and not iso._scalings(field, form(a).charpoly, form(b).charpoly)
 
     reps, labels = [], []
     for alg in algs:
         found = []
         for k, rep in enumerate(reps):
+            res = are_isomorphic(alg, rep)
+            assert res.searched == 0 or form(alg) is None
             if fingerprint(alg) != fingerprint(rep):
+                assert res.verdict == "no"
                 continue
             witnesses, _, exhausted = _search_isomorphisms(alg, rep, 500000, False)
             if witnesses:
                 assert verify_iso(alg, rep, witnesses[0]) and not separated(alg, rep)
+                assert res.is_yes and verify_iso(alg, rep, res.witness)
                 found.append(k)
             else:
                 assert exhausted and separated(alg, rep)
+                assert res.verdict == "no"
         assert len(found) <= 1
         if not found:
             found.append(len(reps))
@@ -832,6 +851,9 @@ def test_charpoly_separates_exactly_the_pairs_the_search_exhausts(pair, field):
     for i, j in itertools.combinations(range(len(algs)), 2):
         if fingerprint(algs[i]) == fingerprint(algs[j]):
             assert separated(algs[i], algs[j]) == (labels[i] != labels[j])
+    report = deform.classify_complements(mp)
+    assert report.class_sizes == [labels.count(k) for k in range(len(reps))]
+    assert [r.same_brackets(s) for r, s in zip(report.representatives, reps)] == [True] * len(reps)
 
 
 def test_conjugated_algebras_found_isomorphic():
@@ -933,32 +955,42 @@ def _random_conjugate(alg, seed):
 
 
 def test_search_tree_is_unchanged():
-    # (verdict, searched) pairs and automorphism counts recorded from the
-    # search before its closed-pair recheck was removed: the linear
-    # constraints already enforce every pair that an assignment closes, so
-    # the same nodes are expanded in the same order.  are_isomorphic answers
-    # the pairs between classes with 0 nodes, from the fingerprint or the
-    # charpoly of ad on the derived algebra; on the 28 pairs the charpoly
-    # decides, the search itself still exhausts after the recorded 1,225 nodes
+    # node counts and automorphism counts recorded from the search before
+    # its closed-pair recheck was removed: the linear constraints already
+    # enforce every pair that an assignment closes, so the same nodes are
+    # expanded in the same order.  are_isomorphic decides the almost abelian
+    # pairs from their kept forms, with 0 nodes, so their counts are pinned
+    # on the search itself; only the abelian deformation against the
+    # abelian representative is still searched (34 nodes).  On the 28 pairs
+    # the charpoly decides, the search exhausts after the recorded 1,225
     mp = matched.canonical_pair_L(1, F5)
     reps = deform.classify_complements(mp).representatives
-    a_row = (("yes", 5), ("no", 0), ("no", 0))
+    a_row = (("yes", 0), ("no", 0), ("no", 0))
     b_row = (("no", 0), ("yes", 34), ("no", 0))
-    c_row = (("no", 0), ("no", 0), ("yes", 9))
-    rows, exhausted = [], []
+    c_row = (("no", 0), ("no", 0), ("yes", 0))
+    rows, nodes, exhausted = [], [], []
     for d in deform.enumerate_deformation_maps(mp):
         alg = deform.r_deformation(mp, d)
         results = [are_isomorphic(alg, rep) for rep in reps]
         rows.append(tuple((r.verdict, r.searched) for r in results))
         for rep, r in zip(reps, results):
-            if r.certificate.startswith("ad(z) on the derived algebra"):
+            if r.is_yes:
+                assert verify_iso(alg, rep, r.witness)
+                nodes.append(_search_isomorphisms(alg, rep, 500000, False)[1])
+            elif r.certificate.startswith("ad(z) on the derived algebra"):
                 exhausted.append(_search_isomorphisms(alg, rep, 500000, False))
     assert rows == [a_row, b_row] + [a_row] * 23 + [c_row] * 4
+    assert nodes == [5, 34] + [5] * 23 + [9] * 4
     assert exhausted == [([], 1225, True)] * 28
 
-    for alg, searched in ((make_sl2(F5), 9), (matched.make_L(1, F5), 16286), (matched.make_h5(F5), 16)):
+    for alg, searched in ((make_sl2(F5), 9), (matched.make_h5(F5), 16)):
         res = are_isomorphic(alg, _random_conjugate(alg, 2))
         assert (res.verdict, res.searched) == ("yes", searched)
+    L4 = matched.make_L(1, F5)
+    conjugate = _random_conjugate(L4, 2)
+    assert _search_isomorphisms(L4, conjugate, 500000, False)[1:] == (16286, True)
+    res = are_isomorphic(L4, conjugate)
+    assert (res.verdict, res.searched) == ("yes", 0) and verify_iso(L4, conjugate, res.witness)
 
     assert len(aut_enumerate(make_sl2(F3))) == 24
     # aut_enumerate is this search plus a sort; L(4) over GF(5) has 240,000
@@ -1240,6 +1272,7 @@ def _kept_invariants(alg):
         liecore.center(alg),
         liecore.killing_gram(alg),
         liecore.derived_ad_charpoly(alg),
+        liecore.almost_abelian(alg),
         fingerprint(alg),
     )
 
@@ -1256,7 +1289,7 @@ def test_kept_invariants_agree_with_a_recomputation(name, field, seed):
     for x in (alg, conjugate):
         kept = _kept_invariants(x)
         again = _kept_invariants(x)
-        assert all(k is a for k, a in zip(kept[:5], again[:5]))
+        assert all(k is a for k, a in zip(kept[:6], again[:6]))
         fresh = LieAlgebra(x.field, x.basis_names, dict(x.sc_pairs()))
         assert kept == _kept_invariants(fresh)
         # the raw series, center and Killing Gram against the boxed loops
@@ -1274,10 +1307,23 @@ def test_kept_invariants_agree_with_a_recomputation(name, field, seed):
             assert liecore.killing_gram(x) == boxed.killing_gram_by_products(x)
             assert liecore.lower_central_series(x) == boxed.lower_central_series_anew(x)
     assert fingerprint(alg) == fingerprint(conjugate)
-    # the charpoly of ad on the derived algebra keeps its weighted class
-    u, v = liecore.derived_ad_charpoly(alg), liecore.derived_ad_charpoly(conjugate)
+    # the almost abelian form keeps its invariant factors up to scaling: the
+    # conjugate's z is another vector outside D, a multiple of z plus D
+    u, v = liecore.almost_abelian(alg), liecore.almost_abelian(conjugate)
     assert (u is None) == (v is None) == (name in ("h5", "m4", "sl2"))
-    assert u is None or not liecore.charpolys_differ(u, v)
+    assert u is None or any(
+        iso._scaled_factors(field, v.factors, c) == u.factors
+        for c in iso._scalings(field, u.charpoly, v.charpoly)
+    )
+    if u is not None:
+        # the frame is z, then a basis of D; the factors are ad_z's
+        n = alg.dim
+        frame = Matrix._of_raw(field, u.frame, n)
+        assert frame * Matrix._of_raw(field, u.frame_inverse, n) == Matrix.identity(field, n)
+        assert frame.col(0) == exactmath._box(field, u.z)
+        derived = liecore.Subspace._of_rows(alg, u.derived)
+        assert all(derived.contains(frame.col(j)) for j in range(1, n))
+        assert u.factors == exactmath._frobenius_rows(field, u.ad_z)[0]
     assert len(derivation_space(alg)) == len(derivation_space(conjugate))
     res = are_isomorphic(alg, conjugate)
     assert res.is_yes and verify_iso(alg, conjugate, res.witness)
@@ -1333,13 +1379,111 @@ def test_kept_image_domains_equal_the_reference(monkeypatch):
 
 
 def test_an_exhausted_budget_searches_the_other_way():
-    # from L(4) over GF(7) to this conjugate the search finds nothing within
-    # 10,000 nodes; from the conjugate back to L(4) it finds an isomorphism,
-    # which is inverted and re-verified
-    alg = matched.make_L(1, F7)
-    conjugate = _random_conjugate(alg, 213640)
-    forward = _search_isomorphisms(alg, conjugate, 10000, False)
+    # from this conjugate of sl2 over GF(7) (not almost abelian, so it is
+    # searched) to sl2 the search finds nothing within 10,000 nodes; from
+    # sl2 back to the conjugate it finds an isomorphism after 4, which is
+    # inverted and re-verified
+    alg = make_sl2(F7)
+    conjugate = _random_conjugate(alg, 0)
+    forward = _search_isomorphisms(conjugate, alg, 10000, False)
     assert forward[0] == [] and not forward[2]
-    res = are_isomorphic(alg, conjugate, 10000)
-    assert res.is_yes and verify_iso(alg, conjugate, res.witness)
-    assert res.searched > forward[1]
+    res = are_isomorphic(conjugate, alg, 10000)
+    assert res.is_yes and verify_iso(conjugate, alg, res.witness)
+    assert res.searched == forward[1] + 4 == 10005
+
+
+def test_the_kept_forms_decide_L6_over_gf3_as_the_complete_search_does():
+    # n = 2: each deformation's "yes" to its class representative is found
+    # again by the complete search, and each pair of representatives with
+    # one fingerprint is exhausted by it; isomorphism being an equivalence
+    # relation, are_isomorphic's verdict on every (deformation,
+    # representative) pair is then the search's.  The classes are
+    # classify_complements', in order.  (Searching every pair directly gives
+    # the same verdicts in about 70 s.)
+    mp = matched.canonical_pair_L(2, F3)
+    algs = [deform.r_deformation(mp, d) for d in deform.enumerate_deformation_maps(mp)]
+    report = deform.classify_complements(mp)
+    reps = report.representatives
+    for a, b in itertools.combinations(reps, 2):
+        if fingerprint(a) == fingerprint(b):
+            assert _search_isomorphisms(a, b, 500000, False)[::2] == ([], True)
+    labels = []
+    for alg in algs:
+        results = [are_isomorphic(alg, rep) for rep in reps]
+        assert all(r.searched == 0 for r in results) or liecore.almost_abelian(alg) is None
+        (k,) = [k for k, r in enumerate(results) if r.is_yes]
+        assert verify_iso(alg, reps[k], results[k].witness)
+        witnesses = _search_isomorphisms(alg, reps[k], 500000, False)[0]
+        assert witnesses and verify_iso(alg, reps[k], witnesses[0])
+        labels.append(k)
+    assert [labels.count(k) for k in range(len(reps))] == report.class_sizes == [26, 1, 8]
+    assert [algs[labels.index(k)].same_brackets(rep) for k, rep in enumerate(reps)] == [True] * 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((F2, F3, F5, F7, Field.gf(13))),
+    st.integers(1, 6),
+    st.data(),
+)
+def test_scalings_are_every_c_that_relates_the_charpolys(field, d, data):
+    # against a loop over the units; v = c^i u_i for a drawn c half the time
+    entry = st.integers(0, field.p - 1)
+    v = data.draw(st.lists(entry, min_size=d - 1, max_size=d - 1)) + [
+        data.draw(st.integers(1, field.p - 1))
+    ]
+    if data.draw(st.booleans()):
+        c = data.draw(st.integers(1, field.p - 1))
+        u = [x * pow(c, i, field.p) % field.p for i, x in enumerate(v, 1)]
+    else:
+        u = data.draw(st.lists(entry, min_size=d - 1, max_size=d - 1)) + [
+            data.draw(st.integers(1, field.p - 1))
+        ]
+    want = [
+        c for c in range(1, field.p)
+        if all(x == pow(c, i, field.p) * y % field.p for i, (x, y) in enumerate(zip(u, v), 1))
+    ]
+    assert iso._scalings(field, tuple(u), tuple(v)) == tuple(want)
+
+
+def test_an_almost_abelian_pair_over_a_large_prime_field_answers_at_once():
+    # over GF(2^31 - 1) no c is looked for among the units: the charpoly
+    # ratios give c^g, and its g-th roots come in closed form or by
+    # splitting t^e - s; both verdicts, each in well under a second
+    big = Field.gf(2**31 - 1)
+    a = make_Lalpha(big, 2)
+    for b, verdict in ((make_Lalpha(big, big.scalar(2).inverse()), "yes"), (make_Lalpha(big, 3), "no")):
+        start = time.perf_counter()
+        res = are_isomorphic(a, b)
+        assert time.perf_counter() - start < 1.0
+        assert (res.verdict, res.searched) == (verdict, 0)
+        assert verdict == "no" or verify_iso(a, b, res.witness)
+    # l(5) and a conjugate: trace 0, so c^2 is fixed and c has two roots
+    l5 = make_l(2, big)
+    conjugate = l5.change_basis(Matrix(big, [[1, 2, 0, 0, 1], [0, 1, 0, 3, 0], [0, 0, 1, 0, 2], [1, 0, 0, 1, 0], [0, 0, 2, 0, 1]]))
+    start = time.perf_counter()
+    res = are_isomorphic(l5, conjugate)
+    assert time.perf_counter() - start < 1.0
+    assert (res.verdict, res.searched) == ("yes", 0) and verify_iso(l5, conjugate, res.witness)
+
+
+@pytest.mark.parametrize("field", (F5, Q), ids=("GF5", "Q"))
+def test_invariant_factors_separate_what_the_charpolys_do_not(field):
+    # ad(z) = 2I against a Jordan block of eigenvalue 2: one charpoly, and
+    # c = 1 the only scaling that keeps it, but not similar
+    scalar = LieAlgebra.from_named_brackets(
+        field, ("z", "x", "y"), {("z", "x"): [("x", 2)], ("z", "y"): [("y", 2)]}
+    )
+    jordan = LieAlgebra.from_named_brackets(
+        field, ("z", "x", "y"), {("z", "x"): [("x", 2)], ("z", "y"): [("y", 2), ("x", 1)]}
+    )
+    assert fingerprint(scalar) == fingerprint(jordan)
+    res = are_isomorphic(scalar, jordan)
+    assert (res.verdict, res.searched) == ("no", 0)
+    line, square = ("t + 3", "t^2 + t + 4") if field is F5 else ("t - 2", "t^2 - 4t + 4")
+    assert res.certificate == (
+        f"ad(z) on the derived algebra has invariant factors [{line}, {line}]; "
+        f"c ad(z') has [{square}] at c = 1"
+    )
+    if field.is_finite:
+        assert _search_isomorphisms(scalar, jordan, 500000, False) == ([], 625, True)

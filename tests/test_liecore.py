@@ -702,6 +702,24 @@ def test_compose_rejects_maps_over_two_fields_or_of_two_dimensions():
         into.compose(f5)
 
 
+def test_compose_rejects_a_codomain_that_is_another_algebra():
+    # sl2 and l(3) have one dimension: both factors are automorphisms, but
+    # l(3) -> l(3) followed by sl2 -> sl2 is no map
+    sl2, l3 = matched.make_sl2(F5), matched.make_l(1, F5)
+    f = LinearMap(sl2, sl2, Matrix.identity(F5, 3))
+    g = LinearMap(l3, l3, Matrix.identity(F5, 3))
+    with pytest.raises(DimensionMismatch):
+        f.compose(g)
+    with pytest.raises(DimensionMismatch):
+        g.compose(f)
+    # an equal algebra built anew composes as the same one does
+    again = LieAlgebra(F5, sl2.basis_names, dict(sl2.sc_pairs()))
+    assert again is not sl2 and again == sl2
+    h = LinearMap(again, again, Matrix.identity(F5, 3))
+    assert f.compose(h) == LinearMap(again, sl2, Matrix.identity(F5, 3))
+    assert f.compose(f).domain is sl2
+
+
 def test_product_structure_excludes_identities():
     l3 = matched.make_l(1, Q)
     ident = LinearMap(l3, l3, Matrix.identity(Q, 3))
