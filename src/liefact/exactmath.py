@@ -61,7 +61,6 @@ enumerate_vectors is enumerate_affine over the unit basis.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from operator import add, mul, neg, sub
 from typing import Iterator, Optional
@@ -752,11 +751,9 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
-@lru_cache(maxsize=1024)
 def _roots(field: Field, g: int, r) -> tuple:
     """Every raw c with c^g = r, for g >= 1 and a raw r != 0, in increasing
-    order; kept per (field, g, r), as comparing one algebra with many asks
-    for the same roots again.
+    order.
 
     Over Q c is a ratio of integer g-th roots, at most two of them.  Over
     GF(p), with e = gcd(g, p - 1), the roots exist iff r^((p-1)/e) = 1; they

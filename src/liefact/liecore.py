@@ -660,18 +660,15 @@ class AlmostAbelian:
     """An almost abelian algebra L = kz + D, D = [L, L] abelian of
     codimension 1, as almost_abelian keeps it, all raw.
 
-    z is the first basis vector outside D and derived D's rref rows u_1..u_d.
-    ad_z is A = ad(z) on D in that basis (column j the coordinates of
-    [z, u_j]), factors A's invariant factors (exactmath._frobenius_rows) and
-    charpoly (c_1, ..., c_d) with det(tI - A) = t^d + c_1 t^(d-1) + ... + c_d,
-    their product.  frame holds the rows of the matrix whose columns are z
-    and then the Frobenius basis of D (the transform's columns, combined over
+    z is the first basis vector outside D, and A = ad(z) on D is taken in
+    D's rref rows u_1..u_d (column j the coordinates of [z, u_j]).  factors
+    are A's invariant factors (exactmath._frobenius_rows) and charpoly
+    (c_1, ..., c_d), with det(tI - A) = t^d + c_1 t^(d-1) + ... + c_d, their
+    product.  frame holds the rows of the matrix whose columns are z and
+    then the Frobenius basis of D (the transform's columns, combined over
     u_1..u_d), and frame_inverse its inverse's.
     """
 
-    z: tuple
-    derived: tuple
-    ad_z: tuple
     factors: tuple
     charpoly: tuple
     frame: tuple
@@ -699,19 +696,7 @@ def almost_abelian(algebra: LieAlgebra) -> Optional[AlmostAbelian]:
     product = functools.reduce(functools.partial(_poly_mul, f), factors, [1])
     images = _mul_rows(f, tuple(zip(*transform)), derived.rows, n)
     frame = tuple(zip(z, *images))
-    return AlmostAbelian(
-        z, derived.rows, ad_z, factors, tuple(product[-2::-1]), frame, _inverse_rows(f, frame)
-    )
-
-
-@_kept
-def derived_ad_charpoly(algebra: LieAlgebra) -> Optional[tuple]:
-    """For an almost abelian algebra, the charpoly coefficients
-    (c_1, ..., c_d) of A = ad(z) on the derived algebra, boxed; None for any
-    other algebra.  Up to c_i -> c^i c_i it is an isomorphism invariant (see
-    almost_abelian)."""
-    form = almost_abelian(algebra)
-    return None if form is None else _box(algebra.field, form.charpoly)
+    return AlmostAbelian(factors, tuple(product[-2::-1]), frame, _inverse_rows(f, frame))
 
 
 # -- invariant bilinear forms and self-duality ---------------------------------
