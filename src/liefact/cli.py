@@ -194,7 +194,7 @@ def _cmd_iso(args):
     }
     lines = [f"verdict: {res.verdict}"]
     if res.witness:
-        lines.append(f"witness columns: {data['witness']['entries']}")
+        lines.append(f"witness rows: {data['witness']['entries']}")
     if res.certificate:
         lines.append(res.certificate)
     return data, lines, 0

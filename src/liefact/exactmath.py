@@ -44,8 +44,9 @@ The Frobenius form of a square matrix is one raw kernel, _frobenius_rows:
 the invariant factors and a transform to block companion form, by the
 cyclic-vector construction on small polynomial helpers (a polynomial is a
 list of raw coefficients, lowest degree first).  _roots gives every g-th
-root of a field element, by integer roots over Q and by splitting t^e - s
-over GF(p), with no pass over the field's elements.
+root of a field element, by integer roots over Q and over GF(p) by a
+square root (e = 2) or by splitting t^e - s, with no pass over the field's
+elements.
 
 Every matrix has an exact shape: a 0 x n matrix still has n columns, so its
 null space is all of n-space and a (k x 0)(0 x n) product is the k x n zero
@@ -759,7 +760,9 @@ def _roots(field: Field, g: int, r) -> tuple:
     GF(p), with e = gcd(g, p - 1), the roots exist iff r^((p-1)/e) = 1; they
     are then the e roots of c^e = r^a, where a inverts g/e modulo (p-1)/e,
     which x^e - r^a splits into by Cantor-Zassenhaus.  No step runs over
-    the field's elements, so GF(2^31 - 1) costs O(e^2 log p).
+    the field's elements, so GF(2^31 - 1) costs O(e^2 log p).  A square
+    root (e = 2) takes no split: _sqrt finds it in closed form or by
+    Tonelli-Shanks.
     """
     if field.p is None:
         num, den = abs(r.numerator), r.denominator
@@ -773,7 +776,33 @@ def _roots(field: Field, g: int, r) -> tuple:
     if pow(r, (p - 1) // e, p) != 1:
         return ()
     s = pow(r, pow(g // e, -1, (p - 1) // e), p)
+    if e == 2:
+        c = _sqrt(p, s)
+        return tuple(sorted((c, p - c)))
     return tuple(sorted(_split_roots(field, [p - s] + [0] * (e - 1) + [1])))
+
+
+def _sqrt(p: int, s: int) -> int:
+    """A square root of a nonzero square s modulo an odd prime p:
+    s^((p+1)/4) when p = 3 mod 4, and otherwise Tonelli-Shanks, with the
+    first non-square found by Euler's criterion."""
+    if p % 4 == 3:
+        return pow(s, (p + 1) // 4, p)
+    # p - 1 = q 2^k with q odd; z generates the 2-Sylow subgroup
+    q, k = p - 1, 0
+    while not q & 1:
+        q, k = q >> 1, k + 1
+    z = pow(next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1), q, p)
+    c, t, m = pow(s, (q + 1) // 2, p), pow(s, q, p), k
+    while t != 1:
+        # the least i with t^(2^i) = 1, then c, t corrected by z^(2^(m-i-1))
+        i, u = 0, t
+        while u != 1:
+            u, i = u * u % p, i + 1
+        b = pow(z, 1 << (m - i - 1), p)
+        z, m = b * b % p, i
+        c, t = c * b % p, t * z % p
+    return c
 
 
 def _split_roots(field: Field, f: list) -> list:

@@ -10,11 +10,16 @@ coefficients fix (g the gcd of the weights of the nonzero ones), found by
 exactmath._roots, never by running over the field; for each, the invariant
 factors of cA' are read off A''s kept ones.  A "yes" carries the witness
 z -> cz', Frobenius basis onto scaled Frobenius basis, checked by
-verify_iso; a "no" names the charpolys, or each c with its factors.  These
-and the search's image domains read the series, center, Killing Gram and
-forms that each LieAlgebra keeps once computed, so comparing one algebra
-with many computes its invariants once.  Definitive answers on other
-algebras over finite fields come from a complete backtracking search that
+verify_iso; a "no" names the charpolys, or each c with its factors.  An
+almost abelian algebra's fingerprint is read off that form too.  Algebras
+with a derived algebra of dimension at most 1 are k^n, h(2m+1) + k^r or
+r2 + k^(n-2) over any field, and the fingerprint tells which: two with one
+fingerprint are isomorphic, by the map between the frames that
+liecore.derived_line_frame keeps, checked by verify_iso.  These and the
+search's image domains read the series, center, Killing Gram and forms that
+each LieAlgebra keeps once computed, so comparing one algebra with many
+computes its invariants once.  Definitive answers on other algebras over
+finite fields come from a complete backtracking search that
 assigns basis images one at a time, propagating the linear constraints each
 bracket relation imposes and always expanding the most constrained variable
 first.
@@ -78,6 +83,7 @@ from .liecore import (
     _morphism_defects,
     almost_abelian,
     center,
+    derived_line_frame,
     derived_series,
     is_perfect,
     killing_gram,
@@ -104,8 +110,27 @@ class Fingerprint:
 
 
 def fingerprint(algebra: LieAlgebra) -> Fingerprint:
-    """The fingerprint, read off the invariants kept on the algebra."""
+    """The fingerprint, read off the invariants kept on the algebra.
+
+    An almost abelian L = kz + D has it in closed form, from its derived
+    series and kept form: A = ad(z)|D is invertible, so [L, D] = D, the
+    center is 0, and in a basis z, then D's, the Killing Gram is tr(A^2) at
+    (z, z) and 0 elsewhere, with tr(A^2) = c_1^2 - 2 c_2 from the charpoly
+    (c_1^2 when dim D = 1).
+    """
     derived = tuple(s.dim for s in derived_series(algebra))
+    form = almost_abelian(algebra)
+    if form is not None:
+        n, c = algebra.dim, form.charpoly
+        trace = c[0] * c[0] - (2 * c[1] if len(c) > 1 else 0)
+        return Fingerprint(
+            dim=n,
+            derived=derived,
+            lower_central=(n, n - 1, n - 1),
+            center_dim=0,
+            abelianization_dim=1,
+            killing_rank=1 if algebra.field._reduce(trace) else 0,
+        )
     return Fingerprint(
         dim=algebra.dim,
         derived=derived,
@@ -457,11 +482,26 @@ def _almost_abelian_verdict(a: LieAlgebra, b: LieAlgebra) -> Optional[IsoResult]
     )
 
 
+def _frame_verdict(a: LieAlgebra, b: LieAlgebra) -> Optional[IsoResult]:
+    """Decide two algebras with equal fingerprints and dim [L, L] <= 1 with
+    no search: the fingerprint fixes which of k^n, h(2m+1) + k^r and
+    r2 + k^(n-2) each is, and each has those brackets in its kept frame
+    (liecore.derived_line_frame), so F_b F_a^-1 is an isomorphism.  It is
+    reported only if verify_iso passes it; a witness that failed would leave
+    the verdict to the search (None)."""
+    (_, inverse), (frame, _) = derived_line_frame(a), derived_line_frame(b)
+    m = Matrix._of_raw(a.field, _mul_rows(a.field, frame, inverse, a.dim), a.dim)
+    if not verify_iso(a, b, m):
+        return None
+    return IsoResult("yes", witness=LinearMap._of(a, b, m))
+
+
 def are_isomorphic(a: LieAlgebra, b: LieAlgebra, budget: int = 500000) -> IsoResult:
     """Over any field, differing fingerprints are a definitive no (0 nodes
     searched).  Two almost abelian algebras are then decided by
     _almost_abelian_verdict, a "yes" with a verified witness or a "no" with
-    the charpolys or invariant factors, also with 0 nodes.  Otherwise the
+    the charpolys or invariant factors, and two with dim [L, L] <= 1 by
+    _frame_verdict, a "yes" with a verified witness, both with 0 nodes.  Otherwise the
     complete search decides over a finite field, and over the rationals the
     answer is unknown.  Algebras over different fields raise FieldMismatch.
 
@@ -478,11 +518,14 @@ def are_isomorphic(a: LieAlgebra, b: LieAlgebra, budget: int = 500000) -> IsoRes
         return IsoResult(
             "no", certificate=f"fingerprints differ: {fa.as_tuple()} vs {fb.as_tuple()}"
         )
-    # equal fingerprints: both almost abelian, or neither
+    # equal fingerprints: both almost abelian, or neither; dim [L, L] equal
+    res = None
     if almost_abelian(a) is not None:
         res = _almost_abelian_verdict(a, b)
-        if res is not None:
-            return res
+    elif fa.derived[1] <= 1:
+        res = _frame_verdict(a, b)
+    if res is not None:
+        return res
     if not a.field.is_finite:
         return IsoResult(
             "unknown",

@@ -39,8 +39,10 @@ invariant_bilinear_forms and self_dual read them), the series (as tuples,
 the lower central one starting from the derived algebra [L, L]), the
 center, the Killing Gram and, for an almost abelian algebra, its form
 (almost_abelian: z, the derived algebra, ad(z) on it with its invariant
-factors and charpoly, and the basis that puts it in Frobenius form) are
-computed once per LieAlgebra, on first use, and kept on it.
+factors and charpoly, and the basis that puts it in Frobenius form) and,
+for a derived algebra of dimension at most 1, the frame that puts it in
+normal form (derived_line_frame) are computed once per LieAlgebra, on first
+use, and kept on it.
 
 A LinearMap checks its matrix's shape and field against its algebras when
 it is built; compose and inverse build their results with the trusted
@@ -77,6 +79,7 @@ from .exactmath import (
     _is_json_scalar,
     _mul_rows,
     _poly_mul,
+    _power,
     _span_rows,
 )
 
@@ -697,6 +700,68 @@ def almost_abelian(algebra: LieAlgebra) -> Optional[AlmostAbelian]:
     images = _mul_rows(f, tuple(zip(*transform)), derived.rows, n)
     frame = tuple(zip(z, *images))
     return AlmostAbelian(factors, tuple(product[-2::-1]), frame, _inverse_rows(f, frame))
+
+
+@_kept
+def derived_line_frame(algebra: LieAlgebra) -> Optional[tuple]:
+    """For dim [L, L] <= 1, the raw rows of a frame F, the matrix whose
+    columns are a basis in which L has the brackets of its normal form, and
+    of F^-1; None when [L, L] is larger.
+
+    L is k^n when D = [L, L] = 0, and F = I.  When D = ky is not central,
+    [x, y] = y for some x, and the center C is a complement of span(x, y)
+    on which nothing else brackets: L = r2 + k^(n-2), in the frame
+    (x, y, C's basis).  When D = ky is central, [u, v] = w(u, v) y for an
+    alternating form w whose radical is C: L = h(2m+1) + k^r, in a Darboux
+    frame (u_1, v_1, ..., u_m, v_m) with w(u_i, v_i) = 1, then y, then C's
+    rref rows with the first one that y needs dropped.  Two algebras of one
+    dimension with equal dim [L, L], center and lower central series have
+    equal brackets in their frames.
+    """
+    derived = derived_series(algebra)[1]
+    n, f, t = algebra.dim, algebra.field, algebra._table
+    if derived.dim > 1:
+        return None
+    units = Matrix.identity(f, n).raw
+    if not derived.dim:
+        return units, units
+    (y,), (q,) = derived.rows, derived.pivots  # y[q] = 1, so [u, v] = [u, v]_q y
+    red = f._reduce
+    centre = center(algebra)
+    # [e_i, y] = lam_i y
+    lam = [red(sum(a * v[q] for a, v in zip(y, t[i]) if a)) for i in range(n)]
+    moved = next((i for i in range(n) if lam[i]), None)
+    if moved is not None:
+        s = _power(f, lam[moved], -1)
+        vectors = [tuple(red(s * a) for a in units[moved]), y, *centre.rows]
+    else:
+        # symplectic Gram-Schmidt of the units for w(u, v) = [u, v]_q
+        omega = [[row[q] for row in t[i]] for i in range(n)]
+
+        def w(u, v):
+            return red(sum(a * sum(map(mul, row, v)) for a, row in zip(u, omega) if a))
+
+        rest, vectors = list(units), []
+        while True:
+            pair = next(((i, j) for i, j in basis_pairs(len(rest)) if w(rest[i], rest[j])), None)
+            if pair is None:
+                break
+            u, v = rest[pair[0]], rest[pair[1]]
+            s = _power(f, w(u, v), -1)
+            v = tuple(red(s * a) for a in v)
+            vectors += [u, v]
+            projected = []
+            for k, x in enumerate(rest):
+                if k not in pair:
+                    # x - w(x, v) u + w(x, u) v is w-orthogonal to u and v
+                    xv, xu = w(x, v), w(x, u)
+                    projected.append(tuple(red(c - xv * a + xu * b) for c, a, b in zip(x, u, v)))
+            rest = projected
+        # y = sum of y[p] over C's rows r with pivot p: y replaces the first it needs
+        drop = next(k for k, p in enumerate(centre.pivots) if y[p])
+        vectors += [y] + [r for k, r in enumerate(centre.rows) if k != drop]
+    frame = tuple(zip(*vectors))
+    return frame, _inverse_rows(f, frame)
 
 
 # -- invariant bilinear forms and self-duality ---------------------------------

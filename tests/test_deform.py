@@ -459,20 +459,27 @@ def test_factorization_index_of_L6_over_gf5():
 
 
 def test_classification_budget_names_its_context():
-    # the almost abelian pairs are decided without a search, so the budget
-    # is hit on the m pair's deformations with a 1-dimensional derived algebra
+    # the almost abelian pairs and those with dim [L, L] <= 1 are decided
+    # without a search, so the budget is hit on the n = 2 m pair's
+    # deformations with a 2-dimensional derived algebra
     with pytest.raises(BudgetExceeded) as err:
-        classify_complements(canonical_pair_m(1, F5), iso_budget=1)
+        classify_complements(canonical_pair_m(2, F3), iso_budget=1)
     msg = str(err.value)
     assert msg.startswith(
         "isomorphism search inconclusive: budget 1 exceeded after 2 nodes, and from b to a after 2"
     )
-    assert "deformation map at sweep index 4 of 13" in msg
+    assert "deformation map at sweep index 2 of 19" in msg
     assert "class representative index 1" in msg
-    assert "shared fingerprint (3, (3, 1, 0), (3, 1, 1), 1, 2, 1)" in msg
-    # on the L pair every deformation is almost abelian or abelian, and the
-    # abelian one is alone in its class: no search runs, whatever the budget
+    assert "shared fingerprint (5, (5, 2, 0), (5, 2, 2), 2, 3, 1)" in msg
+    # on the n = 1 pairs every deformation is almost abelian or has
+    # dim [L, L] <= 1: no search runs, whatever the budget
     assert classify_complements(canonical_pair_L(1, F5), iso_budget=1).class_sizes == [24, 1, 4]
+    m4 = canonical_pair_m(1, F5)
+    assert (
+        classify_complements(m4, iso_budget=1).class_sizes
+        == classify_complements(m4).class_sizes
+        == [1, 10, 2]
+    )
 
 
 def test_classification_computes_each_series_once_per_deformation(monkeypatch):
@@ -490,8 +497,10 @@ def test_classification_computes_each_series_once_per_deformation(monkeypatch):
     monkeypatch.setattr(liecore, "_series", counted)
     report = classify_complements(mp)
     assert report.deformation_count == 29 and report.class_sizes == [24, 1, 4]
-    # one derived and one lower central series per r-deformation
-    assert len(calls) == 2 * 29
+    # one derived series per r-deformation; the fingerprint of an almost
+    # abelian one is read off its kept form, so only the abelian one has a
+    # lower central series
+    assert len(calls) == 29 + 1
 
 
 def test_ad_ratio_invariant():

@@ -960,6 +960,31 @@ def test_roots_are_every_solution_over_a_small_field(field):
             assert exactmath._roots(field, g, r) == tuple(c for c in range(1, p) if pow(c, g, p) == r)
 
 
+def test_roots_are_every_solution_over_each_prime_below_200():
+    # g = 2, 4 and 6 reach the square roots (p = 3 mod 4 in closed form,
+    # p = 1 mod 4 by Tonelli-Shanks), g = 3 and 6 the split of t^3 - s
+    for p in filter(_is_prime, range(200)):
+        field = Field.gf(p)
+        for g in (1, 2, 3, 4, 6):
+            brute = {}
+            for c in range(1, p):
+                brute.setdefault(pow(c, g, p), []).append(c)
+            for r in range(1, p):
+                assert exactmath._roots(field, g, r) == tuple(brute.get(r, ()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2**31 - 1, 998244353, 2**61 - 1, 2**89 - 1)), st.integers(1, 2**89))
+def test_square_roots_over_large_primes(p, x):
+    # 998244353 = 119 * 2^23 + 1 takes up to 23 Tonelli-Shanks steps; the
+    # two largest primes are beyond Field's bound, so only _sqrt sees them
+    s = pow(x % (p - 1) + 1, 2, p)
+    c = exactmath._sqrt(p, s)
+    assert pow(c, 2, p) == s
+    if p < 2**32:
+        assert exactmath._roots(Field.gf(p), 2, s) == tuple(sorted((c, p - c)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 8), st.integers(1, F_BIG.p - 1), st.booleans())
 def test_roots_over_a_large_prime_field(g, x, power):

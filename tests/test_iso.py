@@ -959,14 +959,14 @@ def test_search_tree_is_unchanged():
     # its closed-pair recheck was removed: the linear constraints already
     # enforce every pair that an assignment closes, so the same nodes are
     # expanded in the same order.  are_isomorphic decides the almost abelian
-    # pairs from their kept forms, with 0 nodes, so their counts are pinned
-    # on the search itself; only the abelian deformation against the
-    # abelian representative is still searched (34 nodes).  On the 28 pairs
-    # the charpoly decides, the search exhausts after the recorded 1,225
+    # pairs from their kept forms, and the abelian deformation against the
+    # abelian representative by its frame, all with 0 nodes, so their counts
+    # are pinned on the search itself.  On the 28 pairs the charpoly
+    # decides, the search exhausts after the recorded 1,225
     mp = matched.canonical_pair_L(1, F5)
     reps = deform.classify_complements(mp).representatives
     a_row = (("yes", 0), ("no", 0), ("no", 0))
-    b_row = (("no", 0), ("yes", 34), ("no", 0))
+    b_row = (("no", 0), ("yes", 0), ("no", 0))
     c_row = (("no", 0), ("no", 0), ("yes", 0))
     rows, nodes, exhausted = [], [], []
     for d in deform.enumerate_deformation_maps(mp):
@@ -1489,3 +1489,128 @@ def test_invariant_factors_separate_what_the_charpolys_do_not(field):
     )
     if field.is_finite:
         assert _search_isomorphisms(scalar, jordan, 500000, False) == ([], 625, True)
+
+
+# -- closed-form fingerprints and frames ------------------------------------------
+
+
+def _general_fingerprint(alg):
+    """The fingerprint from the series, center and Killing Gram, as it is
+    computed for an algebra that is not almost abelian: the oracle of the
+    almost abelian read-off."""
+    derived = tuple(s.dim for s in liecore.derived_series(alg))
+    return iso.Fingerprint(
+        alg.dim,
+        derived,
+        tuple(s.dim for s in liecore.lower_central_series(alg)),
+        liecore.center(alg).dim,
+        alg.dim - derived[1],
+        liecore.killing_gram(alg).rank(),
+    )
+
+
+def _almost_abelian(field, a_rows):
+    """kz + k^d with [z, u_j] = A u_j, column j of A."""
+    d = len(a_rows)
+    names = ("z",) + tuple(f"u{j}" for j in range(d))
+    brackets = {(0, j + 1): (0,) + tuple(row[j] for row in a_rows) for j in range(d)}
+    return LieAlgebra(field, names, brackets)
+
+
+def test_almost_abelian_fingerprints_are_the_general_ones_on_the_deformations():
+    # every almost abelian r-deformation of the canonical pairs with n <= 2
+    # over GF(2), GF(3) and GF(5); a fresh copy of each computes the general
+    # fingerprint from scratch
+    ranks = set()
+    for field in (F2, F3, F5):
+        for make_pair in (matched.canonical_pair_L, matched.canonical_pair_m):
+            for n in (1, 2):
+                mp = make_pair(n, field)
+                for d in deform.enumerate_deformation_maps(mp):
+                    alg = deform.r_deformation(mp, d)
+                    if liecore.almost_abelian(alg) is None:
+                        continue
+                    fresh = LieAlgebra(field, alg.basis_names, dict(alg.sc_pairs()))
+                    assert fingerprint(alg) == _general_fingerprint(fresh)
+                    ranks.add(fingerprint(alg).killing_rank)
+    # tr(A^2) vanishes on some and not on others
+    assert ranks == {0, 1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_almost_abelian_fingerprints_are_the_general_ones_over_q(d, data):
+    # a random invertible A, or one with tr(A^2) = 0 (Killing rank 0), in a
+    # random basis
+    entry = st.integers(-3, 3)
+    rows = data.draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d))
+    assume(Matrix(Q, rows).is_invertible())
+    for a_rows in (rows, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]):
+        alg = _random_conjugate(_almost_abelian(Q, a_rows), data.draw(st.integers(0, 10**6)))
+        assert liecore.almost_abelian(alg) is not None
+        fresh = LieAlgebra(Q, alg.basis_names, dict(alg.sc_pairs()))
+        assert fingerprint(alg) == _general_fingerprint(fresh)
+    assert fingerprint(alg).killing_rank == 0
+
+
+def _small_derived_algebra(field, kind, m, r):
+    """k^r, h(2m+1) + k^r or r2 + k^r in their normal forms."""
+    if kind == "abelian":
+        return LieAlgebra.abelian(field, r)
+    if kind == "heisenberg":
+        n, y = 2 * m + 1 + r, 2 * m
+        brackets = {(2 * i, 2 * i + 1): basis_vector(field, n, y) for i in range(m)}
+    else:
+        n = 2 + r
+        brackets = {(0, 1): basis_vector(field, n, 1)}
+    return LieAlgebra(field, tuple(f"e{i}" for i in range(n)), brackets)
+
+
+@st.composite
+def _small_derived_cases(draw):
+    field = draw(st.sampled_from((Q, F2, F3, F5, F7)))
+    kind = draw(st.sampled_from(("abelian", "heisenberg", "r2")))
+    m = draw(st.integers(1, 2)) if kind == "heisenberg" else 0
+    # n = core + r <= 6, core the dimension of the summand other than k^r
+    core = {"abelian": 0, "heisenberg": 2 * m + 1, "r2": 2}[kind]
+    r = draw(st.integers(1 if kind == "abelian" else 0, 6 - core))
+    return field, kind, m, r, draw(st.integers(0, 10**6)), draw(st.integers(0, 10**6))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_small_derived_cases())
+def test_frames_decide_small_derived_algebras_in_random_bases(case):
+    # k^n, h(2m+1) + k^r and r2 + k^r (n <= 6), over GF(p) and over Q: two
+    # random bases of one are isomorphic with 0 nodes and a verified witness
+    field, kind, m, r, seed_a, seed_b = case
+    alg = _small_derived_algebra(field, kind, m, r)
+    a, b = _random_conjugate(alg, seed_a), _random_conjugate(alg, seed_b)
+    assert liecore.derived_series(a)[1].dim == (kind != "abelian")
+    for x, y in ((a, b), (alg, a), (b, alg)):
+        res = are_isomorphic(x, y)
+        assert (res.verdict, res.searched) == ("yes", 0)
+        assert verify_iso(x, y, res.witness)
+
+
+@pytest.mark.parametrize("field", (F3, F5), ids=("GF3", "GF5"))
+def test_frames_decide_the_small_deformations_as_the_search_does(field):
+    # every ordered pair of n = 1 deformations of one dimension with
+    # dim [L, L] <= 1: are_isomorphic answers with 0 nodes, and the complete
+    # search, its oracle, finds a witness exactly when the answer is "yes"
+    algs = [
+        deform.r_deformation(mp, d)
+        for mp in (matched.canonical_pair_L(1, field), matched.canonical_pair_m(1, field))
+        for d in deform.enumerate_deformation_maps(mp)
+    ]
+    small = [a for a in algs if liecore.derived_series(a)[1].dim <= 1]
+    verdicts = set()
+    for a, b in itertools.product(small, repeat=2):
+        if a.dim != b.dim:
+            continue
+        res = are_isomorphic(a, b)
+        witnesses, _, exhausted = _search_isomorphisms(a, b, 500000, False)
+        assert res.searched == 0 and (witnesses or exhausted)
+        assert res.is_yes == bool(witnesses) and res.verdict != "unknown"
+        assert not res.is_yes or verify_iso(a, b, res.witness)
+        verdicts.add(res.verdict)
+    assert verdicts == {"yes", "no"}
