@@ -16,13 +16,18 @@ products and elimination run on them, and its accessors box what they hand
 out.  Every matrix product goes through Matrix.__mul__, and its one kernel
 is _mul_rows: a single flat pass over the (row, column) pairs, one _reduce
 per entry, cut back into rows.  Row reduction is decided here, once:
-Matrix.rref (and so rank, nullspace, solve and span_rref), Matrix.inverse
-and Matrix.det wrap three raw entry points, _rref_rows, _inverse_rows (the
-RREF of (A | I)) and _det_rows, whose
-kernels run on plain ints, fraction-free over Q and on residues over GF(p);
-no other module names the kernels.  _Echelon decides independence one raw
-vector at a time, with no elimination, for the isomorphism search and
-liecore's generating sets.
+Matrix.rref (and so rank and span_rref), Matrix.inverse and Matrix.det wrap
+three raw entry points, _rref_rows, _inverse_rows (the RREF of (A | I)) and
+_det_rows.  Null spaces have a fourth, _null_space_rows: Matrix.nullspace,
+Matrix.solve (the null space of (A | -b)) and the Frobenius form go through
+it, and it restricts the unit vectors equation by equation, so a dependent
+equation costs one dot product per surviving vector and no row operation;
+its basis is the one the RREF gives, which the tests read off a reference
+RREF as its oracle.  The kernels run on plain ints, fraction-free over Q
+and on residues over GF(p); no other module names them or
+_null_space_rows.  _Echelon decides independence one raw vector at a time,
+with no elimination, for the isomorphism search and liecore's generating
+sets.
 
 A vector at the boundary is a tuple of Scalars; zero_vector and
 basis_vector build the two a caller needs most, and the module has no
@@ -544,24 +549,23 @@ class Matrix:
 
     def _null_raw(self) -> list:
         """nullspace's basis as raw tuples."""
-        return _null_rows(self.field, *self.rref(), self.ncols)
+        return _null_space_rows(self.field, self.raw, self.ncols)[0]
 
     def solve(self, b) -> Optional[tuple]:
         """Particular solution of A x = b plus a nullspace basis, or None.
 
-        One elimination of the augmented matrix gives both: when the system
-        is consistent, its left block is the RREF of A (the RREF is unique).
+        One null space of (A | -b) gives both: the system is consistent iff
+        its last column is free, its vector there is (x, 1), and the vectors
+        of the other free columns are A's null basis (x is 0 at those).
         """
         if len(b) != self.nrows:
             raise DimensionMismatch("rhs length != nrows")
-        aug = self.augment(Matrix.from_cols(self.field, [b]))
-        red, pivots = aug.rref()
-        if pivots and pivots[-1] == self.ncols:
+        field, n = self.field, self.ncols
+        rows = [row + (field._reduce(-field._raw(x)),) for row, x in zip(self.raw, b)]
+        basis, free = _null_space_rows(field, rows, n + 1)
+        if not free or free[-1] != n:
             return None
-        x = list(zero_vector(self.field, self.ncols))
-        for r, p in enumerate(pivots):
-            x[p] = self.field._scalar_of(red.raw[r][self.ncols])
-        return tuple(x), [_box(self.field, v) for v in _null_rows(self.field, red, pivots, self.ncols)]
+        return _box(field, basis.pop()[:n]), [_box(field, v[:n]) for v in basis]
 
     def det(self) -> Scalar:
         if self.nrows != self.ncols:
@@ -605,22 +609,6 @@ def _mul_rows(field: Field, rows, other, ncols: int) -> tuple:
     return tuple(zip(*[iter(flat)] * ncols))
 
 
-def _null_rows(field: Field, red: Matrix, pivots: tuple, ncols: int) -> list:
-    """The null basis, raw, read off an RREF whose first ncols columns are
-    the RREF of a matrix (red may carry more columns to the right): one
-    vector per free column."""
-    zero, one, reduce = field.zero.value, field.one.value, field._reduce
-    pivot_set = set(pivots)
-    basis = []
-    for f in (c for c in range(ncols) if c not in pivot_set):
-        v = [zero] * ncols
-        v[f] = one
-        for row, p in zip(red.raw, pivots):
-            v[p] = reduce(-row[f])
-        basis.append(tuple(v))
-    return basis
-
-
 # -- elimination on raw rows ----------------------------------------------------
 
 
@@ -635,6 +623,72 @@ def _rref_rows(field: Field, rows, ncols: int) -> tuple:
         tuple(0 if not x else 1 if x == piv else _rational(Fraction(x, piv)) for x in row)
         for row, piv in ((row, row[pc]) for row, pc in zip(rows, pivots))
     ), tuple(pivots)
+
+
+def _null_space_rows(field: Field, rows, ncols: int) -> tuple:
+    """The null basis of raw rows of length ncols, raw, one vector per free
+    column, and the free columns: the canonical basis, 1 at its own free
+    column, 0 at the others, the same as read off the RREF.
+
+    The unit vectors are restricted one equation at a time.  Each survivor
+    owns a column and is supported on it and on eliminated columns below
+    it.  An equation's coefficient on each survivor is one dot product; the
+    first survivor with a nonzero one is dropped, its column eliminated, and
+    cleared from the later survivors' coefficients, so a dependent equation
+    changes no survivor.  Over Q the equations are cleared of denominators
+    and the survivors stay integer and primitive; over GF(p) they are
+    residues.  At the end each survivor is scaled to 1 at its column.
+    """
+    p = field.p
+    if p is None:
+        rows = _clear_denominators(rows)[0]
+    free = list(range(ncols))
+    # a survivor is zero past its own column, and kept only up to it
+    survivors = [[0] * f + [1] for f in free]
+    for row in rows:
+        if not survivors:
+            break
+        coeffs = [sum(map(mul, row, s)) for s in survivors]
+        if p is not None:
+            coeffs = [c % p for c in coeffs]
+        k = next((k for k, c in enumerate(coeffs) if c), None)
+        if k is None:
+            continue
+        del free[k]
+        pivot, a = survivors.pop(k), coeffs[k]
+        width = len(pivot)
+        if p is not None:
+            inv = pow(a, -1, p)
+        for j in range(k, len(survivors)):
+            c = coeffs[j + 1]
+            if not c:
+                continue
+            # the pivot is the shorter survivor: past its end s only scales
+            s = survivors[j]
+            if p is not None:
+                f = c * inv % p
+                survivors[j] = [(x - f * y) % p for x, y in zip(s, pivot)] + s[width:]
+                continue
+            if c % a:
+                g = gcd(a, c)
+                af, cf = a // g, c // g
+                s = [af * x - cf * y for x, y in zip(s, pivot)] + [af * x for x in s[width:]]
+            else:
+                # a divides c: no gcd of the two and no scaling
+                q = c // a
+                s = [x - q * y for x, y in zip(s, pivot)] + s[width:]
+            g = gcd(*s)
+            survivors[j] = [x // g for x in s] if g > 1 else s
+    basis = []
+    for s, f in zip(survivors, free):
+        piv, pad = s[f], (0,) * (ncols - 1 - f)
+        if p is not None:
+            inv = pow(piv, -1, p)
+            basis.append(tuple([x * inv % p for x in s]) + pad)
+        else:
+            basis.append(tuple([0 if not x else 1 if x == piv else _rational(Fraction(x, piv))
+                                for x in s]) + pad)
+    return basis, tuple(free)
 
 
 def _inverse_rows(field: Field, rows):
@@ -916,19 +970,16 @@ def _frobenius_rows(field: Field, rows) -> tuple:
         m = len(krylov)
         if m == n:
             break
-        system = [tuple(x) + (int(j == m - 1),) for j, x in enumerate(krylov)]
-        solved, pivots = _rref_rows(field, system, n + 1)
-        phi = [0] * n
-        for row, pc in zip(solved, pivots):
-            phi[pc] = row[n]
+        # phi solves K phi = e_(m-1), K the Krylov rows: the vector of the
+        # last column of (K | -e_(m-1)), which is free, K having full rank
+        system = [tuple(x) + (red(-int(j == m - 1)),) for j, x in enumerate(krylov)]
+        phi = _null_space_rows(field, system, n + 1)[0][-1][:n]
         functionals = []
         for _ in range(m):
-            functionals.append(tuple(phi))
+            functionals.append(phi)
             phi = _mul_rows(field, (phi,), a, n)[0]
-        ann, pivots = _rref_rows(field, functionals, n)
-        null = _null_rows(field, Matrix._of_raw(field, ann, n), pivots, n)
+        null, free = _null_space_rows(field, functionals, n)
         # a null vector's coordinates over this basis are its free entries
-        free = [c for c in range(n) if c not in pivots]
         images = [[red(sum(map(mul, row, x))) for row in a] for x in null]
         a = [[image[c] for image in images] for c in free]
         embed = null if embed is None else _mul_rows(field, null, embed, len(rows))
@@ -939,8 +990,9 @@ def _frobenius_rows(field: Field, rows) -> tuple:
 
 
 # -- elimination kernels: plain ints in, plain ints out -------------------------
-# Only _rref_rows and _det_rows call these.  Each reorders its list and
-# replaces rows without changing them, so it can take a matrix's raw rows.
+# Only _rref_rows, _null_space_rows and _det_rows call these.  Each reorders
+# its list and replaces rows without changing them, so it can take a matrix's
+# raw rows.
 
 
 def _clear_denominators(rows) -> tuple:

@@ -625,11 +625,13 @@ def derived_dims(algebra: LieAlgebra) -> tuple:
 
 
 def solvable_length(algebra: LieAlgebra) -> Optional[int]:
-    """Number of derived steps to reach 0; None if the series stalls above 0."""
-    series = derived_series(algebra)
-    if series[-1].dim != 0:
+    """Number of derived steps to reach 0, counted up to the first zero term
+    (0 for the zero algebra, 1 for a nonzero abelian one); None if the
+    series stalls above 0."""
+    dims = derived_dims(algebra)
+    if dims[-1] != 0:
         return None
-    return len(series) - 1
+    return dims.index(0)
 
 
 def is_perfect(algebra: LieAlgebra) -> bool:

@@ -88,6 +88,16 @@ def test_info_json(tmp_path, capsys):
     assert data["solvable_length"] == 2
 
 
+def test_info_of_the_zero_and_an_abelian_algebra(tmp_path, capsys):
+    for dim, length in ((0, 0), (2, 1)):
+        path = tmp_path / f"abelian{dim}.json"
+        path.write_text(json.dumps({"field": {"kind": "Q"}, "dim": dim,
+                                    "basis": [f"e{k}" for k in range(dim)], "brackets": []}))
+        code, out, _ = run(capsys, "info", str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["solvable_length"] == length
+
+
 def test_derivations_cli(tmp_path, capsys):
     h5 = tmp_path / "h5.json"
     run(capsys, "families", "--make", "h5", "--field", "Q", "--out", str(h5))

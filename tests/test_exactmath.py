@@ -25,6 +25,7 @@ from liefact.exactmath import (
     _integer_rref,
     _is_prime,
     _mul_rows,
+    _null_space_rows,
     Matrix,
     Scalar,
     basis_vector,
@@ -433,6 +434,20 @@ def reference_rref(m: Matrix) -> tuple:
     return Matrix(m.field, rows), tuple(pivots)
 
 
+def _null_rows(field: Field, red, pivots: tuple, ncols: int) -> list:
+    """The null basis, raw, read off the raw rows of an RREF with the given
+    pivots (the rows may carry more columns to the right): one vector per
+    free column, 1 there and 0 at the other free columns."""
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = 1
+        for row, p in zip(red, pivots):
+            v[p] = field._reduce(-row[f])
+        basis.append(tuple(v))
+    return basis
+
+
 def reference_det(m: Matrix) -> Scalar:
     """Gaussian elimination on boxed Scalars, the product of the pivots."""
     n = m.nrows
@@ -576,7 +591,17 @@ def test_echelon_push_answers_whether_the_rank_grows(m):
         assert rank(kept + echelon.rows) == len(kept) == len(echelon.rows)
 
 
-KERNELS = {"_residue_rref", "_integer_rref", "_clear_denominators", "_residue_det", "_bareiss_det"}
+@settings(max_examples=450, deadline=None)
+@given(oracle_matrix() | tall_rational_matrix())
+def test_null_space_kernel_matches_the_reference_read_off(m):
+    red, pivots = reference_rref(m)
+    basis, free = _null_space_rows(m.field, m.raw, m.ncols)
+    assert free == tuple(c for c in range(m.ncols) if c not in pivots)
+    assert basis == _null_rows(m.field, red.raw, pivots, m.ncols)
+
+
+KERNELS = {"_residue_rref", "_integer_rref", "_clear_denominators", "_residue_det", "_bareiss_det",
+           "_null_space_rows"}
 
 
 def test_only_exactmath_names_the_elimination_kernels():
@@ -626,14 +651,7 @@ def reference_solve(m: Matrix, b):
     for r, pc in enumerate(pivots):
         x[pc] = red.rows[r][n]
     red, pivots = reference_rref(m)
-    null = []
-    for free in (c for c in range(n) if c not in pivots):
-        v = [m.field.zero] * n
-        v[free] = m.field.one
-        for r, pc in enumerate(pivots):
-            v[pc] = -red.rows[r][free]
-        null.append(tuple(v))
-    return tuple(x), null
+    return tuple(x), [_box(m.field, v) for v in _null_rows(m.field, red.raw, pivots, n)]
 
 
 @st.composite

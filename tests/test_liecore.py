@@ -245,6 +245,17 @@ def test_derived_series_l3():
     assert d1.basis == (basis_vector(Q, 3, 0), basis_vector(Q, 3, 1))
 
 
+def test_solvable_length_counts_steps_to_the_first_zero_term():
+    # the zero algebra's series is (0, 0): no step is needed to reach 0
+    zero = LieAlgebra(Q, (), {})
+    assert derived_dims(zero) == (0, 0)
+    assert solvable_length(zero) == 0
+    abelian = LieAlgebra(Q, ("x", "y"), {})
+    assert derived_dims(abelian) == (2, 0)
+    assert solvable_length(abelian) == 1
+    assert is_metabelian(zero) and is_metabelian(abelian)
+
+
 def test_derived_series_deformed_family():
     # computed truth for the a-family deformation; see the acceptance notes
     # for the diverging recorded expectation
