@@ -635,9 +635,10 @@ def _null_space_rows(field: Field, rows, ncols: int) -> tuple:
     it.  An equation's coefficient on each survivor is one dot product; the
     first survivor with a nonzero one is dropped, its column eliminated, and
     cleared from the later survivors' coefficients, so a dependent equation
-    changes no survivor.  Over Q the equations are cleared of denominators
-    and the survivors stay integer and primitive; over GF(p) they are
-    residues.  At the end each survivor is scaled to 1 at its column.
+    changes no survivor; an all-zero one is skipped before its dot
+    products.  Over Q the equations are cleared of denominators and the
+    survivors stay integer and primitive; over GF(p) they are residues.  At
+    the end each survivor is scaled to 1 at its column.
     """
     p = field.p
     if p is None:
@@ -648,6 +649,8 @@ def _null_space_rows(field: Field, rows, ncols: int) -> tuple:
     for row in rows:
         if not survivors:
             break
+        if not any(row):
+            continue
         coeffs = [sum(map(mul, row, s)) for s in survivors]
         if p is not None:
             coeffs = [c % p for c in coeffs]

@@ -26,15 +26,15 @@ first.
 
 The search runs on residues in [0, p): it reads both algebras' raw bracket
 tables and the raw rows of the image domains, which _image_domains
-intersects from the raw bases of the characteristic subspaces, and a
-witness is boxed only when it is reported.  Its row reduction is exactmath's:
-each candidate set is one _rref_rows of the constraint rows and their
-right-hand side, read off through the domain matrix, and an image is
-assigned only when _Echelon finds it independent of those before it.  Every
-Yes is re-verified at its leaf before it is reported: _det_rows of the
-assigned columns must be nonzero, and then the matrix they make must pass
-liecore's Lie-morphism law on the full bracket tables, the same check
-verify_iso runs, in either search direction.
+intersects, once per call for each basis pattern, from the raw bases of the
+characteristic subspaces, and a witness is boxed only when it is reported.
+Its row reduction is exactmath's: each candidate set is one _rref_rows of
+the constraint rows and their right-hand side, read off through the domain
+matrix, and an image is assigned only when _Echelon finds it independent of
+those before it.  The leaf keeps the matrix of the assigned columns only if
+verify_iso passes it, in either search direction.  So every "yes" of
+are_isomorphic and every automorphism of aut_enumerate has passed
+verify_iso, the one check, and is wrapped with the trusted LinearMap._of.
 
 The automorphism-triple group law, membership and the semidirect embedding
 run on raw entries too.  Each operand is checked once, by _check_operand on
@@ -66,7 +66,6 @@ from .exactmath import (
     Scalar,
     _Echelon,
     _box,
-    _det_rows,
     _intersect_rows,
     _mul_rows,
     _power,
@@ -193,32 +192,24 @@ def _basis_patterns(algebra: LieAlgebra) -> tuple:
     )
 
 
-@_kept
-def _kept_domains(algebra: LieAlgebra) -> dict:
-    """Image domains in this algebra by source pattern, filled in by
-    _image_domains: a class representative is the target of every later
-    comparison, so each intersection is computed once per pattern."""
-    return {}
-
-
 def _image_domains(a: LieAlgebra, b: LieAlgebra) -> list:
     """For each source basis index, the raw rref rows of the target subspace
     its image must lie in: the intersection of the target's characteristic
-    subspaces named by the source vector's pattern, those that b has."""
-    kept = _kept_domains(b)
-    domains = []
-    for pattern in _basis_patterns(a):
-        if pattern not in kept:
-            terms = dict(_characteristic(b))
+    subspaces named by the source vector's pattern, those that b has.  Each
+    distinct pattern's domain is computed once per call."""
+    terms = dict(_characteristic(b))
+    patterns = _basis_patterns(a)
+    by_pattern = {}
+    for pattern in patterns:
+        if pattern not in by_pattern:
             dom = None
             for name, i in pattern:
                 if i < len(terms[name]):
                     rows = terms[name][i].rows
                     # the first match needs no intersection: its rows are in rref
                     dom = rows if dom is None else _intersect_rows(b.field, dom, rows, b.dim)
-            kept[pattern] = Matrix.identity(b.field, b.dim).raw if dom is None else dom
-        domains.append(kept[pattern])
-    return domains
+            by_pattern[pattern] = Matrix.identity(b.field, b.dim).raw if dom is None else dom
+    return [by_pattern[pattern] for pattern in patterns]
 
 
 def _search_isomorphisms(
@@ -334,12 +325,8 @@ def _search_isomorphisms(
     def expand(remaining):
         nonlocal nodes
         if not remaining:
-            # the leaf: rank n by a determinant mod p, then the shared law
-            rows = tuple(zip(*assigned))
-            if not _det_rows(f, rows):
-                return False
-            m = Matrix._of_raw(f, rows, n)
-            if any(_morphism_defects(a, b, m)):
+            m = Matrix._of_raw(f, tuple(zip(*assigned)), n)
+            if not verify_iso(a, b, m):
                 return False
             results.append(m)
             return not find_all
@@ -540,7 +527,7 @@ def are_isomorphic(a: LieAlgebra, b: LieAlgebra, budget: int = 500000) -> IsoRes
         witnesses = [m for m in (w.inverse() for w in back) if verify_iso(a, b, m)]
         exhausted = exhausted and not back
     if witnesses:
-        return IsoResult("yes", witness=LinearMap(a, b, witnesses[0]), searched=searched)
+        return IsoResult("yes", witness=LinearMap._of(a, b, witnesses[0]), searched=searched)
     if exhausted:
         reason = f"complete search exhausted ({searched} nodes)"
         return IsoResult("no", certificate=reason, searched=searched)
@@ -560,7 +547,7 @@ def aut_enumerate(algebra: LieAlgebra, budget: int = 500000) -> list:
             f"and fingerprint {fingerprint(algebra).as_tuple()}"
         )
     witnesses.sort(key=lambda m: m.raw)
-    return [LinearMap(algebra, algebra, m) for m in witnesses]
+    return [LinearMap._of(algebra, algebra, m) for m in witnesses]
 
 
 # -- morphisms of codimension-1 extensions of a perfect algebra -----------------

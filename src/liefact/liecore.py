@@ -20,9 +20,10 @@ entries.  The Jacobi identity, the Lie-morphism law and the integrability of
 a product structure go through defects(), a lazy generator of the indices
 where the two sides differ, so a yes/no caller stops at the first defect and
 a report keeps every record in index order.  The Lie-morphism law is
-_morphism_defects: LinearMap.is_lie_morphism, iso.verify_iso and the leaf of
-the isomorphism search all read it.  A law linear in its unknown is one raw
-linear system that its check applies and its solver solves: invariance of a
+_morphism_defects: LinearMap.is_lie_morphism and iso.verify_iso read it, and
+the isomorphism search reads it through verify_iso at each leaf.  A law
+linear in its unknown is one raw linear system that its check applies and
+its solver solves: invariance of a
 form is _invariance_rows, the twisted-derivation law (lambda = 0) is
 derivations._twisted_system, and the triple relation is iso._relation_system.
 The Jacobiator of one basis triple is _jacobiator, raw; the matched-pair
@@ -393,10 +394,6 @@ class Subspace:
         space.rows = Matrix.identity(algebra.field, algebra.dim).raw
         space.pivots = tuple(range(algebra.dim))
         return space
-
-    @classmethod
-    def zero(cls, algebra: LieAlgebra) -> "Subspace":
-        return cls._of_rows(algebra, ())
 
     @property
     def dim(self) -> int:

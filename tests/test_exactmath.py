@@ -598,10 +598,14 @@ def test_null_space_kernel_matches_the_reference_read_off(m):
     basis, free = _null_space_rows(m.field, m.raw, m.ncols)
     assert free == tuple(c for c in range(m.ncols) if c not in pivots)
     assert basis == _null_rows(m.field, red.raw, pivots, m.ncols)
+    # all-zero equations, which the kernel skips, change neither
+    zero = (0,) * m.ncols
+    padded = [zero] + [row for equation in m.raw for row in (equation, zero)]
+    assert _null_space_rows(m.field, padded, m.ncols) == (basis, free)
 
 
 KERNELS = {"_residue_rref", "_integer_rref", "_clear_denominators", "_residue_det", "_bareiss_det",
-           "_null_space_rows"}
+           "_null_space_rows", "_det_rows"}
 
 
 def test_only_exactmath_names_the_elimination_kernels():

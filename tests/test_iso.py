@@ -497,11 +497,12 @@ def test_malformed_operands_are_rejected_or_coerced():
 
 
 def _count_eliminations(monkeypatch) -> list:
+    """Every residue row reduction from here on, as (rows, ncols)."""
     calls = []
     kernel = exactmath._residue_rref
 
     def counting(rows, ncols, p):
-        calls.append(ncols)
+        calls.append((tuple(map(tuple, rows)), ncols))
         return kernel(rows, ncols, p)
 
     monkeypatch.setattr(exactmath, "_residue_rref", counting)
@@ -509,14 +510,18 @@ def _count_eliminations(monkeypatch) -> list:
 
 
 def test_products_of_checked_triples_run_no_elimination(monkeypatch):
-    sl2, triples = _sl2_triples()
+    sl2 = make_sl2(F3)
     delta = sl2.ad(basis_vector(F3, 3, 0))
     calls = _count_eliminations(monkeypatch)
-    assert all(aut_triple_valid(sl2, delta, t) for t in triples)
-    # one 3 x 3 elimination per automorphism, kept on its matrix; each of the
-    # 24 serves the two units alpha
-    assert calls == [3] * len({id(t.v.matrix) for t in triples}) == [3] * 24
+    triples = enumerate_aut_triples(sl2, delta)
+    # verify_iso row-reduces each of the 24 automorphisms once, at its leaf,
+    # and the result is kept on its matrix; each serves the two units alpha
+    auts = {t.v.matrix.raw for t in triples}
+    assert len(auts) == len({id(t.v.matrix) for t in triples}) == 24
+    assert sorted(rows for rows, _ in calls if rows in auts) == sorted(auts)
     calls.clear()
+    # so membership eliminates nothing, and neither do products
+    assert all(aut_triple_valid(sl2, delta, t) for t in triples)
     for i, t2 in enumerate(triples):
         for j, t3 in enumerate(triples):
             t1 = triples[(i + j) % 48]
@@ -526,7 +531,7 @@ def test_products_of_checked_triples_run_no_elimination(monkeypatch):
     for t in triples:
         ident = aut_multiply(t, aut_inverse(t))
         assert _boxed_parts(ident) == _boxed_parts(aut_identity(sl2))
-    assert calls == [6] * 48
+    assert [ncols for _, ncols in calls] == [6] * 48
 
 
 def test_membership_and_embedding_coerce_alpha_as_the_group_law_does():
@@ -1331,15 +1336,10 @@ def test_kept_invariants_agree_with_a_recomputation(name, field, seed):
     assert res.is_yes and verify_iso(alg, conjugate, res.witness)
 
 
-def test_kept_image_domains_equal_the_reference(monkeypatch):
+def test_image_domains_equal_the_reference():
     # every (deformation, representative) pair of the n = 1 classifications;
     # on the L pairs some deformations have longer series than some
     # representatives, so a pattern may name a term the target lacks
-    intersections = []
-    intersect = iso._intersect_rows
-    monkeypatch.setattr(
-        iso, "_intersect_rows", lambda *args: intersections.append(1) or intersect(*args)
-    )
     beyond = 0
 
     def check(alg, rep):
@@ -1347,24 +1347,16 @@ def test_kept_image_domains_equal_the_reference(monkeypatch):
         terms = dict(iso._characteristic(rep))
         patterns = iso._basis_patterns(alg)
         beyond += any(i >= len(terms[n]) for p in patterns for n, i in p)
-        first = iso._image_domains(alg, rep)
+        got = iso._image_domains(alg, rep)
         want = _reference_image_domains(alg, rep)
-        assert [[exactmath._box(rep.field, r) for r in dom] for dom in first] == [
+        assert [[exactmath._box(rep.field, r) for r in dom] for dom in got] == [
             [tuple(v) for v in dom] for dom in want
         ]
-        del intersections[:]
-        second = iso._image_domains(alg, rep)
-        assert not intersections
-        assert all(x is y for x, y in zip(first, second))
 
     for field in (F3, F5):
         for make_pair in (matched.canonical_pair_L, matched.canonical_pair_m):
             mp = make_pair(1, field)
-            # fresh representatives, so that no image domain is kept on them yet
-            reps = [
-                LieAlgebra(field, r.basis_names, dict(r.sc_pairs()))
-                for r in deform.classify_complements(mp).representatives
-            ]
+            reps = deform.classify_complements(mp).representatives
             for d in deform.enumerate_deformation_maps(mp):
                 alg = deform.r_deformation(mp, d)
                 for rep in reps:
@@ -1392,6 +1384,84 @@ def test_an_exhausted_budget_searches_the_other_way():
     res = are_isomorphic(conjugate, alg, 10000)
     assert res.is_yes and verify_iso(conjugate, alg, res.witness)
     assert res.searched == forward[1] + 4 == 10005
+
+
+def _split_and_torus(field):
+    """r2 + r2, and the non-split torus extension [x1, y] = y, [x1, z] = z,
+    [x2, y] = z, [x2, z] = -y: neither almost abelian, both with a
+    2-dimensional derived algebra and one fingerprint.  They are isomorphic
+    iff -1 is a square, where ad(x2) on span(y, z) diagonalizes."""
+    split = LieAlgebra.from_named_brackets(
+        field, ("x1", "y1", "x2", "y2"), {("x1", "y1"): [("y1", 1)], ("x2", "y2"): [("y2", 1)]}
+    )
+    torus = LieAlgebra.from_named_brackets(
+        field,
+        ("x1", "x2", "y", "z"),
+        {
+            ("x1", "y"): [("y", 1)],
+            ("x1", "z"): [("z", 1)],
+            ("x2", "y"): [("z", 1)],
+            ("x2", "z"): [("y", -1)],
+        },
+    )
+    return split, torus
+
+
+def test_an_exhausted_search_is_a_definitive_no():
+    for field, verdict, nodes in ((F3, "no", 153), (F7, "no", 4753), (F5, "yes", 319)):
+        split, torus = _split_and_torus(field)
+        assert fingerprint(split) == fingerprint(torus)
+        assert fingerprint(split).as_tuple() == (4, (4, 2, 0), (4, 2, 2), 0, 2, 2)
+        res = are_isomorphic(split, torus)
+        assert (res.verdict, res.searched) == (verdict, nodes)
+        if verdict == "no":
+            assert res.witness is None
+            assert res.certificate == f"complete search exhausted ({nodes} nodes)"
+        else:
+            assert verify_iso(split, torus, res.witness)
+    # the boxed reference search expands the same tree to the same "no"
+    split, torus = _split_and_torus(F3)
+    assert reference_search_isomorphisms(split, torus, 500000, False) == ([], 153, True)
+
+
+def _passed_verify_iso(monkeypatch) -> list:
+    """Every matrix that iso.verify_iso accepts from here on."""
+    passed = []
+    check = iso.verify_iso
+
+    def recording(a, b, m):
+        ok = check(a, b, m)
+        if ok:
+            passed.append(m.matrix if isinstance(m, LinearMap) else m)
+        return ok
+
+    monkeypatch.setattr(iso, "verify_iso", recording)
+    return passed
+
+
+def test_every_witness_and_automorphism_passed_verify_iso(monkeypatch):
+    passed = _passed_verify_iso(monkeypatch)
+
+    def checked(a, b, budget=500000):
+        res = are_isomorphic(a, b, budget)
+        assert res.is_yes and any(res.witness.matrix is m for m in passed)
+        return res
+
+    # almost abelian, from the kept forms
+    two = F7.scalar(2)
+    assert checked(make_Lalpha(F7, two), make_Lalpha(F7, two.inverse())).searched == 0
+    # a 1-dimensional derived algebra, from the frames
+    r2k = LieAlgebra.from_named_brackets(F5, ("x", "y", "z"), {("x", "y"): [("y", 1)]})
+    assert checked(r2k, _random_conjugate(r2k, 0)).searched == 0
+    # the search from a to b
+    assert checked(*_split_and_torus(F5)).searched == 319
+    # the search from b to a, whose witness is inverted before it is checked
+    sl2 = make_sl2(F7)
+    assert checked(_random_conjugate(sl2, 0), sl2, 10000).searched == 10005
+    # every automorphism
+    auts = aut_enumerate(make_sl2(F3))
+    assert len(auts) == 24
+    assert all(any(v.matrix is m for m in passed) for v in auts)
 
 
 def test_the_kept_forms_decide_L6_over_gf3_as_the_complete_search_does():

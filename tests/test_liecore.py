@@ -254,6 +254,11 @@ def test_solvable_length_counts_steps_to_the_first_zero_term():
     assert derived_dims(abelian) == (2, 0)
     assert solvable_length(abelian) == 1
     assert is_metabelian(zero) and is_metabelian(abelian)
+    # a perfect algebra's series stalls at itself: no length, not metabelian
+    sl2 = matched.make_sl2(Q)
+    assert derived_dims(sl2) == (3, 3)
+    assert solvable_length(sl2) is None
+    assert not is_metabelian(sl2)
 
 
 def test_derived_series_deformed_family():
