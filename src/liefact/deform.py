@@ -52,7 +52,9 @@ from .iso import are_isomorphic, fingerprint
 
 @dataclass(frozen=True)
 class DeformationMap:
-    """A verified deformation map; matrix columns are r(e_i) in g-coordinates."""
+    """A map r: h -> g of a matched pair; matrix columns are r(h_i) in
+    g-coordinates.  Building one checks nothing: is_deformation_map checks
+    the compatibility, and r_deformation checks it again before it deforms."""
 
     mp: MatchedPair
     matrix: Matrix
@@ -281,7 +283,7 @@ def r_deformation(mp: MatchedPair, d: DeformationMap) -> LieAlgebra:
                 for k, y in enumerate(w):
                     vec[k] += c * y
         brackets[(i, j)] = vec
-    out = LieAlgebra(mp.field, h.basis_names, brackets)
+    out = LieAlgebra._of_raw(mp.field, h.basis_names, brackets)
     bad = out.check_jacobi()
     if bad:
         raise InvalidDeformationMap(f"deformed bracket violates Jacobi at {bad[0][:3]}")

@@ -67,6 +67,7 @@ enumerate_vectors is enumerate_affine over the unit basis.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import add, mul, neg, sub
 from typing import Iterator, Optional
@@ -347,6 +348,13 @@ def basis_vector(field: Field, n: int, i: int) -> tuple:
     return tuple(o if k == i else z for k in range(n))
 
 
+@lru_cache(maxsize=32)
+def _unit_rows(n: int) -> tuple:
+    """The raw rows of the n x n identity, shared: 0 and 1 are raw in every
+    field."""
+    return tuple(tuple(int(k == i) for k in range(n)) for i in range(n))
+
+
 def enumerate_vectors(field: Field, length: int) -> Iterator[tuple]:
     """All vectors of a given length, lexicographic, first coordinate slowest:
     enumerate_affine from the origin over the unit basis."""
@@ -423,8 +431,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        z, o = field.zero.value, field.one.value
-        return cls._of_raw(field, tuple(tuple(o if k == i else z for k in range(n)) for i in range(n)), n)
+        return cls._of_raw(field, _unit_rows(n), n)
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":

@@ -17,8 +17,9 @@ r2 + k^(n-2) over any field, and the fingerprint tells which: two with one
 fingerprint are isomorphic, by the map between the frames that
 liecore.derived_line_frame keeps, checked by verify_iso.  These and the
 search's image domains read the series, center, Killing Gram and forms that
-each LieAlgebra keeps once computed, so comparing one algebra with many
-computes its invariants once.  Definitive answers on other algebras over
+each LieAlgebra keeps once computed, and the fingerprint is kept there
+too, so comparing one algebra with many computes its invariants and its
+fingerprint once.  Definitive answers on other algebras over
 finite fields come from a complete backtracking search that
 assigns basis images one at a time, propagating the linear constraints each
 bracket relation imposes and always expanding the most constrained variable
@@ -108,8 +109,10 @@ class Fingerprint:
         return tuple(getattr(self, f.name) for f in fields(self))
 
 
+@_kept
 def fingerprint(algebra: LieAlgebra) -> Fingerprint:
-    """The fingerprint, read off the invariants kept on the algebra.
+    """The fingerprint, read off the invariants kept on the algebra, and
+    kept on it too.
 
     An almost abelian L = kz + D has it in closed form, from its derived
     series and kept form: A = ad(z)|D is invertible, so [L, D] = D, the

@@ -6,6 +6,9 @@ property left to validate.  From these validated constants the constructor
 builds, once, the dense bracket table _table[i][j] = [e_i, e_j]: antisymmetric,
 with zero vectors on the diagonal and for pairs that bracket to zero.  Basis
 brackets, ad(e_i) and the linear systems of this module read that table.
+A library builder that already holds raw constants (the r-deformation) uses
+the trusted LieAlgebra._of_raw, which reduces each entry instead of
+coercing it and builds the same constants and table.
 
 Both hold raw entries (canonical rationals over Q: ints when integral,
 Fractions otherwise; residues in [0, p) over GF(p)), and so does a
@@ -34,7 +37,9 @@ Characteristic subspaces (center, derived and lower central series),
 invariant bilinear forms, self-duality (decided on a finite grid of form
 combinations, over Q as over GF(p)) and product structures all reduce to
 exact linear algebra over the base field; the Killing Gram is a sum of
-table entries, with no matrix product.  Structure constants never change
+table entries, with no matrix product; [L, L] is the span of the stored
+brackets, and [S, S] brackets each unordered pair of S's rows once.
+Structure constants never change
 after construction, so the Jacobi violations (check_jacobi copies them,
 invariant_bilinear_forms and self_dual read them), the series (as tuples,
 the lower central one starting from the derived algebra [L, L]), the
@@ -114,29 +119,54 @@ class LieAlgebra:
     __slots__ = ("field", "dim", "basis_names", "_sc", "_index", "_table", "_invariants")
 
     def __init__(self, field: Field, basis_names, brackets):
-        self.field = field
-        self.basis_names = tuple(basis_names)
-        self.dim = len(self.basis_names)
-        if len(set(self.basis_names)) != self.dim:
+        names = tuple(basis_names)
+        dim = len(names)
+        if len(set(names)) != dim:
             raise FormatError("duplicate basis names")
-        self._index = {name: i for i, name in enumerate(self.basis_names)}
         sc = {}
         for (i, j), vec in brackets.items():
-            if not (0 <= i < j < self.dim):
+            if not (0 <= i < j < dim):
                 raise FormatError(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
             v = tuple(map(field._raw, vec))
-            if len(v) != self.dim:
+            if len(v) != dim:
                 raise DimensionMismatch("bracket vector has wrong length")
             if any(v):
                 sc[(i, j)] = v
+        self._build(field, names, sc)
+
+    def _build(self, field: Field, names: tuple, sc: dict) -> None:
+        """Set every slot from distinct names and the checked, nonzero raw
+        structure constants sc, and build the bracket table from them."""
+        self.field = field
+        self.basis_names = names
+        self.dim = dim = len(names)
+        self._index = {name: i for i, name in enumerate(names)}
         self._sc = sc
-        zero = (field.zero.value,) * self.dim
-        table = [[zero] * self.dim for _ in range(self.dim)]
+        zero = (field.zero.value,) * dim
+        table = [[zero] * dim for _ in range(dim)]
         for (i, j), v in sc.items():
             table[i][j] = v
             table[j][i] = tuple(map(field._reduce, map(neg, v)))
         self._table = table
         self._invariants = {}
+
+    @classmethod
+    def _of_raw(cls, field: Field, basis_names: tuple, brackets: dict) -> "LieAlgebra":
+        """Trusted constructor for a builder that holds raw constants: the
+        basis names are distinct, and brackets maps pairs i < j to vectors
+        of dim raw entries, perhaps not yet reduced.  Each entry is reduced,
+        not coerced or checked, and zero vectors are dropped, so _sc and
+        _table are those the public constructor builds.  Neither checks
+        Jacobi."""
+        red = field._reduce
+        sc = {}
+        for key, vec in brackets.items():
+            v = tuple(map(red, vec))
+            if any(v):
+                sc[key] = v
+        algebra = cls.__new__(cls)
+        algebra._build(field, basis_names, sc)
+        return algebra
 
     # -- constructors ----------------------------------------------------------
 
@@ -441,8 +471,14 @@ class Subspace:
         return Subspace._of_rows(self.algebra, self.rows + other.rows)
 
     def bracket_with(self, other: "Subspace") -> "Subspace":
-        bracket = self.algebra._bracket
-        return Subspace._of_rows(self.algebra, [bracket(u, v) for u in self.rows for v in other.rows])
+        """[self, other]; of a subspace with itself, over unordered pairs of
+        rows, since _bracket is antisymmetric: [u, u] = 0, [v, u] = -[u, v]."""
+        bracket, rows = self.algebra._bracket, self.rows
+        if other is self:
+            vectors = [bracket(u, v) for u, v in itertools.combinations(rows, 2)]
+        else:
+            vectors = [bracket(u, v) for u in rows for v in other.rows]
+        return Subspace._of_rows(self.algebra, vectors)
 
     def is_subalgebra(self) -> bool:
         bracket = self.algebra._bracket
@@ -594,19 +630,22 @@ def center(algebra: LieAlgebra) -> Subspace:
 
 
 def _series(series: list, step) -> tuple:
-    """Shared driver: from the leading terms (the full space, perhaps more),
-    append step(last term) until the series stabilizes.
+    """Shared driver: from the leading terms L and [L, L], append
+    step(last term) until the series stabilizes.
 
     Terminates with the first repeated subspace (kept once) or with 0.
     """
-    while len(series) < 2 or not (series[-1] == series[-2] or series[-1].dim == 0):
+    while not (series[-1] == series[-2] or series[-1].dim == 0):
         series.append(step(series[-1]))
     return tuple(series)
 
 
 @_kept
 def derived_series(algebra: LieAlgebra) -> tuple:
-    return _series([Subspace.full(algebra)], lambda s: s.bracket_with(s))
+    """L, [L, L], [[L, L], [L, L]], ...: [L, L] is the span of the stored
+    brackets [e_i, e_j], i < j, with no bracket computed."""
+    derived = Subspace._of_rows(algebra, list(algebra._sc.values()))
+    return _series([Subspace.full(algebra), derived], lambda s: s.bracket_with(s))
 
 
 @_kept

@@ -10,8 +10,11 @@ reads them off the Jacobiator of the bicrossed bracket.  The tests hold the
 raw paths to them.  The exhaustive sweep of deformation maps is here too:
 the p^(dim g * dim h) loop that the depth-first search replaced; so are two
 raw paths the library replaced, the Killing Gram as traces of n^2 products
-of ad matrices and the lower central series that brackets [L, L] anew
-instead of reading it off the derived series.  The Delta-intertwining
+of ad matrices, and the derived and lower central series as Subspaces with
+every bracket taken over ordered pairs of rows, [L, L] included, where the
+library spans [L, L] by the stored brackets, brackets a subspace with itself
+over unordered pairs and reads the lower central series' [L, L] off the
+derived series.  The Delta-intertwining
 relation of an automorphism triple and the product of the semidirect group
 are here on Scalars too, as the library had them before they ran on raw
 entries, and so is the invariance check of a bilinear form, by evaluate on
@@ -182,17 +185,38 @@ def killing_gram_by_products(alg) -> Matrix:
     return Matrix._of_raw(alg.field, gram, alg.dim)
 
 
-def lower_central_series_anew(alg) -> tuple:
-    """The lower central series as Subspaces, from the full space alone:
-    [L, L] is bracketed again rather than read off the derived series."""
-    full = Subspace.full(alg)
-    series = [full]
+def _ordered_bracket(a, b):
+    """[A, B] of two Subspaces, spanned by the raw brackets of every ordered
+    pair of their rows."""
+    bracket = a.algebra._bracket
+    return Subspace._of_rows(a.algebra, [bracket(u, v) for u in a.rows for v in b.rows])
+
+
+def _ordered_series(alg, left) -> tuple:
+    """From the full space alone, [left(S), S] of the last term S until the
+    series repeats or reaches 0, as Subspaces."""
+    series = [Subspace.full(alg)]
     while True:
-        nxt = full.bracket_with(series[-1])
+        nxt = _ordered_bracket(left(series[-1]), series[-1])
         stop = nxt == series[-1] or nxt.dim == 0
         series.append(nxt)
         if stop:
             return tuple(series)
+
+
+def derived_series_ordered(alg) -> tuple:
+    """The derived series as Subspaces, each term bracketed over ordered
+    pairs: [L, L] from the n^2 brackets of the identity rows, [S, S] from
+    every ordered pair of S's rows."""
+    return _ordered_series(alg, lambda s: s)
+
+
+def lower_central_series_ordered(alg) -> tuple:
+    """The lower central series as Subspaces, over ordered pairs, from the
+    full space alone: [L, L] is bracketed again rather than read off the
+    derived series."""
+    full = Subspace.full(alg)
+    return _ordered_series(alg, lambda s: full)
 
 
 def sweep_deformation_maps(mp) -> list:

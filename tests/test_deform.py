@@ -555,12 +555,56 @@ def test_r_deformation_rejects_invalid_map():
     from liefact.errors import InvalidDeformationMap
 
     mp = canonical_pair_L(1, Q)
-    with pytest.raises(InvalidDeformationMap):
+    with pytest.raises(InvalidDeformationMap, match="compatibility"):
         r_deformation(mp, DeformationMap(mp, Matrix(Q, [[1, 1, 1]])))
     from liefact.errors import DimensionMismatch
 
     with pytest.raises(DimensionMismatch):
         is_deformation_map(mp, Matrix.zeros(Q, 2, 3))
+    # the zero map is compatible with any actions; here h fails Jacobi, and
+    # so does its deformation by 0
+    g = liecore.LieAlgebra.abelian(F7, 1)
+    h = liecore.LieAlgebra(F7, ("e1", "e2", "e3"), {(0, 1): (0, 0, 1), (0, 2): (1, 0, 0)})
+    assert h.check_jacobi()
+    bad = matched.MatchedPair(g, h)
+    zero = Matrix.zeros(F7, 1, 3)
+    assert is_deformation_map(bad, zero)
+    with pytest.raises(InvalidDeformationMap, match="Jacobi"):
+        r_deformation(bad, DeformationMap(bad, zero))
+
+
+def _deformed_by_the_public_constructor(mp, r: Matrix) -> liecore.LieAlgebra:
+    """[x, y] + x <| r(y) - y <| r(x) on boxed vectors, through the public
+    LieAlgebra constructor, which coerces and checks every entry."""
+    h, dim = mp.h, mp.h.dim
+    e = [basis_vector(mp.field, dim, i) for i in range(dim)]
+    brackets = {
+        (i, j): vsub(
+            vadd(h.bracket(e[i], e[j]), mp.act_right(e[i], r.col(j))), mp.act_right(e[j], r.col(i))
+        )
+        for i, j in itertools.combinations(range(dim), 2)
+    }
+    return liecore.LieAlgebra(mp.field, h.basis_names, brackets)
+
+
+def _typed(table) -> list:
+    """Raw vectors with the type of each entry, so that 2 and Fraction(2) differ."""
+    return [[(x, type(x)) for x in v] for v in table]
+
+
+def test_r_deformation_builds_what_the_public_constructor_builds():
+    cases = [(r_deformation(mp, d), mp, d.matrix) for mp in (canonical_pair_L(1, F5), canonical_pair_m(1, F7))
+             for d in enumerate_deformation_maps(mp)]
+    # make_lbarpp_c deforms the m-pair over Q by r(G) = cH
+    mq = canonical_pair_m(1, Q)
+    cases += [(make_lbarpp_c(Q, c), mq, deform._m_c(Q, 1, Q.scalar(c))) for c in (0, 1, -2, Fraction(3, 4))]
+    assert len(cases) == 29 + 19 + 4
+    for got, mp, r in cases:
+        want = _deformed_by_the_public_constructor(mp, r)
+        assert got.basis_names == want.basis_names and got.dim == want.dim
+        assert list(got._sc) == list(want._sc)
+        assert _typed(got._sc.values()) == _typed(want._sc.values())
+        assert [_typed(row) for row in got._table] == [_typed(row) for row in want._table]
 
 
 def test_representatives_pairwise_non_isomorphic():

@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import boxed_reference as boxed
 from liefact.errors import CharTwo, DimensionMismatch, FieldMismatch, FormatError
@@ -152,9 +152,11 @@ def test_raw_paths_match_the_boxed_reference(inputs):
     assert a.contains(inside)
     both = boxed.intersect_spans(f, list(a.basis), list(b.basis), n)
     assert [_box(f, row) for row in _intersect_rows(f, a.rows, b.rows, n)] == both
-    assert list(a.bracket_with(b).basis) == boxed.span_rref(
-        f, [boxed.bracket(alg, u, v) for u in a.basis for v in b.basis]
-    )
+    for left, right in ((a, b), (a, a)):
+        # with itself, bracket_with takes unordered pairs; the span is the same
+        assert list(left.bracket_with(right).basis) == boxed.span_rref(
+            f, [boxed.bracket(alg, u, v) for u in left.basis for v in right.basis]
+        )
     assert a.sum_with(b) == Subspace(alg, us + vs)
     form, endo = BilinearForm(alg, square), LinearMap(alg, alg, square)
     value = form.evaluate(x, y)
@@ -287,6 +289,56 @@ def test_lower_central_series():
     assert tuple(s.dim for s in lower_central_series(l3)) == (3, 2, 2)
     ab = LieAlgebra.abelian(Q, 2)
     assert tuple(s.dim for s in lower_central_series(ab)) == (2, 0)
+
+
+@st.composite
+def bracket_tables(draw):
+    """An algebra of dimension 0 to 5 over Q or GF(p) with random structure
+    constants, Jacobi not imposed, some pairs bracketing to zero."""
+    field = draw(st.sampled_from((Q, F2, F3, F5, Field.gf(2**31 - 1))))
+    dim = draw(st.integers(0, 5))
+    if field is Q:
+        entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    else:
+        entry = st.integers(0, field.p - 1)
+    vector = st.lists(entry, min_size=dim, max_size=dim)
+    pairs = itertools.combinations(range(dim), 2)
+    brackets = {pair: draw(vector) for pair in pairs if draw(st.booleans())}
+    return LieAlgebra(field, [f"e{k}" for k in range(dim)], brackets)
+
+
+# each fails Jacobi on its one triple
+_NOT_LIE = LieAlgebra(F2, ("e0", "e1", "e2"), {(0, 1): (0, 1, 1), (0, 2): (1, 0, 0), (1, 2): (0, 0, 1)})
+_NOT_LIE_Q = LieAlgebra(
+    Q, ("x", "y", "z"), {(0, 1): (1, 0, 0), (0, 2): (0, 0, Fraction(1, 2)), (1, 2): (3, 0, 0)}
+)
+
+
+def _rows_and_pivots(series) -> list:
+    """Each term's raw rows, the types of their entries, and pivots."""
+    return [(s.rows, [tuple(map(type, r)) for r in s.rows], s.pivots) for s in series]
+
+
+@settings(max_examples=150, deadline=None)
+@given(bracket_tables())
+@example(LieAlgebra(Q, (), {}))
+@example(LieAlgebra(F5, ("x",), {}))
+@example(_NOT_LIE)
+@example(_NOT_LIE_Q)
+def test_series_match_the_ordered_pair_oracle(alg):
+    # [L, L] from the stored brackets and [S, S] over unordered pairs give the
+    # rows and pivots that brackets over every ordered pair give, Jacobi or not
+    assert _rows_and_pivots(derived_series(alg)) == _rows_and_pivots(boxed.derived_series_ordered(alg))
+    assert _rows_and_pivots(lower_central_series(alg)) == _rows_and_pivots(
+        boxed.lower_central_series_ordered(alg)
+    )
+
+
+def test_the_ordered_pair_oracle_covers_small_and_non_lie_algebras():
+    assert _NOT_LIE.check_jacobi() and _NOT_LIE_Q.check_jacobi()
+    assert derived_dims(_NOT_LIE) == (3, 3)
+    assert [s.dim for s in boxed.derived_series_ordered(LieAlgebra(Q, (), {}))] == [0, 0]
+    assert [s.dim for s in boxed.lower_central_series_ordered(LieAlgebra(F5, ("x",), {}))] == [1, 0]
 
 
 def test_center():
