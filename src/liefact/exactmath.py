@@ -10,12 +10,17 @@ Scalar is the boundary type: every value a caller passes in or gets back is
 a Scalar tagged by its field.  Inside, values are raw: canonical rationals
 over Q (an int and an equal Fraction compare and hash alike, so raw tuples
 mean the same either way) and residues in [0, p) over GF(p).  Every raw value
-the module computes goes through Field._reduce, which makes it canonical.  A
-Matrix keeps raw entries: its public constructors coerce them once, sums,
-products and elimination run on them, and its accessors box what they hand
-out.  Every matrix product goes through Matrix.__mul__, and its one kernel
-is _mul_rows: a single flat pass over the (row, column) pairs, one _reduce
-per entry, cut back into rows.  Row reduction is decided here, once:
+the module computes goes through Field._reduce, or the packed product's table
+of residues, which makes it canonical.  A Matrix keeps raw entries: its
+public constructors coerce them once, sums, products and elimination run on
+them, and its accessors box what they hand out.  Every matrix product goes
+through Matrix.__mul__, and its one kernel is _mul_rows.  Over GF(p), when
+k (p - 1)^2 < 256 for the inner dimension k, it packs each row of the right
+factor into one int, a byte per entry, and makes each row of the product
+with one big-int sum and one bytes.translate (simultaneous modular
+reduction, after Dumas, Fousse and Salvy); every other product is a single
+flat pass over the (row, column) pairs, one _reduce per entry, cut back into
+rows.  Row reduction is decided here, once:
 Matrix.rref (and so rank and span_rref), Matrix.inverse and Matrix.det wrap
 three raw entry points, _rref_rows, _inverse_rows (the RREF of (A | I)) and
 _det_rows.  Null spaces have a fourth, _null_space_rows: Matrix.nullspace,
@@ -99,10 +104,13 @@ class Field:
     first call and returns the stored instance on every later one, as do
     gf, rationals, from_json, copy and pickle.  Equality of fields is
     identity.  _table is the tuple of the p Scalars of a prime field below
-    TABLE_BOUND, and None for every other field.
+    TABLE_BOUND, and None for every other field.  _pack is the largest inner
+    dimension k with k (p - 1)^2 < 256, whose products _mul_rows packs a byte
+    per entry, and _residues the 256 bytes x mod p that reduce them; over Q
+    and GF(p) for p > 16 they are -1 and None.
     """
 
-    __slots__ = ("kind", "p", "zero", "one", "_reduce", "_table")
+    __slots__ = ("kind", "p", "zero", "one", "_reduce", "_table", "_pack", "_residues")
 
     _instances: dict = {}
 
@@ -128,6 +136,11 @@ class Field:
         field._table = None
         if p is not None and p < TABLE_BOUND:
             field._table = tuple([Scalar(field, v) for v in range(p)])
+        # the packed product's bound and byte table (_mul_rows)
+        field._pack, field._residues = -1, None
+        if p is not None and (p - 1) ** 2 < 256:
+            field._pack = 255 // (p - 1) ** 2
+            field._residues = bytes([x % p for x in range(256)])
         field.zero = field.scalar(0)
         field.one = field.scalar(1)
         # two threads may build the same field; setdefault keeps the first
@@ -607,9 +620,30 @@ class Matrix:
 
 def _mul_rows(field: Field, rows, other, ncols: int) -> tuple:
     """The raw product of raw rows and the raw rows of an ncols-wide right
-    factor: one flat pass, one reduce per entry, cut into rows of ncols."""
+    factor, as a tuple of raw rows of ncols.
+
+    Over GF(p) with k (p - 1)^2 < 256, k = len(other) the inner dimension,
+    each row of the right factor is packed into one int, a byte per entry,
+    and a row of the product is one integer sum of its entries times those
+    ints: a byte of that sum adds k products of at most (p - 1)^2, so none
+    carries into the next, and translating the sum's bytes through the
+    field's table of x mod p reduces the whole row at once (simultaneous
+    modular reduction, as in Dumas, Fousse and Salvy, "Simultaneous modular
+    reduction and Kronecker substitution for small finite fields", J. Symb.
+    Comput. 46, 2011).  That path trusts the raw invariant that every entry
+    is a residue in [0, p): a larger entry below 256 would carry silently.
+    Every other product is one flat pass over the (row, column) pairs, one
+    reduce per entry, cut into rows.
+    """
     if not ncols:
         return ((),) * len(rows)
+    if len(other) <= field._pack:
+        residues = field._residues
+        packed = [int.from_bytes(bytes(row), "little") for row in other]
+        return tuple([
+            tuple(sum(map(mul, row, packed)).to_bytes(ncols, "little").translate(residues))
+            for row in rows
+        ])
     cols = tuple(zip(*other)) if other else ((),) * ncols
     red = field._reduce
     flat = [red(sum(map(mul, row, col))) for row in rows for col in cols]

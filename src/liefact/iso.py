@@ -627,10 +627,13 @@ def aut_triple_valid(h: LieAlgebra, delta: Matrix, t: AutTriple) -> bool:
 
     h need not be perfect: the relation is defined for any h.  Only reading
     a triple as an automorphism of the extension needs h perfect, which
-    is_valid_triple and phi_from_triple enforce.
+    is_valid_triple and phi_from_triple enforce.  A triple whose v maps
+    another algebra, or into one, is no member.
     """
+    if not all(alg is h or alg == h for alg in (t.v.domain, t.v.codomain)):
+        return False
     try:
-        checked = _check_operand(t, t.v.domain.field, t.v.domain.dim)
+        checked = _check_operand(t, h.field, h.dim)
     except InvalidTriple:
         return False
     return t.v.is_lie_morphism() and _relation_defect(h, delta, delta, *checked, t.v.matrix)

@@ -4,6 +4,7 @@ import fractions
 import itertools
 import math
 import pickle
+import random
 import sys
 import threading
 import time
@@ -840,9 +841,12 @@ def test_boxing_gives_the_scalars_a_new_one_would_equal(data):
 
 @st.composite
 def _kernel_operands(draw):
-    """A k x m and an m x n matrix over one field, every dimension 0 to 4."""
-    field = draw(st.sampled_from(KERNEL_FIELDS))
-    k, m, n = (draw(st.integers(0, 4)) for _ in range(3))
+    """A k x m and an m x n matrix over one field, every dimension 0 to 4 but
+    GF(7)'s inner one, 0 to 9: products of inner dimension m over GF(7) run
+    packed up to m = 7, where m (p - 1)^2 < 256, and flat above it."""
+    field = draw(st.sampled_from(KERNEL_FIELDS + (F7,)))
+    k, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    m = draw(st.integers(0, 9 if field is F7 else 4))
     entry = _entry(field)
     a = _from_grid(field, draw(_grid(entry, k, m)), m)
     b = _from_grid(field, draw(_grid(entry, m, n)), n)
@@ -860,6 +864,22 @@ def test_the_product_kernel_matches_the_boxed_loop(operands):
     product = a * b
     assert product.raw == raw and (product.nrows, product.ncols) == (a.nrows, b.ncols)
     _assert_raw_in(product, field)
+
+
+@pytest.mark.parametrize("p, bound", [(2, 255), (3, 63), (5, 15), (7, 7), (11, 2), (13, 1)])
+def test_the_packed_product_on_both_sides_of_its_bound(p, bound):
+    # an inner dimension k runs packed iff k (p - 1)^2 < 256; every entry p - 1
+    # makes each byte's sum the largest, k (p - 1)^2
+    field = Field.gf(p)
+    rng = random.Random(p)
+    for k in (bound, bound + 1):
+        assert (k <= field._pack) == (k == bound) == (k * (p - 1) ** 2 < 256)
+        for entry in (lambda: p - 1, lambda: rng.randrange(p)):
+            a = Matrix(field, [[entry() for _ in range(k)] for _ in range(2)])
+            b = Matrix(field, [[entry() for _ in range(3)] for _ in range(k)])
+            raw = _mul_rows(field, a.raw, b.raw, b.ncols)
+            assert [list(_box(field, row)) for row in raw] == boxed.matmul(a, b)
+            assert all(type(x) is int and 0 <= x < p for row in raw for x in row)
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS)

@@ -19,7 +19,7 @@ from liefact.exactmath import (
     zero_vector,
 )
 from boxed_reference import dot, is_zero_vector, vadd, vscale, vsub
-from liefact import iso, liecore, matched, deform
+from liefact import iso, liecore, matched, deform, scenarios
 from liefact.derivations import TwistedDerivation, derivation_space
 from liefact.iso import (
     AutTriple,
@@ -646,6 +646,27 @@ def test_inner_predicate_is_membership():
                 assert predicate(t) == valid
                 members += valid
     assert members == 48
+
+
+def test_a_triple_over_another_algebra_is_no_member():
+    sl2 = make_sl2(F3)
+    delta = sl2.ad(basis_vector(F3, 3, 0))
+
+    def triple(dom, cod, c):
+        f, n = dom.field, dom.dim
+        return AutTriple(f.one, zero_vector(f, n), LinearMap(dom, cod, Matrix.identity(f, n) * f.scalar(c)))
+
+    # 2I is a Lie map of abelian k^3 but no automorphism of sl2, as
+    # [2x, 2y] = [x, y]; sl2 over GF(5) and L(4) over GF(3) differ from
+    # sl2 over GF(3) in field and in dimension
+    abelian = LieAlgebra.abelian(F3, 3)
+    sl2_f5, l4 = make_sl2(F5), matched.make_L(1, F3)
+    for t in (triple(abelian, abelian, 2), triple(sl2_f5, sl2_f5, 1), triple(l4, l4, 1),
+              triple(sl2, abelian, 1), triple(sl2, sl2, 2)):
+        assert not aut_triple_valid(sl2, delta, t)
+    # an equal copy of sl2 is the same algebra
+    copy = make_sl2(F3)
+    assert copy is not sl2 and aut_triple_valid(sl2, delta, triple(copy, copy, 1))
 
 
 # -- each triple is checked once ----------------------------------------------------
@@ -1463,6 +1484,35 @@ def test_every_witness_and_automorphism_passed_verify_iso(monkeypatch):
     auts = aut_enumerate(make_sl2(F3))
     assert len(auts) == 24
     assert all(any(v.matrix is m for m in passed) for v in auts)
+
+
+def test_every_product_operand_is_a_residue(monkeypatch):
+    # the packed product trusts the raw invariant: over GF(p) an entry that
+    # is no residue in [0, p) but below 256 would carry between bytes
+    # unseen.  Every product of the n = 1 index at p = 5 and 7 and of the
+    # triple group of sl2 over GF(3) is recorded at its kernel.
+    seen = []
+    kernel = exactmath._mul_rows
+
+    def recording(field, rows, other, ncols):
+        seen.append((field, rows, other))
+        return kernel(field, rows, other, ncols)
+
+    for module in (exactmath, liecore, iso):
+        monkeypatch.setattr(module, "_mul_rows", recording)
+    for p in (5, 7):
+        assert scenarios.run_scenario("n1-index", p=p).passed
+    sl2 = make_sl2(F3)
+    triples = enumerate_aut_triples(sl2, sl2.ad(basis_vector(F3, 3, 0)))
+    assert len(triples) == 48
+    for t in triples:
+        aut_multiply(t, aut_inverse(t))
+        for u in triples:
+            aut_multiply(t, u)
+    assert {field for field, _, _ in seen} == {F3, F5, F7}
+    assert any(len(other) <= field._pack for field, _, other in seen)
+    for field, rows, other in seen:
+        assert all(type(x) is int and 0 <= x < field.p for m in (rows, other) for row in m for x in row)
 
 
 def test_the_kept_forms_decide_L6_over_gf3_as_the_complete_search_does():
