@@ -18,9 +18,10 @@ through Matrix.__mul__, and its one kernel is _mul_rows.  Over GF(p), when
 k (p - 1)^2 < 256 for the inner dimension k, it packs each row of the right
 factor into one int, a byte per entry, and makes each row of the product
 with one big-int sum and one bytes.translate (simultaneous modular
-reduction, after Dumas, Fousse and Salvy); every other product is a single
-flat pass over the (row, column) pairs, one _reduce per entry, cut back into
-rows.  Row reduction is decided here, once:
+reduction, after Dumas, Fousse and Salvy); a Matrix keeps its packed rows
+once it is such a right factor, so one used many times is packed once.
+Every other product is a single flat pass over the (row, column) pairs, one
+_reduce per entry, cut back into rows.  Row reduction is decided here, once:
 Matrix.rref (and so rank and span_rref), Matrix.inverse and Matrix.det wrap
 three raw entry points, _rref_rows, _inverse_rows (the RREF of (A | I)) and
 _det_rows.  Null spaces have a fourth, _null_space_rows: Matrix.nullspace,
@@ -401,10 +402,11 @@ class Matrix:
     det make Scalars.  Matrix(field, rows) reads the shape off the rows (no
     rows: 0 x 0); zeros, from_cols and every result carry their exact shape.
 
-    Each matrix keeps its RREF once computed.
+    Each matrix keeps its RREF once computed, and its rows packed for
+    _mul_rows (a _Packed) once it is a right factor whose products pack.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "raw", "_rref")
+    __slots__ = ("field", "nrows", "ncols", "raw", "_rref", "_packed")
 
     def __init__(self, field: Field, rows):
         self.field = field
@@ -414,7 +416,7 @@ class Matrix:
         for row in self.raw:
             if len(row) != self.ncols:
                 raise DimensionMismatch("ragged rows")
-        self._rref = None
+        self._rref = self._packed = None
 
     # -- constructors --------------------------------------------------------
 
@@ -431,7 +433,7 @@ class Matrix:
         m.raw = raw
         m.nrows = len(raw)
         m.ncols = ncols
-        m._rref = None
+        m._rref = m._packed = None
         return m
 
     @classmethod
@@ -495,7 +497,12 @@ class Matrix:
                 raise FieldMismatch(f"{field} vs {other.field}")
             if self.ncols != other.nrows:
                 raise DimensionMismatch("inner dimensions differ")
-            return Matrix._of_raw(field, _mul_rows(field, self.raw, other.raw, other.ncols), other.ncols)
+            right = other.raw
+            if other.nrows <= field._pack:
+                right = other._packed
+                if right is None:
+                    right = other._packed = _Packed(other.raw)
+            return Matrix._of_raw(field, _mul_rows(field, self.raw, right, other.ncols), other.ncols)
         c, red = field._raw(other), field._reduce
         return Matrix._of_raw(field, tuple([tuple([red(c * x) for x in r]) for r in self.raw]), self.ncols)
 
@@ -618,14 +625,27 @@ class Matrix:
         return cls(field, entries)
 
 
+class _Packed(tuple):
+    """The raw rows of a right factor, and in ints each row packed into one
+    int, a byte per entry, for _mul_rows; it compares and iterates as its
+    rows.  A Matrix keeps one once it is a right factor whose products pack,
+    so a factor used many times is packed once."""
+
+    def __new__(cls, rows):
+        packed = super().__new__(cls, rows)
+        packed.ints = [int.from_bytes(bytes(row), "little") for row in rows]
+        return packed
+
+
 def _mul_rows(field: Field, rows, other, ncols: int) -> tuple:
     """The raw product of raw rows and the raw rows of an ncols-wide right
     factor, as a tuple of raw rows of ncols.
 
     Over GF(p) with k (p - 1)^2 < 256, k = len(other) the inner dimension,
-    each row of the right factor is packed into one int, a byte per entry,
-    and a row of the product is one integer sum of its entries times those
-    ints: a byte of that sum adds k products of at most (p - 1)^2, so none
+    each row of the right factor is packed into one int, a byte per entry
+    (other may come packed already, as the _Packed a Matrix keeps), and a
+    row of the product is one integer sum of its entries times those ints:
+    a byte of that sum adds k products of at most (p - 1)^2, so none
     carries into the next, and translating the sum's bytes through the
     field's table of x mod p reduces the whole row at once (simultaneous
     modular reduction, as in Dumas, Fousse and Salvy, "Simultaneous modular
@@ -639,7 +659,7 @@ def _mul_rows(field: Field, rows, other, ncols: int) -> tuple:
         return ((),) * len(rows)
     if len(other) <= field._pack:
         residues = field._residues
-        packed = [int.from_bytes(bytes(row), "little") for row in other]
+        packed = (other if type(other) is _Packed else _Packed(other)).ints
         return tuple([
             tuple(sum(map(mul, row, packed)).to_bytes(ncols, "little").translate(residues))
             for row in rows

@@ -592,17 +592,29 @@ def is_valid_triple(
 def phi_from_triple(
     h: LieAlgebra, delta: Matrix, delta_prime: Matrix, alpha, h0, v: LinearMap
 ) -> LinearMap:
-    """The map (a, x) -> (a*alpha, a*h0 + v(x)) between the two extensions."""
+    """The map (a, x) -> (a*alpha, a*h0 + v(x)) between the two extensions,
+    whose matrix phi = [[alpha, 0], [h0, v]] is built by _phi_rows."""
     if not is_perfect(h):
         raise NotPerfect("the base algebra must be perfect")
-    alpha = h.field.scalar(alpha)
-    h0 = tuple(h.field.scalar(x) for x in h0)
-    dom = h_lambda_delta(h, TwistedDerivation(zero_vector(h.field, h.dim), delta))
-    cod = h_lambda_delta(h, TwistedDerivation(zero_vector(h.field, h.dim), delta_prime))
-    cols = [(alpha,) + h0]
-    for i in range(h.dim):
-        cols.append((h.field.zero,) + tuple(v.matrix.col(i)))
-    return LinearMap(dom, cod, Matrix.from_cols(h.field, cols))
+    field = h.field
+    if v.matrix.field is not field:
+        raise FieldMismatch(f"{v.matrix.field} vs {field}")
+    rows = _phi_rows(field._raw(alpha), _block_rows(h._raw_vector(h0), v.matrix.raw))
+    dom = h_lambda_delta(h, TwistedDerivation(zero_vector(field, h.dim), delta))
+    cod = h_lambda_delta(h, TwistedDerivation(zero_vector(field, h.dim), delta_prime))
+    return LinearMap(dom, cod, Matrix(field, rows))
+
+
+def _block_rows(h0: tuple, v: tuple) -> tuple:
+    """B = [h0 | v] of raw h0 and raw rows of v: the rows (h0[r],) + v[r],
+    which are the rows of phi below its first."""
+    return tuple(map(tuple.__add__, zip(h0), v))
+
+
+def _phi_rows(alpha, block: tuple) -> tuple:
+    """phi = [[alpha, 0], [h0, v]] of raw alpha and the raw rows of B: the
+    row (alpha, 0, ..., 0) over them."""
+    return ((alpha,) + (0,) * len(block),) + block
 
 
 # -- the automorphism-triple group ----------------------------------------------
@@ -612,14 +624,19 @@ def phi_from_triple(
 class AutTriple:
     """Datum (alpha, h0, v) encoding an automorphism of an extension.
 
-    _checked keeps raw (alpha, h0) once _check_operand has passed the triple;
-    it takes no part in construction, equality, hashing or repr.
+    Once _check_operand has passed the triple, _checked keeps its raw
+    (alpha, h0) and _block the Matrix B = [h0 | v] of its raw rows; _phi
+    keeps its extension matrix [[alpha, 0], [h0, v]] once it is a right
+    factor of the group law.  They take no part in construction, equality,
+    hashing or repr.
     """
 
     alpha: Scalar
     h0: tuple
     v: LinearMap
     _checked: Optional[tuple] = dataclass_field(default=None, init=False, repr=False, compare=False)
+    _block: Optional[Matrix] = dataclass_field(default=None, init=False, repr=False, compare=False)
+    _phi: Optional[Matrix] = dataclass_field(default=None, init=False, repr=False, compare=False)
 
 
 def aut_triple_valid(h: LieAlgebra, delta: Matrix, t: AutTriple) -> bool:
@@ -627,16 +644,22 @@ def aut_triple_valid(h: LieAlgebra, delta: Matrix, t: AutTriple) -> bool:
 
     h need not be perfect: the relation is defined for any h.  Only reading
     a triple as an automorphism of the extension needs h perfect, which
-    is_valid_triple and phi_from_triple enforce.  A triple whose v maps
-    another algebra, or into one, is no member.
+    is_valid_triple and phi_from_triple enforce.
     """
+    checked = _automorphism_operand(h, t)
+    return checked is not None and _relation_defect(h, delta, delta, *checked, t.v.matrix)
+
+
+def _automorphism_operand(h: LieAlgebra, t: AutTriple) -> Optional[tuple]:
+    """The raw (alpha, h0) of _check_operand when v is a Lie automorphism of
+    h, else None.  A v that maps another algebra, or into one, is none."""
     if not all(alg is h or alg == h for alg in (t.v.domain, t.v.codomain)):
-        return False
+        return None
     try:
         checked = _check_operand(t, h.field, h.dim)
     except InvalidTriple:
-        return False
-    return t.v.is_lie_morphism() and _relation_defect(h, delta, delta, *checked, t.v.matrix)
+        return None
+    return checked if t.v.is_lie_morphism() else None
 
 
 def aut_identity(h: LieAlgebra) -> AutTriple:
@@ -654,8 +677,9 @@ def _check_operand(t: AutTriple, field: Field, dim: int) -> tuple:
     semidirect embedding all check their triples here.
 
     Only the algebra is compared on every call; the rest is checked on the
-    triple's first use and kept on it, since a triple is immutable (an h0
-    given as a list is checked on every use, as the list may change).
+    triple's first use and kept on it, with its B = [h0 | v], since a triple
+    is immutable (an h0 given as a list is checked on every use, as the list
+    may change, and keeps no B).
     """
     if t.v.domain.field is not field or t.v.domain.dim != dim:
         raise InvalidTriple("triples over different algebras")
@@ -671,31 +695,59 @@ def _check_operand(t: AutTriple, field: Field, dim: int) -> tuple:
     checked = (alpha, tuple(map(field._raw, t.h0)))
     if type(t.h0) is tuple:
         object.__setattr__(t, "_checked", checked)
+        object.__setattr__(t, "_block", _block(t, checked[1]))
     return checked
 
 
-def _born_checked(field: Field, alpha, h0: tuple, v: LinearMap) -> AutTriple:
-    """The triple of raw alpha and h0, its check kept, built without the
-    dataclass's __init__.  The group law builds it from checked operands, so
-    the check holds without being run: alpha is a product or inverse of
-    units, h0 has dim entries, and v is a product or an inverse of checked
-    invertible maps, so it is invertible."""
+def _block(t: AutTriple, h0: tuple) -> Matrix:
+    """B = [h0 | v] of a triple that passed _check_operand with raw h0: the
+    one it keeps, or for an h0 given as a list one built anew."""
+    if t._block is not None:
+        return t._block
+    v = t.v.matrix
+    return Matrix._of_raw(v.field, _block_rows(h0, v.raw), v.ncols + 1)
+
+
+def _born_checked(field: Field, alpha, block: Matrix, domain: LieAlgebra, codomain: LieAlgebra) -> AutTriple:
+    """The triple of raw alpha and B = [h0 | v], v from domain to codomain,
+    its check and B kept, built without the dataclass's __init__.  The group
+    law builds it from checked operands, so the check holds without being
+    run: alpha is a product or inverse of units, h0 has dim entries, and v
+    is a product or an inverse of checked invertible maps, so it is
+    invertible."""
+    rows = block.raw
+    h0 = tuple([row[0] for row in rows])
+    v = Matrix._of_raw(field, tuple([row[1:] for row in rows]), block.ncols - 1)
     t = object.__new__(AutTriple)
-    t.__dict__.update(alpha=field._scalar_of(alpha), h0=_box(field, h0), v=v, _checked=(alpha, h0))
+    t.__dict__.update(
+        alpha=field._scalar_of(alpha), h0=_box(field, h0), v=LinearMap._of(domain, codomain, v),
+        _checked=(alpha, h0), _block=block, _phi=None,
+    )
     return t
 
 
 def aut_multiply(t1: AutTriple, t2: AutTriple) -> AutTriple:
     """(alpha,h,v)*(beta,g,w) = (alpha*beta, beta*h + v(g), v∘w), on raw entries.
 
-    Both operands go through _check_operand, which coerces int entries into
-    the field on a triple's first use; the product is born checked.
+    t1's B = [h | v] times t2's phi = [[beta, 0], [g, w]] is
+    [beta*h + v(g) | v∘w], the product's own B, by one Matrix.__mul__; phi
+    is built from t2's B on its first use as a right factor, and kept with
+    its packed rows when t2 keeps its check.  Both operands go through
+    _check_operand, which coerces int entries into the field on a triple's
+    first use, and w must map into v's domain, as LinearMap.compose asks;
+    the product is born checked.
     """
     field, dim = t1.v.domain.field, t1.v.domain.dim
     alpha, h = _check_operand(t1, field, dim)
     beta, g = _check_operand(t2, field, dim)
-    h0 = t1.v.matrix._apply(g, beta, h)
-    return _born_checked(field, field._reduce(alpha * beta), h0, t1.v.compose(t2.v))
+    t1.v._check_composable(t2.v)
+    phi = t2._phi
+    if phi is None:
+        phi = Matrix._of_raw(field, _phi_rows(beta, _block(t2, g).raw), dim + 1)
+        if t2._checked is not None:
+            object.__setattr__(t2, "_phi", phi)
+    block = _block(t1, h) * phi
+    return _born_checked(field, field._reduce(alpha * beta), block, t2.v.domain, t1.v.codomain)
 
 
 def aut_inverse(t: AutTriple) -> AutTriple:
@@ -703,10 +755,11 @@ def aut_inverse(t: AutTriple) -> AutTriple:
     field = t.v.domain.field
     alpha, h = _check_operand(t, field, t.v.domain.dim)
     ainv = field._scalar_of(alpha).inverse().value
-    vinv = t.v.inverse()
+    vinv = t.v.inverse().matrix
     red = field._reduce
-    h0 = tuple([red(-ainv * y) for y in vinv.matrix._apply(h)])
-    return _born_checked(field, ainv, h0, vinv)
+    h0 = tuple([red(-ainv * y) for y in vinv._apply(h)])
+    block = Matrix._of_raw(field, _block_rows(h0, vinv.raw), vinv.ncols + 1)
+    return _born_checked(field, ainv, block, t.v.codomain, t.v.domain)
 
 
 @dataclass(frozen=True)
@@ -780,17 +833,18 @@ def enumerate_aut_triples(h: LieAlgebra, delta: Matrix, budget: int = 500000) ->
 
 def gcheck_inner(h: LieAlgebra, x0) -> Callable:
     """Simplified membership predicate when the twist is the inner map [x0, -]:
-    (alpha, h0, v) belongs iff it passes the group law's operand check over h
-    and v(x0) - alpha*x0 + h0 lies in the center."""
+    (alpha, h0, v) belongs iff v is a Lie automorphism of h that passes the
+    group law's operand check, as aut_triple_valid asks, and
+    v(x0) - alpha*x0 + h0 lies in the center."""
     z = center(h)
     x = h._raw_vector(x0)
     red = h.field._reduce
 
     def predicate(t: AutTriple) -> bool:
-        try:
-            alpha, h0 = _check_operand(t, h.field, h.dim)
-        except InvalidTriple:
+        checked = _automorphism_operand(h, t)
+        if checked is None:
             return False
+        alpha, h0 = checked
         # v(x0) - alpha*x0, then + h0
         w = tuple([red(a + b) for a, b in zip(t.v.matrix._apply(x, -alpha, x), h0)])
         return z._coordinates(w) is not None

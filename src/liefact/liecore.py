@@ -536,15 +536,19 @@ class LinearMap:
         return self.matrix.is_invertible()
 
     def compose(self, other: "LinearMap") -> "LinearMap":
-        """self∘other.  other's codomain must be self's domain or an equal
-        algebra, else FieldMismatch over two fields and DimensionMismatch
-        otherwise; identity is tested first, so the group law's products
-        pay no comparison."""
+        """self∘other, once _check_composable passes."""
+        self._check_composable(other)
+        return LinearMap._of(other.domain, self.codomain, self.matrix * other.matrix)
+
+    def _check_composable(self, other: "LinearMap") -> None:
+        """other's codomain must be self's domain or an equal algebra, else
+        FieldMismatch over two fields and DimensionMismatch otherwise;
+        identity is tested first, so the group law's products pay no
+        comparison."""
         if other.codomain is not self.domain and other.codomain != self.domain:
             if other.codomain.field != self.domain.field:
                 raise FieldMismatch(f"{other.codomain.field} vs {self.domain.field}")
             raise DimensionMismatch("composition: other's codomain is not this map's domain")
-        return LinearMap._of(other.domain, self.codomain, self.matrix * other.matrix)
 
     def inverse(self) -> "LinearMap":
         inv = self.matrix.inverse()

@@ -882,6 +882,25 @@ def test_the_packed_product_on_both_sides_of_its_bound(p, bound):
             assert all(type(x) is int and 0 <= x < p for row in raw for x in row)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_a_kept_packed_right_factor_serves_left_factors_of_every_height(p):
+    # the right factor is packed on its first product, even one with no
+    # rows, and kept; left factors of 1 to 5 rows then reuse its packed rows
+    field = Field.gf(p)
+    rng = random.Random(p)
+    b = Matrix(field, [[rng.randrange(p) for _ in range(3)] for _ in range(4)])
+    assert b._packed is None
+    assert (Matrix._of_raw(field, (), 4) * b).raw == ()
+    kept = b._packed
+    assert tuple(kept) == b.raw and kept.ints == [int.from_bytes(bytes(row), "little") for row in b.raw]
+    for height in range(1, 6):
+        a = Matrix(field, [[rng.randrange(p) for _ in range(4)] for _ in range(height)])
+        product = a * b
+        assert (product.nrows, product.ncols) == (height, 3)
+        assert [list(row) for row in product.rows] == boxed.matmul(a, b)
+        assert b._packed is kept
+
+
 @pytest.mark.parametrize("field", KERNEL_FIELDS)
 def test_the_product_kernel_on_empty_shapes(field):
     three = ((field.one.value,) * 3,) * 3

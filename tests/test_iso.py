@@ -47,6 +47,8 @@ F2 = Field.gf(2)
 F3 = Field.gf(3)
 F5 = Field.gf(5)
 F7 = Field.gf(7)
+F11 = Field.gf(11)
+F13 = Field.gf(13)
 
 
 def naive_isos(a, b):
@@ -669,6 +671,24 @@ def test_a_triple_over_another_algebra_is_no_member():
     assert copy is not sl2 and aut_triple_valid(sl2, delta, triple(copy, copy, 1))
 
 
+def test_the_inner_predicate_asks_for_an_automorphism_of_h():
+    # (1, -e, 2I) passes the operand check over GF(3) and v(e) - e - e = 0
+    # lies in the center, but 2I is no automorphism of sl2, and on abelian
+    # k^3 it maps another algebra
+    sl2 = make_sl2(F3)
+    e = basis_vector(F3, 3, 0)
+    delta = sl2.ad(e)
+    predicate = gcheck_inner(sl2, e)
+    minus_e = vscale(-F3.one, e)
+    abelian = LieAlgebra.abelian(F3, 3)
+    for alg in (sl2, abelian):
+        t = AutTriple(F3.one, minus_e, LinearMap(alg, alg, Matrix.identity(F3, 3) * F3.scalar(2)))
+        assert not aut_triple_valid(sl2, delta, t)
+        assert not predicate(t)
+    ident = aut_identity(sl2)
+    assert predicate(ident) and aut_triple_valid(sl2, delta, ident)
+
+
 # -- each triple is checked once ----------------------------------------------------
 
 
@@ -741,22 +761,51 @@ def test_int_entries_are_coerced_once(monkeypatch):
     assert coerced == []
 
 
+def test_a_right_factor_packs_its_phi_once(monkeypatch):
+    _, triples = _sl2_triples()
+    packed = []
+
+    class Counting(exactmath._Packed):
+        def __new__(cls, rows):
+            packed.append(tuple(rows))
+            return super().__new__(cls, rows)
+
+    monkeypatch.setattr(exactmath, "_Packed", Counting)
+    t2 = triples[17]
+    assert t2._phi is None
+    products = [aut_multiply(t1, t2) for t1 in triples]
+    # phi = [[beta, 0], [g, w]], built once and packed once for all 48
+    beta, g, w = t2.alpha.value, [x.value for x in t2.h0], t2.v.matrix.raw
+    phi = ((beta, 0, 0, 0),) + tuple((x,) + row for x, row in zip(g, w))
+    assert packed == [phi] and t2._phi.raw == phi
+    assert type(t2._phi._packed) is Counting
+    for t1, prod in zip(triples, products):
+        assert _boxed_parts(prod) == _boxed_parts(boxed_multiply(t1, t2))
+        # each product's B = [h0 | v] is the block product's own result
+        assert prod._block.raw == tuple((x,) + row for x, row in zip(prod._checked[1], prod.v.matrix.raw))
+
+
 def test_an_h0_list_is_read_on_every_use():
     ident = aut_identity(make_sl2(F3))
     h0 = [1, 0, 0]
     t = AutTriple(1, h0, ident.v)
-    assert _boxed_parts(aut_multiply(t, ident))[1] == (F3.one, F3.zero, F3.zero)
+    # as the left factor and as the right one, whose phi is not kept either
+    for prod in (aut_multiply(t, ident), aut_multiply(ident, t)):
+        assert _boxed_parts(prod)[1] == (F3.one, F3.zero, F3.zero)
     h0[0] = 2
-    assert _boxed_parts(aut_multiply(t, ident))[1] == (F3.scalar(2), F3.zero, F3.zero)
-    assert t._checked is None
+    for prod in (aut_multiply(t, ident), aut_multiply(ident, t)):
+        assert _boxed_parts(prod)[1] == (F3.scalar(2), F3.zero, F3.zero)
+    assert t._checked is None and t._block is None and t._phi is None
 
 
 @st.composite
 def _triples_over_one_algebra(draw):
     """Three triples (alpha, h0, v) over an abelian algebra of dimension 1 to
     3, over Q or GF(p); v = P L U with L lower triangular with a unit
-    diagonal, U upper unitriangular and P a row permutation, so invertible."""
-    field = draw(st.sampled_from((Q, F2, F3, F5, F7)))
+    diagonal, U upper unitriangular and P a row permutation, so invertible.
+    The group law's block product has inner dimension n + 1, which packs
+    over GF(11) at n = 1 only and over GF(13) never."""
+    field = draw(st.sampled_from((Q, F2, F3, F5, F7, F11, F13)))
     n = draw(st.integers(1, 3))
     if field is Q:
         entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
