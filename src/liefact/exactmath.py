@@ -515,14 +515,11 @@ class Matrix:
         field = self.field
         return _box(field, self._apply(tuple(map(field._raw, v))))
 
-    def _apply(self, x, c=None, y=None) -> tuple:
-        """M x of a raw vector of ncols entries, or c*y + M x given a raw c and
-        a raw y of nrows entries, raw; nothing is checked.  The sum is
-        reduced once per entry."""
+    def _apply(self, x) -> tuple:
+        """M x of a raw vector of ncols entries, raw; nothing is checked.  The
+        sum is reduced once per entry."""
         red = self.field._reduce
-        if y is None:
-            return tuple([red(sum(map(mul, row, x))) for row in self.raw])
-        return tuple([red(c * a + sum(map(mul, row, x))) for a, row in zip(y, self.raw)])
+        return tuple([red(sum(map(mul, row, x))) for row in self.raw])
 
     def transpose(self) -> "Matrix":
         raw = tuple(zip(*self.raw)) if self.raw else ((),) * self.ncols

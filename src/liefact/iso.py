@@ -38,18 +38,19 @@ are_isomorphic and every automorphism of aut_enumerate has passed
 verify_iso, the one check, and is wrapped with the trusted LinearMap._of.
 
 The automorphism-triple group law, membership and the semidirect embedding
-run on raw entries too.  Each operand is checked once, by _check_operand on
-its first use, and keeps its raw (alpha, h0).  A product or an inverse is
-born checked: aut_multiply composes v∘w by one Matrix.__mul__ (exactmath's
-one product kernel) in the trusted LinearMap._of, and _born_checked builds
-the triple without the dataclass's __init__, boxing alpha and h0 by table
-lookups over a small prime field.  The defining relation is linear in h0
-and stated once, as the raw system _relation_system: membership applies it
-and enumerate_aut_triples solves it.  The relation is defined for any base
-algebra h, so membership and enumerate_aut_triples accept one that is not
-perfect; only the correspondence with automorphisms of the extension needs
-h perfect, and is_valid_triple and phi_from_triple, which state it, raise
-NotPerfect.
+run on raw entries too.  A triple's h0 is a tuple from construction on, so
+each triple is checked once, by _check_operand on its first use, and keeps
+its raw (alpha, h0) and its B = [h0 | v].  A product or an inverse is born
+checked: aut_multiply is one block product B1 · phi2 by Matrix.__mul__
+(exactmath's one product kernel), whose result is the product's own B, and
+_born_checked builds the triple without the dataclass's __init__, boxing
+alpha and h0 by table lookups over a small prime field.  The defining
+relation is linear in h0 and stated once, as the raw system
+_relation_system: membership applies it and enumerate_aut_triples solves
+it.  The relation is defined for any base algebra h, so membership and
+enumerate_aut_triples accept one that is not perfect; only the
+correspondence with automorphisms of the extension needs h perfect, and
+is_valid_triple and phi_from_triple, which state it, raise NotPerfect.
 """
 
 from __future__ import annotations
@@ -624,8 +625,9 @@ def _phi_rows(alpha, block: tuple) -> tuple:
 class AutTriple:
     """Datum (alpha, h0, v) encoding an automorphism of an extension.
 
-    Once _check_operand has passed the triple, _checked keeps its raw
-    (alpha, h0) and _block the Matrix B = [h0 | v] of its raw rows; _phi
+    An h0 given as another sequence is copied into a tuple, so the triple is
+    immutable.  Once _check_operand has passed the triple, _checked keeps its
+    raw (alpha, h0) and _block the Matrix B = [h0 | v] of its raw rows; _phi
     keeps its extension matrix [[alpha, 0], [h0, v]] once it is a right
     factor of the group law.  They take no part in construction, equality,
     hashing or repr.
@@ -637,6 +639,10 @@ class AutTriple:
     _checked: Optional[tuple] = dataclass_field(default=None, init=False, repr=False, compare=False)
     _block: Optional[Matrix] = dataclass_field(default=None, init=False, repr=False, compare=False)
     _phi: Optional[Matrix] = dataclass_field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if type(self.h0) is not tuple:
+            object.__setattr__(self, "h0", tuple(self.h0))
 
 
 def aut_triple_valid(h: LieAlgebra, delta: Matrix, t: AutTriple) -> bool:
@@ -678,8 +684,7 @@ def _check_operand(t: AutTriple, field: Field, dim: int) -> tuple:
 
     Only the algebra is compared on every call; the rest is checked on the
     triple's first use and kept on it, with its B = [h0 | v], since a triple
-    is immutable (an h0 given as a list is checked on every use, as the list
-    may change, and keeps no B).
+    is immutable.
     """
     if t.v.domain.field is not field or t.v.domain.dim != dim:
         raise InvalidTriple("triples over different algebras")
@@ -693,19 +698,10 @@ def _check_operand(t: AutTriple, field: Field, dim: int) -> tuple:
     if not t.v.is_invertible():
         raise InvalidTriple("v must be invertible")
     checked = (alpha, tuple(map(field._raw, t.h0)))
-    if type(t.h0) is tuple:
-        object.__setattr__(t, "_checked", checked)
-        object.__setattr__(t, "_block", _block(t, checked[1]))
-    return checked
-
-
-def _block(t: AutTriple, h0: tuple) -> Matrix:
-    """B = [h0 | v] of a triple that passed _check_operand with raw h0: the
-    one it keeps, or for an h0 given as a list one built anew."""
-    if t._block is not None:
-        return t._block
     v = t.v.matrix
-    return Matrix._of_raw(v.field, _block_rows(h0, v.raw), v.ncols + 1)
+    object.__setattr__(t, "_checked", checked)
+    object.__setattr__(t, "_block", Matrix._of_raw(field, _block_rows(checked[1], v.raw), v.ncols + 1))
+    return checked
 
 
 def _born_checked(field: Field, alpha, block: Matrix, domain: LieAlgebra, codomain: LieAlgebra) -> AutTriple:
@@ -732,21 +728,19 @@ def aut_multiply(t1: AutTriple, t2: AutTriple) -> AutTriple:
     t1's B = [h | v] times t2's phi = [[beta, 0], [g, w]] is
     [beta*h + v(g) | v∘w], the product's own B, by one Matrix.__mul__; phi
     is built from t2's B on its first use as a right factor, and kept with
-    its packed rows when t2 keeps its check.  Both operands go through
-    _check_operand, which coerces int entries into the field on a triple's
-    first use, and w must map into v's domain, as LinearMap.compose asks;
-    the product is born checked.
+    its packed rows.  Both operands go through _check_operand, which coerces
+    int entries into the field on a triple's first use, and w must map into
+    v's domain, as LinearMap.compose asks; the product is born checked.
     """
     field, dim = t1.v.domain.field, t1.v.domain.dim
-    alpha, h = _check_operand(t1, field, dim)
-    beta, g = _check_operand(t2, field, dim)
+    alpha = _check_operand(t1, field, dim)[0]
+    beta = _check_operand(t2, field, dim)[0]
     t1.v._check_composable(t2.v)
     phi = t2._phi
     if phi is None:
-        phi = Matrix._of_raw(field, _phi_rows(beta, _block(t2, g).raw), dim + 1)
-        if t2._checked is not None:
-            object.__setattr__(t2, "_phi", phi)
-    block = _block(t1, h) * phi
+        phi = Matrix._of_raw(field, _phi_rows(beta, t2._block.raw), dim + 1)
+        object.__setattr__(t2, "_phi", phi)
+    block = t1._block * phi
     return _born_checked(field, field._reduce(alpha * beta), block, t2.v.domain, t1.v.codomain)
 
 
@@ -845,8 +839,7 @@ def gcheck_inner(h: LieAlgebra, x0) -> Callable:
         if checked is None:
             return False
         alpha, h0 = checked
-        # v(x0) - alpha*x0, then + h0
-        w = tuple([red(a + b) for a, b in zip(t.v.matrix._apply(x, -alpha, x), h0)])
+        w = tuple([red(y - alpha * a + b) for y, a, b in zip(t.v.matrix._apply(x), x, h0)])
         return z._coordinates(w) is not None
 
     return predicate

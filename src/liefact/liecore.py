@@ -396,8 +396,10 @@ class Subspace:
     """Subspace of the underlying space of a Lie algebra, held in rref form.
 
     rows is the rref basis as raw tuples and pivots their pivot columns; the
-    rref basis makes equality of subspaces canonical.  basis and coordinates
-    box what they return.
+    rref basis makes equality of subspaces canonical.  Two subspaces are
+    equal when their fields, ambient dimensions and rows are (two zero
+    subspaces of different dimensions are not).  basis and coordinates box
+    what they return.
     """
 
     __slots__ = ("algebra", "rows", "pivots")
@@ -458,11 +460,12 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self.algebra.field == other.algebra.field
+            and self.algebra.dim == other.algebra.dim
             and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.algebra.dim, self.rows))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.algebra.dim})"
@@ -851,7 +854,7 @@ def _invariance_rows(algebra: LieAlgebra, middle):
                     yield tuple(row)
 
 
-def invariant_bilinear_forms(algebra: LieAlgebra, symmetric: bool = False) -> list:
+def invariant_bilinear_forms(algebra: LieAlgebra) -> list:
     """Basis of forms with B([a,b],c) = B(a,[b,c]) on all basis triples.
 
     The conditions with middle index j say that e_j kills B under
@@ -865,15 +868,9 @@ def invariant_bilinear_forms(algebra: LieAlgebra, symmetric: bool = False) -> li
     n = algebra.dim
     f = algebra.field
     middle = range(n) if algebra.check_jacobi() else _generating_indices(algebra)
-    rows = list(_invariance_rows(algebra, middle))
-    if symmetric:
-        for a, b in basis_pairs(n):
-            row = [f.zero.value] * (n * n)
-            row[a * n + b] = f.one.value
-            row[b * n + a] = (-f.one).value
-            rows.append(tuple(row))
+    rows = tuple(_invariance_rows(algebra, middle))
     forms = []
-    for flat in Matrix._of_raw(f, tuple(rows), n * n)._null_raw():
+    for flat in Matrix._of_raw(f, rows, n * n)._null_raw():
         gram = Matrix._of_raw(f, tuple(flat[r * n : (r + 1) * n] for r in range(n)), n)
         forms.append(BilinearForm(algebra, gram))
     return forms
@@ -941,14 +938,9 @@ def self_dual(algebra: LieAlgebra, budget: int = 2000) -> SelfDualResult:
         hit = attempt(kg)
         if hit:
             return hit
-    # is the identity gram an invariant form?
-    coeff_cols = [form.gram.entries_flat() for form in basis]
-    target = Matrix.identity(f, n).entries_flat()
-    sol = Matrix.from_cols(f, coeff_cols).solve(target)
-    if sol is not None:
-        hit = attempt(Matrix.identity(f, n))
-        if hit:
-            return hit
+    hit = attempt(Matrix.identity(f, n))
+    if hit:
+        return hit
     d = len(basis)
     s = min(n, f.p - 1) if f.is_finite else n
     grid = f"{{0..{s}}}^{d}"

@@ -381,6 +381,36 @@ def _h_sl2_sympathetic(params, field, p, budget):
     }
 
 
+def _generators(table: list) -> list:
+    """Indices taken greedily in index order, each one not yet reached from
+    the earlier ones by right multiplication in the product table; every
+    index is reached from the result."""
+    gens, reached = [], set()
+    for i in range(len(table)):
+        if i in reached:
+            continue
+        gens.append(i)
+        reached.update(gens)
+        stack = list(reached)
+        while stack:
+            row = table[stack.pop()]
+            for g in gens:
+                if row[g] not in reached:
+                    reached.add(row[g])
+                    stack.append(row[g])
+    return gens
+
+
+def _associative(table: list) -> bool:
+    """Light's associativity test of a product table on indices 0..n-1:
+    (a*s)*c = a*(s*c) for every a and c, with s only in a generating set.
+    It is exact: the s for which the identity holds for all a and c are
+    closed under the product, so it holds for every s once it holds for a
+    set that generates all n."""
+    n = range(len(table))
+    return all(table[row[s]][c] == row[table[s][c]] for s in _generators(table) for row in table for c in n)
+
+
 def _h_aut_triple_group(params, field, p, budget):
     sl2 = matched.make_sl2(field)
     x0 = basis_vector(field, 3, 0)
@@ -389,59 +419,39 @@ def _h_aut_triple_group(params, field, p, budget):
     auts = iso.aut_enumerate(sl2)
     count_ok = len(triples) == (field.p - 1) * len(auts)
 
-    def same(t1, t2):
-        return t1.alpha == t2.alpha and t1.h0 == t2.h0 and t1.v.matrix == t2.v.matrix
+    def key(t):
+        return t.alpha, t.h0, t.v.matrix
 
     ident = iso.aut_identity(sl2)
     axioms = True
     for t in triples:
         if not iso.aut_triple_valid(sl2, delta, t):
             axioms = False
-        if not same(iso.aut_multiply(ident, t), t) or not same(iso.aut_multiply(t, ident), t):
+        if key(iso.aut_multiply(ident, t)) != key(t) or key(iso.aut_multiply(t, ident)) != key(t):
             axioms = False
-        if not same(iso.aut_multiply(t, iso.aut_inverse(t)), ident):
+        if key(iso.aut_multiply(t, iso.aut_inverse(t))) != key(ident):
             axioms = False
-    products = {}
-    for t1 in triples:
-        for t2 in triples:
-            prod = iso.aut_multiply(t1, t2)
-            if not iso.aut_triple_valid(sl2, delta, prod):
-                axioms = False
-            products[(id(t1), id(t2))] = prod
-    assoc = True
-    for t1 in triples:
-        for t2 in triples:
-            t12 = products[(id(t1), id(t2))]
-            for t3 in triples:
-                lhs = iso.aut_multiply(t12, t3)
-                rhs = iso.aut_multiply(t1, products[(id(t2), id(t3))])
-                if not same(lhs, rhs):
-                    assoc = False
-                    break
-            if not assoc:
-                break
-        if not assoc:
-            break
-    embed_ok = True
-    images = set()
-    for t in triples:
-        s = iso.semidirect_embed(t)
-        images.add((s.translation, s.alpha, s.v.matrix))
-    if len(images) != len(triples):
-        embed_ok = False
-    for t1 in triples:
-        for t2 in triples:
-            lhs = iso.semidirect_embed(products[(id(t1), id(t2))])
-            rhs = iso.semidirect_multiply(iso.semidirect_embed(t1), iso.semidirect_embed(t2))
-            if (lhs.translation, lhs.alpha, lhs.v.matrix) != (rhs.translation, rhs.alpha, rhs.v.matrix):
-                embed_ok = False
-                break
-        if not embed_ok:
-            break
+    products = [[iso.aut_multiply(t1, t2) for t2 in triples] for t1 in triples]
+    if not all(iso.aut_triple_valid(sl2, delta, prod) for row in products for prod in row):
+        axioms = False
+    # table[i][j]: the index of triples[i] * triples[j], None outside the list
+    index = {key(t): i for i, t in enumerate(triples)}
+    table = [[index.get(key(prod)) for prod in row] for row in products]
+    closed = all(i is not None for row in table for i in row)
+
+    def parts(s):
+        return s.translation, s.alpha, s.v.matrix
+
+    embeds = [iso.semidirect_embed(t) for t in triples]
+    embed_ok = len(set(map(parts, embeds))) == len(triples) and all(
+        parts(iso.semidirect_embed(prod)) == parts(iso.semidirect_multiply(s1, s2))
+        for s1, row in zip(embeds, products)
+        for s2, prod in zip(embeds, row)
+    )
     pred = iso.gcheck_inner(sl2, x0)
     pred_ok = all(pred(t) for t in triples)
     return {
-        "group_axioms": axioms and assoc,
+        "group_axioms": axioms and closed and _associative(table),
         "count_is_units_times_aut": count_ok,
         "embedding_ok": embed_ok,
         "inner_predicate_ok": pred_ok,

@@ -316,11 +316,10 @@ def is_invariant(form) -> bool:
     ))
 
 
-def invariant_bilinear_forms(algebra, symmetric=False) -> list:
+def invariant_bilinear_forms(algebra) -> list:
     """The forms B([e_i, e_j], e_k) = B(e_i, [e_j, e_k]) on every basis
     triple, as the null space of n^3 rows on Scalars over the Gram entries
-    (g_{m,k} is unknown m * n + k), with the rows g_{a,b} = g_{b,a} when
-    symmetric."""
+    (g_{m,k} is unknown m * n + k)."""
     f, n = algebra.field, algebra.dim
     if n == 0:
         return []
@@ -332,11 +331,6 @@ def invariant_bilinear_forms(algebra, symmetric=False) -> list:
         for m, c in enumerate(algebra.bracket_basis(j, k)):
             row[i * n + m] -= c
         rows.append(row)
-    if symmetric:
-        for a, b in basis_pairs(n):
-            row = [f.zero] * (n * n)
-            row[a * n + b], row[b * n + a] = f.one, -f.one
-            rows.append(row)
     return [
         BilinearForm(algebra, Matrix(f, [flat[r * n : (r + 1) * n] for r in range(n)]))
         for flat in Matrix(f, rows).nullspace()

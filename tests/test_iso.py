@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import random
@@ -785,17 +786,47 @@ def test_a_right_factor_packs_its_phi_once(monkeypatch):
         assert prod._block.raw == tuple((x,) + row for x, row in zip(prod._checked[1], prod.v.matrix.raw))
 
 
-def test_an_h0_list_is_read_on_every_use():
+def test_an_h0_list_is_copied_when_the_triple_is_built():
     ident = aut_identity(make_sl2(F3))
     h0 = [1, 0, 0]
     t = AutTriple(1, h0, ident.v)
-    # as the left factor and as the right one, whose phi is not kept either
-    for prod in (aut_multiply(t, ident), aut_multiply(ident, t)):
-        assert _boxed_parts(prod)[1] == (F3.one, F3.zero, F3.zero)
     h0[0] = 2
-    for prod in (aut_multiply(t, ident), aut_multiply(ident, t)):
-        assert _boxed_parts(prod)[1] == (F3.scalar(2), F3.zero, F3.zero)
-    assert t._checked is None and t._block is None and t._phi is None
+    assert t.h0 == (1, 0, 0)
+    assert t == AutTriple(1, (1, 0, 0), ident.v)
+    assert hash(t) == hash(AutTriple(1, (1, 0, 0), ident.v))
+    # as the left factor and as the right one, before and after a change to the list
+    for _ in range(2):
+        for prod in (aut_multiply(t, ident), aut_multiply(ident, t)):
+            assert _boxed_parts(prod)[1] == (F3.one, F3.zero, F3.zero)
+        h0[1] = 1
+    assert t._checked == (1, (1, 0, 0)) and t._phi is not None
+
+
+@pytest.mark.parametrize("sequence", [tuple, list, collections.deque], ids=["tuple", "list", "deque"])
+def test_a_triple_keeps_its_check_after_its_first_use(sequence):
+    sl2, triples = _sl2_triples()
+    x0 = basis_vector(F3, 3, 0)
+    delta, ident = sl2.ad(x0), aut_identity(sl2)
+    uses = {
+        "aut_multiply left": lambda t: aut_multiply(t, ident),
+        "aut_multiply right": lambda t: aut_multiply(ident, t),
+        "aut_inverse": aut_inverse,
+        "semidirect_embed": semidirect_embed,
+        "aut_triple_valid": lambda t: aut_triple_valid(sl2, delta, t),
+        "gcheck_inner": gcheck_inner(sl2, x0),
+    }
+    source = triples[29]
+    h0 = tuple(x.value for x in source.h0)
+    block = tuple((x,) + row for x, row in zip(h0, source.v.matrix.raw))
+    for name, use in uses.items():
+        t = AutTriple(source.alpha, sequence(source.h0), source.v)
+        assert t._checked is None and t._block is None, name
+        use(t)
+        checked, kept = t._checked, t._block
+        assert checked == (source.alpha.value, h0) and kept.raw == block, name
+        for again in uses.values():
+            again(t)
+            assert t._checked is checked and t._block is kept, name
 
 
 @st.composite

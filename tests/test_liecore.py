@@ -221,7 +221,6 @@ def test_the_jacobi_identity_is_swept_once_per_algebra(monkeypatch):
         sweeps.clear()
         first = alg.check_jacobi()
         invariant_bilinear_forms(alg)
-        invariant_bilinear_forms(alg, symmetric=True)
         self_dual(alg)
         assert alg.check_jacobi() == first == [] and alg.check_jacobi() is not first
         assert sorted(sweeps) == list(itertools.combinations(range(alg.dim), 3))
@@ -355,6 +354,14 @@ def test_subspace_equality_is_canonical():
     assert a == b and a.dim == 2
 
 
+def test_subspaces_of_two_ambient_dimensions_differ():
+    # both zero subspaces have no rows; only the ambient dimension tells them apart
+    zero3 = Subspace(matched.make_sl2(F5), [])
+    zero2 = Subspace(LieAlgebra.abelian(F5, 2), [])
+    assert zero3 != zero2 and len({zero3, zero2}) == 2
+    assert zero3 == Subspace(LieAlgebra.abelian(F5, 3), [])
+
+
 def test_subalgebra_structure_names_and_closure():
     L4 = matched.make_L(1, Q)
     hsub = Subspace(L4, [basis_vector(Q, 4, i) for i in range(3)])
@@ -454,10 +461,10 @@ def algebras_for_forms(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(algebras_for_forms(), st.booleans())
-def test_invariant_forms_match_the_all_triples_oracle(alg, symmetric):
-    got = [form.gram for form in invariant_bilinear_forms(alg, symmetric)]
-    assert got == [form.gram for form in boxed.invariant_bilinear_forms(alg, symmetric)]
+@given(algebras_for_forms())
+def test_invariant_forms_match_the_all_triples_oracle(alg):
+    got = [form.gram for form in invariant_bilinear_forms(alg)]
+    assert got == [form.gram for form in boxed.invariant_bilinear_forms(alg)]
 
 
 def _generated_subalgebra(alg, indices) -> Subspace:
@@ -565,14 +572,6 @@ def test_a_form_rejects_a_gram_of_another_shape_or_field():
         BilinearForm(sl2, Matrix.identity(F5, 3))
 
 
-def test_invariant_forms_symmetric_flag():
-    ab = LieAlgebra.abelian(Q, 2)
-    assert len(invariant_bilinear_forms(ab, symmetric=True)) == 3
-    sl2 = matched.make_sl2(Q)
-    sym = invariant_bilinear_forms(sl2, symmetric=True)
-    assert len(sym) == 1 and sym[0].gram == sym[0].gram.transpose()
-
-
 def test_bracket_dimension_mismatch():
     l3 = matched.make_l(1, Q)
     with pytest.raises(DimensionMismatch):
@@ -675,11 +674,13 @@ def test_self_dual_reaches_a_form_early_in_the_grid():
     assert res.form.is_invariant() and res.form.is_nondegenerate()
 
 
-def _abelian3_with_skew_forms(monkeypatch, field):
-    """abelian(3) with its invariant forms replaced by the three skew forms:
-    no vector kills all three from the left, yet every combination is a
-    skew 3 x 3 matrix and so singular."""
-    alg = LieAlgebra.abelian(field, 3)
+def _heisenberg3_with_skew_forms(monkeypatch, field):
+    """The Heisenberg algebra [x, y] = z with its invariant forms replaced by
+    the three skew forms: no vector kills all three from the left, yet every
+    combination is a skew 3 x 3 matrix and so singular.  Its Killing form is
+    zero and the identity form is not invariant (B([x, y], z) = 1 while
+    B(x, [y, z]) = 0), so only the grid is left to try."""
+    alg = LieAlgebra(field, ("x", "y", "z"), {(0, 1): (0, 0, 1)})
 
     def skew(i, j):
         rows = [[0] * 3 for _ in range(3)]
@@ -687,7 +688,7 @@ def _abelian3_with_skew_forms(monkeypatch, field):
         return BilinearForm(alg, Matrix(field, rows))
 
     forms = [skew(0, 1), skew(0, 2), skew(1, 2)]
-    monkeypatch.setattr(liecore, "invariant_bilinear_forms", lambda a, symmetric=False: forms)
+    monkeypatch.setattr(liecore, "invariant_bilinear_forms", lambda a: forms)
     return alg
 
 
@@ -698,13 +699,13 @@ def test_self_dual_exhausted_grid_is_a_no(monkeypatch, field, grid):
     # over GF(2) the grid {0, 1}^3 is the whole coefficient space; otherwise
     # det of the combination has degree <= 3 in each coefficient and vanishes
     # on 4 values of each, so it is the zero polynomial
-    res = self_dual(_abelian3_with_skew_forms(monkeypatch, field))
+    res = self_dual(_heisenberg3_with_skew_forms(monkeypatch, field))
     assert (res.verdict, res.witness) == ("no", None)
     assert grid in res.detail
 
 
 def test_self_dual_unknown_names_the_budget_and_the_grid(monkeypatch):
-    res = self_dual(_abelian3_with_skew_forms(monkeypatch, Q), budget=10)
+    res = self_dual(_heisenberg3_with_skew_forms(monkeypatch, Q), budget=10)
     assert res.verdict == "unknown"
     assert "budget 10" in res.detail and "{0..3}^3" in res.detail
 

@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 
-from liefact import scenarios
+from liefact import iso, matched, scenarios
 from liefact.errors import FormatError
+from liefact.exactmath import Field, basis_vector
 
 
 def _catalog_formulas() -> list:
@@ -79,3 +82,42 @@ def test_catalog_rejects_a_schema_violation(case, monkeypatch):
         scenarios.load_catalog()
     message = str(info.value)
     assert f"scenario {data['scenarios'][0]['id']!r}" in message and named in message
+
+
+# -- criterion 7: Light's associativity test -------------------------------------------
+
+
+def _sl2_product_table() -> list:
+    """table[i][j]: the index of t_i * t_j by aut_multiply, over the 48
+    triples of the inner-twisted sl2 extension over GF(3)."""
+    f = Field.gf(3)
+    sl2 = matched.make_sl2(f)
+    triples = iso.enumerate_aut_triples(sl2, sl2.ad(basis_vector(f, 3, 0)))
+    index = {(t.alpha, t.h0, t.v.matrix): i for i, t in enumerate(triples)}
+    return [
+        [index[prod.alpha, prod.h0, prod.v.matrix] for prod in (iso.aut_multiply(t1, t2) for t2 in triples)]
+        for t1 in triples
+    ]
+
+
+def _associative_on_all_triples(table: list) -> bool:
+    """The oracle: (a*b)*c = a*(b*c) for every a, b and c."""
+    n = range(len(table))
+    return all(table[table[a][b]][c] == table[a][table[b][c]] for a, b, c in itertools.product(n, repeat=3))
+
+
+def test_lights_test_and_the_all_triples_oracle_accept_the_group_law():
+    table = _sl2_product_table()
+    assert len(table) == 48 and len(scenarios._generators(table)) == 3
+    assert scenarios._associative(table)
+    assert _associative_on_all_triples(table)
+
+
+def test_lights_test_and_the_all_triples_oracle_reject_one_altered_entry():
+    table = _sl2_product_table()
+    for i, j in itertools.product(range(0, 48, 7), range(0, 48, 5)):
+        altered = [row[:] for row in table]
+        altered[i][j] = (table[i][j] + 1 + i) % 48
+        assert not scenarios._associative(altered), (i, j)
+        assert not _associative_on_all_triples(altered), (i, j)
+
